@@ -12,11 +12,10 @@ from .bs import (PotentialSpec, assemble_k, box, decomposition_diagnostics,
                  gaussian, hs_growth_rates, hs_norm, potential_grid, sampled,
                  spectral_radius, step_well, weak_coupling_rate)
 from .errors import (ConfigError, ConvergenceError, DomainError,
-                     EigenvalueLost, NoConvergence, SgnSpecError,
-                     SingularError, SpectrumError, ZeroCouplingError)
+                     EigenvalueLost, SgnSpecError, SingularError,
+                     SpectrumError, ZeroCouplingError)
 from .fdop import (FDOperator, OracleResult, build_fd, eigenvalue_near,
-                   eigenvalues_fd, resolvent_norm_fd, smoothed_sign,
-                   step_potential)
+                   resolvent_norm_fd, smoothed_sign, step_potential)
 from .field import (GridSpec, PseudospectrumField, compute_field,
                     export_field, field_to_csv, field_to_json,
                     load_field_csv)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 import scipy.linalg as sla
@@ -26,6 +26,9 @@ from .errors import (ConfigError, ConvergenceError, DomainError,
 from .kernel import resolvent_kernel_grid
 from .quadrature import QuadratureGrid, gauss_legendre_grid, \
     oscillation_panel_width
+
+# rows per block when a Nystrom matrix is reduced without being stored
+_ROW_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -117,76 +120,82 @@ def potential_grid(z: complex, pot: PotentialSpec,
     return gauss_legendre_grid(pot.half_length, panel, breakpoints=interior)
 
 
-def _half_powers(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(|V|^{1/2}, V_{1/2}) with the convention V_{1/2} = V / |V|^{1/2}."""
+def _weights(pot: PotentialSpec, grid: QuadratureGrid
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column weights of the symmetric Nystrom matrix of K_z.
+
+    Entry (i, j) is left_i R(x_i, x_j) right_j with left = sw |V|^{1/2}
+    and right = V_{1/2} sw, where sw are the square roots of the
+    quadrature weights and V_{1/2} = V / |V|^{1/2} (zero where V is).
+    """
+    v = pot(grid.nodes)
     mod = np.abs(v)
     root = np.sqrt(mod)
     signed = np.zeros_like(v)
     nz = mod > 0.0
     signed[nz] = v[nz] / root[nz]
-    return root, signed
+    sw = np.sqrt(grid.weights)
+    return sw * root, signed * sw
+
+
+def _k_rows(z: complex, grid: QuadratureGrid,
+            weights: tuple[np.ndarray, np.ndarray],
+            kernel: Callable | None = None, chunk: int = _ROW_CHUNK
+            ) -> Iterator[tuple[slice, np.ndarray]]:
+    """Blocks of at most chunk consecutive rows of the Nystrom matrix.
+
+    kernel is a grid kernel (z, x, y) -> matrix, the resolvent kernel by
+    default.  Yields (rows, block) with block = K[rows]; each block is a
+    fresh array the caller may overwrite.
+    """
+    if kernel is None:
+        kernel = resolvent_kernel_grid
+    left, right = weights
+    for lo in range(0, grid.size, chunk):
+        rows = slice(lo, min(lo + chunk, grid.size))
+        yield rows, (left[rows, None] * kernel(z, grid.nodes[rows], grid.nodes)
+                     * right[None, :])
+
+
+def _sq_sum(block: np.ndarray) -> float:
+    """Sum of |entries|^2 of a complex array."""
+    return float(np.vdot(block, block).real)
 
 
 def assemble_k(z: complex, pot: PotentialSpec,
                grid: QuadratureGrid) -> np.ndarray:
     """Dense symmetric Nystrom matrix of the Birman-Schwinger operator."""
-    v = pot(grid.nodes)
-    root, signed = _half_powers(v)
-    sw = np.sqrt(grid.weights)
-    r = resolvent_kernel_grid(z, grid.nodes, grid.nodes)
-    return (sw * root)[:, None] * r * (signed * sw)[None, :]
+    _, k = next(_k_rows(z, grid, _weights(pot, grid), chunk=grid.size))
+    return k
 
 
 def k_matvec(z: complex, pot: PotentialSpec, grid: QuadratureGrid
              ) -> Callable[[np.ndarray], np.ndarray]:
     """Matrix-free application of the Nystrom matrix in O(n) per call."""
-    v = pot(grid.nodes)
-    root, signed = _half_powers(v)
-    sw = np.sqrt(grid.weights)
+    left, right = _weights(pot, grid)
+    # apply_resolvent multiplies by the quadrature weights itself, so
+    # they are divided out of the column weight here
+    right = np.divide(right, grid.weights, out=np.zeros_like(right),
+                      where=grid.weights > 0.0)
 
     def apply(vec):
-        f = np.zeros(grid.size, dtype=complex)
-        np.divide(signed * np.asarray(vec, dtype=complex), sw, out=f,
-                  where=sw > 0.0)
-        return sw * root * bounds.apply_resolvent(z, grid, f)
+        f = right * np.asarray(vec, dtype=complex)
+        return left * bounds.apply_resolvent(z, grid, f)
 
     return apply
 
 
 def hs_norm(z: complex, pot: PotentialSpec, grid: QuadratureGrid,
-            chunk: int = 512) -> float:
-    """Hilbert-Schmidt (Frobenius) norm of K_z, row-chunked."""
-    v = pot(grid.nodes)
-    root, signed = _half_powers(v)
-    sw = np.sqrt(grid.weights)
-    left = sw * root
-    right = signed * sw
-    total = 0.0
-    for lo in range(0, grid.size, chunk):
-        hi = min(lo + chunk, grid.size)
-        r = resolvent_kernel_grid(z, grid.nodes[lo:hi], grid.nodes)
-        block = left[lo:hi, None] * r * right[None, :]
-        total += float(np.sum(np.abs(block) ** 2))
-    return math.sqrt(total)
+            chunk: int = _ROW_CHUNK, kernel: Callable | None = None) -> float:
+    """Hilbert-Schmidt (Frobenius) norm of the Nystrom matrix, row-chunked.
 
-
-def l_matrix(z: complex, pot: PotentialSpec,
-             grid: QuadratureGrid) -> np.ndarray:
-    """Nystrom matrix of the rank-one singular part L_z.
-
-    Kernel: sqrt(Re z) |V|^{1/2}(x) e^{-i sqrt(Re z)(x+y)} V_{1/2}(y).
+    kernel is a grid kernel (z, x, y) -> matrix; the default, the
+    resolvent kernel, gives K_z, and kernel.dirichlet_kernel_grid gives
+    the Birman-Schwinger operator of the Dirichlet decoupling.
     """
-    z = complex(z)
-    if z.real <= 0.0:
-        raise DomainError("singular part needs Re z > 0")
-    kappa = math.sqrt(z.real)
-    v = pot(grid.nodes)
-    root, signed = _half_powers(v)
-    sw = np.sqrt(grid.weights)
-    phase = np.exp(-1j * kappa * grid.nodes)
-    col = sw * root * phase
-    row = phase * signed * sw
-    return kappa * col[:, None] * row[None, :]
+    weights = _weights(pot, grid)
+    return math.sqrt(sum(_sq_sum(block) for _, block in
+                         _k_rows(z, grid, weights, kernel, chunk)))
 
 
 def l_hs_closed(z: complex, pot: PotentialSpec) -> float:
@@ -199,16 +208,33 @@ def l_hs_closed(z: complex, pot: PotentialSpec) -> float:
 
 def decomposition_diagnostics(z: complex, pot: PotentialSpec,
                               grid: QuadratureGrid | None = None) -> dict:
-    """HS norms of K_z, L_z and the remainder M_z = K_z - L_z at z."""
+    """HS norms of K_z, L_z and the remainder M_z = K_z - L_z at z.
+
+    L_z is the rank-one singular part with kernel
+    sqrt(Re z) |V|^{1/2}(x) e^{-i sqrt(Re z)(x+y)} V_{1/2}(y).  The norms
+    of K and M are summed one block of rows at a time and that of L is
+    the product of the norms of its two factors, so no n x n matrix is
+    formed.
+    """
+    z = complex(z)
+    l_closed = l_hs_closed(z, pot)
     if grid is None:
         grid = potential_grid(z, pot)
-    k = assemble_k(z, pot, grid)
-    lmat = l_matrix(z, pot, grid)
+    weights = _weights(pot, grid)
+    kappa = math.sqrt(z.real)
+    phase = np.exp(-1j * kappa * grid.nodes)
+    col = kappa * (weights[0] * phase)
+    row = phase * weights[1]
+    k_sq = m_sq = 0.0
+    for rows, block in _k_rows(z, grid, weights):
+        k_sq += _sq_sum(block)
+        block -= col[rows, None] * row[None, :]
+        m_sq += _sq_sum(block)
     return {
-        "k_hs": float(np.linalg.norm(k)),
-        "l_hs": float(np.linalg.norm(lmat)),
-        "l_hs_closed": l_hs_closed(z, pot),
-        "m_hs": float(np.linalg.norm(k - lmat)),
+        "k_hs": math.sqrt(k_sq),
+        "l_hs": float(np.linalg.norm(col) * np.linalg.norm(row)),
+        "l_hs_closed": l_closed,
+        "m_hs": math.sqrt(m_sq),
         "n": grid.size,
     }
 
@@ -235,18 +261,27 @@ def hs_growth_rates(pot: PotentialSpec, re_values: Sequence[float],
 
 
 def spectral_radius(z: complex, eps: float, pot: PotentialSpec,
-                    grid: QuadratureGrid | None = None,
-                    dense_cutoff: int = 1200) -> float:
-    """Spectral radius of eps * K_z (dense eig or Arnoldi, by size)."""
+                    grid: QuadratureGrid | None = None) -> float:
+    """Spectral radius of eps * K_z.
+
+    Arnoldi (ARPACK) for the eigenvalue of largest modulus, applying K_z
+    matrix-free in O(n) per step.  Raises ConvergenceError if ARPACK
+    does not converge.
+    """
     if grid is None:
         grid = potential_grid(z, pot)
-    if grid.size <= dense_cutoff:
-        vals = sla.eigvals(assemble_k(z, pot, grid))
-        return float(eps * np.max(np.abs(vals)))
     op = spla.LinearOperator((grid.size, grid.size),
                              matvec=k_matvec(z, pot, grid), dtype=complex)
-    lam = spla.eigs(op, k=1, which="LM", return_eigenvectors=False,
-                    maxiter=3000)
+    # a fixed start vector: ARPACK's own random one changes from call to
+    # call, which would make repeated calls differ in the last digits
+    v0 = np.random.default_rng(0).standard_normal(grid.size)
+    try:
+        lam = spla.eigs(op, k=1, which="LM", v0=v0,
+                        return_eigenvectors=False, maxiter=3000)
+    except spla.ArpackNoConvergence as exc:
+        raise ConvergenceError(
+            f"Arnoldi did not converge for the spectral radius at z={z}"
+        ) from exc
     return float(eps * abs(lam[0]))
 
 

@@ -4,12 +4,14 @@ Subcommands mirror the library layers: kernel evaluation, pointwise
 bounds, pseudospectrum field export, Birman-Schwinger diagnostics and
 eigenvalue hunting, and the exactly solvable models.  All numeric output
 goes through repr so that identical invocations produce byte-identical
-output.  Exit codes: 0 success, 1 domain/spectrum error, 2 bad usage.
+output.  Exit codes: 0 success, 1 domain/spectrum error, 2 bad usage
+(including a NaN or infinite number on the command line).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -19,21 +21,38 @@ from .errors import ConfigError, DomainError, SgnSpecError, SpectrumError
 from .kernel import classify_region, resolvent_kernel
 
 
-def parse_complex(text: str) -> complex:
-    """'re' or 're,im' -> complex."""
-    parts = text.split(",")
+def _finite(x: float, text: str) -> float:
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite value, got {text!r}")
+    return x
+
+
+def parse_float(text: str) -> float:
+    """A finite float."""
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]))
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        x = float(text)
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected 're' or 're,im', got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    return _finite(x, text)
+
+
+def parse_complex(text: str) -> complex:
+    """'re' or 're,im' -> complex, both parts finite."""
+    try:
+        parts = [float(p) for p in text.split(",")]
+    except ValueError:
+        parts = []
+    if len(parts) not in (1, 2):
+        raise argparse.ArgumentTypeError(
+            f"expected 're' or 're,im', got {text!r}")
+    for x in parts:
+        _finite(x, text)
+    return complex(*parts)
 
 
 def parse_range(text: str) -> tuple[float, float, int]:
-    """'min:max:count' -> (min, max, count)."""
+    """'min:max:count' -> (min, max, count), bounds finite."""
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(
@@ -43,6 +62,8 @@ def parse_range(text: str) -> tuple[float, float, int]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected 'min:max:count', got {text!r}")
+    _finite(lo, text)
+    _finite(hi, text)
     if n < 1:
         raise argparse.ArgumentTypeError("count must be positive")
     return lo, hi, n
@@ -71,12 +92,12 @@ def _potential_from_args(args) -> bs.PotentialSpec:
 def _add_potential_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--potential", default="gaussian",
                    choices=("gaussian", "box", "delta", "step"))
-    p.add_argument("--amplitude", type=float, default=-1.0)
-    p.add_argument("--width", type=float, default=1.0)
-    p.add_argument("--radius", type=float, default=2.5e-4)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--a", type=float, default=1.0)
-    p.add_argument("--b", type=float, default=3.0)
+    p.add_argument("--amplitude", type=parse_float, default=-1.0)
+    p.add_argument("--width", type=parse_float, default=1.0)
+    p.add_argument("--radius", type=parse_float, default=2.5e-4)
+    p.add_argument("--alpha", type=parse_float, default=1.0)
+    p.add_argument("--a", type=parse_float, default=1.0)
+    p.add_argument("--b", type=parse_float, default=3.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,16 +105,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sgnspec",
         description="Resolvent and pseudospectrum toolkit for "
                     "-d2/dx2 + i*sgn(x).")
-    ap.add_argument("--seed", type=int, default=0,
-                    help="seed for any randomized iteration")
     ap.add_argument("--dry-run", action="store_true",
                     help="validate arguments and report the plan only")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("kernel", help="evaluate the resolvent kernel")
     p.add_argument("--z", type=parse_complex, required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--y", type=float, required=True)
+    p.add_argument("--x", type=parse_float, required=True)
+    p.add_argument("--y", type=parse_float, required=True)
 
     p = sub.add_parser("bounds", help="two-sided norm bounds at a point")
     p.add_argument("--z", type=parse_complex, required=True)
@@ -115,16 +134,16 @@ def build_parser() -> argparse.ArgumentParser:
     q = bs_sub.add_parser("sweep", help="HS norms of K, L, M along Re z")
     q.add_argument("--re", type=parse_range, required=True,
                    metavar="MIN:MAX:COUNT")
-    q.add_argument("--im", type=float, default=0.5)
+    q.add_argument("--im", type=parse_float, default=0.5)
     _add_potential_args(q)
 
     q = bs_sub.add_parser("roots", help="eigenvalues via the determinant")
-    q.add_argument("--eps", type=float, required=True)
+    q.add_argument("--eps", type=parse_float, required=True)
     q.add_argument("--seeds", type=parse_complex, nargs="+", required=True)
     _add_potential_args(q)
 
     q = bs_sub.add_parser("rate", help="weak-coupling divergence exponent")
-    q.add_argument("--eps", type=float, nargs="+",
+    q.add_argument("--eps", type=parse_float, nargs="+",
                    default=[0.5, 0.25, 0.125])
     _add_potential_args(q)
 
@@ -137,9 +156,9 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="MIN:MAX:COUNT")
 
     p = sub.add_parser("step", help="real eigenvalues of the step model")
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--lam-max", type=float, required=True)
+    p.add_argument("--a", type=parse_float, required=True)
+    p.add_argument("--b", type=parse_float, required=True)
+    p.add_argument("--lam-max", type=parse_float, required=True)
 
     p = sub.add_parser("dirichlet", help="Dirichlet-decoupled resolvent norm")
     p.add_argument("--z", type=parse_complex, required=True)

@@ -25,10 +25,6 @@ class ConvergenceError(SgnSpecError):
     """An iterative solver failed to converge."""
 
 
-class NoConvergence(ConvergenceError):
-    """A single root search failed; reported per seed, not fatal."""
-
-
 class EigenvalueLost(SgnSpecError):
     """No eigenvalue located in the search box during a coupling sweep."""
 

@@ -22,7 +22,6 @@ from .errors import ConfigError, ConvergenceError, SingularError
 _POTENTIALS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "sgn": lambda x: 1j * np.sign(x),
     "free": lambda x: np.zeros_like(x, dtype=complex),
-    "dirichlet_sgn": lambda x: 1j * np.sign(x),
 }
 
 
@@ -171,10 +170,13 @@ def resolvent_norm_fd(z: complex, n: int = 2001,
                       richardson: bool = True) -> OracleResult:
     """Resolvent norm estimate 1/sigma_min(A - z) from the FD matrix.
 
-    Dense SVD for n <= 3000, banded inverse iteration beyond.  With
+    sigma_min comes from Lanczos on the inverted normal operator, two
+    banded solves per step (see _sigma_min_banded), at every n.  With
     richardson=True the computation is repeated at half the step size and
     the reported error is the Richardson extrapolation residual
-    |v_fine - v_coarse| / 3 of the second-order scheme.
+    |v_fine - v_coarse| / 3 of the second-order scheme.  Raises
+    ConvergenceError if Lanczos does not converge and SingularError if
+    A - z is singular.
     """
     z = complex(z)
     if half_length is None:
@@ -182,11 +184,6 @@ def resolvent_norm_fd(z: complex, n: int = 2001,
 
     def norm_at(m: int) -> float:
         op = build_fd(m, half_length, potential, center_jump)
-        if m <= 3000:
-            s = sla.svdvals(op.dense() - z * np.eye(m))[-1]
-            if s == 0.0:
-                raise SingularError(f"A - z singular at z={z}")
-            return 1.0 / s
         return 1.0 / _sigma_min_banded(op, z)
 
     coarse = norm_at(n)
@@ -204,22 +201,6 @@ def _auto_half_length(z: complex, decay_tol: float = 1e-8) -> float:
         return decay_half_length(z, decay_tol)
     except Exception:
         return 30.0
-
-
-def eigenvalues_fd(n: int, half_length: float,
-                   potential: str | Callable = "sgn",
-                   center_jump: float = 0.0,
-                   cell_average: bool = False) -> np.ndarray:
-    """All eigenvalues of the dense FD matrix (complex, unsorted input order).
-
-    Dense nonsymmetric solve; capped at n = 6000 to keep the cost sane.
-    """
-    if n > 6000:
-        raise ConfigError("dense eigensolve capped at n = 6000; "
-                          "use eigenvalue_near for fine grids")
-    op = build_fd(n, half_length, potential, center_jump, cell_average)
-    vals = np.linalg.eigvals(op.dense())
-    return vals[np.argsort(vals.real)]
 
 
 def eigenvalue_near(target: complex, n: int, half_length: float,
@@ -244,17 +225,3 @@ def eigenvalue_near(target: complex, n: int, half_length: float,
     vals = target + 1.0 / mu
     return vals[np.argsort(np.abs(vals - target))]
 
-
-def stable_eigenvalues(vals_coarse: np.ndarray, vals_fine: np.ndarray,
-                       tol: float = 1e-2) -> np.ndarray:
-    """Eigenvalues of the fine grid reproduced by the coarse one.
-
-    Filters out truncation/discretization artifacts: a value counts only
-    if the coarse computation has a partner within tol.
-    """
-    vals_fine = np.asarray(vals_fine)
-    keep = []
-    for v in vals_fine:
-        if np.min(np.abs(vals_coarse - v)) < tol:
-            keep.append(v)
-    return np.array(keep)

@@ -144,21 +144,28 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _rows(fld: PseudospectrumField):
+    """Formatted cells of each grid point in row-major order, in
+    _CSV_COLUMNS order; the two oracle cells are left out when the field
+    has no oracle."""
+    pts = fld.grid.points()
+    floats = [pts.real, pts.imag, fld.lower, fld.upper]
+    if fld.oracle is not None:
+        floats += [fld.oracle, fld.oracle_err]
+    re, im, lower, upper, *oracle = (
+        [_fmt(v) for v in np.ravel(col).tolist()] for col in floats)
+    region = [str(v) for v in np.ravel(fld.region)]
+    status = [str(v) for v in np.ravel(fld.status)]
+    return zip(re, im, region, status, lower, upper, *oracle)
+
+
 def field_to_csv(fld: PseudospectrumField) -> str:
     """Render the field as CSV text with repr-formatted floats."""
-    pts = fld.grid.points()
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
-    for idx in np.ndindex(pts.shape):
-        z = complex(pts[idx])
-        row = [_fmt(z.real), _fmt(z.imag), fld.region[idx], fld.status[idx],
-               _fmt(fld.lower[idx]), _fmt(fld.upper[idx])]
-        if fld.oracle is not None:
-            row += [_fmt(fld.oracle[idx]), _fmt(fld.oracle_err[idx])]
-        else:
-            row += ["", ""]
-        writer.writerow(row)
+    empty = () if fld.oracle is not None else ("", "")
+    writer.writerows(row + empty for row in _rows(fld))
     return buf.getvalue()
 
 
@@ -169,23 +176,12 @@ def field_to_json(fld: PseudospectrumField) -> str:
     the JSON encoder's float formatting.
     """
     g = fld.grid
-    pts = g.points()
-    points = []
-    for idx in np.ndindex(pts.shape):
-        z = complex(pts[idx])
-        rec = {"re": _fmt(z.real), "im": _fmt(z.imag),
-               "region": str(fld.region[idx]), "status": str(fld.status[idx]),
-               "lower": _fmt(fld.lower[idx]), "upper": _fmt(fld.upper[idx])}
-        if fld.oracle is not None:
-            rec["oracle"] = _fmt(fld.oracle[idx])
-            rec["oracle_err"] = _fmt(fld.oracle_err[idx])
-        points.append(rec)
     doc = {
         "grid": {"re_min": _fmt(g.re_min), "re_max": _fmt(g.re_max),
                  "re_count": g.re_count, "im_min": _fmt(g.im_min),
                  "im_max": _fmt(g.im_max), "im_count": g.im_count},
         "meta": fld.meta,
-        "points": points,
+        "points": [dict(zip(_CSV_COLUMNS, row)) for row in _rows(fld)],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

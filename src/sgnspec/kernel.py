@@ -40,13 +40,6 @@ def principal_sqrt(z: complex) -> complex:
     return cmath.sqrt(z)
 
 
-def principal_sqrt_arr(z: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`principal_sqrt`."""
-    z = np.asarray(z, dtype=complex)
-    z = np.where(z.imag == 0.0, z.real + 0.0j, z)
-    return np.sqrt(z)
-
-
 @dataclass(frozen=True)
 class WaveNumbers:
     k_plus: complex
@@ -119,45 +112,55 @@ def _check_off_spectrum(z: complex, tol_spec: float) -> None:
         raise SpectrumError(f"z={z} lies on the essential spectrum")
 
 
-def _half_exp_diff(k: complex, a: float, b: float) -> complex:
-    """(e^{-k a} - e^{-k b}) / (2 k) for 0 <= a <= b, stable as k -> 0."""
-    w = -k * (b - a)
-    if abs(w) < _SERIES_CUTOFF:
-        core = 0.5 * (b - a) * (1.0 + w * (0.5 + w * (1.0 / 6.0 + w / 24.0)))
-    else:
-        core = -(cmath.exp(w) - 1.0) / (2.0 * k)
-    if k.real * a > 745.0:  # e^{-k a} underflows; flush to exact zero
-        return 0.0
-    return cmath.exp(-k * a) * core
+def _kernel_grid(z: complex, x: np.ndarray, y: np.ndarray, tol_spec: float,
+                 coupled: bool) -> np.ndarray:
+    """Matrix of the resolvent kernel at (x_i, y_j), full or Dirichlet.
 
-
-def resolvent_kernel(
-    z: complex, x: float, y: float, tol_spec: float = DEFAULT_TOL_SPEC
-) -> complex:
-    """Resolvent kernel R_z(x, y) of -d2/dx2 + i*sgn(x).
-
-    Raises SpectrumError on the spectral rays (the endpoints +-i are
-    admitted with their finite limiting values).
+    On one side of the origin the kernel is the image-charge difference
+    (e^{-k|x-y|} - e^{-k(|x|+|y|)}) / (2k), with k = k_plus for x, y >= 0
+    and k = k_minus for x, y <= 0, written as e^{-k|x-y|} (1 - e^{w})/(2k),
+    w = -k(|x|+|y|-|x-y|), and evaluated by a series in w for |w| below
+    the cutoff and by expm1 above it, so it stays accurate as k -> 0.
+    coupled=True adds the terms that pass through the origin: the tail
+    e^{-k(|x|+|y|)} / (k_plus + k_minus) on the same side, and
+    e^{-k_plus|u| - k_minus|v|} / (k_plus + k_minus) across it, with u
+    the positive and v the negative one of x, y.  coupled=False drops
+    them, which gives the Dirichlet-decoupled kernel: zero across the
+    origin and on it.
     """
     z = complex(z)
     _check_off_spectrum(z, tol_spec)
+    x = np.asarray(x, dtype=float)[:, None]
+    y = np.asarray(y, dtype=float)[None, :]
     kp = principal_sqrt(1j - z)
     km = principal_sqrt(-1j - z)
-    s = kp + km
-    if x >= 0.0 and y >= 0.0:
-        same, k = True, kp
-    elif x <= 0.0 and y <= 0.0:
-        same, k = True, km
+
+    if coupled:
+        pos = (x >= 0.0) & (y >= 0.0)
+        same = pos | ((x <= 0.0) & (y <= 0.0))
     else:
-        same = False
-    if not same:
-        e = -kp * abs(x) - km * abs(y) if x > 0.0 else -km * abs(x) - kp * abs(y)
-        if -e.real > 745.0:
-            return 0.0
-        return cmath.exp(e) / s
-    a, b = abs(x - y), abs(x) + abs(y)
-    tail = 0.0 if k.real * b > 745.0 else cmath.exp(-k * b) / s
-    return _half_exp_diff(k, a, b) + tail
+        pos = x > 0.0
+        same = x * y > 0.0
+    k = np.where(pos, kp, km)  # same-side decay rate (unused on mixed cells)
+
+    a = np.abs(x - y)
+    b = np.abs(x) + np.abs(y)
+    w = -k * (b - a)
+    small = np.abs(w) < _SERIES_CUTOFF
+    with np.errstate(divide="ignore", invalid="ignore"):
+        core = np.where(
+            small,
+            0.5 * (b - a) * (1.0 + w * (0.5 + w * (1.0 / 6.0 + w / 24.0))),
+            -np.expm1(np.where(small, 0.0, w)) / (2.0 * k),
+        )
+    image = np.exp(-k * a) * core
+    if not coupled:
+        return np.where(same, image, 0.0)
+
+    s = kp + km
+    e_mixed = np.where(x > 0.0, -kp * np.abs(x) - km * np.abs(y),
+                       -km * np.abs(x) - kp * np.abs(y))
+    return np.where(same, image + np.exp(-k * b) / s, np.exp(e_mixed) / s)
 
 
 def resolvent_kernel_grid(
@@ -166,54 +169,19 @@ def resolvent_kernel_grid(
     y: np.ndarray,
     tol_spec: float = DEFAULT_TOL_SPEC,
 ) -> np.ndarray:
-    """Dense matrix R_z(x_i, y_j); vectorized version of the scalar kernel."""
-    z = complex(z)
-    _check_off_spectrum(z, tol_spec)
-    x = np.asarray(x, dtype=float)[:, None]
-    y = np.asarray(y, dtype=float)[None, :]
-    kp = principal_sqrt(1j - z)
-    km = principal_sqrt(-1j - z)
-    s = kp + km
+    """Dense matrix R_z(x_i, y_j) of the resolvent kernel.
 
-    pos = (x >= 0.0) & (y >= 0.0)
-    neg = (x <= 0.0) & (y <= 0.0)
-    k = np.where(pos, kp, km)  # same-sign decay rate (unused on mixed cells)
-
-    a = np.abs(x - y)
-    b = np.abs(x) + np.abs(y)
-    w = -k * (b - a)
-    small = np.abs(w) < _SERIES_CUTOFF
-    with np.errstate(divide="ignore", invalid="ignore"):
-        core = np.where(
-            small,
-            0.5 * (b - a) * (1.0 + w * (0.5 + w * (1.0 / 6.0 + w / 24.0))),
-            -np.expm1(np.where(small, 0.0, w)) / (2.0 * k),
-        )
-    same_val = np.exp(-k * a) * core + np.exp(-k * b) / s
-
-    e_mixed = np.where(x > 0.0, -kp * np.abs(x) - km * np.abs(y),
-                       -km * np.abs(x) - kp * np.abs(y))
-    mixed_val = np.exp(e_mixed) / s
-
-    return np.where(pos | neg, same_val, mixed_val)
+    Raises SpectrumError on the spectral rays (the endpoints +-i are
+    admitted with their finite limiting values).
+    """
+    return _kernel_grid(z, x, y, tol_spec, coupled=True)
 
 
-def dirichlet_kernel(
+def resolvent_kernel(
     z: complex, x: float, y: float, tol_spec: float = DEFAULT_TOL_SPEC
 ) -> complex:
-    """Kernel of the resolvent of the decoupled Dirichlet realisation.
-
-    Zero whenever x and y lie on opposite sides of the origin (the two
-    half-lines do not communicate) and on the boundary x = 0 or y = 0.
-    """
-    z = complex(z)
-    _check_off_spectrum(z, tol_spec)
-    if x * y <= 0.0:
-        if x == 0.0 or y == 0.0:
-            return 0.0
-        return 0.0
-    k = principal_sqrt(1j - z) if x > 0.0 else principal_sqrt(-1j - z)
-    return _half_exp_diff(k, abs(x - y), abs(x) + abs(y))
+    """Resolvent kernel R_z(x, y) of -d2/dx2 + i*sgn(x) at one point."""
+    return complex(resolvent_kernel_grid(z, [x], [y], tol_spec)[0, 0])
 
 
 def dirichlet_kernel_grid(
@@ -222,60 +190,16 @@ def dirichlet_kernel_grid(
     y: np.ndarray,
     tol_spec: float = DEFAULT_TOL_SPEC,
 ) -> np.ndarray:
-    """Dense matrix of :func:`dirichlet_kernel`."""
-    z = complex(z)
-    _check_off_spectrum(z, tol_spec)
-    x = np.asarray(x, dtype=float)[:, None]
-    y = np.asarray(y, dtype=float)[None, :]
-    kp = principal_sqrt(1j - z)
-    km = principal_sqrt(-1j - z)
-    k = np.where(x > 0.0, kp, km)
-    a = np.abs(x - y)
-    b = np.abs(x) + np.abs(y)
-    w = -k * (b - a)
-    small = np.abs(w) < _SERIES_CUTOFF
-    with np.errstate(divide="ignore", invalid="ignore"):
-        core = np.where(
-            small,
-            0.5 * (b - a) * (1.0 + w * (0.5 + w * (1.0 / 6.0 + w / 24.0))),
-            -np.expm1(np.where(small, 0.0, w)) / (2.0 * k),
-        )
-    val = np.exp(-k * a) * core
-    return np.where(x * y > 0.0, val, 0.0)
+    """Dense matrix of the kernel of the Dirichlet-decoupled resolvent.
 
-
-@dataclass(frozen=True)
-class AsymptoticWaveNumbers:
-    leading_plus: complex
-    leading_minus: complex
-    correction_plus: complex
-    correction_minus: complex
-
-    @property
-    def k_plus(self) -> complex:
-        return self.leading_plus + self.correction_plus
-
-    @property
-    def k_minus(self) -> complex:
-        return self.leading_minus + self.correction_minus
-
-
-def asymptotic_wave_numbers(z: complex) -> AsymptoticWaveNumbers:
-    """Two-term large-Re z expansions of the wave numbers.
-
-    k_plus  ~  i sqrt(tau) + (1 - delta) / (2 sqrt(tau)),
-    k_minus ~ -i sqrt(tau) + (1 + delta) / (2 sqrt(tau)),
-
-    with tau = Re z, delta = Im z; only meaningful for Re z > 0.
+    Zero whenever x and y lie on opposite sides of the origin (the two
+    half-lines do not communicate) and on the boundary x = 0 or y = 0.
     """
-    z = complex(z)
-    if z.real <= 0.0:
-        raise DomainError("asymptotic expansion requires Re z > 0")
-    tau, delta = z.real, z.imag
-    rt = math.sqrt(tau)
-    return AsymptoticWaveNumbers(
-        leading_plus=1j * rt,
-        leading_minus=-1j * rt,
-        correction_plus=(1.0 - delta) / (2.0 * rt),
-        correction_minus=(1.0 + delta) / (2.0 * rt),
-    )
+    return _kernel_grid(z, x, y, tol_spec, coupled=False)
+
+
+def dirichlet_kernel(
+    z: complex, x: float, y: float, tol_spec: float = DEFAULT_TOL_SPEC
+) -> complex:
+    """Kernel of the Dirichlet-decoupled resolvent at one point."""
+    return complex(dirichlet_kernel_grid(z, [x], [y], tol_spec)[0, 0])

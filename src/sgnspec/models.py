@@ -179,14 +179,9 @@ def dirichlet_quadrature_norm(z: complex, grid) -> float:
 
 def dirichlet_bs_hs_norm(z: complex, pot, grid=None) -> float:
     """Hilbert-Schmidt norm of the Dirichlet Birman-Schwinger operator."""
-    from .bs import _half_powers, potential_grid
+    from .bs import hs_norm, potential_grid
     from .kernel import dirichlet_kernel_grid
 
     if grid is None:
         grid = potential_grid(z, pot)
-    v = pot(grid.nodes)
-    root, signed = _half_powers(v)
-    sw = np.sqrt(grid.weights)
-    r = dirichlet_kernel_grid(z, grid.nodes, grid.nodes)
-    mat = (sw * root)[:, None] * r * (signed * sw)[None, :]
-    return float(np.linalg.norm(mat))
+    return hs_norm(z, pot, grid, kernel=dirichlet_kernel_grid)

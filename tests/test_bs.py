@@ -1,17 +1,21 @@
 """Tests for the Birman-Schwinger machinery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 
 from sgnspec.bs import (assemble_k, box, decomposition_diagnostics,
                         delta_bump, eigenvalue_distance, escape_scan,
                         find_eigenvalue, find_eigenvalues, gaussian,
                         hs_growth_rates, hs_norm, k_matvec, l_hs_closed,
-                        l_matrix, potential_grid, step_well,
+                        potential_grid, spectral_radius, step_well,
                         weak_coupling_rate)
-from sgnspec.errors import ConfigError, ZeroCouplingError
+from sgnspec.errors import ConfigError, ConvergenceError, ZeroCouplingError
+from sgnspec.kernel import dirichlet_kernel_grid, resolvent_kernel_grid
 
 
 class TestPotentials:
@@ -73,8 +77,7 @@ class TestDecomposition:
     def test_l_closed_form(self):
         z = 50 + 0.5j
         pot = gaussian()
-        grid = potential_grid(z, pot)
-        assert float(np.linalg.norm(l_matrix(z, pot, grid))) == pytest.approx(
+        assert decomposition_diagnostics(z, pot)["l_hs"] == pytest.approx(
             l_hs_closed(z, pot), rel=1e-10)
 
     def test_growth_rates(self):
@@ -127,3 +130,92 @@ class TestWeakCoupling:
         scan = escape_scan(gaussian(), 0.125, [1.0, 100.0, 10000.0])
         assert scan["escaped"]
         assert scan["max_radius"] < 1.0
+
+
+def _weights(pot, grid):
+    """sw |V|^{1/2} and V_{1/2} sw, from the definition."""
+    v = pot(grid.nodes)
+    root = np.sqrt(np.abs(v))
+    signed = np.where(root > 0.0, v / np.where(root > 0.0, root, 1.0), 0.0)
+    sw = np.sqrt(grid.weights)
+    return sw * root, signed * sw
+
+
+def _dense_bs(z, pot, grid, kernel):
+    """Dense Nystrom matrix of |V|^{1/2} kernel V_{1/2}, built here as an
+    independent reference."""
+    left, right = _weights(pot, grid)
+    return left[:, None] * kernel(z, grid.nodes, grid.nodes) * right[None, :]
+
+
+class TestDenseReference:
+    """The structured paths against dense linear algebra on small grids."""
+
+    def test_diagnostics_match_dense(self):
+        # n = 520 = 4 * 128 + 8: the last 128-row block is partial
+        z = 100 + 0.5j
+        pot = gaussian()
+        grid = potential_grid(z, pot)
+        assert grid.size == 520
+        k = _dense_bs(z, pot, grid, resolvent_kernel_grid)
+        kappa = math.sqrt(z.real)
+        phase = np.exp(-1j * kappa * grid.nodes)
+        left, right = _weights(pot, grid)
+        lmat = kappa * np.outer(left * phase, phase * right)
+        d = decomposition_diagnostics(z, pot)
+        assert d["n"] == grid.size
+        assert d["k_hs"] == pytest.approx(np.linalg.norm(k), rel=1e-10)
+        assert d["l_hs"] == pytest.approx(np.linalg.norm(lmat), rel=1e-10)
+        assert d["m_hs"] == pytest.approx(np.linalg.norm(k - lmat),
+                                          rel=1e-10)
+
+    @pytest.mark.parametrize("kernel", [None, dirichlet_kernel_grid])
+    def test_hs_norm_matches_dense(self, kernel):
+        z = 40 + 0.5j
+        pot = gaussian()
+        grid = potential_grid(z, pot)
+        assert grid.size % 37 != 0
+        dense = _dense_bs(z, pot, grid, kernel or resolvent_kernel_grid)
+        assert hs_norm(z, pot, grid, chunk=37, kernel=kernel) == \
+            pytest.approx(np.linalg.norm(dense), rel=1e-10)
+
+    @pytest.mark.parametrize("re_z, n", [(5.0, 160), (32.0, 300),
+                                         (100.0, 520)])
+    def test_spectral_radius_matches_dense(self, re_z, n):
+        z = re_z + 0.5j
+        pot = gaussian()
+        grid = potential_grid(z, pot)
+        assert grid.size == n
+        dense = 0.125 * np.max(np.abs(sla.eigvals(assemble_k(z, pot, grid))))
+        assert spectral_radius(z, 0.125, pot) == pytest.approx(dense,
+                                                                rel=1e-8)
+
+    def test_spectral_radius_repeatable(self):
+        z = 3000 + 0.5j
+        pot = gaussian()
+        assert spectral_radius(z, 0.125, pot) == spectral_radius(z, 0.125,
+                                                                 pot)
+
+    def test_arpack_failure_is_typed(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise spla.ArpackNoConvergence("no convergence", np.array([]),
+                                           np.array([]))
+
+        monkeypatch.setattr(spla, "eigs", fail)
+        with pytest.raises(ConvergenceError):
+            spectral_radius(10 + 0.5j, 0.125, gaussian())
+
+    def test_diagnostics_memory_stays_below_dense(self):
+        # at n = 2580 one dense complex n x n matrix is 106 MB; the
+        # row-block reduction must not hold even three of them
+        z = 2530 + 0.5j
+        pot = gaussian()
+        n = potential_grid(z, pot).size
+        assert n == 2580
+        tracemalloc.start()
+        try:
+            decomposition_diagnostics(z, pot)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 16 * n * n

@@ -31,6 +31,15 @@ class TestParsers:
         with pytest.raises(argparse.ArgumentTypeError):
             parse_range("0:1")
 
+    def test_parsers_reject_non_finite(self):
+        import argparse
+
+        for text in ("nan", "1,inf", "-inf,0", "1e999"):
+            with pytest.raises(argparse.ArgumentTypeError):
+                parse_complex(text)
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_range("0:inf:3")
+
 
 class TestSubcommands:
     def test_kernel(self):
@@ -113,6 +122,20 @@ class TestSubcommands:
     def test_missing_subcommand_exits_two(self):
         code, _ = run_cli([])
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--z", "nan,0"],
+        ["bounds", "--z", "inf,0.5"],
+        ["kernel", "--z", "nan,0", "--x", "1", "--y", "1"],
+        ["delta", "--alpha", "nan"],
+        ["dirichlet", "--z", "nan,0.5"],
+        ["kernel", "--z", "2,0.4", "--x", "inf", "--y", "1"],
+        ["gamma", "--sigma", "1,1,1", "--r", "0:nan:3"],
+    ])
+    def test_non_finite_input_exits_two(self, argv):
+        code, out = run_cli(argv)
+        assert code == 2
+        assert out == ""
 
 
 class TestDeterminism:

@@ -5,8 +5,8 @@ import pytest
 import scipy.linalg as sla
 
 from sgnspec.errors import ConfigError
-from sgnspec.fdop import (build_fd, eigenvalue_near, eigenvalues_fd,
-                          resolvent_norm_fd, smoothed_sign, step_potential)
+from sgnspec.fdop import (build_fd, eigenvalue_near, resolvent_norm_fd,
+                          smoothed_sign, step_potential)
 from sgnspec.kernel import resolvent_kernel_grid
 
 
@@ -47,12 +47,16 @@ class TestBuild:
 
 class TestResolventNorm:
     def test_dense_and_banded_agree(self):
+        # reference: smallest singular value from a dense SVD
         z = 9 + 0.4j
-        dense = resolvent_norm_fd(z, n=1501, half_length=40.0,
-                                  richardson=False)
-        banded = resolvent_norm_fd(z, n=3101, half_length=40.0,
+        op = build_fd(1501, 40.0)
+        dense = 1.0 / sla.svdvals(op.dense() - z * np.eye(op.size))[-1]
+        same_n = resolvent_norm_fd(z, n=1501, half_length=40.0,
                                    richardson=False)
-        assert banded.value == pytest.approx(dense.value, rel=2e-2)
+        assert same_n.value == pytest.approx(dense, rel=1e-10)
+        finer = resolvent_norm_fd(z, n=3101, half_length=40.0,
+                                  richardson=False)
+        assert finer.value == pytest.approx(dense, rel=2e-2)
 
     def test_richardson_error_reported(self):
         res = resolvent_norm_fd(25.0, n=4001)
@@ -71,17 +75,9 @@ class TestResolventNorm:
 
 
 class TestEigenvalues:
-    def test_dense_cap(self):
-        with pytest.raises(ConfigError):
-            eigenvalues_fd(7000, 10.0)
-
     def test_point_interaction_eigenvalue(self):
         vals = eigenvalue_near(-0.75, 40001, 20.0, center_jump=2.0)
         assert abs(vals[0] - (-0.75)) < 1e-3
-
-    def test_dense_finds_point_interaction(self):
-        vals = eigenvalues_fd(3001, 20.0, center_jump=2.0)
-        assert np.min(np.abs(vals - (-0.75))) < 1e-3
 
     def test_step_ground_state(self):
         pot = step_potential(1.0, 3.0)

@@ -154,6 +154,17 @@ class TestDirichletKernel:
                   - cmath.exp(-kp * (x + y))) / (2 * kp)
         assert abs(dirichlet_kernel(z, x, y) - expect) < 1e-14
 
+    def test_keeps_digits_above_series_cutoff(self):
+        # |w| = |k (b - a)| = 2.4e-6 sits just above the series cutoff,
+        # where e^w - 1 computed directly loses about 1e-11 relative
+        z = 1j - (3e-6) ** 2
+        k = wave_numbers(z).k_plus
+        w = -k * 0.8
+        expect = (-(w + w**2 / 2 + w**3 / 6 + w**4 / 24 + w**5 / 120)
+                  / (2 * k) * cmath.exp(-k * 0.2))
+        got = dirichlet_kernel(z, 0.4, 0.6)
+        assert abs(got - expect) < 1e-14 * abs(expect)
+
     def test_grid_matches_scalar(self):
         z = 3 - 0.2j
         x = np.array([-1.0, -0.2, 0.3, 1.1])
