@@ -179,15 +179,27 @@ def quadrature_operator_norm(z: complex, grid: QuadratureGrid,
                              seed: int = 0) -> float:
     """Operator norm of the discretized resolvent by power iteration.
 
-    Iterates R R^H on the symmetrically weighted Nystrom operator using
-    only fast applications (R is complex symmetric, so R^H u equals the
-    conjugate of R applied to the conjugate of u).
+    Iterates R R^H on the symmetrically weighted Nystrom operator,
+    applying the resolvent in O(n) by apply_resolvent.
+    """
+    return _power_norm(lambda f: apply_resolvent(z, grid, f), grid,
+                       max_iter, tol, seed)
+
+
+def _power_norm(apply, grid: QuadratureGrid, max_iter: int = 200,
+                tol: float = 1e-8, seed: int = 0) -> float:
+    """Norm of a discretized integral operator by power iteration.
+
+    apply(f) returns sum_j w_j R(x_i, x_j) f_j for a complex symmetric
+    kernel R.  Iterates R R^H on the symmetrically weighted Nystrom
+    operator using only such applications (R^H u equals the conjugate
+    of R applied to the conjugate of u).
     """
     rng = np.random.default_rng(seed)
     sw = np.sqrt(grid.weights)
 
     def m_apply(v):
-        return sw * apply_resolvent(z, grid, v / sw)
+        return sw * apply(v / sw)
 
     v = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
     v /= np.linalg.norm(v)

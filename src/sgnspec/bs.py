@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg as sla
@@ -23,12 +23,10 @@ import scipy.sparse.linalg as spla
 from . import bounds
 from .errors import (ConfigError, ConvergenceError, DomainError,
                      EigenvalueLost, ZeroCouplingError)
-from .kernel import resolvent_kernel_grid
+from .kernel import (DEFAULT_TOL_SPEC, _check_off_spectrum, _image_core,
+                     principal_sqrt, resolvent_kernel_grid)
 from .quadrature import QuadratureGrid, gauss_legendre_grid, \
     oscillation_panel_width
-
-# rows per block when a Nystrom matrix is reduced without being stored
-_ROW_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -138,35 +136,12 @@ def _weights(pot: PotentialSpec, grid: QuadratureGrid
     return sw * root, signed * sw
 
 
-def _k_rows(z: complex, grid: QuadratureGrid,
-            weights: tuple[np.ndarray, np.ndarray],
-            kernel: Callable | None = None, chunk: int = _ROW_CHUNK
-            ) -> Iterator[tuple[slice, np.ndarray]]:
-    """Blocks of at most chunk consecutive rows of the Nystrom matrix.
-
-    kernel is a grid kernel (z, x, y) -> matrix, the resolvent kernel by
-    default.  Yields (rows, block) with block = K[rows]; each block is a
-    fresh array the caller may overwrite.
-    """
-    if kernel is None:
-        kernel = resolvent_kernel_grid
-    left, right = weights
-    for lo in range(0, grid.size, chunk):
-        rows = slice(lo, min(lo + chunk, grid.size))
-        yield rows, (left[rows, None] * kernel(z, grid.nodes[rows], grid.nodes)
-                     * right[None, :])
-
-
-def _sq_sum(block: np.ndarray) -> float:
-    """Sum of |entries|^2 of a complex array."""
-    return float(np.vdot(block, block).real)
-
-
 def assemble_k(z: complex, pot: PotentialSpec,
                grid: QuadratureGrid) -> np.ndarray:
     """Dense symmetric Nystrom matrix of the Birman-Schwinger operator."""
-    _, k = next(_k_rows(z, grid, _weights(pot, grid), chunk=grid.size))
-    return k
+    left, right = _weights(pot, grid)
+    return (left[:, None] * resolvent_kernel_grid(z, grid.nodes, grid.nodes)
+            * right[None, :])
 
 
 def k_matvec(z: complex, pot: PotentialSpec, grid: QuadratureGrid
@@ -185,17 +160,60 @@ def k_matvec(z: complex, pot: PotentialSpec, grid: QuadratureGrid
     return apply
 
 
-def hs_norm(z: complex, pot: PotentialSpec, grid: QuadratureGrid,
-            chunk: int = _ROW_CHUNK, kernel: Callable | None = None) -> float:
-    """Hilbert-Schmidt (Frobenius) norm of the Nystrom matrix, row-chunked.
+def _hs_sq(z: complex, pot: PotentialSpec, grid: QuadratureGrid,
+           coupled: bool = True) -> float:
+    """Squared HS norm of the Nystrom matrix, in O(n) time and memory.
 
-    kernel is a grid kernel (z, x, y) -> matrix; the default, the
-    resolvent kernel, gives K_z, and kernel.dirichlet_kernel_grid gives
-    the Birman-Schwinger operator of the Dirichlet decoupling.
+    On one half-line, with t = |x| and k = k_plus or k_minus, the kernel
+    is e^{-k(t_> - t_<)} h(t_<) with h(t) = _image_core(k, 2t)
+    + c e^{-2kt}, c = 1/(k_plus + k_minus) for the full kernel and 0 for
+    the Dirichlet one (coupled=False).  So |K_ij|^2 = a_i b_j g(t_<)
+    e^{-2 Re k (t_> - t_<)} with a = |left|^2, b = |right|^2 and
+    g = |h|^2 bounded, and the sum over t_j <= t_i and over t_i <= t_j is
+    one decaying scan each at the real rate 2 Re k, the diagonal being
+    counted twice.  The full kernel's block across the origin is rank
+    one, e^{-k_plus t - k_minus t'} / (k_plus + k_minus).  A node at 0
+    sits on the positive side with t = 0, which both kernels agree with.
     """
-    weights = _weights(pot, grid)
-    return math.sqrt(sum(_sq_sum(block) for _, block in
-                         _k_rows(z, grid, weights, kernel, chunk)))
+    z = complex(z)
+    _check_off_spectrum(z, DEFAULT_TOL_SPEC)
+    kp = principal_sqrt(1j - z)
+    km = principal_sqrt(-1j - z)
+    c = 1.0 / (kp + km) if coupled else 0.0
+    left, right = _weights(pot, grid)
+    a = np.abs(left) ** 2
+    b = np.abs(right) ** 2
+    x = grid.nodes
+    pos = x >= 0.0
+    neg = ~pos
+    # each half-line ordered by increasing t = |x|
+    halves = ((x[pos], a[pos], b[pos], kp),
+              (-x[neg][::-1], a[neg][::-1], b[neg][::-1], km))
+    total = 0.0
+    tails = []  # (sum a e^{-2 Re k t}, sum b e^{-2 Re k t}) per side
+    for t, aa, bb, k in halves:
+        decay = np.exp(-2.0 * k * t)
+        tails.append((np.dot(aa, np.abs(decay)), np.dot(bb, np.abs(decay))))
+        if t.size == 0:
+            continue
+        g = np.abs(_image_core(k, 2.0 * t) + c * decay) ** 2
+        rate = 2.0 * k.real
+        total += (np.dot(aa, bounds._scan_leq(rate, t, bb * g).real)
+                  + np.dot(bb, bounds._scan_leq(rate, t, aa * g).real)
+                  - np.dot(aa * bb, g))
+    if coupled:
+        (ap, bp), (am, bm) = tails
+        total += (ap * bm + am * bp) * abs(c) ** 2
+    return float(total)
+
+
+def hs_norm(z: complex, pot: PotentialSpec, grid: QuadratureGrid) -> float:
+    """Hilbert-Schmidt (Frobenius) norm of the Nystrom matrix of K_z.
+
+    Summed in O(n) time and memory from the separable exponential form of
+    the kernel (see _hs_sq); no kernel matrix is formed.
+    """
+    return math.sqrt(_hs_sq(z, pot, grid))
 
 
 def l_hs_closed(z: complex, pot: PotentialSpec) -> float:
@@ -211,30 +229,32 @@ def decomposition_diagnostics(z: complex, pot: PotentialSpec,
     """HS norms of K_z, L_z and the remainder M_z = K_z - L_z at z.
 
     L_z is the rank-one singular part with kernel
-    sqrt(Re z) |V|^{1/2}(x) e^{-i sqrt(Re z)(x+y)} V_{1/2}(y).  The norms
-    of K and M are summed one block of rows at a time and that of L is
-    the product of the norms of its two factors, so no n x n matrix is
-    formed.
+    sqrt(Re z) |V|^{1/2}(x) e^{-i sqrt(Re z)(x+y)} V_{1/2}(y).  ||K|| is
+    summed in O(n) (see hs_norm), ||L|| is the product of the norms of
+    its two factors, and ||M||^2 = ||K||^2 - 2 Re<K, L> + ||L||^2 with
+    <K, L> from one O(n) matrix-free product, so the whole call costs
+    O(n) time and memory.  ||M|| stays bounded while ||K||^2 and ||L||^2
+    grow like Re z, so m_hs carries an absolute error of about the
+    rounding error of ||K||^2: its relative accuracy drops by roughly the
+    factor (k_hs / m_hs)^2 as Re z grows.
     """
     z = complex(z)
     l_closed = l_hs_closed(z, pot)
     if grid is None:
         grid = potential_grid(z, pot)
-    weights = _weights(pot, grid)
+    left, right = _weights(pot, grid)
     kappa = math.sqrt(z.real)
     phase = np.exp(-1j * kappa * grid.nodes)
-    col = kappa * (weights[0] * phase)
-    row = phase * weights[1]
-    k_sq = m_sq = 0.0
-    for rows, block in _k_rows(z, grid, weights):
-        k_sq += _sq_sum(block)
-        block -= col[rows, None] * row[None, :]
-        m_sq += _sq_sum(block)
+    col = kappa * (left * phase)
+    row = phase * right
+    k_sq = _hs_sq(z, pot, grid)
+    l_hs = float(np.linalg.norm(col) * np.linalg.norm(row))
+    kl = np.vdot(col, k_matvec(z, pot, grid)(np.conj(row)))
     return {
         "k_hs": math.sqrt(k_sq),
-        "l_hs": float(np.linalg.norm(col) * np.linalg.norm(row)),
+        "l_hs": l_hs,
         "l_hs_closed": l_closed,
-        "m_hs": math.sqrt(m_sq),
+        "m_hs": math.sqrt(k_sq - 2.0 * kl.real + l_hs * l_hs),
         "n": grid.size,
     }
 
@@ -315,8 +335,9 @@ def find_eigenvalue(eps: float, pot: PotentialSpec, z0: complex,
     """Root of det(I + eps K_z) = 0 near z0 by the secant method.
 
     The determinant is renormalized by its magnitude at z0 so the secant
-    updates work with O(1) numbers.  Raises if the iteration leaves the
-    resolvent set's numerical comfort zone or fails to converge.
+    updates work with O(1) numbers.  Raises ConvergenceError if the
+    iteration fails to converge, or as soon as a determinant value or a
+    secant iterate is not finite (before the kernel is evaluated there).
     """
     if eps == 0.0:
         raise ZeroCouplingError("coupling eps must be nonzero")
@@ -328,7 +349,10 @@ def find_eigenvalue(eps: float, pot: PotentialSpec, z0: complex,
 
     def g(z: complex) -> complex:
         sign, logabs = det_at(z)
-        return sign * cmath.exp(min(logabs - ref_log, 300.0))
+        val = sign * cmath.exp(min(logabs - ref_log, 300.0))
+        if not np.isfinite(val):
+            raise ConvergenceError(f"non-finite determinant at z={z}")
+        return val
 
     za = complex(z0)
     zb = za + (abs(za) + 1.0) * 1e-4 * (1.0 + 0.3j)
@@ -337,7 +361,11 @@ def find_eigenvalue(eps: float, pot: PotentialSpec, z0: complex,
         denom = gb - ga
         if denom == 0.0:
             raise ConvergenceError("secant stalled: flat determinant")
-        zc = zb - gb * (zb - za) / denom
+        with np.errstate(over="ignore", invalid="ignore"):
+            zc = zb - gb * (zb - za) / denom
+        if not np.isfinite(zc):
+            raise ConvergenceError(
+                f"secant step from z={zb} left the finite plane")
         if abs(zc - zb) <= tol * max(1.0, abs(zb)):
             return zc
         za, ga = zb, gb

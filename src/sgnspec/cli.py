@@ -5,7 +5,9 @@ bounds, pseudospectrum field export, Birman-Schwinger diagnostics and
 eigenvalue hunting, and the exactly solvable models.  All numeric output
 goes through repr so that identical invocations produce byte-identical
 output.  Exit codes: 0 success, 1 domain/spectrum error, 2 bad usage
-(including a NaN or infinite number on the command line).
+(including a NaN or infinite number on the command line), 3 a numerical
+method failed (no convergence, a lost eigenvalue branch, a singular
+matrix).
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ import sys
 import numpy as np
 
 from . import bounds, bs, field, models
-from .errors import ConfigError, DomainError, SgnSpecError, SpectrumError
+from .errors import (ConfigError, ConvergenceError, DomainError,
+                     EigenvalueLost, SgnSpecError, SingularError,
+                     SpectrumError)
 from .kernel import classify_region, resolvent_kernel
 
 
@@ -259,6 +263,9 @@ def main(argv=None, out=None) -> int:
     except (SpectrumError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (ConvergenceError, EigenvalueLost, SingularError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (ConfigError, SgnSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

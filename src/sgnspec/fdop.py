@@ -17,7 +17,10 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ConfigError, ConvergenceError, SingularError
+from .errors import ConfigError, ConvergenceError, SingularError, \
+    SpectrumError
+from .kernel import DEFAULT_TOL_SPEC, spectrum_distance
+from .quadrature import decay_half_length
 
 _POTENTIALS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "sgn": lambda x: 1j * np.sign(x),
@@ -175,12 +178,15 @@ def resolvent_norm_fd(z: complex, n: int = 2001,
     richardson=True the computation is repeated at half the step size and
     the reported error is the Richardson extrapolation residual
     |v_fine - v_coarse| / 3 of the second-order scheme.  Raises
-    ConvergenceError if Lanczos does not converge and SingularError if
-    A - z is singular.
+    SpectrumError on the spectral rays (endpoints +-i included), where
+    the norm is infinite, ConvergenceError if Lanczos does not converge
+    and SingularError if A - z is singular.
     """
     z = complex(z)
+    if spectrum_distance(z) <= DEFAULT_TOL_SPEC:
+        raise SpectrumError(f"z={z} lies on the essential spectrum")
     if half_length is None:
-        half_length = _auto_half_length(z)
+        half_length = decay_half_length(z)
 
     def norm_at(m: int) -> float:
         op = build_fd(m, half_length, potential, center_jump)
@@ -192,15 +198,6 @@ def resolvent_norm_fd(z: complex, n: int = 2001,
     n_fine = 2 * n + 1  # halves h while keeping 0 on the grid for odd n
     fine = norm_at(n_fine)
     return OracleResult(value=fine, error=abs(fine - coarse) / 3.0, n=n_fine)
-
-
-def _auto_half_length(z: complex, decay_tol: float = 1e-8) -> float:
-    from .quadrature import decay_half_length
-
-    try:
-        return decay_half_length(z, decay_tol)
-    except Exception:
-        return 30.0
 
 
 def eigenvalue_near(target: complex, n: int, half_length: float,

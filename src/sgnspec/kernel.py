@@ -112,15 +112,33 @@ def _check_off_spectrum(z: complex, tol_spec: float) -> None:
         raise SpectrumError(f"z={z} lies on the essential spectrum")
 
 
+def _image_core(k, d: np.ndarray) -> np.ndarray:
+    """(1 - e^{-k d}) / (2k) for d >= 0, accurate as k d -> 0.
+
+    A series in w = -k d below the cutoff and expm1 above it, so the
+    value stays finite at k = 0 (z = +-i), where it is d / 2.
+    """
+    w = -k * d
+    small = np.abs(w) < _SERIES_CUTOFF
+    # each branch sees only its own cells, so neither overflows at large w
+    ws = np.where(small, w, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(
+            small,
+            0.5 * d * (1.0 + ws * (0.5 + ws * (1.0 / 6.0 + ws / 24.0))),
+            -np.expm1(np.where(small, 0.0, w)) / (2.0 * k),
+        )
+
+
 def _kernel_grid(z: complex, x: np.ndarray, y: np.ndarray, tol_spec: float,
                  coupled: bool) -> np.ndarray:
     """Matrix of the resolvent kernel at (x_i, y_j), full or Dirichlet.
 
     On one side of the origin the kernel is the image-charge difference
     (e^{-k|x-y|} - e^{-k(|x|+|y|)}) / (2k), with k = k_plus for x, y >= 0
-    and k = k_minus for x, y <= 0, written as e^{-k|x-y|} (1 - e^{w})/(2k),
-    w = -k(|x|+|y|-|x-y|), and evaluated by a series in w for |w| below
-    the cutoff and by expm1 above it, so it stays accurate as k -> 0.
+    and k = k_minus for x, y <= 0, written as
+    e^{-k|x-y|} _image_core(k, |x|+|y|-|x-y|), so it stays accurate as
+    k -> 0.
     coupled=True adds the terms that pass through the origin: the tail
     e^{-k(|x|+|y|)} / (k_plus + k_minus) on the same side, and
     e^{-k_plus|u| - k_minus|v|} / (k_plus + k_minus) across it, with u
@@ -145,15 +163,7 @@ def _kernel_grid(z: complex, x: np.ndarray, y: np.ndarray, tol_spec: float,
 
     a = np.abs(x - y)
     b = np.abs(x) + np.abs(y)
-    w = -k * (b - a)
-    small = np.abs(w) < _SERIES_CUTOFF
-    with np.errstate(divide="ignore", invalid="ignore"):
-        core = np.where(
-            small,
-            0.5 * (b - a) * (1.0 + w * (0.5 + w * (1.0 / 6.0 + w / 24.0))),
-            -np.expm1(np.where(small, 0.0, w)) / (2.0 * k),
-        )
-    image = np.exp(-k * a) * core
+    image = np.exp(-k * a) * _image_core(k, b - a)
     if not coupled:
         return np.where(same, image, 0.0)
 

@@ -15,7 +15,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError, SpectrumError, ZeroCouplingError
-from .kernel import ray_distances, spectrum_distance
+from .bounds import _power_norm, _scan_abs
+from .kernel import (DEFAULT_TOL_SPEC, ray_distances, spectrum_distance,
+                     wave_numbers)
 
 # ---------------------------------------------------------------------------
 # point interaction
@@ -163,25 +165,51 @@ def dirichlet_resolvent_norm(z: complex) -> float:
     return 1.0 / d
 
 
+def _dirichlet_apply(z: complex, grid, f: np.ndarray) -> np.ndarray:
+    """u(x_i) = sum_j w_j R^D_z(x_i, x_j) f(x_j) in O(n).
+
+    R^D_z is the Dirichlet-decoupled kernel: on each half-line the
+    image-charge difference (e^{-k|x-y|} - e^{-k(|x|+|y|)}) / (2k), a
+    decaying scan minus a rank-one term; zero across the origin and on it.
+    """
+    kk = wave_numbers(z)
+    x = grid.nodes
+    c = grid.weights * np.asarray(f, dtype=complex)
+    u = np.zeros(x.size, dtype=complex)
+    for side, k in ((x > 0.0, kk.k_plus), (x < 0.0, kk.k_minus)):
+        if not side.any():
+            continue
+        xs, cs = x[side], c[side]
+        image = np.exp(-k * np.abs(xs))
+        u[side] = (_scan_abs(k, xs, cs)
+                   - image * np.sum(image * cs)) / (2.0 * k)
+    return u
+
+
 def dirichlet_quadrature_norm(z: complex, grid) -> float:
     """Operator norm of the discretized Dirichlet resolvent.
 
-    Dense Nystrom matrix with symmetric weighting, largest singular
-    value; independent check that the kernel realizes the trivial
-    pseudospectrum.
+    Power iteration on the symmetrically weighted Nystrom operator with
+    the O(n) apply above; independent check that the kernel realizes the
+    trivial pseudospectrum.  Raises SpectrumError on the spectral rays,
+    endpoints +-i included, where the exact norm is infinite.
     """
-    from .kernel import dirichlet_kernel_grid
-
-    mat = dirichlet_kernel_grid(z, grid.nodes, grid.nodes)
-    sw = np.sqrt(grid.weights)
-    return float(np.linalg.norm(sw[:, None] * mat * sw[None, :], 2))
+    z = complex(z)
+    if spectrum_distance(z) <= DEFAULT_TOL_SPEC:
+        raise SpectrumError(f"z={z} lies on the spectrum")
+    # the top singular values of a self-adjoint half cluster, so the
+    # iteration is run much tighter than for the strip oracle
+    return _power_norm(lambda f: _dirichlet_apply(z, grid, f), grid,
+                       max_iter=5000, tol=1e-13)
 
 
 def dirichlet_bs_hs_norm(z: complex, pot, grid=None) -> float:
-    """Hilbert-Schmidt norm of the Dirichlet Birman-Schwinger operator."""
-    from .bs import hs_norm, potential_grid
-    from .kernel import dirichlet_kernel_grid
+    """Hilbert-Schmidt norm of the Dirichlet Birman-Schwinger operator.
+
+    O(n), the sum of hs_norm with the coupling through the origin off.
+    """
+    from .bs import _hs_sq, potential_grid
 
     if grid is None:
         grid = potential_grid(z, pot)
-    return hs_norm(z, pot, grid, kernel=dirichlet_kernel_grid)
+    return math.sqrt(_hs_sq(z, pot, grid, coupled=False))

@@ -16,6 +16,8 @@ from sgnspec.bs import (assemble_k, box, decomposition_diagnostics,
                         weak_coupling_rate)
 from sgnspec.errors import ConfigError, ConvergenceError, ZeroCouplingError
 from sgnspec.kernel import dirichlet_kernel_grid, resolvent_kernel_grid
+from sgnspec.models import dirichlet_bs_hs_norm
+from sgnspec.quadrature import QuadratureGrid, trapezoid_grid
 
 
 class TestPotentials:
@@ -48,7 +50,7 @@ class TestAssembly:
         pot = gaussian()
         grid = potential_grid(z, pot)
         k = assemble_k(z, pot, grid)
-        assert hs_norm(z, pot, grid, chunk=37) == pytest.approx(
+        assert hs_norm(z, pot, grid) == pytest.approx(
             float(np.linalg.norm(k)), rel=1e-12)
 
     def test_matvec_matches_dense(self):
@@ -86,6 +88,15 @@ class TestDecomposition:
         assert rates["l_hs_slope"] == pytest.approx(0.5, abs=1e-6)
         assert abs(rates["m_hs_slope"]) < 0.3
 
+    def test_growth_rates_to_re_1e6(self):
+        # n = 50940 at Re z = 1e6, out of reach of any n x n computation
+        rates = hs_growth_rates(gaussian(), [1e2, 1e3, 1e4, 1e5, 1e6])
+        assert rates["l_hs_slope"] == pytest.approx(0.5, abs=0.02)
+        assert abs(rates["m_hs_slope"]) <= 0.2
+        assert np.allclose(rates["l_hs"], [l_hs_closed(r + 0.5j, gaussian())
+                                           for r in rates["re_values"]],
+                           rtol=1e-9)
+
     def test_needs_three_points(self):
         with pytest.raises(ConfigError):
             hs_growth_rates(gaussian(), [10.0, 20.0])
@@ -113,6 +124,15 @@ class TestEigenvalues:
     def test_zero_coupling_rejected(self):
         with pytest.raises(ZeroCouplingError):
             find_eigenvalue(0.0, delta_bump(1.0), -0.7)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_divergent_secant_raises_before_overflow(self):
+        # from 5 + 5i the iterates run off to |z| ~ 1e259; the secant
+        # step then overflows, which must stop the search with a typed
+        # error before the kernel or slogdet see a non-finite z
+        with pytest.raises(ConvergenceError):
+            find_eigenvalue(1.0, gaussian(), 5 + 5j)
+        assert len(find_eigenvalues(1.0, gaussian(), [5 + 5j])) == 0
 
 
 class TestWeakCoupling:
@@ -148,11 +168,43 @@ def _dense_bs(z, pot, grid, kernel):
     return left[:, None] * kernel(z, grid.nodes, grid.nodes) * right[None, :]
 
 
+def _dense_norms_sq(z, pot, grid, rows=256):
+    """Squared Frobenius norms of the dense K, L and K - L, summed over
+    blocks of rows of the dense kernel matrix to bound memory."""
+    left, right = _weights(pot, grid)
+    kappa = math.sqrt(z.real)
+    phase = np.exp(-1j * kappa * grid.nodes)
+    col, row = kappa * left * phase, phase * right
+    k_sq = l_sq = m_sq = 0.0
+    for lo in range(0, grid.size, rows):
+        r = slice(lo, lo + rows)
+        k = left[r, None] * resolvent_kernel_grid(
+            z, grid.nodes[r], grid.nodes) * right[None, :]
+        lmat = np.outer(col[r], row)
+        k_sq += np.sum(np.abs(k) ** 2)
+        l_sq += np.sum(np.abs(lmat) ** 2)
+        m_sq += np.sum(np.abs(k - lmat) ** 2)
+    return k_sq, l_sq, m_sq
+
+
 class TestDenseReference:
     """The structured paths against dense linear algebra on small grids."""
 
+    @pytest.mark.parametrize("re_z, im_z, n", [
+        (1.0, 0.5, 160), (40.0, 0.5, 340), (50.0, 3.0, 380),
+        (20.0, -0.5, 240), (1e-3, 0.999, 160), (1540.0, 0.5, 2000)])
+    def test_diagnostics_match_dense_norms(self, re_z, im_z, n):
+        z = complex(re_z, im_z)
+        pot = gaussian()
+        grid = potential_grid(z, pot)
+        assert grid.size == n
+        k_sq, l_sq, m_sq = _dense_norms_sq(z, pot, grid)
+        d = decomposition_diagnostics(z, pot)
+        assert d["k_hs"] == pytest.approx(math.sqrt(k_sq), rel=1e-12)
+        assert d["l_hs"] == pytest.approx(math.sqrt(l_sq), rel=1e-12)
+        assert d["m_hs"] == pytest.approx(math.sqrt(m_sq), rel=1e-10)
+
     def test_diagnostics_match_dense(self):
-        # n = 520 = 4 * 128 + 8: the last 128-row block is partial
         z = 100 + 0.5j
         pot = gaussian()
         grid = potential_grid(z, pot)
@@ -171,13 +223,20 @@ class TestDenseReference:
 
     @pytest.mark.parametrize("kernel", [None, dirichlet_kernel_grid])
     def test_hs_norm_matches_dense(self, kernel):
-        z = 40 + 0.5j
+        # None: the full operator (hs_norm); otherwise the Dirichlet one.
+        # z = +-i is where the wave number k vanishes; the trapezoid grid
+        # has a node at x = 0, and the last grid no node left of it
+        norm = dirichlet_bs_hs_norm if kernel else hs_norm
         pot = gaussian()
-        grid = potential_grid(z, pot)
-        assert grid.size % 37 != 0
-        dense = _dense_bs(z, pot, grid, kernel or resolvent_kernel_grid)
-        assert hs_norm(z, pot, grid, chunk=37, kernel=kernel) == \
-            pytest.approx(np.linalg.norm(dense), rel=1e-10)
+        for z in (40 + 0.5j, 1 + 0.5j, -300 + 0.2j, 20 - 0.5j, 50 + 3j,
+                  1e-3 + 0.999j, 1j, -1j):
+            full = potential_grid(z, pot)
+            right_half = QuadratureGrid(full.nodes[full.nodes > 0.0],
+                                        full.weights[full.nodes > 0.0], 8.0)
+            for grid in (full, trapezoid_grid(8.0, 801), right_half):
+                dense = _dense_bs(z, pot, grid, kernel or resolvent_kernel_grid)
+                assert norm(z, pot, grid) == pytest.approx(
+                    np.linalg.norm(dense), rel=1e-12), (z, grid.size)
 
     @pytest.mark.parametrize("re_z, n", [(5.0, 160), (32.0, 300),
                                          (100.0, 520)])
@@ -206,16 +265,16 @@ class TestDenseReference:
             spectral_radius(10 + 0.5j, 0.125, gaussian())
 
     def test_diagnostics_memory_stays_below_dense(self):
-        # at n = 2580 one dense complex n x n matrix is 106 MB; the
-        # row-block reduction must not hold even three of them
-        z = 2530 + 0.5j
+        # at n = 16120 one dense complex n x n matrix is 4.2 GB; the
+        # O(n) path must stay below 1 KB per node
+        z = 1e5 + 0.5j
         pot = gaussian()
         n = potential_grid(z, pot).size
-        assert n == 2580
+        assert n == 16120
         tracemalloc.start()
         try:
             decomposition_diagnostics(z, pot)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3 * 16 * n * n
+        assert peak < 1024 * n

@@ -4,7 +4,9 @@ import io
 
 import pytest
 
+from sgnspec import bs
 from sgnspec.cli import main, parse_complex, parse_range
+from sgnspec.errors import ConvergenceError, EigenvalueLost, SingularError
 
 
 def run_cli(argv):
@@ -118,6 +120,24 @@ class TestSubcommands:
                              "--alpha", "1"])
         assert code == 0
         assert "slope -2.0" in out
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_bs_roots_divergent_seed(self):
+        code, out = run_cli(["bs", "roots", "--eps", "1", "--seeds", "5,5"])
+        assert code == 0
+        assert out == "count 0\n"
+
+    @pytest.mark.parametrize("error", [ConvergenceError, EigenvalueLost,
+                                       SingularError])
+    def test_numerical_failure_exits_three(self, monkeypatch, error):
+        def fail(*args, **kwargs):
+            raise error("numerical method failed")
+
+        monkeypatch.setattr(bs, "weak_coupling_rate", fail)
+        code, out = run_cli(["bs", "rate", "--potential", "delta",
+                             "--alpha", "1"])
+        assert code == 3
+        assert out == ""
 
     def test_missing_subcommand_exits_two(self):
         code, _ = run_cli([])

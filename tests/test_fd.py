@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from sgnspec.errors import ConfigError
+from sgnspec.errors import ConfigError, SpectrumError
 from sgnspec.fdop import (build_fd, eigenvalue_near, resolvent_norm_fd,
                           smoothed_sign, step_potential)
 from sgnspec.kernel import resolvent_kernel_grid
@@ -46,6 +46,12 @@ class TestBuild:
 
 
 class TestResolventNorm:
+    @pytest.mark.parametrize("z", [5 + 1j, 3 - 1j, 1j, -1j])
+    def test_on_spectrum_raises(self, z):
+        # the norm is infinite on the rays; no finite estimate may come back
+        with pytest.raises(SpectrumError):
+            resolvent_norm_fd(z, n=201)
+
     def test_dense_and_banded_agree(self):
         # reference: smallest singular value from a dense SVD
         z = 9 + 0.4j

@@ -14,7 +14,8 @@ from sgnspec.models import (all_sigma, delta_eigenvalue,
                             dirichlet_resolvent_norm, find_step_eigenvalues,
                             gamma_branch, gamma_point,
                             step_implicit_residual)
-from sgnspec.quadrature import gauss_legendre_grid
+from sgnspec.kernel import dirichlet_kernel_grid
+from sgnspec.quadrature import gauss_legendre_grid, trapezoid_grid
 
 
 class TestPointInteraction:
@@ -119,6 +120,28 @@ class TestDirichlet:
         num = dirichlet_quadrature_norm(z, grid)
         assert num <= 1.05 * dirichlet_resolvent_norm(z)
         assert num >= 0.5 * dirichlet_resolvent_norm(z)
+
+    @pytest.mark.parametrize("z, grid", [
+        (5 + 0.5j, gauss_legendre_grid(10.0, 0.5)),
+        (0.5 + 0.1j, gauss_legendre_grid(10.0, 0.5)),
+        (-1 + 0.5j, gauss_legendre_grid(10.0, 1.0)),
+        (20 - 0.7j, gauss_legendre_grid(15.0, 0.5)),
+        (2 + 0.3j, trapezoid_grid(10.0, 401)),
+    ])
+    def test_quadrature_norm_matches_dense_svd(self, z, grid):
+        # reference: largest singular value of the dense symmetrically
+        # weighted Nystrom matrix of the Dirichlet kernel
+        sw = np.sqrt(grid.weights)
+        mat = sw[:, None] * dirichlet_kernel_grid(z, grid.nodes,
+                                                  grid.nodes) * sw[None, :]
+        dense = float(np.linalg.norm(mat, 2))
+        assert dirichlet_quadrature_norm(z, grid) == pytest.approx(
+            dense, rel=1e-8)
+
+    @pytest.mark.parametrize("z", [2 + 1j, 1j, -1j])
+    def test_quadrature_norm_spectrum_guard(self, z):
+        with pytest.raises(SpectrumError):
+            dirichlet_quadrature_norm(z, gauss_legendre_grid(10.0, 0.5))
 
     def test_bs_uniformly_bounded(self):
         from sgnspec.bs import gaussian
