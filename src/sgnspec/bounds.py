@@ -33,11 +33,17 @@ def _strip_wave_numbers(z: complex):
     return kk.k_plus, kk.k_minus
 
 
+def _finite_bound(value: float, z: complex) -> float:
+    if not math.isfinite(value):
+        raise DomainError(f"bound at z={z} is not finite ({value!r})")
+    return value
+
+
 def schur_upper_bound(z: complex) -> float:
     """Schur-test upper bound on the resolvent norm, z inside the strip.
 
     Maximum of the two closed-form row-integral bounds (x > 0 and x < 0);
-    no quadrature involved.
+    no quadrature involved.  Raises DomainError if the bound overflows.
     """
     kp, km = _strip_wave_numbers(z)
     s = abs(kp + km)
@@ -48,19 +54,21 @@ def schur_upper_bound(z: complex) -> float:
     row_minus = (1.0 / (kp.real * s)
                  + 1.0 / (2.0 * km.real * abs(km))
                  + d / (2.0 * km.real * abs(km) * s))
-    return max(row_plus, row_minus)
+    return _finite_bound(max(row_plus, row_minus), z)
 
 
 def pseudomode_lower_bound(z: complex) -> float:
     """Lower bound attained by the exponential pseudomode.
 
     Exact value of the ratio bound: 1 / (2 sqrt(Re k+ Re k-) |k+ + k-|).
+    Raises DomainError if the bound overflows.
     """
     z = complex(z)
     if classify_region(z) not in (Region.W, Region.D_PLUS, Region.D_MINUS):
         raise DomainError(f"z={z} outside the pseudomode region")
     kp, km = _strip_wave_numbers(z)
-    return 1.0 / (2.0 * math.sqrt(kp.real * km.real) * abs(kp + km))
+    return _finite_bound(
+        1.0 / (2.0 * math.sqrt(kp.real * km.real) * abs(kp + km)), z)
 
 
 def half_strip_distance(z: complex) -> float:

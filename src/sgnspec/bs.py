@@ -7,6 +7,7 @@ This module discretizes K_z by a symmetric Nystrom scheme on a
 Gauss-Legendre grid covering the support of V, computes Hilbert-Schmidt
 norms, the singular/regular decomposition K = L + M, locates eigenvalues
 through the determinant of I + eps*K_z, and measures weak-coupling rates.
+Only the Arnoldi spectral radius uses SciPy; it imports it when called.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse.linalg as spla
 
 from . import bounds
 from .errors import (ConfigError, ConvergenceError, DomainError,
@@ -288,6 +287,8 @@ def spectral_radius(z: complex, eps: float, pot: PotentialSpec,
     matrix-free in O(n) per step.  Raises ConvergenceError if ARPACK
     does not converge.
     """
+    import scipy.sparse.linalg as spla
+
     if grid is None:
         grid = potential_grid(z, pot)
     op = spla.LinearOperator((grid.size, grid.size),
@@ -314,7 +315,7 @@ def eigenvalue_distance(z: complex, eps: float, pot: PotentialSpec,
     """
     if grid is None:
         grid = potential_grid(z, pot)
-    vals = sla.eigvals(eps * assemble_k(z, pot, grid))
+    vals = np.linalg.eigvals(eps * assemble_k(z, pot, grid))
     return float(np.min(np.abs(vals + 1.0)))
 
 

@@ -183,11 +183,13 @@ def _run(args, out) -> None:
         try:
             lo = bounds.pseudomode_lower_bound(z)
             hi = bounds.schur_upper_bound(z)
+        except DomainError:
+            if bounds.half_strip_distance(z) == 0.0:
+                raise  # inside the strip numrange_bound does not apply
+            out.write(f"exact {_fmt(bounds.numrange_bound(z))}\n")
+        else:
             out.write(f"lower {_fmt(lo)}\n")
             out.write(f"upper {_fmt(hi)}\n")
-        except DomainError:
-            val = bounds.numrange_bound(z)
-            out.write(f"exact {_fmt(val)}\n")
 
     elif args.command == "field":
         re_lo, re_hi, re_n = args.re

@@ -4,6 +4,8 @@ Independent second-order discretization of -u'' + V u on a truncated
 interval [-L, L] with Dirichlet ends, used to cross-check the closed-form
 kernel, the bound sandwich, and the model eigenvalues.  Everything here is
 deliberately generic: no closed-form knowledge of the resolvent enters.
+SciPy is imported inside the functions that run its solvers, so that
+importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -13,9 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, ConvergenceError, SingularError, \
     SpectrumError
@@ -51,7 +50,10 @@ class FDOperator:
         a += np.diag(self.offdiag, 1) + np.diag(self.offdiag, -1)
         return a
 
-    def sparse(self) -> sp.csc_matrix:
+    def sparse(self):
+        """The matrix as a SciPy CSC matrix."""
+        import scipy.sparse as sp
+
         return sp.diags(
             [self.offdiag, self.diag, self.offdiag], [-1, 0, 1],
             format="csc", dtype=complex)
@@ -139,8 +141,12 @@ def _sigma_min_banded(op: FDOperator, z: complex, tol: float = 1e-9) -> float:
 
     Each application costs two banded solves; A is complex symmetric so
     the adjoint factor is just the conjugated band.  Lanczos rather than power iteration because the extreme singular
-    values cluster along the pseudospectral plateau.
+    values cluster along the pseudospectral plateau.  The Lanczos start
+    vector is fixed, so repeated calls return the same bits.
     """
+    import scipy.linalg as sla
+    import scipy.sparse.linalg as spla
+
     ab = op.banded(z)
     ab_conj = np.conj(ab)
 
@@ -155,8 +161,9 @@ def _sigma_min_banded(op: FDOperator, z: complex, tol: float = 1e-9) -> float:
 
     lin = spla.LinearOperator((op.size, op.size), matvec=inv_normal,
                               dtype=complex)
+    v0 = np.random.default_rng(0).standard_normal(op.size)
     try:
-        mu = spla.eigsh(lin, k=1, which="LM", tol=tol, maxiter=5000,
+        mu = spla.eigsh(lin, k=1, which="LM", tol=tol, maxiter=5000, v0=v0,
                         return_eigenvectors=False)[0]
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError(
@@ -210,6 +217,9 @@ def eigenvalue_near(target: complex, n: int, half_length: float,
     Works on fine grids (n ~ 10^5 - 10^6) where the dense solve is out of
     reach; accuracy is then limited only by the discretization.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     op = build_fd(n, half_length, potential, center_jump, cell_average)
     a = op.sparse() - target * sp.identity(n, dtype=complex, format="csc")
     try:

@@ -77,7 +77,8 @@ def compute_field(grid: GridSpec, with_oracle: bool = False,
     upper bound apply (status "ok").  Outside the closed half-strip the
     numerical-range bound is exact on both sides (status "numrange").
     Points on the spectrum or in the uncovered remainder of the plane are
-    flagged and carry NaNs.  with_oracle additionally runs the
+    flagged and carry NaNs, as do points where a bound overflows
+    (status "skipped").  with_oracle additionally runs the
     finite-difference norm estimate at every non-spectral point.
     """
     pts = grid.points()
@@ -112,8 +113,9 @@ def compute_field(grid: GridSpec, with_oracle: bool = False,
             status[idx] = STATUS_NUMRANGE
         else:
             try:
-                lower[idx] = bounds.pseudomode_lower_bound(z)
-                upper[idx] = bounds.schur_upper_bound(z)
+                lo = bounds.pseudomode_lower_bound(z)
+                hi = bounds.schur_upper_bound(z)
+                lower[idx], upper[idx] = lo, hi
                 status[idx] = STATUS_OK
             except DomainError:
                 try:

@@ -91,8 +91,10 @@ def classify_region(z: complex, tol_spec: float = DEFAULT_TOL_SPEC) -> Region:
     z = complex(z)
     if spectrum_distance(z) <= tol_spec:
         return Region.SPECTRUM
-    in_plus = abs(z - 1j) <= 1.5
-    in_minus = abs(z + 1j) <= 1.5
+    # both disks lie in this box; outside it abs() could overflow
+    near = abs(z.real) <= 1.5 and abs(z.imag) <= 2.5
+    in_plus = near and abs(z - 1j) <= 1.5
+    in_minus = near and abs(z + 1j) <= 1.5
     if in_plus and in_minus:
         return Region.D_PLUS if z.imag >= 0.0 else Region.D_MINUS
     if in_plus:

@@ -43,6 +43,15 @@ class TestClosedFormBounds:
         with pytest.raises(DomainError):
             pseudomode_lower_bound(-3 + 0.2j)
 
+    def test_overflow_raises(self):
+        # upper ~ 4 Re z and lower ~ Re z / sqrt(1 - Im z^2) leave the
+        # float range here; an inf bound must not come back
+        assert math.isfinite(pseudomode_lower_bound(1e308 + 0.5j))
+        with pytest.raises(DomainError):
+            schur_upper_bound(1e308 + 0.5j)
+        with pytest.raises(DomainError):
+            pseudomode_lower_bound(1e308 + 0.9j)
+
     def test_numrange(self):
         assert numrange_bound(-2 + 0.5j) == pytest.approx(0.5)
         assert numrange_bound(1 + 3j) == pytest.approx(0.5)

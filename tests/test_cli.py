@@ -63,6 +63,13 @@ class TestSubcommands:
         code, _ = run_cli(["bounds", "--z", "1,1"])
         assert code == 1
 
+    def test_bounds_overflow_exits_one(self, capsys):
+        # the Schur bound ~ 4 Re z overflows; no inf may come back with 0
+        code, out = run_cli(["bounds", "--z=1e308,0.5"])
+        assert code == 1
+        assert out == "region W\n"
+        assert "not finite" in capsys.readouterr().err
+
     def test_delta(self):
         code, out = run_cli(["delta", "--alpha", "2"])
         assert code == 0
@@ -183,4 +190,13 @@ class TestDeterminism:
                                "--im=-1.5:1.5:4", "--out", p])
             assert code == 0
         with open(p1, "rb") as f1, open(p2, "rb") as f2:
+            assert f1.read() == f2.read()
+
+    def test_oracle_field_files_byte_identical(self, tmp_path):
+        paths = [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
+        for p in paths:
+            code, _ = run_cli(["field", "--re=1:40:4", "--im=-0.5:0.5:3",
+                               "--oracle", "--oracle-n", "51", "--out", p])
+            assert code == 0
+        with open(paths[0], "rb") as f1, open(paths[1], "rb") as f2:
             assert f1.read() == f2.read()

@@ -64,6 +64,11 @@ class TestResolventNorm:
                                   richardson=False)
         assert finer.value == pytest.approx(dense, rel=2e-2)
 
+    def test_repeated_calls_bitwise_equal(self):
+        # a fixed Lanczos start vector: no run-to-run jitter in the digits
+        z = 20 + 0.3j
+        assert resolvent_norm_fd(z, n=201) == resolvent_norm_fd(z, n=201)
+
     def test_richardson_error_reported(self):
         res = resolvent_norm_fd(25.0, n=4001)
         assert res.error < 0.1 * res.value

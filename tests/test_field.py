@@ -46,6 +46,14 @@ class TestComputeField:
         mask = small_field.status == "numrange"
         assert np.all(small_field.lower[mask] == small_field.upper[mask])
 
+    def test_overflowing_bound_is_skipped(self):
+        # the Schur bound overflows near Re z = 1e308; the lower bound
+        # does not, but a point with one bound missing carries neither
+        fld = compute_field(GridSpec(1e307, 1e308, 2, 0.5, 0.5, 1))
+        assert list(fld.status.ravel()) == ["ok", "skipped"]
+        assert np.all(np.isfinite(fld.upper[fld.status == "ok"]))
+        assert np.isnan(fld.lower[0, 1]) and np.isnan(fld.upper[0, 1])
+
     def test_spectrum_points_marked(self):
         grid = GridSpec(0.0, 2.0, 3, 1.0, 1.0, 1)  # lies on the upper ray
         fld = compute_field(grid)
