@@ -7,10 +7,12 @@ from .bounds import (apply_resolvent, default_strip_grid, numrange_bound,
                      pseudomode_lower_bound, pseudomode_samples,
                      quadrature_operator_norm, regularized_pseudomode_ratio,
                      schur_upper_bound)
-from .bs import (PotentialSpec, assemble_k, box, decomposition_diagnostics,
-                 delta_bump, escape_scan, find_eigenvalue, find_eigenvalues,
-                 gaussian, hs_growth_rates, hs_norm, potential_grid, sampled,
-                 spectral_radius, step_well, weak_coupling_rate)
+from .bs import (PotentialSpec, RootSearch, assemble_k, box,
+                 decomposition_diagnostics, delta_bump, escape_scan,
+                 find_eigenvalue, find_eigenvalues, gaussian,
+                 hs_growth_rates, hs_norm, potential_grid, sampled,
+                 search_eigenvalues, spectral_radius, step_well,
+                 weak_coupling_rate)
 from .errors import (ConfigError, ConvergenceError, DomainError,
                      EigenvalueLost, SgnSpecError, SingularError,
                      SpectrumError, ZeroCouplingError)

@@ -376,21 +376,51 @@ def find_eigenvalue(eps: float, pot: PotentialSpec, z0: complex,
         f"determinant root search did not converge from z0={z0}")
 
 
+@dataclass(frozen=True)
+class RootSearch:
+    """Outcome of a determinant root search from several seeds.
+
+    roots: the distinct roots, sorted by (Re, Im); failed: one
+    (seed, reason) pair per seed whose secant search raised, in seed
+    order, so "no root" can be told apart from "every search failed".
+    """
+
+    roots: np.ndarray
+    failed: tuple[tuple[complex, str], ...]
+
+
+def search_eigenvalues(eps: float, pot: PotentialSpec,
+                       seeds: Sequence[complex],
+                       grid: QuadratureGrid | None = None,
+                       tol: float = 1e-10,
+                       dedupe: float = 1e-6) -> RootSearch:
+    """Distinct determinant roots found from a collection of seeds,
+    together with the seeds whose search failed and why."""
+    roots: list[complex] = []
+    failed: list[tuple[complex, str]] = []
+    for z0 in seeds:
+        try:
+            z = find_eigenvalue(eps, pot, z0, grid=grid, tol=tol)
+        except (ConvergenceError, DomainError) as exc:
+            failed.append((complex(z0), str(exc)))
+            continue
+        if all(abs(z - r) > dedupe * max(1.0, abs(r)) for r in roots):
+            roots.append(z)
+    return RootSearch(
+        roots=np.array(sorted(roots, key=lambda w: (w.real, w.imag))),
+        failed=tuple(failed))
+
+
 def find_eigenvalues(eps: float, pot: PotentialSpec,
                      seeds: Sequence[complex],
                      grid: QuadratureGrid | None = None,
                      tol: float = 1e-10,
                      dedupe: float = 1e-6) -> np.ndarray:
-    """Distinct determinant roots found from a collection of seeds."""
-    roots: list[complex] = []
-    for z0 in seeds:
-        try:
-            z = find_eigenvalue(eps, pot, z0, grid=grid, tol=tol)
-        except (ConvergenceError, DomainError):
-            continue
-        if all(abs(z - r) > dedupe * max(1.0, abs(r)) for r in roots):
-            roots.append(z)
-    return np.array(sorted(roots, key=lambda w: (w.real, w.imag)))
+    """Distinct determinant roots found from a collection of seeds.
+
+    Seeds whose search fails are skipped; search_eigenvalues reports them.
+    """
+    return search_eigenvalues(eps, pot, seeds, grid, tol, dedupe).roots
 
 
 def weak_coupling_rate(pot: PotentialSpec,

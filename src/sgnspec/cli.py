@@ -214,9 +214,12 @@ def _run(args, out) -> None:
                 out.write(f"{_fmt(r)} {_fmt(d['k_hs'])} {_fmt(d['l_hs'])} "
                           f"{_fmt(d['l_hs_closed'])} {_fmt(d['m_hs'])}\n")
         elif args.bs_command == "roots":
-            roots = bs.find_eigenvalues(args.eps, pot, args.seeds)
-            out.write(f"count {len(roots)}\n")
-            for z in roots:
+            res = bs.search_eigenvalues(args.eps, pot, args.seeds)
+            for seed, reason in res.failed:
+                print(f"warning: seed {_fmt_c(seed)} failed: {reason}",
+                      file=sys.stderr)
+            out.write(f"count {len(res.roots)}\n")
+            for z in res.roots:
                 out.write(f"root {_fmt_c(z)}\n")
         else:
             res = bs.weak_coupling_rate(pot, args.eps)

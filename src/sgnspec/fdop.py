@@ -4,8 +4,11 @@ Independent second-order discretization of -u'' + V u on a truncated
 interval [-L, L] with Dirichlet ends, used to cross-check the closed-form
 kernel, the bound sandwich, and the model eigenvalues.  Everything here is
 deliberately generic: no closed-form knowledge of the resolvent enters.
-SciPy is imported inside the functions that run its solvers, so that
-importing this module does not load it.
+Both solvers, the sigma_min Lanczos and the shift-invert eigensolver,
+factor the tridiagonal A - shift once per shift (LAPACK gttrf, partial
+pivoting, O(n)) and then only back-substitute (gttrs).  SciPy is
+imported inside the functions that run its solvers, so that importing
+this module does not load it.
 """
 
 from __future__ import annotations
@@ -49,14 +52,6 @@ class FDOperator:
         a = np.diag(self.diag)
         a += np.diag(self.offdiag, 1) + np.diag(self.offdiag, -1)
         return a
-
-    def sparse(self):
-        """The matrix as a SciPy CSC matrix."""
-        import scipy.sparse as sp
-
-        return sp.diags(
-            [self.offdiag, self.diag, self.offdiag], [-1, 0, 1],
-            format="csc", dtype=complex)
 
     def banded(self, shift: complex = 0.0) -> np.ndarray:
         """(3, n) banded storage of (A - shift) for solve_banded."""
@@ -135,29 +130,46 @@ def build_fd(n: int, half_length: float,
                       half_length=half_length, step=h)
 
 
+def _tridiag_lu(op: FDOperator,
+                shift: complex) -> Callable[[np.ndarray, str], np.ndarray]:
+    """Solver for (A - shift) from one LU factorization (LAPACK gttrf).
+
+    Factoring costs O(n) with partial pivoting; each solve(b, trans) is
+    one O(n) gttrs back-substitution on the stored factors, applying
+    (A - shift)^{-1} for trans="N" and (A - shift)^{-H} for trans="C".
+    Raises SingularError if A - shift is exactly singular.
+    """
+    from scipy.linalg.lapack import get_lapack_funcs
+
+    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), dtype=complex)
+    dl, d, du, du2, ipiv, info = gttrf(op.offdiag, op.diag - shift,
+                                       op.offdiag)
+    if info > 0:
+        raise SingularError(f"A - shift singular at shift={shift}")
+
+    def solve(b: np.ndarray, trans: str = "N") -> np.ndarray:
+        return gttrs(dl, d, du, du2, ipiv, b, trans=trans)[0]
+
+    return solve
+
+
 def _sigma_min_banded(op: FDOperator, z: complex, tol: float = 1e-9) -> float:
     """Smallest singular value of (A - z) via Lanczos on the inverted
     normal operator ((A - z)(A - z)^H)^{-1}.
 
-    Each application costs two banded solves; A is complex symmetric so
-    the adjoint factor is just the conjugated band.  Lanczos rather than power iteration because the extreme singular
-    values cluster along the pseudospectral plateau.  The Lanczos start
-    vector is fixed, so repeated calls return the same bits.
+    A - z is factored once (see _tridiag_lu); each Lanczos step is then
+    two back-substitutions on those factors, one with (A - z) and one
+    with its adjoint.  Lanczos rather than power iteration because the
+    extreme singular values cluster along the pseudospectral plateau.
+    The Lanczos start vector is fixed, so repeated calls return the same
+    bits.
     """
-    import scipy.linalg as sla
     import scipy.sparse.linalg as spla
 
-    ab = op.banded(z)
-    ab_conj = np.conj(ab)
+    solve = _tridiag_lu(op, z)
 
     def inv_normal(v):
-        # A - z is complex symmetric, so (A - z)^H = conj(A - z) and the
-        # adjoint solve is a plain solve with the conjugated band.
-        try:
-            w = sla.solve_banded((1, 1), ab, v)
-            return sla.solve_banded((1, 1), ab_conj, w)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise SingularError(f"A - z singular at z={z}") from exc
+        return solve(solve(v, "N"), "C")
 
     lin = spla.LinearOperator((op.size, op.size), matvec=inv_normal,
                               dtype=complex)
@@ -180,14 +192,25 @@ def resolvent_norm_fd(z: complex, n: int = 2001,
                       richardson: bool = True) -> OracleResult:
     """Resolvent norm estimate 1/sigma_min(A - z) from the FD matrix.
 
-    sigma_min comes from Lanczos on the inverted normal operator, two
-    banded solves per step (see _sigma_min_banded), at every n.  With
-    richardson=True the computation is repeated at half the step size and
-    the reported error is the Richardson extrapolation residual
-    |v_fine - v_coarse| / 3 of the second-order scheme.  Raises
-    SpectrumError on the spectral rays (endpoints +-i included), where
-    the norm is infinite, ConvergenceError if Lanczos does not converge
-    and SingularError if A - z is singular.
+    sigma_min comes from Lanczos on the inverted normal operator, one
+    tridiagonal factorization per call and two back-substitutions per
+    step (see _sigma_min_banded), at every n.  With richardson=True the
+    computation is repeated at half the step size and the reported error
+    is the Richardson extrapolation residual |v_fine - v_coarse| / 3 of
+    the second-order scheme.
+
+    The grid must resolve the oscillation e^{i sqrt(Re z) x} of the
+    pseudomodes: h^2 * Re z must stay well below 4, the top of the FD
+    Laplacian's symbol 4/h^2, where h = 2L/(n + 1) and L defaults to
+    decay_half_length(z), which grows like sqrt(Re z).  Otherwise the
+    value is meaningless and the Richardson error does not show it: at
+    z = 76.58 - 0.486i, L = 627 and the default n = 2001 give h = 0.63
+    (4/h^2 = 10.2) and 0.028 +- 0.004 against the proved sandwich
+    [87.6, 403.0], while n = 20001 (h^2 * Re z = 0.30) lands inside it.
+
+    Raises SpectrumError on the spectral rays (endpoints +-i included),
+    where the norm is infinite, ConvergenceError if Lanczos does not
+    converge and SingularError if A - z is singular.
     """
     z = complex(z)
     if spectrum_distance(z) <= DEFAULT_TOL_SPEC:
@@ -212,23 +235,20 @@ def eigenvalue_near(target: complex, n: int, half_length: float,
                     center_jump: float = 0.0,
                     cell_average: bool = False,
                     k: int = 1) -> np.ndarray:
-    """Eigenvalues closest to target via sparse LU shift-invert Arnoldi.
+    """Eigenvalues closest to target via shift-invert Arnoldi.
 
-    Works on fine grids (n ~ 10^5 - 10^6) where the dense solve is out of
-    reach; accuracy is then limited only by the discretization.
+    A - target is factored once (see _tridiag_lu), so each Arnoldi step
+    is one O(n) back-substitution.  Works on fine grids (n ~ 10^5 - 10^6)
+    where the dense solve is out of reach; accuracy is then limited only
+    by the discretization.  Raises SingularError if A - target is
+    exactly singular.
     """
-    import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
     op = build_fd(n, half_length, potential, center_jump, cell_average)
-    a = op.sparse() - target * sp.identity(n, dtype=complex, format="csc")
-    try:
-        lu = spla.splu(a)
-    except RuntimeError as exc:
-        raise SingularError(f"shift {target} hit an eigenvalue") from exc
-    inv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=complex)
+    inv = spla.LinearOperator((n, n), matvec=_tridiag_lu(op, target),
+                              dtype=complex)
     mu = spla.eigs(inv, k=k, which="LM", return_eigenvectors=False,
                    maxiter=2000)
     vals = target + 1.0 / mu
     return vals[np.argsort(np.abs(vals - target))]
-

@@ -12,8 +12,8 @@ from sgnspec.bs import (assemble_k, box, decomposition_diagnostics,
                         delta_bump, eigenvalue_distance, escape_scan,
                         find_eigenvalue, find_eigenvalues, gaussian,
                         hs_growth_rates, hs_norm, k_matvec, l_hs_closed,
-                        potential_grid, spectral_radius, step_well,
-                        weak_coupling_rate)
+                        potential_grid, search_eigenvalues, spectral_radius,
+                        step_well, weak_coupling_rate)
 from sgnspec.errors import ConfigError, ConvergenceError, ZeroCouplingError
 from sgnspec.kernel import dirichlet_kernel_grid, resolvent_kernel_grid
 from sgnspec.models import dirichlet_bs_hs_norm
@@ -133,6 +133,14 @@ class TestEigenvalues:
         with pytest.raises(ConvergenceError):
             find_eigenvalue(1.0, gaussian(), 5 + 5j)
         assert len(find_eigenvalues(1.0, gaussian(), [5 + 5j])) == 0
+
+    def test_search_reports_failed_seeds(self):
+        pot = delta_bump(2.0)
+        res = search_eigenvalues(1.0, pot, [5 + 5j, -0.7, -0.72])
+        assert len(res.roots) == 1
+        assert abs(res.roots[0] - (-0.75)) < 1e-3
+        assert [seed for seed, _ in res.failed] == [5 + 5j]
+        assert "left the finite plane" in res.failed[0][1]
 
 
 class TestWeakCoupling:

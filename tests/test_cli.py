@@ -134,6 +134,19 @@ class TestSubcommands:
         assert code == 0
         assert out == "count 0\n"
 
+    def test_bs_roots_reports_failed_seeds(self, capsys):
+        # both searches diverge: stdout still says count 0, and stderr
+        # says why, one line per seed
+        code, out = run_cli(["bs", "roots", "--eps", "1",
+                             "--seeds", "-0.7", "-0.8"])
+        assert code == 0
+        assert out == "count 0\n"
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert err[0].startswith("warning: seed -0.7 0.0 failed: ")
+        assert err[1].startswith("warning: seed -0.8 0.0 failed: ")
+        assert all("left the finite plane" in line for line in err)
+
     @pytest.mark.parametrize("error", [ConvergenceError, EigenvalueLost,
                                        SingularError])
     def test_numerical_failure_exits_three(self, monkeypatch, error):

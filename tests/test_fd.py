@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from sgnspec.errors import ConfigError, SpectrumError
-from sgnspec.fdop import (build_fd, eigenvalue_near, resolvent_norm_fd,
-                          smoothed_sign, step_potential)
+from sgnspec.bounds import pseudomode_lower_bound, schur_upper_bound
+from sgnspec.errors import ConfigError, SingularError, SpectrumError
+from sgnspec.fdop import (_sigma_min_banded, build_fd, eigenvalue_near,
+                          resolvent_norm_fd, smoothed_sign, step_potential)
 from sgnspec.kernel import resolvent_kernel_grid
 
 
@@ -64,6 +65,31 @@ class TestResolventNorm:
                                   richardson=False)
         assert finer.value == pytest.approx(dense, rel=2e-2)
 
+    @pytest.mark.parametrize("n, half_length, z", [
+        (401, 200.0, 20 - 0.5j),
+        (601, 300.0, 30 + 0.4j),
+    ])
+    def test_dense_reference_under_resolved(self, n, half_length, z):
+        # 4/h^2 < Re z: the smallest singular values cluster, and Lanczos
+        # must still find the smallest one
+        op = build_fd(n, half_length)
+        assert 4.0 / op.step**2 < z.real
+        dense = sla.svdvals(op.dense() - z * np.eye(op.size))[-1]
+        assert _sigma_min_banded(op, z) == pytest.approx(dense, rel=1e-10)
+
+    def test_resolved_grid_meets_sandwich(self):
+        # the default n = 2001 misses the proved sandwich here
+        # (h^2 Re z = 30); n = 20001 resolves the oscillation
+        z = 76.58 - 0.486j
+        res = resolvent_norm_fd(z, n=20001)
+        assert (pseudomode_lower_bound(z) <= res.value
+                <= schur_upper_bound(z))
+
+    def test_singular_shift_raises(self):
+        # h = 1 and V = 0: A - 2 has a zero diagonal and is singular
+        with pytest.raises(SingularError):
+            _sigma_min_banded(build_fd(3, 2.0, "free"), 2.0)
+
     def test_repeated_calls_bitwise_equal(self):
         # a fixed Lanczos start vector: no run-to-run jitter in the digits
         z = 20 + 0.3j
@@ -95,3 +121,7 @@ class TestEigenvalues:
         vals = eigenvalue_near(-2.0166, 60001, 25.0, potential=pot,
                                cell_average=True)
         assert abs(vals[0] - (-2.016668769510181)) < 1e-4
+
+    def test_singular_shift_raises(self):
+        with pytest.raises(SingularError):
+            eigenvalue_near(2.0, 3, 2.0, potential="free")
