@@ -9,7 +9,7 @@ from .bounds import (apply_resolvent, default_strip_grid, numrange_bound,
                      schur_upper_bound)
 from .bs import (PotentialSpec, RootSearch, assemble_k, box,
                  decomposition_diagnostics, delta_bump, escape_scan,
-                 find_eigenvalue, find_eigenvalues, gaussian,
+                 find_eigenvalue, gaussian,
                  hs_growth_rates, hs_norm, potential_grid, sampled,
                  search_eigenvalues, spectral_radius, step_well,
                  weak_coupling_rate)
@@ -17,7 +17,7 @@ from .errors import (ConfigError, ConvergenceError, DomainError,
                      EigenvalueLost, SgnSpecError, SingularError,
                      SpectrumError, ZeroCouplingError)
 from .fdop import (FDOperator, OracleResult, build_fd, eigenvalue_near,
-                   resolvent_norm_fd, smoothed_sign, step_potential)
+                   resolvent_norm_fd, step_potential)
 from .field import (GridSpec, PseudospectrumField, compute_field,
                     export_field, field_to_csv, field_to_json,
                     load_field_csv)

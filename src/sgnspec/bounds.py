@@ -8,13 +8,13 @@ half-strip the numerical-range distance bound applies instead.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
 
 from .errors import DomainError
-from .kernel import Region, classify_region, principal_sqrt, wave_numbers
+from .kernel import (DEFAULT_TOL_SPEC, Region, _check_off_spectrum,
+                     _image_core, classify_region, wave_numbers)
 from .quadrature import (
     QuadratureGrid,
     decay_half_length,
@@ -95,91 +95,98 @@ def _scan_leq(k: complex, x: np.ndarray, c: np.ndarray) -> np.ndarray:
     """P_i = sum_{j <= i} e^{-k (x_i - x_j)} c_j for increasing x, Re k >= 0.
 
     Blocked rescaled cumulative sums; block spans are capped so the
-    intermediate growing exponential cannot overflow.
+    intermediate growing exponential cannot overflow.  Empty x gives an
+    empty result.
     """
     n = x.size
     out = np.empty(n, dtype=complex)
     rate = max(k.real, 0.0)
     span = _EXP_BUDGET / rate if rate > 0.0 else math.inf
-    carry = 0.0 + 0.0j
     start = 0
-    x_prev = x[0]
     while start < n:
-        stop = n if span == math.inf else int(
+        stop = n if x[n - 1] - x[start] <= span else int(
             np.searchsorted(x, x[start] + span, side="right"))
         stop = max(stop, start + 1)
-        xl = x[start:stop] - x[start]
-        grow = np.exp(k * xl)
-        acc = np.cumsum(c[start:stop] * grow)
-        decay = np.exp(-k * xl)
-        block = decay * acc
+        kx = k * (x[start:stop] - x[start])
+        acc = np.cumsum(c[start:stop] * np.exp(kx))
         if start > 0:
-            block = block + decay * np.exp(-k * (x[start] - x_prev)) * carry
-        out[start:stop] = block
-        carry = out[stop - 1]
-        x_prev = x[stop - 1]
+            acc = acc + np.exp(-k * (x[start] - x[start - 1])) * out[start - 1]
+        out[start:stop] = np.exp(-kx) * acc
         start = stop
     return out
 
 
-def _scan_abs(k: complex, x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """S_i = sum_j e^{-k |x_i - x_j|} c_j for increasing x."""
-    fwd = _scan_leq(k, x, c)
-    bwd = _scan_leq(k, -x[::-1], c[::-1])[::-1]
-    return fwd + bwd - c
+def _half_lines(x: np.ndarray) -> tuple[slice, slice]:
+    """Index slices of x >= 0 and of x < 0 for increasing x, each
+    ordered by increasing t = |x|."""
+    m = int(np.searchsorted(x, 0.0))
+    return slice(m, None), (slice(m - 1, None, -1) if m else slice(0, 0))
+
+
+def _min_scan(k: complex, t: np.ndarray, g: np.ndarray,
+              c: np.ndarray) -> np.ndarray:
+    """S_i = sum_j e^{-k |t_i - t_j|} g(min(t_i, t_j)) c_j for increasing t.
+
+    The terms with t_j <= t_i are a forward scan of g c; the others are
+    g_i times a backward scan of c with its diagonal term removed.
+    """
+    back = _scan_leq(k, -t[::-1], c[::-1])[::-1]
+    return _scan_leq(k, t, g * c) + g * (back - c)
+
+
+def _image_factor(k: complex, t: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """(1 - e^{-2kt}) / (2k) for increasing t >= 0, given e = e^{-kt}.
+
+    Formed from e in bulk, and by the cancellation-safe _image_core on
+    the prefix where |2kt| < 1, which is all of t at k = 0 (z = +-i).
+    """
+    if k == 0.0:
+        return _image_core(k, 2.0 * t)
+    m = int(np.searchsorted(t, 0.5 / abs(k)))
+    g = (1.0 - e * e) / (2.0 * k)
+    g[:m] = _image_core(k, 2.0 * t[:m])
+    return g
+
+
+def _apply(z: complex, grid: QuadratureGrid, c: np.ndarray,
+           coupled: bool = True) -> np.ndarray:
+    """u_i = sum_j R_z(x_i, x_j) c_j on the grid in O(n), for weighted c.
+
+    On each half-line, with t = |x| and k = k_plus or k_minus, the
+    kernel is the image-charge term e^{-k(t_> - t_<)} (1 - e^{-2k t_<})
+    / (2k), one _min_scan.  coupled=True adds the rank-one term through
+    the origin, e^{-k t} e^{-k' t'} / (k_plus + k_minus), on the same
+    side and across it; coupled=False leaves the Dirichlet-decoupled
+    kernel, which also vanishes at a node at 0 (there t = 0).
+    """
+    z = complex(z)
+    _check_off_spectrum(z, DEFAULT_TOL_SPEC)
+    kk = wave_numbers(z)
+    x = grid.nodes
+    u = np.empty(x.size, dtype=complex)
+    sides = []
+    for side, k in zip(_half_lines(x), (kk.k_plus, kk.k_minus)):
+        t = np.abs(x[side])
+        e = np.exp(-k * t)
+        u[side] = _min_scan(k, t, _image_factor(k, t, e), c[side])
+        sides.append((side, e))
+    if coupled:
+        through = sum(np.dot(e, c[side]) for side, e in sides) / (
+            kk.k_plus + kk.k_minus)
+        for side, e in sides:
+            u[side] += through * e
+    return u
 
 
 def apply_resolvent(z: complex, grid: QuadratureGrid,
                     f: np.ndarray) -> np.ndarray:
     """u(x_i) = sum_j w_j R_z(x_i, x_j) f(x_j) on the grid, in O(n).
 
-    Exploits the separable exponential structure of the kernel: the
-    |x - y| convolution parts become prefix/suffix scans and the
-    remaining terms are rank one.  Matches the dense Nystrom sum to
-    rounding.  Accuracy degrades within ~1e-6 of z = +-i where the
-    same-sign branch denominator vanishes.
+    Exploits the separable exponential structure of the kernel (see
+    _apply): no kernel matrix is formed.  Matches the dense Nystrom sum
+    to rounding, up to and including the ray endpoints z = +-i.
     """
-    z = complex(z)
-    kk = wave_numbers(z)  # validity: caller keeps z off the rays
-    from .kernel import _check_off_spectrum
-
-    _check_off_spectrum(z, 1e-12)
-    kp, km = kk.k_plus, kk.k_minus
-    s = kp + km
-    x = grid.nodes
-    c = grid.weights * np.asarray(f, dtype=complex)
-    pos = x >= 0.0
-    neg = ~pos
-    xp, cp = x[pos], c[pos]
-    xn, cn = x[neg], c[neg]
-
-    t_pos = complex(np.sum(np.exp(-kp * xp) * cp))
-    t_neg = complex(np.sum(np.exp(km * xn) * cn))
-
-    u = np.empty(x.size, dtype=complex)
-    if xp.size:
-        scan = _scan_abs(kp, xp, cp)
-        ep = np.exp(-kp * xp)
-        u[pos] = scan / (2.0 * kp) + ep * (
-            t_pos * (1.0 / s - 1.0 / (2.0 * kp)) + t_neg / s)
-    if xn.size:
-        scan = _scan_abs(km, xn, cn)
-        em = np.exp(km * xn)
-        u[neg] = scan / (2.0 * km) + em * (
-            t_neg * (1.0 / s - 1.0 / (2.0 * km)) + t_pos / s)
-    return u
-
-
-def apply_resolvent_at(z: complex, grid: QuadratureGrid, f: np.ndarray,
-                       points: np.ndarray) -> np.ndarray:
-    """Dense evaluation of the quadrature resolvent at arbitrary points.
-
-    O(len(points) * grid.size); intended for cross-checks on small grids.
-    """
-    from .kernel import resolvent_kernel_grid
-
-    mat = resolvent_kernel_grid(z, np.asarray(points, dtype=float), grid.nodes)
-    return mat @ (grid.weights * np.asarray(f, dtype=complex))
+    return _apply(z, grid, grid.weights * np.asarray(f, dtype=complex))
 
 
 def quadrature_operator_norm(z: complex, grid: QuadratureGrid,

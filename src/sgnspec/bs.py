@@ -22,8 +22,8 @@ import numpy as np
 from . import bounds
 from .errors import (ConfigError, ConvergenceError, DomainError,
                      EigenvalueLost, ZeroCouplingError)
-from .kernel import (DEFAULT_TOL_SPEC, _check_off_spectrum, _image_core,
-                     principal_sqrt, resolvent_kernel_grid)
+from .kernel import (DEFAULT_TOL_SPEC, _check_off_spectrum,
+                     resolvent_kernel_grid, wave_numbers)
 from .quadrature import QuadratureGrid, gauss_legendre_grid, \
     oscillation_panel_width
 
@@ -147,14 +147,10 @@ def k_matvec(z: complex, pot: PotentialSpec, grid: QuadratureGrid
              ) -> Callable[[np.ndarray], np.ndarray]:
     """Matrix-free application of the Nystrom matrix in O(n) per call."""
     left, right = _weights(pot, grid)
-    # apply_resolvent multiplies by the quadrature weights itself, so
-    # they are divided out of the column weight here
-    right = np.divide(right, grid.weights, out=np.zeros_like(right),
-                      where=grid.weights > 0.0)
 
     def apply(vec):
-        f = right * np.asarray(vec, dtype=complex)
-        return left * bounds.apply_resolvent(z, grid, f)
+        return left * bounds._apply(z, grid,
+                                    right * np.asarray(vec, dtype=complex))
 
     return apply
 
@@ -164,42 +160,33 @@ def _hs_sq(z: complex, pot: PotentialSpec, grid: QuadratureGrid,
     """Squared HS norm of the Nystrom matrix, in O(n) time and memory.
 
     On one half-line, with t = |x| and k = k_plus or k_minus, the kernel
-    is e^{-k(t_> - t_<)} h(t_<) with h(t) = _image_core(k, 2t)
+    is e^{-k(t_> - t_<)} h(t_<) with h(t) = (1 - e^{-2kt}) / (2k)
     + c e^{-2kt}, c = 1/(k_plus + k_minus) for the full kernel and 0 for
-    the Dirichlet one (coupled=False).  So |K_ij|^2 = a_i b_j g(t_<)
-    e^{-2 Re k (t_> - t_<)} with a = |left|^2, b = |right|^2 and
-    g = |h|^2 bounded, and the sum over t_j <= t_i and over t_i <= t_j is
-    one decaying scan each at the real rate 2 Re k, the diagonal being
-    counted twice.  The full kernel's block across the origin is rank
-    one, e^{-k_plus t - k_minus t'} / (k_plus + k_minus).  A node at 0
-    sits on the positive side with t = 0, which both kernels agree with.
+    the Dirichlet one (coupled=False).  So |K_ij|^2 = a_i b_j |h|^2(t_<)
+    e^{-2 Re k |t_i - t_j|} with a = |left|^2 and b = |right|^2, and the
+    sum over one half-line is one bounds._min_scan at the real rate
+    2 Re k.  The full kernel's block across the origin is rank one,
+    e^{-k_plus t - k_minus t'} / (k_plus + k_minus).  A node at 0 sits
+    on the positive side with t = 0, which both kernels agree with.
     """
     z = complex(z)
     _check_off_spectrum(z, DEFAULT_TOL_SPEC)
-    kp = principal_sqrt(1j - z)
-    km = principal_sqrt(-1j - z)
-    c = 1.0 / (kp + km) if coupled else 0.0
+    kk = wave_numbers(z)
+    c = 1.0 / (kk.k_plus + kk.k_minus) if coupled else 0.0
     left, right = _weights(pot, grid)
     a = np.abs(left) ** 2
     b = np.abs(right) ** 2
     x = grid.nodes
-    pos = x >= 0.0
-    neg = ~pos
-    # each half-line ordered by increasing t = |x|
-    halves = ((x[pos], a[pos], b[pos], kp),
-              (-x[neg][::-1], a[neg][::-1], b[neg][::-1], km))
     total = 0.0
     tails = []  # (sum a e^{-2 Re k t}, sum b e^{-2 Re k t}) per side
-    for t, aa, bb, k in halves:
-        decay = np.exp(-2.0 * k * t)
-        tails.append((np.dot(aa, np.abs(decay)), np.dot(bb, np.abs(decay))))
-        if t.size == 0:
-            continue
-        g = np.abs(_image_core(k, 2.0 * t) + c * decay) ** 2
-        rate = 2.0 * k.real
-        total += (np.dot(aa, bounds._scan_leq(rate, t, bb * g).real)
-                  + np.dot(bb, bounds._scan_leq(rate, t, aa * g).real)
-                  - np.dot(aa * bb, g))
+    for side, k in zip(bounds._half_lines(x), (kk.k_plus, kk.k_minus)):
+        t = np.abs(x[side])
+        e = np.exp(-k * t)
+        h = bounds._image_factor(k, t, e) + c * e * e
+        decay = np.abs(e) ** 2
+        tails.append((np.dot(a[side], decay), np.dot(b[side], decay)))
+        total += np.dot(a[side], bounds._min_scan(
+            2.0 * k.real, t, np.abs(h) ** 2, b[side]).real)
     if coupled:
         (ap, bp), (am, bm) = tails
         total += (ap * bm + am * bp) * abs(c) ** 2
@@ -306,19 +293,6 @@ def spectral_radius(z: complex, eps: float, pot: PotentialSpec,
     return float(eps * abs(lam[0]))
 
 
-def eigenvalue_distance(z: complex, eps: float, pot: PotentialSpec,
-                        grid: QuadratureGrid | None = None) -> float:
-    """min |lambda + 1| over the spectrum of eps * K_z.
-
-    Near zero iff z is (close to) an eigenvalue of the perturbed
-    operator; the caller chooses the detection threshold.
-    """
-    if grid is None:
-        grid = potential_grid(z, pot)
-    vals = np.linalg.eigvals(eps * assemble_k(z, pot, grid))
-    return float(np.min(np.abs(vals + 1.0)))
-
-
 def _normalized_det(eps: float, pot: PotentialSpec, grid: QuadratureGrid):
     """Sign/log-magnitude factory for det(I + eps K_z) on a fixed grid."""
 
@@ -409,18 +383,6 @@ def search_eigenvalues(eps: float, pot: PotentialSpec,
     return RootSearch(
         roots=np.array(sorted(roots, key=lambda w: (w.real, w.imag))),
         failed=tuple(failed))
-
-
-def find_eigenvalues(eps: float, pot: PotentialSpec,
-                     seeds: Sequence[complex],
-                     grid: QuadratureGrid | None = None,
-                     tol: float = 1e-10,
-                     dedupe: float = 1e-6) -> np.ndarray:
-    """Distinct determinant roots found from a collection of seeds.
-
-    Seeds whose search fails are skipped; search_eigenvalues reports them.
-    """
-    return search_eigenvalues(eps, pot, seeds, grid, tol, dedupe).roots
 
 
 def weak_coupling_rate(pot: PotentialSpec,

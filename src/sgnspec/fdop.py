@@ -72,20 +72,6 @@ class OracleResult:
     n: int
 
 
-def smoothed_sign(scale: float) -> Callable[[np.ndarray], np.ndarray]:
-    """i times the piecewise-linear regularization of sign with ramp [-a, 0]."""
-    a = float(scale)
-    if a <= 0.0:
-        raise ConfigError("smoothing scale must be positive")
-
-    def v(x: np.ndarray) -> np.ndarray:
-        ramp = np.clip(2.0 * x / a + 1.0, -1.0, 1.0)
-        out = np.where(x >= 0.0, 1.0, np.where(x <= -a, -1.0, ramp))
-        return 1j * out
-
-    return v
-
-
 def step_potential(a: float, b: float) -> Callable[[np.ndarray], np.ndarray]:
     """Potential of the step model: the perturbation cancels the
     imaginary sign on (-a, a) and replaces it by the real well -b."""

@@ -122,14 +122,14 @@ def _image_core(k, d: np.ndarray) -> np.ndarray:
     """
     w = -k * d
     small = np.abs(w) < _SERIES_CUTOFF
-    # each branch sees only its own cells, so neither overflows at large w
-    ws = np.where(small, w, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(
-            small,
-            0.5 * d * (1.0 + ws * (0.5 + ws * (1.0 / 6.0 + ws / 24.0))),
-            -np.expm1(np.where(small, 0.0, w)) / (2.0 * k),
-        )
+        out = -np.expm1(w) / (2.0 * k)  # NaN where k = 0: small cells
+    # the series only on its own cells, so it never sees a large w
+    ws = w[small]
+    if ws.size:
+        out[small] = 0.5 * d[small] * (
+            1.0 + ws * (0.5 + ws * (1.0 / 6.0 + ws / 24.0)))
+    return out
 
 
 def _kernel_grid(z: complex, x: np.ndarray, y: np.ndarray, tol_spec: float,

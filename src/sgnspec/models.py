@@ -15,9 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError, SpectrumError, ZeroCouplingError
-from .bounds import _power_norm, _scan_abs
-from .kernel import (DEFAULT_TOL_SPEC, ray_distances, spectrum_distance,
-                     wave_numbers)
+from .bounds import _apply, _power_norm
+from .kernel import DEFAULT_TOL_SPEC, ray_distances, spectrum_distance
 
 # ---------------------------------------------------------------------------
 # point interaction
@@ -165,33 +164,13 @@ def dirichlet_resolvent_norm(z: complex) -> float:
     return 1.0 / d
 
 
-def _dirichlet_apply(z: complex, grid, f: np.ndarray) -> np.ndarray:
-    """u(x_i) = sum_j w_j R^D_z(x_i, x_j) f(x_j) in O(n).
-
-    R^D_z is the Dirichlet-decoupled kernel: on each half-line the
-    image-charge difference (e^{-k|x-y|} - e^{-k(|x|+|y|)}) / (2k), a
-    decaying scan minus a rank-one term; zero across the origin and on it.
-    """
-    kk = wave_numbers(z)
-    x = grid.nodes
-    c = grid.weights * np.asarray(f, dtype=complex)
-    u = np.zeros(x.size, dtype=complex)
-    for side, k in ((x > 0.0, kk.k_plus), (x < 0.0, kk.k_minus)):
-        if not side.any():
-            continue
-        xs, cs = x[side], c[side]
-        image = np.exp(-k * np.abs(xs))
-        u[side] = (_scan_abs(k, xs, cs)
-                   - image * np.sum(image * cs)) / (2.0 * k)
-    return u
-
-
 def dirichlet_quadrature_norm(z: complex, grid) -> float:
     """Operator norm of the discretized Dirichlet resolvent.
 
     Power iteration on the symmetrically weighted Nystrom operator with
-    the O(n) apply above; independent check that the kernel realizes the
-    trivial pseudospectrum.  Raises SpectrumError on the spectral rays,
+    the O(n) bounds._apply, its coupling through the origin off;
+    independent check that the kernel realizes the trivial
+    pseudospectrum.  Raises SpectrumError on the spectral rays,
     endpoints +-i included, where the exact norm is infinite.
     """
     z = complex(z)
@@ -199,8 +178,9 @@ def dirichlet_quadrature_norm(z: complex, grid) -> float:
         raise SpectrumError(f"z={z} lies on the spectrum")
     # the top singular values of a self-adjoint half cluster, so the
     # iteration is run much tighter than for the strip oracle
-    return _power_norm(lambda f: _dirichlet_apply(z, grid, f), grid,
-                       max_iter=5000, tol=1e-13)
+    return _power_norm(
+        lambda f: _apply(z, grid, grid.weights * f, coupled=False), grid,
+        max_iter=5000, tol=1e-13)
 
 
 def dirichlet_bs_hs_norm(z: complex, pot, grid=None) -> float:

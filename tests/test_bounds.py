@@ -5,14 +5,40 @@ import math
 import numpy as np
 import pytest
 
-from sgnspec.bounds import (apply_resolvent, apply_resolvent_at,
+from sgnspec.bounds import (_apply, apply_resolvent,
                             default_strip_grid, half_strip_distance,
                             numrange_bound, pseudomode_lower_bound,
                             pseudomode_samples, quadrature_operator_norm,
                             regularized_pseudomode_ratio, schur_upper_bound)
 from sgnspec.errors import DomainError
-from sgnspec.kernel import resolvent_kernel_grid, wave_numbers
-from sgnspec.quadrature import gauss_legendre_grid
+from sgnspec.kernel import (dirichlet_kernel_grid, resolvent_kernel_grid,
+                            wave_numbers)
+from sgnspec.quadrature import (QuadratureGrid, gauss_legendre_grid,
+                                trapezoid_grid)
+
+
+def _right_half_grid():
+    """Gauss-Legendre nodes right of 0 only: the x < 0 half-line is empty."""
+    g = gauss_legendre_grid(15.0, 0.3)
+    keep = g.nodes > 0.0
+    return QuadratureGrid(g.nodes[keep], g.weights[keep], g.half_length)
+
+
+GRIDS = {
+    "gauss_legendre": lambda: gauss_legendre_grid(15.0, 0.3),
+    "trapezoid_node_at_0": lambda: trapezoid_grid(10.0, 401),
+    "right_half_only": _right_half_grid,
+}
+
+
+def _dirichlet_apply(z, grid, f):
+    return _apply(z, grid, grid.weights * f, coupled=False)
+
+
+KERNELS = {
+    "full": (apply_resolvent, resolvent_kernel_grid),
+    "dirichlet": (_dirichlet_apply, dirichlet_kernel_grid),
+}
 
 
 class TestClosedFormBounds:
@@ -61,11 +87,24 @@ class TestClosedFormBounds:
 
 
 class TestApplyResolvent:
-    def test_matches_dense_nystrom(self):
+    @pytest.mark.parametrize("kernel", list(KERNELS))
+    @pytest.mark.parametrize("grid", list(GRIDS))
+    def test_matches_dense_nystrom(self, grid, kernel):
         z = 30 + 0.3j
-        g = gauss_legendre_grid(15.0, 0.3)
+        g = GRIDS[grid]()
+        apply, dense_kernel = KERNELS[kernel]
         rng = np.random.default_rng(1)
         f = rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)
+        u = apply(z, g, f)
+        dense = dense_kernel(z, g.nodes, g.nodes) @ (g.weights * f)
+        assert np.max(np.abs(u - dense)) < 1e-12 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("z", [1j, -1j, -1e-11 + 1j, -1e-6 - 1j])
+    def test_accurate_at_ray_endpoints(self, z):
+        # the wave number k+ or k- vanishes at +-i, where the image-charge
+        # term (1 - e^{-2kt}) / (2k) must not be formed by cancellation
+        g = trapezoid_grid(10.0, 401)
+        f = np.exp(-g.nodes**2) * (1.0 + 0.5j * g.nodes)
         u = apply_resolvent(z, g, f)
         dense = resolvent_kernel_grid(z, g.nodes, g.nodes) @ (g.weights * f)
         assert np.max(np.abs(u - dense)) < 1e-12 * np.max(np.abs(dense))
@@ -78,18 +117,6 @@ class TestApplyResolvent:
         u = apply_resolvent(z, g, f)
         assert np.all(np.isfinite(u))
 
-    def test_apply_at_points(self):
-        z = 5 + 0.2j
-        g = gauss_legendre_grid(12.0, 0.5)
-        f = np.exp(-g.nodes**2)
-        pts = np.array([-2.0, 0.0, 1.5])
-        vals = apply_resolvent_at(z, g, f, pts)
-        full = apply_resolvent(z, g, f)
-        # compare against nearest grid values by interpolation tolerance
-        for p, v in zip(pts, vals):
-            i = np.argmin(np.abs(g.nodes - p))
-            assert abs(v - full[i]) < 0.05 * np.max(np.abs(full))
-
 
 class TestOperatorNorm:
     def test_matches_bounds_at_moderate_tau(self):
@@ -97,6 +124,17 @@ class TestOperatorNorm:
         norm = quadrature_operator_norm(z, default_strip_grid(z))
         assert pseudomode_lower_bound(z) <= norm * 1.01
         assert norm <= schur_upper_bound(z) * 1.01
+
+    @pytest.mark.parametrize("z", [1j, -1j])
+    def test_finite_at_ray_endpoints(self, z):
+        # reference: largest singular value of the dense symmetrically
+        # weighted Nystrom matrix, which stays bounded at +-i
+        g = trapezoid_grid(10.0, 401)
+        sw = np.sqrt(g.weights)
+        mat = (sw[:, None] * resolvent_kernel_grid(z, g.nodes, g.nodes)
+               * sw[None, :])
+        assert quadrature_operator_norm(z, g) == pytest.approx(
+            float(np.linalg.norm(mat, 2)), rel=1e-8)
 
     def test_pseudomode_witnesses_lower_bound(self):
         # ||R f0|| / ||f0|| must come within a few percent of the bound

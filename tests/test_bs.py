@@ -9,8 +9,7 @@ import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from sgnspec.bs import (assemble_k, box, decomposition_diagnostics,
-                        delta_bump, eigenvalue_distance, escape_scan,
-                        find_eigenvalue, find_eigenvalues, gaussian,
+                        delta_bump, escape_scan, find_eigenvalue, gaussian,
                         hs_growth_rates, hs_norm, k_matvec, l_hs_closed,
                         potential_grid, search_eigenvalues, spectral_radius,
                         step_well, weak_coupling_rate)
@@ -113,12 +112,18 @@ class TestEigenvalues:
         pot = delta_bump(2.0)
         z = find_eigenvalue(1.0, pot, -0.7)
         grid = potential_grid(z, pot)
-        assert eigenvalue_distance(z, 1.0, pot, grid) < 1e-6
-        assert eigenvalue_distance(z + 0.5, 1.0, pot, grid) > 1e-2
+
+        def distance(w):
+            # min |lambda + 1| over the spectrum of eps K_w, eps = 1
+            vals = np.linalg.eigvals(assemble_k(w, pot, grid))
+            return float(np.min(np.abs(vals + 1.0)))
+
+        assert distance(z) < 1e-6
+        assert distance(z + 0.5) > 1e-2
 
     def test_find_eigenvalues_dedupes(self):
         pot = delta_bump(2.0)
-        roots = find_eigenvalues(1.0, pot, [-0.7, -0.72, -0.8])
+        roots = search_eigenvalues(1.0, pot, [-0.7, -0.72, -0.8]).roots
         assert len(roots) == 1
 
     def test_zero_coupling_rejected(self):
@@ -132,7 +137,7 @@ class TestEigenvalues:
         # error before the kernel or slogdet see a non-finite z
         with pytest.raises(ConvergenceError):
             find_eigenvalue(1.0, gaussian(), 5 + 5j)
-        assert len(find_eigenvalues(1.0, gaussian(), [5 + 5j])) == 0
+        assert len(search_eigenvalues(1.0, gaussian(), [5 + 5j]).roots) == 0
 
     def test_search_reports_failed_seeds(self):
         pot = delta_bump(2.0)
@@ -256,6 +261,14 @@ class TestDenseReference:
         dense = 0.125 * np.max(np.abs(sla.eigvals(assemble_k(z, pot, grid))))
         assert spectral_radius(z, 0.125, pot) == pytest.approx(dense,
                                                                 rel=1e-8)
+
+    @pytest.mark.parametrize("z", [1j, -1j])
+    def test_spectral_radius_at_ray_endpoints(self, z):
+        # k+ or k- vanishes at +-i; the kernel and the radius stay finite
+        pot = gaussian()
+        grid = potential_grid(z, pot)
+        dense = 0.5 * np.max(np.abs(sla.eigvals(assemble_k(z, pot, grid))))
+        assert spectral_radius(z, 0.5, pot) == pytest.approx(dense, rel=1e-8)
 
     def test_spectral_radius_repeatable(self):
         z = 3000 + 0.5j

@@ -7,7 +7,7 @@ import scipy.linalg as sla
 from sgnspec.bounds import pseudomode_lower_bound, schur_upper_bound
 from sgnspec.errors import ConfigError, SingularError, SpectrumError
 from sgnspec.fdop import (_sigma_min_banded, build_fd, eigenvalue_near,
-                          resolvent_norm_fd, smoothed_sign, step_potential)
+                          resolvent_norm_fd, step_potential)
 from sgnspec.kernel import resolvent_kernel_grid
 
 
@@ -37,12 +37,6 @@ class TestBuild:
     def test_step_potential_cancels_sign_inside(self):
         v = step_potential(1.0, 3.0)(np.array([-0.5, 0.5, 2.0]))
         assert v[0] == -3.0 and v[1] == -3.0
-        assert v[2] == 1j
-
-    def test_smoothed_sign_ramp(self):
-        v = smoothed_sign(1.0)(np.array([-2.0, -0.5, 0.0, 1.0]))
-        assert v[0] == -1j and v[3] == 1j
-        assert v[1] == pytest.approx(0.0)
         assert v[2] == 1j
 
 
