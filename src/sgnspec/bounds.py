@@ -195,26 +195,28 @@ def quadrature_operator_norm(z: complex, grid: QuadratureGrid,
     """Operator norm of the discretized resolvent by power iteration.
 
     Iterates R R^H on the symmetrically weighted Nystrom operator,
-    applying the resolvent in O(n) by apply_resolvent.
+    applying the resolvent in O(n) by the _apply scan.
     """
-    return _power_norm(lambda f: apply_resolvent(z, grid, f), grid,
-                       max_iter, tol, seed)
+    return _power_norm(lambda c: _apply(z, grid, c), grid, max_iter, tol,
+                       seed)
 
 
 def _power_norm(apply, grid: QuadratureGrid, max_iter: int = 200,
                 tol: float = 1e-8, seed: int = 0) -> float:
     """Norm of a discretized integral operator by power iteration.
 
-    apply(f) returns sum_j w_j R(x_i, x_j) f_j for a complex symmetric
-    kernel R.  Iterates R R^H on the symmetrically weighted Nystrom
-    operator using only such applications (R^H u equals the conjugate
-    of R applied to the conjugate of u).
+    apply(c) returns sum_j R(x_i, x_j) c_j for a weighted vector c and a
+    complex symmetric kernel R.  Iterates R R^H on the symmetrically
+    weighted Nystrom operator sw_i R(x_i, x_j) sw_j, sw = sqrt(w), using
+    only such applications (R^H u equals the conjugate of R applied to
+    the conjugate of u).  Nothing is divided by a weight, so zero
+    weights are allowed.
     """
     rng = np.random.default_rng(seed)
     sw = np.sqrt(grid.weights)
 
     def m_apply(v):
-        return sw * apply(v / sw)
+        return sw * apply(sw * v)
 
     v = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
     v /= np.linalg.norm(v)

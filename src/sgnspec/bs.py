@@ -7,6 +7,9 @@ This module discretizes K_z by a symmetric Nystrom scheme on a
 Gauss-Legendre grid covering the support of V, computes Hilbert-Schmidt
 norms, the singular/regular decomposition K = L + M, locates eigenvalues
 through the determinant of I + eps*K_z, and measures weak-coupling rates.
+No path forms the kernel matrix: the norms come from O(n) decaying
+scans, the spectral radius from matrix-free Arnoldi, and the determinant
+from an O(n) 2x2 transfer-matrix recursion (a discrete Jost function).
 Only the Arnoldi spectral radius uses SciPy; it imports it when called.
 """
 
@@ -22,8 +25,7 @@ import numpy as np
 from . import bounds
 from .errors import (ConfigError, ConvergenceError, DomainError,
                      EigenvalueLost, ZeroCouplingError)
-from .kernel import (DEFAULT_TOL_SPEC, _check_off_spectrum,
-                     resolvent_kernel_grid, wave_numbers)
+from .kernel import DEFAULT_TOL_SPEC, _check_off_spectrum, wave_numbers
 from .quadrature import QuadratureGrid, gauss_legendre_grid, \
     oscillation_panel_width
 
@@ -133,14 +135,6 @@ def _weights(pot: PotentialSpec, grid: QuadratureGrid
     signed[nz] = v[nz] / root[nz]
     sw = np.sqrt(grid.weights)
     return sw * root, signed * sw
-
-
-def assemble_k(z: complex, pot: PotentialSpec,
-               grid: QuadratureGrid) -> np.ndarray:
-    """Dense symmetric Nystrom matrix of the Birman-Schwinger operator."""
-    left, right = _weights(pot, grid)
-    return (left[:, None] * resolvent_kernel_grid(z, grid.nodes, grid.nodes)
-            * right[None, :])
 
 
 def k_matvec(z: complex, pot: PotentialSpec, grid: QuadratureGrid
@@ -294,12 +288,65 @@ def spectral_radius(z: complex, eps: float, pot: PotentialSpec,
 
 
 def _normalized_det(eps: float, pot: PotentialSpec, grid: QuadratureGrid):
-    """Sign/log-magnitude factory for det(I + eps K_z) on a fixed grid."""
+    """Sign/log-magnitude factory for det(I + eps K_z) on a fixed grid.
+
+    The kernel is the Green's function R(x, y) = psi_-(x_<) psi_+(x_>)
+    / (k_plus + k_minus), with psi_+ = e^{-k_plus x} on x >= 0 and
+    psi_- = e^{k_minus x} on x <= 0, each continued across 0.  So the
+    Nystrom matrix is quasiseparable of order one, and Gaussian
+    elimination on I + D R in node order, D = eps left right, carries a
+    single number tau_k = N / M.  Each step is a 2x2 transfer matrix in
+    the diagonal c_k = R(x_k, x_k), the weight d_k and the step ratio
+    rho_k = psi_+(x_{k+1}) / psi_+(x_k), with |rho| <= ~1:
+
+        (N, M) <- (rho^2 ((1 - d c) N + d c^2 M), (1 + d c) M - d N)
+
+    from (N, M) = (0, 1), and det = M times the scales divided out.  The
+    pivots 1 + d (c - tau) telescope into M and are never divided by,
+    so a vanishing leading minor costs no accuracy; (N, M) is rescaled
+    to |N| + |M| = 1 at every step, so nothing overflows.  O(n) time and
+    memory per z; no kernel matrix is formed.
+    """
+    left, right = _weights(pot, grid)
+    d = (eps * left * right).tolist()
+    x = grid.nodes
+    sides = bounds._half_lines(x)
+    ts = [np.abs(x[side]) for side in sides]
+    # steps of x split at 0, for the exponents of psi_+ on either side
+    step_plus = np.diff(np.maximum(x, 0.0))
+    step_minus = np.diff(np.minimum(x, 0.0))
 
     def det_at(z: complex):
-        a = np.eye(grid.size, dtype=complex) + eps * assemble_k(z, pot, grid)
-        sign, logabs = np.linalg.slogdet(a)
-        return sign, logabs
+        z = complex(z)
+        _check_off_spectrum(z, DEFAULT_TOL_SPEC)
+        kk = wave_numbers(z)
+        kp, km = kk.k_plus, kk.k_minus
+        diag = np.empty(x.size, dtype=complex)
+        amp = np.ones(x.size, dtype=complex)  # psi_+ e^{k x}, k per side
+        for side, t, k in zip(sides, ts, (kp, km)):
+            e = np.exp(-k * t)
+            g = bounds._image_factor(k, t, e)
+            diag[side] = g + e * e / (kp + km)
+        # e and g are now the x < 0 side's: psi_+ = e^{k_minus t}
+        # ((1 + e^2) / 2 + k_plus g) there, with no 1 / k_minus
+        amp[sides[1]] = 0.5 * (1.0 + e * e) + kp * g
+        rho_sq = np.ones(x.size, dtype=complex)
+        rho_sq[:-1] = (amp[1:] / amp[:-1]) ** 2 * np.exp(
+            -2.0 * (kp * step_plus + km * step_minus))
+        n_, m_, log_scale = 0j, 1 + 0j, 0.0
+        try:
+            for r2, dk, ck in zip(rho_sq.tolist(), d, diag.tolist()):
+                dc = dk * ck
+                n_, m_ = (r2 * ((1.0 - dc) * n_ + dc * ck * m_),
+                          (1.0 + dc) * m_ - dk * n_)
+                s = abs(n_) + abs(m_)
+                n_ /= s
+                m_ /= s
+                log_scale += math.log(s)
+            mag = abs(m_)
+            return m_ / mag, log_scale + math.log(mag)
+        except ZeroDivisionError:  # M, or all of (N, M), is exactly 0
+            return 0j, -math.inf
 
     return det_at
 
@@ -309,6 +356,9 @@ def find_eigenvalue(eps: float, pot: PotentialSpec, z0: complex,
                     tol: float = 1e-10, max_iter: int = 60) -> complex:
     """Root of det(I + eps K_z) = 0 near z0 by the secant method.
 
+    Each determinant is an O(n) transfer-matrix recursion on the grid
+    (see _normalized_det), so a secant step costs O(n) whatever the
+    well: milliseconds for a Gaussian seeded at Re z ~ 10^3 (n ~ 3000).
     The determinant is renormalized by its magnitude at z0 so the secant
     updates work with O(1) numbers.  Raises ConvergenceError if the
     iteration fails to converge, or as soon as a determinant value or a

@@ -178,9 +178,8 @@ def dirichlet_quadrature_norm(z: complex, grid) -> float:
         raise SpectrumError(f"z={z} lies on the spectrum")
     # the top singular values of a self-adjoint half cluster, so the
     # iteration is run much tighter than for the strip oracle
-    return _power_norm(
-        lambda f: _apply(z, grid, grid.weights * f, coupled=False), grid,
-        max_iter=5000, tol=1e-13)
+    return _power_norm(lambda c: _apply(z, grid, c, coupled=False), grid,
+                       max_iter=5000, tol=1e-13)
 
 
 def dirichlet_bs_hs_norm(z: complex, pot, grid=None) -> float:

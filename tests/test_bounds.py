@@ -13,6 +13,7 @@ from sgnspec.bounds import (_apply, apply_resolvent,
 from sgnspec.errors import DomainError
 from sgnspec.kernel import (dirichlet_kernel_grid, resolvent_kernel_grid,
                             wave_numbers)
+from sgnspec.models import dirichlet_quadrature_norm
 from sgnspec.quadrature import (QuadratureGrid, gauss_legendre_grid,
                                 trapezoid_grid)
 
@@ -135,6 +136,23 @@ class TestOperatorNorm:
                * sw[None, :])
         assert quadrature_operator_norm(z, g) == pytest.approx(
             float(np.linalg.norm(mat, 2)), rel=1e-8)
+
+    @pytest.mark.parametrize("norm, kernel", [
+        (quadrature_operator_norm, resolvent_kernel_grid),
+        (dirichlet_quadrature_norm, dirichlet_kernel_grid)],
+        ids=["full", "dirichlet"])
+    def test_zero_weights_allowed(self, norm, kernel):
+        # a valid grid may carry zero weights, here at both ends; the
+        # power iteration must not divide by them
+        z = 5 + 0.5j
+        g = trapezoid_grid(10.0, 201)
+        w = g.weights.copy()
+        w[[0, -1]] = 0.0
+        g = QuadratureGrid(g.nodes, w, g.half_length)
+        sw = np.sqrt(w)
+        mat = sw[:, None] * kernel(z, g.nodes, g.nodes) * sw[None, :]
+        assert norm(z, g) == pytest.approx(float(np.linalg.norm(mat, 2)),
+                                           rel=1e-8)
 
     def test_pseudomode_witnesses_lower_bound(self):
         # ||R f0|| / ||f0|| must come within a few percent of the bound

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from sgnspec.bs import (assemble_k, box, decomposition_diagnostics,
+from sgnspec.bs import (_normalized_det, box, decomposition_diagnostics,
                         delta_bump, escape_scan, find_eigenvalue, gaussian,
                         hs_growth_rates, hs_norm, k_matvec, l_hs_closed,
                         potential_grid, search_eigenvalues, spectral_radius,
@@ -16,7 +16,10 @@ from sgnspec.bs import (assemble_k, box, decomposition_diagnostics,
 from sgnspec.errors import ConfigError, ConvergenceError, ZeroCouplingError
 from sgnspec.kernel import dirichlet_kernel_grid, resolvent_kernel_grid
 from sgnspec.models import dirichlet_bs_hs_norm
-from sgnspec.quadrature import QuadratureGrid, trapezoid_grid
+from sgnspec.quadrature import (QuadratureGrid, gauss_legendre_grid,
+                                trapezoid_grid)
+
+from _reference import assemble_k, dense_logdet, weights
 
 
 class TestPotentials:
@@ -134,7 +137,7 @@ class TestEigenvalues:
     def test_divergent_secant_raises_before_overflow(self):
         # from 5 + 5i the iterates run off to |z| ~ 1e259; the secant
         # step then overflows, which must stop the search with a typed
-        # error before the kernel or slogdet see a non-finite z
+        # error before the determinant sees a non-finite z
         with pytest.raises(ConvergenceError):
             find_eigenvalue(1.0, gaussian(), 5 + 5j)
         assert len(search_eigenvalues(1.0, gaussian(), [5 + 5j]).roots) == 0
@@ -165,26 +168,10 @@ class TestWeakCoupling:
         assert scan["max_radius"] < 1.0
 
 
-def _weights(pot, grid):
-    """sw |V|^{1/2} and V_{1/2} sw, from the definition."""
-    v = pot(grid.nodes)
-    root = np.sqrt(np.abs(v))
-    signed = np.where(root > 0.0, v / np.where(root > 0.0, root, 1.0), 0.0)
-    sw = np.sqrt(grid.weights)
-    return sw * root, signed * sw
-
-
-def _dense_bs(z, pot, grid, kernel):
-    """Dense Nystrom matrix of |V|^{1/2} kernel V_{1/2}, built here as an
-    independent reference."""
-    left, right = _weights(pot, grid)
-    return left[:, None] * kernel(z, grid.nodes, grid.nodes) * right[None, :]
-
-
 def _dense_norms_sq(z, pot, grid, rows=256):
     """Squared Frobenius norms of the dense K, L and K - L, summed over
     blocks of rows of the dense kernel matrix to bound memory."""
-    left, right = _weights(pot, grid)
+    left, right = weights(pot, grid)
     kappa = math.sqrt(z.real)
     phase = np.exp(-1j * kappa * grid.nodes)
     col, row = kappa * left * phase, phase * right
@@ -222,10 +209,10 @@ class TestDenseReference:
         pot = gaussian()
         grid = potential_grid(z, pot)
         assert grid.size == 520
-        k = _dense_bs(z, pot, grid, resolvent_kernel_grid)
+        k = assemble_k(z, pot, grid)
         kappa = math.sqrt(z.real)
         phase = np.exp(-1j * kappa * grid.nodes)
-        left, right = _weights(pot, grid)
+        left, right = weights(pot, grid)
         lmat = kappa * np.outer(left * phase, phase * right)
         d = decomposition_diagnostics(z, pot)
         assert d["n"] == grid.size
@@ -247,7 +234,8 @@ class TestDenseReference:
             right_half = QuadratureGrid(full.nodes[full.nodes > 0.0],
                                         full.weights[full.nodes > 0.0], 8.0)
             for grid in (full, trapezoid_grid(8.0, 801), right_half):
-                dense = _dense_bs(z, pot, grid, kernel or resolvent_kernel_grid)
+                dense = assemble_k(z, pot, grid,
+                                   kernel or resolvent_kernel_grid)
                 assert norm(z, pot, grid) == pytest.approx(
                     np.linalg.norm(dense), rel=1e-12), (z, grid.size)
 
@@ -299,3 +287,79 @@ class TestDenseReference:
         finally:
             tracemalloc.stop()
         assert peak < 1024 * n
+
+
+def _assert_det_matches_dense(eps, pot, grid, z):
+    sign, logabs = _normalized_det(eps, pot, grid)(z)
+    ref_sign, ref_logabs = dense_logdet(eps, pot, grid, z)
+    assert logabs == pytest.approx(ref_logabs, rel=1e-12, abs=1e-12)
+    assert abs(sign - ref_sign) <= 1e-12
+
+
+class TestDeterminant:
+    """The O(n) transfer-matrix determinant against LAPACK slogdet."""
+
+    @pytest.mark.parametrize("pot", [delta_bump(2.0), gaussian(),
+                                     box(-2.0, 1.0)],
+                             ids=["delta_bump", "gaussian", "box"])
+    @pytest.mark.parametrize("z", [-0.7, 3.5 + 0.1j, 60 + 0.05j, 5 + 0.5j,
+                                   100 + 0.5j, -300 + 0.5j, 1j, -1j])
+    def test_matches_dense(self, pot, z):
+        grid = potential_grid(z, pot)
+        assert grid.size <= 520
+        _assert_det_matches_dense(1.0, pot, grid, z)
+
+    @pytest.mark.parametrize("z, n", [(60 + 0.05j, 800), (100 + 0.5j, 1020)])
+    def test_matches_dense_on_root_search_grid(self, z, n):
+        # the grid find_eigenvalue builds from a seed at z
+        pot = gaussian()
+        grid = potential_grid(4.0 * abs(z.real) + 1.0, pot)
+        assert grid.size == n
+        _assert_det_matches_dense(1.0, pot, grid, z)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_far_left_stays_finite(self):
+        # Re k ~ 100 at z = -1e4 + 0.5i: unscaled generators e^{k|x|}
+        # would overflow on the root-search grid (n = 10200)
+        z = -1e4 + 0.5j
+        pot = gaussian()
+        grid = potential_grid(4.0 * abs(z.real) + 1.0, pot)
+        assert grid.size == 10200
+        sign, logabs = _normalized_det(1.0, pot, grid)(z)
+        assert np.isfinite(sign) and math.isfinite(logabs)
+        assert abs(abs(sign) - 1.0) < 1e-14
+        _assert_det_matches_dense(1.0, pot, gauss_legendre_grid(8.0, 0.5), z)
+
+    def test_vanishing_leading_minor(self):
+        # at z the leading 80 x 80 minor of I + K vanishes (the x < 0
+        # half of the grid), so elimination that divides by its pivots
+        # loses digits; the recursion never divides by a pivot
+        z = -0.6627346358842853 - 0.6652442888557173j
+        pot = gaussian(-3.0)
+        grid = potential_grid(9.0, pot)
+        assert grid.size == 160
+        a = np.eye(grid.size) + assemble_k(z, pot, grid)
+        assert abs(np.linalg.det(a[:80, :80])) < 1e-15
+        pivots = []
+        for i in range(grid.size):  # LU in node order, without pivoting
+            pivots.append(a[i, i])
+            a[i + 1:, i + 1:] -= np.outer(a[i + 1:, i], a[i, i + 1:]) / a[i, i]
+        _, ref_logabs = dense_logdet(1.0, pot, grid, z)
+        assert abs(np.sum(np.log(np.abs(pivots))) - ref_logabs) > 1e-4
+        _assert_det_matches_dense(1.0, pot, grid, z)
+
+    def test_memory_stays_below_dense(self):
+        # at n = 4560 one dense complex n x n matrix is 333 MB; the
+        # recursion must stay below 1 KB per node
+        z = 2000 + 0.5j
+        pot = gaussian()
+        grid = potential_grid(4.0 * z.real + 1.0, pot)
+        assert grid.size == 4560
+        det_at = _normalized_det(1.0, pot, grid)
+        tracemalloc.start()
+        try:
+            det_at(z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * grid.size

@@ -1,0 +1,92 @@
+"""Fold perfbench result files into one parent-versus-change summary.
+
+Run from the root of a checkout:
+
+    python3 tools/bench_fold.py --parent P1.json P2.json ... \\
+        --change C1.json C2.json ... --out BENCH_<PR>.json
+
+Each input is a ``.perfbench/result-<workload>-trace<k>.json`` written by
+``perfbench/run.py``.  The next run of the same workload overwrites that
+file, so copy it aside after every run.  Runs are grouped by workload and
+trace mode.  For every metric the output holds, per side, the median and
+the quartiles over runs and the number of runs, plus the relative change
+of the medians.  Given in run order with equally many runs per side, the
+i-th parent and the i-th change run form a pair, and ``change_lower``
+counts the pairs in which the change's value is the lower one.
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+from pathlib import Path
+
+
+def _load(paths: list[str]) -> dict[str, list[dict]]:
+    groups: dict[str, list[dict]] = {}
+    for path in paths:
+        rec = json.loads(Path(path).read_text())
+        key = f"{rec['workload']}-trace{rec['trace']}"
+        groups.setdefault(key, []).append(rec)
+    return groups
+
+
+def _spread(values: list[float]) -> dict:
+    if len(values) > 1:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    else:
+        q1 = q3 = values[0]
+    return {"median": statistics.median(values), "q1": q1, "q3": q3,
+            "n": len(values)}
+
+
+def fold(parent: dict[str, list[dict]], change: dict[str, list[dict]]
+         ) -> dict:
+    out = {}
+    for key in sorted(set(parent) & set(change)):
+        prs, chs = parent[key], change[key]
+        metrics = {}
+        for name, meta in sorted(prs[0]["metrics"].items()):
+            p = [r["metrics"][name]["value"] for r in prs]
+            c = [r["metrics"][name]["value"] for r in chs
+                 if name in r["metrics"]]
+            if not c:
+                continue
+            row = {"unit": meta["unit"], "parent": _spread(p),
+                   "change": _spread(c)}
+            pm = row["parent"]["median"]
+            if pm:
+                row["median_change_frac"] = row["change"]["median"] / pm - 1
+            if len(p) == len(c):
+                row["change_lower"] = (
+                    f"{sum(b < a for a, b in zip(p, c))}/{len(p)}")
+            metrics[name] = row
+        out[key] = {"seeds": sorted({r["seed"] for r in prs + chs}),
+                    "env": prs[0]["env"], "metrics": metrics}
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", nargs="+", required=True,
+                    help="result files of the parent commit, in run order")
+    ap.add_argument("--change", nargs="+", required=True,
+                    help="result files of the change, in run order")
+    ap.add_argument("--out", required=True, help="summary JSON to write")
+    args = ap.parse_args(argv)
+    parent, change = _load(args.parent), _load(args.change)
+    unmatched = sorted(set(parent) ^ set(change))
+    if unmatched:
+        print(f"no runs on the other side for: {', '.join(unmatched)}",
+              file=sys.stderr)
+        return 2
+    Path(args.out).write_text(
+        json.dumps(fold(parent, change), indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
