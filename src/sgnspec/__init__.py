@@ -9,7 +9,7 @@ from .bounds import (apply_resolvent, default_strip_grid, numrange_bound,
                      schur_upper_bound)
 from .bs import (PotentialSpec, RootSearch, box, decomposition_diagnostics,
                  delta_bump, escape_scan, find_eigenvalue, gaussian,
-                 hs_growth_rates, hs_norm, potential_grid, sampled,
+                 hs_growth_rates, hs_norm, potential_grid,
                  search_eigenvalues, spectral_radius, step_well,
                  weak_coupling_rate)
 from .errors import (ConfigError, ConvergenceError, DomainError,

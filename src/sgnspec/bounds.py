@@ -4,6 +4,14 @@ The upper bound comes from the Schur test with the two closed-form row
 integrals of the kernel; the lower bound from the explicit exponential
 pseudomode supported on the positive half-line.  Outside the closed
 half-strip the numerical-range distance bound applies instead.
+
+This module also holds the O(n) layer of the resolvent kernel.  The
+kernel is the Green's function psi_-(x_<) psi_+(x_>) / (k_plus +
+k_minus); on each half-line it has the generators (k, t = |x|,
+e = e^{-kt}, g = (1 - e^{-2kt}) / (2k)) plus the coupling
+1 / (k_plus + k_minus) through the origin.  _sides builds them once per
+(z, grid); the apply here and the Birman-Schwinger HS norm and
+determinant in bs all read them, so no other O(n) path builds its own.
 """
 
 from __future__ import annotations
@@ -148,33 +156,48 @@ def _image_factor(k: complex, t: np.ndarray, e: np.ndarray) -> np.ndarray:
     return g
 
 
-def _apply(z: complex, grid: QuadratureGrid, c: np.ndarray,
-           coupled: bool = True) -> np.ndarray:
-    """u_i = sum_j R_z(x_i, x_j) c_j on the grid in O(n), for weighted c.
+def _sides(z: complex, x: np.ndarray, coupled: bool = True):
+    """The kernel's generators at z on the increasing nodes x, in O(n).
 
-    On each half-line, with t = |x| and k = k_plus or k_minus, the
-    kernel is the image-charge term e^{-k(t_> - t_<)} (1 - e^{-2k t_<})
-    / (2k), one _min_scan.  coupled=True adds the rank-one term through
-    the origin, e^{-k t} e^{-k' t'} / (k_plus + k_minus), on the same
-    side and across it; coupled=False leaves the Dirichlet-decoupled
-    kernel, which also vanishes at a node at 0 (there t = 0).
+    Returns (c, sides): per half-line (x >= 0 with k = k_plus, then
+    x < 0 with k = k_minus) the tuple (side, k, t, e, g) of the index
+    slice, t = |x| increasing, e = e^{-kt} and the image factor
+    g = (1 - e^{-2kt}) / (2k); and the coupling c = 1/(k_plus + k_minus)
+    through the origin, or 0 for the Dirichlet-decoupled kernel
+    (coupled=False).  On one side the kernel is
+    e^{-k(t_> - t_<)} g(t_<) + c e_i e_j, across it c e_i e_j: every
+    O(n) quantity of the kernel reads these.  Raises SpectrumError on
+    the spectral rays, except at their endpoints +-i.
     """
     z = complex(z)
     _check_off_spectrum(z, DEFAULT_TOL_SPEC)
     kk = wave_numbers(z)
-    x = grid.nodes
-    u = np.empty(x.size, dtype=complex)
     sides = []
     for side, k in zip(_half_lines(x), (kk.k_plus, kk.k_minus)):
         t = np.abs(x[side])
         e = np.exp(-k * t)
-        u[side] = _min_scan(k, t, _image_factor(k, t, e), c[side])
-        sides.append((side, e))
-    if coupled:
-        through = sum(np.dot(e, c[side]) for side, e in sides) / (
-            kk.k_plus + kk.k_minus)
-        for side, e in sides:
-            u[side] += through * e
+        sides.append((side, k, t, e, _image_factor(k, t, e)))
+    c = 1.0 / (kk.k_plus + kk.k_minus) if coupled else 0.0
+    return c, tuple(sides)
+
+
+def _apply(gen, c: np.ndarray) -> np.ndarray:
+    """u_i = sum_j R(x_i, x_j) c_j in O(n), for weighted c and the
+    generators gen = _sides(z, x, coupled) of R.
+
+    Per half-line the image-charge term e^{-k(t_> - t_<)} g(t_<) is one
+    _min_scan; the rank-one term through the origin adds coupling *
+    e_i (sum_j e_j c_j), on the same side and across it.  It vanishes
+    for the Dirichlet kernel (coupling 0), which is then also zero at a
+    node at 0 (there t = 0 and g = 0).
+    """
+    coupling, sides = gen
+    u = np.empty(c.size, dtype=complex)
+    for side, k, t, e, g in sides:
+        u[side] = _min_scan(k, t, g, c[side])
+    through = coupling * sum(np.dot(e, c[side]) for side, _, _, e, _ in sides)
+    for side, _, _, e, _ in sides:
+        u[side] += through * e
     return u
 
 
@@ -186,7 +209,8 @@ def apply_resolvent(z: complex, grid: QuadratureGrid,
     _apply): no kernel matrix is formed.  Matches the dense Nystrom sum
     to rounding, up to and including the ray endpoints z = +-i.
     """
-    return _apply(z, grid, grid.weights * np.asarray(f, dtype=complex))
+    return _apply(_sides(z, grid.nodes),
+                  grid.weights * np.asarray(f, dtype=complex))
 
 
 def quadrature_operator_norm(z: complex, grid: QuadratureGrid,
@@ -195,10 +219,11 @@ def quadrature_operator_norm(z: complex, grid: QuadratureGrid,
     """Operator norm of the discretized resolvent by power iteration.
 
     Iterates R R^H on the symmetrically weighted Nystrom operator,
-    applying the resolvent in O(n) by the _apply scan.
+    applying the resolvent in O(n) by the _apply scan on generators
+    prepared once.
     """
-    return _power_norm(lambda c: _apply(z, grid, c), grid, max_iter, tol,
-                       seed)
+    gen = _sides(z, grid.nodes)
+    return _power_norm(lambda c: _apply(gen, c), grid, max_iter, tol, seed)
 
 
 def _power_norm(apply, grid: QuadratureGrid, max_iter: int = 200,

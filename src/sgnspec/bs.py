@@ -7,10 +7,12 @@ This module discretizes K_z by a symmetric Nystrom scheme on a
 Gauss-Legendre grid covering the support of V, computes Hilbert-Schmidt
 norms, the singular/regular decomposition K = L + M, locates eigenvalues
 through the determinant of I + eps*K_z, and measures weak-coupling rates.
-No path forms the kernel matrix: the norms come from O(n) decaying
-scans, the spectral radius from matrix-free Arnoldi, and the determinant
-from an O(n) 2x2 transfer-matrix recursion (a discrete Jost function).
-Only the Arnoldi spectral radius uses SciPy; it imports it when called.
+No path forms the kernel matrix.  Each reads the kernel's generators
+from bounds._sides, built once per z: the norms come from O(n) decaying
+scans, the spectral radius from matrix-free Arnoldi on bounds._apply,
+and the determinant from an O(n) 2x2 transfer-matrix recursion (a
+discrete Jost function).  Only the Arnoldi spectral radius uses SciPy;
+it imports it when called.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import numpy as np
 from . import bounds
 from .errors import (ConfigError, ConvergenceError, DomainError,
                      EigenvalueLost, ZeroCouplingError)
-from .kernel import DEFAULT_TOL_SPEC, _check_off_spectrum, wave_numbers
 from .quadrature import QuadratureGrid, gauss_legendre_grid, \
     oscillation_panel_width
 
@@ -35,27 +36,21 @@ class PotentialSpec:
     """A perturbing potential with the metadata the quadrature needs.
 
     func maps an array of points to (complex) potential values;
-    half_length bounds the effective support [-L, L]; breakpoints are
-    interior kinks/jumps the composite quadrature must not straddle;
-    l1 is the exact L1 norm when known in closed form (else nan).
+    half_length bounds the effective support [-L, L]; l1 is the exact
+    L1 norm, in closed form.
     """
 
     name: str
     func: Callable[[np.ndarray], np.ndarray]
     half_length: float
-    breakpoints: tuple[float, ...] = ()
-    l1: float = math.nan
+    l1: float
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.func(np.asarray(x, dtype=float)),
                           dtype=complex)
 
-    def l1_norm(self, grid: QuadratureGrid | None = None) -> float:
-        if not math.isnan(self.l1):
-            return self.l1
-        if grid is None:
-            grid = potential_grid(1.0, self)
-        return float(np.sum(grid.weights * np.abs(self(grid.nodes))))
+    def l1_norm(self) -> float:
+        return self.l1
 
 
 def gaussian(amplitude: float = -1.0, width: float = 1.0) -> PotentialSpec:
@@ -100,23 +95,13 @@ def step_well(a: float, b: float) -> PotentialSpec:
     return box(-b, a)
 
 
-def sampled(func: Callable[[np.ndarray], np.ndarray], half_length: float,
-            breakpoints: Sequence[float] = ()) -> PotentialSpec:
-    """Wrap an arbitrary callable potential."""
-    return PotentialSpec(name="sampled", func=func,
-                         half_length=half_length,
-                         breakpoints=tuple(breakpoints))
-
-
 def potential_grid(z: complex, pot: PotentialSpec,
                    points_per_wavelength: float = 20.0,
                    min_panels: int = 4) -> QuadratureGrid:
     """Composite Gauss-Legendre grid over supp V resolving e^{i sqrt(Re z) x}."""
     panel = oscillation_panel_width(z, points_per_wavelength)
     panel = min(panel, pot.half_length / min_panels)
-    interior = tuple(b for b in pot.breakpoints
-                     if 0.0 < b < pot.half_length)
-    return gauss_legendre_grid(pot.half_length, panel, breakpoints=interior)
+    return gauss_legendre_grid(pot.half_length, panel)
 
 
 def _weights(pot: PotentialSpec, grid: QuadratureGrid
@@ -139,51 +124,44 @@ def _weights(pot: PotentialSpec, grid: QuadratureGrid
 
 def k_matvec(z: complex, pot: PotentialSpec, grid: QuadratureGrid
              ) -> Callable[[np.ndarray], np.ndarray]:
-    """Matrix-free application of the Nystrom matrix in O(n) per call."""
+    """Matrix-free application of the Nystrom matrix in O(n) per call,
+    on the kernel's generators at z, built once."""
     left, right = _weights(pot, grid)
+    gen = bounds._sides(z, grid.nodes)
 
     def apply(vec):
-        return left * bounds._apply(z, grid,
+        return left * bounds._apply(gen,
                                     right * np.asarray(vec, dtype=complex))
 
     return apply
 
 
-def _hs_sq(z: complex, pot: PotentialSpec, grid: QuadratureGrid,
-           coupled: bool = True) -> float:
-    """Squared HS norm of the Nystrom matrix, in O(n) time and memory.
+def _hs_sq(gen, pot: PotentialSpec, grid: QuadratureGrid) -> float:
+    """Squared HS norm of the Nystrom matrix, in O(n) time and memory,
+    for the kernel generators gen = bounds._sides(z, grid.nodes, coupled).
 
-    On one half-line, with t = |x| and k = k_plus or k_minus, the kernel
-    is e^{-k(t_> - t_<)} h(t_<) with h(t) = (1 - e^{-2kt}) / (2k)
-    + c e^{-2kt}, c = 1/(k_plus + k_minus) for the full kernel and 0 for
-    the Dirichlet one (coupled=False).  So |K_ij|^2 = a_i b_j |h|^2(t_<)
-    e^{-2 Re k |t_i - t_j|} with a = |left|^2 and b = |right|^2, and the
-    sum over one half-line is one bounds._min_scan at the real rate
-    2 Re k.  The full kernel's block across the origin is rank one,
-    e^{-k_plus t - k_minus t'} / (k_plus + k_minus).  A node at 0 sits
-    on the positive side with t = 0, which both kernels agree with.
+    On one half-line, with t = |x|, the kernel is e^{-k(t_> - t_<)} h(t_<)
+    with h = g + c e^2, c the coupling (0 for the Dirichlet kernel).  So
+    |K_ij|^2 = a_i b_j |h|^2(t_<) e^{-2 Re k |t_i - t_j|} with
+    a = |left|^2 and b = |right|^2, and the sum over one half-line is one
+    bounds._min_scan at the real rate 2 Re k.  The block across the
+    origin is the rank one c e_i e_j.  A node at 0 sits on the positive
+    side with t = 0, which both kernels agree with.
     """
-    z = complex(z)
-    _check_off_spectrum(z, DEFAULT_TOL_SPEC)
-    kk = wave_numbers(z)
-    c = 1.0 / (kk.k_plus + kk.k_minus) if coupled else 0.0
+    c, sides = gen
     left, right = _weights(pot, grid)
     a = np.abs(left) ** 2
     b = np.abs(right) ** 2
-    x = grid.nodes
     total = 0.0
-    tails = []  # (sum a e^{-2 Re k t}, sum b e^{-2 Re k t}) per side
-    for side, k in zip(bounds._half_lines(x), (kk.k_plus, kk.k_minus)):
-        t = np.abs(x[side])
-        e = np.exp(-k * t)
-        h = bounds._image_factor(k, t, e) + c * e * e
+    tails = []  # (sum a |e|^2, sum b |e|^2) per side
+    for side, k, t, e, g in sides:
+        h = g + c * e * e
         decay = np.abs(e) ** 2
         tails.append((np.dot(a[side], decay), np.dot(b[side], decay)))
         total += np.dot(a[side], bounds._min_scan(
             2.0 * k.real, t, np.abs(h) ** 2, b[side]).real)
-    if coupled:
-        (ap, bp), (am, bm) = tails
-        total += (ap * bm + am * bp) * abs(c) ** 2
+    (ap, bp), (am, bm) = tails
+    total += (ap * bm + am * bp) * abs(c) ** 2
     return float(total)
 
 
@@ -193,7 +171,7 @@ def hs_norm(z: complex, pot: PotentialSpec, grid: QuadratureGrid) -> float:
     Summed in O(n) time and memory from the separable exponential form of
     the kernel (see _hs_sq); no kernel matrix is formed.
     """
-    return math.sqrt(_hs_sq(z, pot, grid))
+    return math.sqrt(_hs_sq(bounds._sides(z, grid.nodes), pot, grid))
 
 
 def l_hs_closed(z: complex, pot: PotentialSpec) -> float:
@@ -227,9 +205,10 @@ def decomposition_diagnostics(z: complex, pot: PotentialSpec,
     phase = np.exp(-1j * kappa * grid.nodes)
     col = kappa * (left * phase)
     row = phase * right
-    k_sq = _hs_sq(z, pot, grid)
+    gen = bounds._sides(z, grid.nodes)
+    k_sq = _hs_sq(gen, pot, grid)
     l_hs = float(np.linalg.norm(col) * np.linalg.norm(row))
-    kl = np.vdot(col, k_matvec(z, pot, grid)(np.conj(row)))
+    kl = np.vdot(col, left * bounds._apply(gen, right * np.conj(row)))
     return {
         "k_hs": math.sqrt(k_sq),
         "l_hs": l_hs,
@@ -304,32 +283,28 @@ def _normalized_det(eps: float, pot: PotentialSpec, grid: QuadratureGrid):
     from (N, M) = (0, 1), and det = M times the scales divided out.  The
     pivots 1 + d (c - tau) telescope into M and are never divided by,
     so a vanishing leading minor costs no accuracy; (N, M) is rescaled
-    to |N| + |M| = 1 at every step, so nothing overflows.  O(n) time and
-    memory per z; no kernel matrix is formed.
+    to |N| + |M| = 1 at every step, so nothing overflows.  Both inputs
+    come from the generators of bounds._sides: c_k = g + e^2 / (k_plus
+    + k_minus), and psi_+ = R(x, x) / psi_- with psi_- = e on x < 0.
+    O(n) time and memory per z; no kernel matrix is formed.
     """
     left, right = _weights(pot, grid)
     d = (eps * left * right).tolist()
     x = grid.nodes
-    sides = bounds._half_lines(x)
-    ts = [np.abs(x[side]) for side in sides]
     # steps of x split at 0, for the exponents of psi_+ on either side
     step_plus = np.diff(np.maximum(x, 0.0))
     step_minus = np.diff(np.minimum(x, 0.0))
 
     def det_at(z: complex):
-        z = complex(z)
-        _check_off_spectrum(z, DEFAULT_TOL_SPEC)
-        kk = wave_numbers(z)
-        kp, km = kk.k_plus, kk.k_minus
+        c, sides = bounds._sides(z, x)
         diag = np.empty(x.size, dtype=complex)
-        amp = np.ones(x.size, dtype=complex)  # psi_+ e^{k x}, k per side
-        for side, t, k in zip(sides, ts, (kp, km)):
-            e = np.exp(-k * t)
-            g = bounds._image_factor(k, t, e)
-            diag[side] = g + e * e / (kp + km)
-        # e and g are now the x < 0 side's: psi_+ = e^{k_minus t}
-        # ((1 + e^2) / 2 + k_plus g) there, with no 1 / k_minus
-        amp[sides[1]] = 0.5 * (1.0 + e * e) + kp * g
+        for side, _, _, e, g in sides:
+            diag[side] = g + c * e * e
+        (_, kp, *_), (neg, km, *_) = sides
+        # psi_+ e^{k x}, k per side: 1 on x >= 0; on x < 0, where
+        # psi_- = e^{k_minus x}, it is psi_- psi_+ = R(x, x) / c
+        amp = np.ones(x.size, dtype=complex)
+        amp[neg] = diag[neg] / c
         rho_sq = np.ones(x.size, dtype=complex)
         rho_sq[:-1] = (amp[1:] / amp[:-1]) ** 2 * np.exp(
             -2.0 * (kp * step_plus + km * step_minus))

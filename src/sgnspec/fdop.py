@@ -24,10 +24,10 @@ from .errors import ConfigError, ConvergenceError, SingularError, \
 from .kernel import DEFAULT_TOL_SPEC, spectrum_distance
 from .quadrature import decay_half_length
 
-_POTENTIALS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "sgn": lambda x: 1j * np.sign(x),
-    "free": lambda x: np.zeros_like(x, dtype=complex),
-}
+
+def _sign(x: np.ndarray) -> np.ndarray:
+    """The unperturbed potential i sgn(x)."""
+    return 1j * np.sign(x)
 
 
 @dataclass(frozen=True)
@@ -83,29 +83,32 @@ def step_potential(a: float, b: float) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def build_fd(n: int, half_length: float,
-             potential: str | Callable[[np.ndarray], np.ndarray] = "sgn",
+             potential: Callable[[np.ndarray], np.ndarray] = _sign,
              center_jump: float = 0.0,
              cell_average: bool = False) -> FDOperator:
     """Second-order centered finite differences on (-L, L), Dirichlet ends.
 
-    n is the number of interior nodes; use odd n so that x = 0 is a node
-    (required when center_jump is nonzero).  center_jump adds the grid
-    representation of a delta well with coupling alpha at the origin:
-    matching condition u'(0+) - u'(0-) = alpha u(0), realized as -alpha/h
-    on the center diagonal entry.  cell_average samples the potential by
+    potential maps the nodes to the values of V; it defaults to the sign
+    potential i sgn(x).  n is the number of interior nodes; use odd n so
+    that x = 0 is a node (required when center_jump is nonzero).
+    center_jump adds the grid representation of a delta well with
+    coupling alpha at the origin: matching condition
+    u'(0+) - u'(0-) = alpha u(0), realized as -alpha/h on the center
+    diagonal entry.  cell_average samples the potential by
     a 33-point average over each grid cell instead of pointwise, which
     restores second order for discontinuous potentials off the grid.
     """
     if n < 3:
         raise ConfigError("need at least 3 interior nodes")
-    v = _POTENTIALS[potential] if isinstance(potential, str) else potential
+    if not callable(potential):
+        raise ConfigError(f"potential must be callable, not {potential!r}")
     h = 2.0 * half_length / (n + 1)
     x = -half_length + h * np.arange(1, n + 1)
     if cell_average:
         offs = (np.arange(33) - 16.0) / 33.0 * h
-        vx = np.mean(v(x[:, None] + offs[None, :]), axis=1)
+        vx = np.mean(potential(x[:, None] + offs[None, :]), axis=1)
     else:
-        vx = v(x).astype(complex)
+        vx = potential(x).astype(complex)
     diag = 2.0 / h**2 + vx
     if center_jump != 0.0:
         if n % 2 == 0:
@@ -173,17 +176,16 @@ def _sigma_min_banded(op: FDOperator, z: complex, tol: float = 1e-9) -> float:
 
 def resolvent_norm_fd(z: complex, n: int = 2001,
                       half_length: float | None = None,
-                      potential: str | Callable = "sgn",
-                      center_jump: float = 0.0,
-                      richardson: bool = True) -> OracleResult:
+                      potential: Callable = _sign,
+                      center_jump: float = 0.0) -> OracleResult:
     """Resolvent norm estimate 1/sigma_min(A - z) from the FD matrix.
 
     sigma_min comes from Lanczos on the inverted normal operator, one
     tridiagonal factorization per call and two back-substitutions per
-    step (see _sigma_min_banded), at every n.  With richardson=True the
-    computation is repeated at half the step size and the reported error
-    is the Richardson extrapolation residual |v_fine - v_coarse| / 3 of
-    the second-order scheme.
+    step (see _sigma_min_banded), at every n.  The computation is repeated
+    at half the step size; the fine value is reported, with the
+    Richardson extrapolation residual |v_fine - v_coarse| / 3 of the
+    second-order scheme as its error.
 
     The grid must resolve the oscillation e^{i sqrt(Re z) x} of the
     pseudomodes: h^2 * Re z must stay well below 4, the top of the FD
@@ -209,15 +211,13 @@ def resolvent_norm_fd(z: complex, n: int = 2001,
         return 1.0 / _sigma_min_banded(op, z)
 
     coarse = norm_at(n)
-    if not richardson:
-        return OracleResult(value=coarse, error=math.nan, n=n)
     n_fine = 2 * n + 1  # halves h while keeping 0 on the grid for odd n
     fine = norm_at(n_fine)
     return OracleResult(value=fine, error=abs(fine - coarse) / 3.0, n=n_fine)
 
 
 def eigenvalue_near(target: complex, n: int, half_length: float,
-                    potential: str | Callable = "sgn",
+                    potential: Callable = _sign,
                     center_jump: float = 0.0,
                     cell_average: bool = False,
                     k: int = 1) -> np.ndarray:

@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds
-from .errors import ConfigError, DomainError, SpectrumError
-from .kernel import Region, classify_region
+from .errors import ConfigError, DomainError
+from .fdop import resolvent_norm_fd
+from .kernel import Region, classify_region, in_half_strip
 
 STATUS_OK = "ok"
 STATUS_SPECTRUM = "spectrum"
@@ -92,43 +93,27 @@ def compute_field(grid: GridSpec, with_oracle: bool = False,
 
     for idx in np.ndindex(shape):
         z = complex(pts[idx])
-        try:
-            reg = classify_region(z, tol_spec)
-        except SpectrumError:
-            reg = Region.SPECTRUM
+        reg = classify_region(z, tol_spec)
         region[idx] = reg.name
         if reg is Region.SPECTRUM:
             status[idx] = STATUS_SPECTRUM
             lower[idx] = math.inf
             upper[idx] = math.inf
             continue
-        if reg is Region.U:
-            try:
-                val = bounds.numrange_bound(z)
-            except DomainError:
-                status[idx] = STATUS_SKIPPED
-                continue
-            lower[idx] = val
-            upper[idx] = val
-            status[idx] = STATUS_NUMRANGE
-        else:
-            try:
+        try:
+            if in_half_strip(z):
                 lo = bounds.pseudomode_lower_bound(z)
                 hi = bounds.schur_upper_bound(z)
-                lower[idx], upper[idx] = lo, hi
-                status[idx] = STATUS_OK
-            except DomainError:
-                try:
-                    val = bounds.numrange_bound(z)
-                except DomainError:
-                    status[idx] = STATUS_SKIPPED
-                    continue
-                lower[idx] = val
-                upper[idx] = val
-                status[idx] = STATUS_NUMRANGE
+                point_status = STATUS_OK
+            else:
+                lo = hi = bounds.numrange_bound(z)
+                point_status = STATUS_NUMRANGE
+        except DomainError:
+            # a bound overflows, or z lies within the bounds' own spectral
+            # tolerance of a ray: the point stays "skipped"
+            continue
+        lower[idx], upper[idx], status[idx] = lo, hi, point_status
         if with_oracle:
-            from .fdop import resolvent_norm_fd
-
             res = resolvent_norm_fd(z, n=oracle_n)
             oracle[idx] = res.value
             oracle_err[idx] = res.error

@@ -15,7 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError, SpectrumError, ZeroCouplingError
-from .bounds import _apply, _power_norm
+from .bounds import _apply, _power_norm, _sides
+from .bs import _hs_sq, potential_grid
 from .kernel import DEFAULT_TOL_SPEC, ray_distances, spectrum_distance
 
 # ---------------------------------------------------------------------------
@@ -168,9 +169,9 @@ def dirichlet_quadrature_norm(z: complex, grid) -> float:
     """Operator norm of the discretized Dirichlet resolvent.
 
     Power iteration on the symmetrically weighted Nystrom operator with
-    the O(n) bounds._apply, its coupling through the origin off;
-    independent check that the kernel realizes the trivial
-    pseudospectrum.  Raises SpectrumError on the spectral rays,
+    the O(n) bounds._apply, on generators built once with the coupling
+    through the origin off; independent check that the kernel realizes
+    the trivial pseudospectrum.  Raises SpectrumError on the spectral rays,
     endpoints +-i included, where the exact norm is infinite.
     """
     z = complex(z)
@@ -178,8 +179,9 @@ def dirichlet_quadrature_norm(z: complex, grid) -> float:
         raise SpectrumError(f"z={z} lies on the spectrum")
     # the top singular values of a self-adjoint half cluster, so the
     # iteration is run much tighter than for the strip oracle
-    return _power_norm(lambda c: _apply(z, grid, c, coupled=False), grid,
-                       max_iter=5000, tol=1e-13)
+    gen = _sides(z, grid.nodes, coupled=False)
+    return _power_norm(lambda c: _apply(gen, c), grid, max_iter=5000,
+                       tol=1e-13)
 
 
 def dirichlet_bs_hs_norm(z: complex, pot, grid=None) -> float:
@@ -187,8 +189,6 @@ def dirichlet_bs_hs_norm(z: complex, pot, grid=None) -> float:
 
     O(n), the sum of hs_norm with the coupling through the origin off.
     """
-    from .bs import _hs_sq, potential_grid
-
     if grid is None:
         grid = potential_grid(z, pot)
-    return math.sqrt(_hs_sq(z, pot, grid, coupled=False))
+    return math.sqrt(_hs_sq(_sides(z, grid.nodes, coupled=False), pot, grid))

@@ -15,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError
+from .kernel import wave_numbers
 
 
 @dataclass(frozen=True)
@@ -115,8 +116,6 @@ def decay_half_length(z: complex, decay_tol: float = 1e-8,
     Uses the slow decay rate Re k ~ (1 - |Im z|) / (2 sqrt(Re z)) inside
     the half-strip; elsewhere the exact rates, which are O(1).
     """
-    from .kernel import wave_numbers  # local import avoids a cycle
-
     kk = wave_numbers(z)
     rate = min(kk.k_plus.real, kk.k_minus.real)
     if rate <= 0.0:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sgnspec.bounds import (_apply, apply_resolvent,
+from sgnspec.bounds import (_apply, _sides, apply_resolvent,
                             default_strip_grid, half_strip_distance,
                             numrange_bound, pseudomode_lower_bound,
                             pseudomode_samples, quadrature_operator_norm,
@@ -33,7 +33,7 @@ GRIDS = {
 
 
 def _dirichlet_apply(z, grid, f):
-    return _apply(z, grid, grid.weights * f, coupled=False)
+    return _apply(_sides(z, grid.nodes, coupled=False), grid.weights * f)
 
 
 KERNELS = {

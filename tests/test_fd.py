@@ -11,6 +11,10 @@ from sgnspec.fdop import (_sigma_min_banded, build_fd, eigenvalue_near,
 from sgnspec.kernel import resolvent_kernel_grid
 
 
+def _free(x):
+    return np.zeros_like(x, dtype=complex)
+
+
 class TestBuild:
     def test_shapes_and_symmetry(self):
         op = build_fd(101, 10.0)
@@ -25,6 +29,13 @@ class TestBuild:
     def test_center_jump_requires_odd_n(self):
         with pytest.raises(ConfigError):
             build_fd(100, 10.0, center_jump=2.0)
+
+    def test_potential_must_be_callable(self):
+        # a name is not a potential: a typed error, not a bare KeyError
+        with pytest.raises(ConfigError):
+            build_fd(5, 1.0, "sgnn")
+        with pytest.raises(ConfigError):
+            resolvent_norm_fd(5 + 0.5j, n=51, potential="sgn")
 
     def test_banded_matches_dense(self):
         op = build_fd(50, 5.0)
@@ -52,12 +63,10 @@ class TestResolventNorm:
         z = 9 + 0.4j
         op = build_fd(1501, 40.0)
         dense = 1.0 / sla.svdvals(op.dense() - z * np.eye(op.size))[-1]
-        same_n = resolvent_norm_fd(z, n=1501, half_length=40.0,
-                                   richardson=False)
-        assert same_n.value == pytest.approx(dense, rel=1e-10)
-        finer = resolvent_norm_fd(z, n=3101, half_length=40.0,
-                                  richardson=False)
-        assert finer.value == pytest.approx(dense, rel=2e-2)
+        same_n = 1.0 / _sigma_min_banded(op, z)
+        assert same_n == pytest.approx(dense, rel=1e-10)
+        finer = 1.0 / _sigma_min_banded(build_fd(3101, 40.0), z)
+        assert finer == pytest.approx(dense, rel=2e-2)
 
     @pytest.mark.parametrize("n, half_length, z", [
         (401, 200.0, 20 - 0.5j),
@@ -82,7 +91,7 @@ class TestResolventNorm:
     def test_singular_shift_raises(self):
         # h = 1 and V = 0: A - 2 has a zero diagonal and is singular
         with pytest.raises(SingularError):
-            _sigma_min_banded(build_fd(3, 2.0, "free"), 2.0)
+            _sigma_min_banded(build_fd(3, 2.0, _free), 2.0)
 
     def test_repeated_calls_bitwise_equal(self):
         # a fixed Lanczos start vector: no run-to-run jitter in the digits
@@ -118,4 +127,4 @@ class TestEigenvalues:
 
     def test_singular_shift_raises(self):
         with pytest.raises(SingularError):
-            eigenvalue_near(2.0, 3, 2.0, potential="free")
+            eigenvalue_near(2.0, 3, 2.0, potential=_free)

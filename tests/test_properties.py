@@ -1,15 +1,23 @@
-"""Property tests for the region partition, the bound sandwich and the
-kernel's symmetry, on inputs drawn by Hypothesis (derandomized, so a
-run is reproducible)."""
+"""Property tests for the region partition, the bound sandwich, the
+kernel's symmetry and the O(n) kernel layer against its dense
+references, on inputs drawn by Hypothesis (derandomized, so a run is
+reproducible)."""
+
+import math
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sgnspec.bounds import pseudomode_lower_bound, schur_upper_bound
+from _reference import assemble_k, dense_logdet
+from sgnspec.bounds import (_apply, _sides, apply_resolvent,
+                            pseudomode_lower_bound, schur_upper_bound)
+from sgnspec.bs import _normalized_det, box, gaussian, hs_norm
 from sgnspec.kernel import (DEFAULT_TOL_SPEC, Region, classify_region,
-                            resolvent_kernel, resolvent_kernel_grid,
-                            spectrum_distance)
+                            dirichlet_kernel_grid, resolvent_kernel,
+                            resolvent_kernel_grid, spectrum_distance)
+from sgnspec.models import dirichlet_bs_hs_norm
+from sgnspec.quadrature import gauss_legendre_grid, trapezoid_grid
 
 _SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                      database=None)
@@ -67,3 +75,93 @@ def test_kernel_scalar_matches_grid_and_is_symmetric(z, xs, ys):
             assert val == grid[i, j]
             assert val == resolvent_kernel(z, y, x)
     assert np.array_equal(resolvent_kernel_grid(z, ys, xs), grid.T)
+
+
+# ---------------------------------------------------------------------------
+# the O(n) kernel layer against the dense Nystrom matrix
+
+_SMALL = settings(max_examples=60, deadline=None, derandomize=True,
+                  database=None)
+
+# inside and outside the strip, across both disks, and the ray
+# endpoints +-i, where the kernel stays finite
+kernel_points = st.one_of(
+    st.sampled_from([1j, -1j]),
+    st.builds(complex, st.floats(-6.0, 40.0), st.floats(-3.0, 3.0)).filter(
+        lambda z: spectrum_distance(z) > 1e-6))
+
+
+@st.composite
+def grids(draw, half_length=None):
+    """A small Gauss-Legendre grid, or a trapezoid grid with a node at 0."""
+    if half_length is None:
+        half_length = draw(st.floats(0.5, 6.0))
+    if draw(st.booleans()):
+        panels = draw(st.integers(1, 6))
+        order = draw(st.integers(2, 10))
+        return gauss_legendre_grid(half_length, half_length / panels, order)
+    return trapezoid_grid(half_length, 2 * draw(st.integers(1, 60)) + 1)
+
+
+potentials = st.one_of(
+    st.builds(gaussian, st.floats(-3.0, 3.0).filter(lambda a: a != 0.0),
+              st.floats(0.1, 0.6)),
+    st.builds(box, st.floats(-3.0, 3.0).filter(lambda a: a != 0.0),
+              st.floats(0.3, 4.0)))
+
+
+def _dirichlet_apply(z, grid, f):
+    return _apply(_sides(z, grid.nodes, coupled=False), grid.weights * f)
+
+
+_APPLIES = [(apply_resolvent, resolvent_kernel_grid),
+            (_dirichlet_apply, dirichlet_kernel_grid)]
+
+
+@_SMALL
+@given(kernel_points, grids(), st.integers(0, 2**32 - 1))
+def test_apply_matches_dense_sum(z, grid, seed):
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+    wf = grid.weights * f
+    for apply, kernel in _APPLIES:
+        dense = kernel(z, grid.nodes, grid.nodes)
+        # the error is measured against the sum of the moduli, so
+        # cancelling terms cannot make the test ask for more than rounding
+        scale = np.linalg.norm(np.abs(dense) @ np.abs(wf))
+        err = np.linalg.norm(apply(z, grid, f) - dense @ wf)
+        assert err <= 1e-12 * scale
+
+
+@st.composite
+def potential_and_grid(draw):
+    pot = draw(potentials)
+    return pot, draw(grids(pot.half_length))
+
+
+@_SMALL
+@given(kernel_points, potential_and_grid())
+def test_hs_norms_match_dense(z, pot_grid):
+    pot, grid = pot_grid
+    full = np.linalg.norm(assemble_k(z, pot, grid))
+    dirichlet = np.linalg.norm(
+        assemble_k(z, pot, grid, kernel=dirichlet_kernel_grid))
+    assert math.isclose(hs_norm(z, pot, grid), full, rel_tol=1e-12)
+    assert math.isclose(dirichlet_bs_hs_norm(z, pot, grid), dirichlet,
+                        rel_tol=1e-12)
+
+
+@_SMALL
+@given(kernel_points, potential_and_grid(),
+       st.floats(0.05, 2.0), st.booleans())
+def test_determinant_matches_dense_lu(z, pot_grid, eps, negative):
+    pot, grid = pot_grid
+    eps = -eps if negative else eps
+    sv = np.linalg.svd(np.eye(grid.size) + eps * assemble_k(z, pot, grid),
+                       compute_uv=False)
+    # away from a root, where log|det| is well conditioned
+    assume(sv[-1] > 1e-6 * sv[0])
+    sign, logabs = _normalized_det(eps, pot, grid)(z)
+    ref_sign, ref_logabs = dense_logdet(eps, pot, grid, z)
+    assert abs(logabs - ref_logabs) <= 1e-9
+    assert abs(sign - ref_sign) <= 1e-9

@@ -1,10 +1,13 @@
 """Start-up guard: only the finite-difference oracle and the Arnoldi
 spectral radius load SciPy, so the closed-form CLI commands start in
-about the time of a NumPy import."""
+about the time of a NumPy import; and every module imports on its own,
+so no import cycle hides behind the package's import order."""
 
 import os
 import subprocess
 import sys
+
+import pytest
 
 import sgnspec
 
@@ -41,6 +44,20 @@ print("scipy" in sys.modules)
 """
 
 
+# imports one submodule without running the package __init__, whose
+# fixed import order would mask a cycle between two modules
+_ALONE = """
+import importlib, sys, types
+pkg = types.ModuleType("sgnspec")
+pkg.__path__ = [sys.argv[1]]
+sys.modules["sgnspec"] = pkg
+importlib.import_module("sgnspec." + sys.argv[2])
+"""
+
+_MODULES = sorted(name[:-3] for name in os.listdir(sgnspec.__path__[0])
+                  if name.endswith(".py") and name != "__init__.py")
+
+
 def _fresh(code, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -57,3 +74,8 @@ def test_closed_form_commands_do_not_load_scipy(tmp_path):
 
 def test_oracle_still_loads_scipy(tmp_path):
     assert _fresh(_ORACLE, str(tmp_path / "f.csv")) == "True"
+
+
+@pytest.mark.parametrize("module", _MODULES)
+def test_module_imports_alone(module):
+    _fresh(_ALONE, sgnspec.__path__[0], module)
