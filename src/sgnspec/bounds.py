@@ -10,17 +10,21 @@ kernel is the Green's function psi_-(x_<) psi_+(x_>) / (k_plus +
 k_minus); on each half-line it has the generators (k, t = |x|,
 e = e^{-kt}, g = (1 - e^{-2kt}) / (2k)) plus the coupling
 1 / (k_plus + k_minus) through the origin.  _sides builds them once per
-(z, grid); the apply here and the Birman-Schwinger HS norm and
-determinant in bs all read them, so no other O(n) path builds its own.
+(z, grid), with each half-line's scan blocks: the block-relative decay
+d and the scalar carries between blocks (_blocks), from one complex exp
+pass per half-line.  The apply here and the Birman-Schwinger HS norm
+and determinant in bs all read them, so no other O(n) path builds its
+own, and the scans (_min_scan) only multiply and sum.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .kernel import (DEFAULT_TOL_SPEC, Region, _check_off_spectrum,
                      _image_core, classify_region, wave_numbers)
 from .quadrature import (
@@ -30,7 +34,12 @@ from .quadrature import (
     oscillation_panel_width,
 )
 
-_EXP_BUDGET = 300.0  # max Re(k) * span handled per scan block
+# max Re(k) * span of one scan block.  The modulus of the block decay d
+# of _blocks is taken from the block's midpoint, so d and 1/d lie within
+# e^{+-150} and the HS sum's squared moduli within e^{+-300}: the scanned
+# terms keep a factor e^409 of headroom to the float overflow at e^709
+# and to the underflow at e^-708
+_EXP_BUDGET = 300.0
 
 
 def _strip_wave_numbers(z: complex):
@@ -99,47 +108,86 @@ def numrange_bound(z: complex) -> float:
 # ---------------------------------------------------------------------------
 # quadrature application of the resolvent
 
-def _scan_leq(k: complex, x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """P_i = sum_{j <= i} e^{-k (x_i - x_j)} c_j for increasing x, Re k >= 0.
-
-    Blocked rescaled cumulative sums; block spans are capped so the
-    intermediate growing exponential cannot overflow.  Empty x gives an
-    empty result.
-    """
-    n = x.size
-    out = np.empty(n, dtype=complex)
-    rate = max(k.real, 0.0)
-    span = _EXP_BUDGET / rate if rate > 0.0 else math.inf
-    start = 0
-    while start < n:
-        stop = n if x[n - 1] - x[start] <= span else int(
-            np.searchsorted(x, x[start] + span, side="right"))
-        stop = max(stop, start + 1)
-        kx = k * (x[start:stop] - x[start])
-        acc = np.cumsum(c[start:stop] * np.exp(kx))
-        if start > 0:
-            acc = acc + np.exp(-k * (x[start] - x[start - 1])) * out[start - 1]
-        out[start:stop] = np.exp(-kx) * acc
-        start = stop
-    return out
-
-
 def _half_lines(x: np.ndarray) -> tuple[slice, slice]:
     """Index slices of x >= 0 and of x < 0 for increasing x, each
     ordered by increasing t = |x|."""
-    m = int(np.searchsorted(x, 0.0))
+    m = int(x.searchsorted(0.0))
     return slice(m, None), (slice(m - 1, None, -1) if m else slice(0, 0))
 
 
-def _min_scan(k: complex, t: np.ndarray, g: np.ndarray,
-              c: np.ndarray) -> np.ndarray:
-    """S_i = sum_j e^{-k |t_i - t_j|} g(min(t_i, t_j)) c_j for increasing t.
+def _blocks(k: complex, t: np.ndarray):
+    """Scan blocks of the increasing t at the decay rate Re k >= 0.
 
-    The terms with t_j <= t_i are a forward scan of g c; the others are
-    g_i times a backward scan of c with its diagonal term removed.
+    Returns (e, d, blocks).  A block spans at most _EXP_BUDGET / Re k of
+    t.  Its decay d = s e^{-k(t - r)}, with s = e^{Re k (t_m - r)}, takes
+    the phase from the reference r (the origin on a first block that
+    starts within half a span of it, else the block's first node) and
+    the modulus from the midpoint t_m, so d and 1/d stay within
+    e^{+-_EXP_BUDGET/2} and d_i / d_j = e^{-k(t_i - t_j)}.  Per block
+    (start, stop, p, q), the carries p = e^{-k(r - t_{start-1})} / s and
+    q = s e^{-k(t_stop - r)} bring in the previous and the next block (0
+    where there is none).  e = e^{-kt} is e^{-k(t - r)} e^{-kr}, where
+    r = 0 the direct exp.  One complex exp pass over t.
     """
-    back = _scan_leq(k, -t[::-1], c[::-1])[::-1]
-    return _scan_leq(k, t, g * c) + g * (back - c)
+    rate = max(k.real, 0.0)
+    span = _EXP_BUDGET / rate if rate > 0.0 else math.inf
+    n = t.size
+    e = t * -k  # -k(t - r), made e^{-k(t - r)} below
+    refs = []  # (start, stop, r, s) per block
+    start = 0
+    while start < n:
+        stop = n if t[n - 1] - t[start] <= span else max(start + 1, int(
+            np.searchsorted(t, t[start] + span, side="right")))
+        r = t[start] if start or t[0] > 0.5 * span else 0.0
+        if r:
+            e[start:stop] = (t[start:stop] - r) * -k
+        s = math.exp(rate * (0.5 * (t[start] + t[stop - 1]) - r))
+        refs.append((start, stop, r, s))
+        start = stop
+    np.exp(e, out=e)
+    d = np.empty_like(e)
+    blocks = []
+    for start, stop, r, s in refs:
+        np.multiply(e[start:stop], s, out=d[start:stop])
+        if r:
+            e[start:stop] *= cmath.exp(-k * r)
+        blocks.append((start, stop,
+                       cmath.exp(-k * (r - t[start - 1])) / s if start else 0j,
+                       s * cmath.exp(-k * (t[stop] - r)) if stop < n else 0j))
+    return e, d, blocks
+
+
+def _min_scan(d: np.ndarray, blocks, g: np.ndarray,
+              c: np.ndarray) -> np.ndarray:
+    """S_i = sum_j e^{-k |t_i - t_j|} g(min(t_i, t_j)) c_j for increasing t,
+    from the block decay d and the blocks (start, stop, p, q) of _blocks.
+
+    The terms with t_j <= t_i are the forward scan d cumsum(g c / d); the
+    others are g_i times the backward scan (reversed cumsum of d c) / d
+    with its diagonal term removed.  The carries p and q bring in the
+    neighbouring blocks' end values.  Only multiplies and sums: the
+    exponentials are in d, p and q.  The arithmetic follows the dtype of
+    the inputs, so the HS sum scans real squared moduli at rate 2 Re k.
+    """
+    fwd = g * c
+    back = d * c
+    for start, stop, p, _ in blocks:
+        f = fwd[start:stop]
+        f /= d[start:stop]
+        np.cumsum(f, out=f)
+        if start:
+            f += p * fwd[start - 1]
+        f *= d[start:stop]
+    for start, stop, _, q in reversed(blocks):
+        b = back[start:stop]
+        np.cumsum(b[::-1], out=b[::-1])
+        if stop < back.size:
+            b += q * back[stop]
+        b /= d[start:stop]
+    back -= c
+    back *= g
+    back += fwd
+    return back
 
 
 def _image_factor(k: complex, t: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -150,9 +198,11 @@ def _image_factor(k: complex, t: np.ndarray, e: np.ndarray) -> np.ndarray:
     """
     if k == 0.0:
         return _image_core(k, 2.0 * t)
-    m = int(np.searchsorted(t, 0.5 / abs(k)))
-    g = (1.0 - e * e) / (2.0 * k)
+    m = int(t.searchsorted(0.5 / abs(k)))
+    g = np.empty_like(e)
     g[:m] = _image_core(k, 2.0 * t[:m])
+    if m < t.size:  # the prefix is all of t on a narrow grid near 0
+        g[m:] = (1.0 - e[m:] * e[m:]) / (2.0 * k)
     return g
 
 
@@ -160,14 +210,16 @@ def _sides(z: complex, x: np.ndarray, coupled: bool = True):
     """The kernel's generators at z on the increasing nodes x, in O(n).
 
     Returns (c, sides): per half-line (x >= 0 with k = k_plus, then
-    x < 0 with k = k_minus) the tuple (side, k, t, e, g) of the index
-    slice, t = |x| increasing, e = e^{-kt} and the image factor
-    g = (1 - e^{-2kt}) / (2k); and the coupling c = 1/(k_plus + k_minus)
-    through the origin, or 0 for the Dirichlet-decoupled kernel
+    x < 0 with k = k_minus) the tuple (side, k, e, g, d, blocks) of the
+    index slice, e = e^{-kt} with t = |x| increasing, the image factor
+    g = (1 - e^{-2kt}) / (2k), and the scan blocks of _blocks (block
+    decay d, per-block carries); and the coupling c = 1/(k_plus +
+    k_minus) through the origin, or 0 for the Dirichlet-decoupled kernel
     (coupled=False).  On one side the kernel is
     e^{-k(t_> - t_<)} g(t_<) + c e_i e_j, across it c e_i e_j: every
-    O(n) quantity of the kernel reads these.  Raises SpectrumError on
-    the spectral rays, except at their endpoints +-i.
+    O(n) quantity of the kernel reads these, and the scans on them call
+    no exp.  Raises SpectrumError on the spectral rays, except at their
+    endpoints +-i.
     """
     z = complex(z)
     _check_off_spectrum(z, DEFAULT_TOL_SPEC)
@@ -175,8 +227,8 @@ def _sides(z: complex, x: np.ndarray, coupled: bool = True):
     sides = []
     for side, k in zip(_half_lines(x), (kk.k_plus, kk.k_minus)):
         t = np.abs(x[side])
-        e = np.exp(-k * t)
-        sides.append((side, k, t, e, _image_factor(k, t, e)))
+        e, d, blocks = _blocks(k, t)
+        sides.append((side, k, e, _image_factor(k, t, e), d, blocks))
     c = 1.0 / (kk.k_plus + kk.k_minus) if coupled else 0.0
     return c, tuple(sides)
 
@@ -193,10 +245,10 @@ def _apply(gen, c: np.ndarray) -> np.ndarray:
     """
     coupling, sides = gen
     u = np.empty(c.size, dtype=complex)
-    for side, k, t, e, g in sides:
-        u[side] = _min_scan(k, t, g, c[side])
-    through = coupling * sum(np.dot(e, c[side]) for side, _, _, e, _ in sides)
-    for side, _, _, e, _ in sides:
+    for side, _, _, g, d, blocks in sides:
+        u[side] = _min_scan(d, blocks, g, c[side])
+    through = coupling * sum(np.dot(e, c[side]) for side, _, e, *_ in sides)
+    for side, _, e, *_ in sides:
         u[side] += through * e
     return u
 
@@ -220,7 +272,8 @@ def quadrature_operator_norm(z: complex, grid: QuadratureGrid,
 
     Iterates R R^H on the symmetrically weighted Nystrom operator,
     applying the resolvent in O(n) by the _apply scan on generators
-    prepared once.
+    prepared once.  Raises ConvergenceError if the estimate has not
+    settled to tol within max_iter steps.
     """
     gen = _sides(z, grid.nodes)
     return _power_norm(lambda c: _apply(gen, c), grid, max_iter, tol, seed)
@@ -235,7 +288,8 @@ def _power_norm(apply, grid: QuadratureGrid, max_iter: int = 200,
     weighted Nystrom operator sw_i R(x_i, x_j) sw_j, sw = sqrt(w), using
     only such applications (R^H u equals the conjugate of R applied to
     the conjugate of u).  Nothing is divided by a weight, so zero
-    weights are allowed.
+    weights are allowed.  Raises ConvergenceError if the estimate has
+    not settled to tol within max_iter steps.
     """
     rng = np.random.default_rng(seed)
     sw = np.sqrt(grid.weights)
@@ -251,10 +305,10 @@ def _power_norm(apply, grid: QuadratureGrid, max_iter: int = 200,
         nval = np.linalg.norm(w)
         v = w / nval
         if abs(nval - val) <= tol * nval:
-            val = nval
-            break
+            return math.sqrt(nval)
         val = nval
-    return math.sqrt(val)
+    raise ConvergenceError(
+        f"power iteration not settled to {tol:g} in {max_iter} steps")
 
 
 # ---------------------------------------------------------------------------

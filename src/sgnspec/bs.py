@@ -144,7 +144,8 @@ def _hs_sq(gen, pot: PotentialSpec, grid: QuadratureGrid) -> float:
     with h = g + c e^2, c the coupling (0 for the Dirichlet kernel).  So
     |K_ij|^2 = a_i b_j |h|^2(t_<) e^{-2 Re k |t_i - t_j|} with
     a = |left|^2 and b = |right|^2, and the sum over one half-line is one
-    bounds._min_scan at the real rate 2 Re k.  The block across the
+    real bounds._min_scan at the rate 2 Re k, on the squared moduli of
+    the generators' block decay d and carries p, q.  The block across the
     origin is the rank one c e_i e_j.  A node at 0 sits on the positive
     side with t = 0, which both kernels agree with.
     """
@@ -154,12 +155,14 @@ def _hs_sq(gen, pot: PotentialSpec, grid: QuadratureGrid) -> float:
     b = np.abs(right) ** 2
     total = 0.0
     tails = []  # (sum a |e|^2, sum b |e|^2) per side
-    for side, k, t, e, g in sides:
+    for side, _, e, g, d, blocks in sides:
         h = g + c * e * e
         decay = np.abs(e) ** 2
         tails.append((np.dot(a[side], decay), np.dot(b[side], decay)))
+        sq_blocks = [(start, stop, abs(p) ** 2, abs(q) ** 2)
+                     for start, stop, p, q in blocks]
         total += np.dot(a[side], bounds._min_scan(
-            2.0 * k.real, t, np.abs(h) ** 2, b[side]).real)
+            np.abs(d) ** 2, sq_blocks, np.abs(h) ** 2, b[side]))
     (ap, bp), (am, bm) = tails
     total += (ap * bm + am * bp) * abs(c) ** 2
     return float(total)
@@ -298,7 +301,7 @@ def _normalized_det(eps: float, pot: PotentialSpec, grid: QuadratureGrid):
     def det_at(z: complex):
         c, sides = bounds._sides(z, x)
         diag = np.empty(x.size, dtype=complex)
-        for side, _, _, e, g in sides:
+        for side, _, e, g, *_ in sides:
             diag[side] = g + c * e * e
         (_, kp, *_), (neg, km, *_) = sides
         # psi_+ e^{k x}, k per side: 1 on x >= 0; on x < 0, where

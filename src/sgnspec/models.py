@@ -172,7 +172,8 @@ def dirichlet_quadrature_norm(z: complex, grid) -> float:
     the O(n) bounds._apply, on generators built once with the coupling
     through the origin off; independent check that the kernel realizes
     the trivial pseudospectrum.  Raises SpectrumError on the spectral rays,
-    endpoints +-i included, where the exact norm is infinite.
+    endpoints +-i included, where the exact norm is infinite, and
+    ConvergenceError if the iteration has not settled in 5000 steps.
     """
     z = complex(z)
     if spectrum_distance(z) <= DEFAULT_TOL_SPEC:

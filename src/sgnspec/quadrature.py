@@ -28,6 +28,10 @@ class QuadratureGrid:
         n = self.nodes
         if n.ndim != 1 or n.size < 2:
             raise ConfigError("grid needs at least two nodes")
+        if self.weights.shape != n.shape:
+            raise ConfigError("weights must match the nodes in shape")
+        if not (np.all(np.isfinite(n)) and np.all(np.isfinite(self.weights))):
+            raise ConfigError("nodes and weights must be finite")
         if not np.all(np.diff(n) > 0.0):
             raise ConfigError("nodes must be strictly increasing")
         if np.any(self.weights < 0.0):

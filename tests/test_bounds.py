@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from sgnspec.bounds import (_apply, _sides, apply_resolvent,
-                            default_strip_grid, half_strip_distance,
-                            numrange_bound, pseudomode_lower_bound,
-                            pseudomode_samples, quadrature_operator_norm,
+from sgnspec.bounds import (_EXP_BUDGET, _apply, _power_norm, _sides,
+                            apply_resolvent, default_strip_grid,
+                            half_strip_distance, numrange_bound,
+                            pseudomode_lower_bound, pseudomode_samples,
+                            quadrature_operator_norm,
                             regularized_pseudomode_ratio, schur_upper_bound)
-from sgnspec.errors import DomainError
+from sgnspec.errors import ConvergenceError, DomainError
 from sgnspec.kernel import (dirichlet_kernel_grid, resolvent_kernel_grid,
                             wave_numbers)
 from sgnspec.models import dirichlet_quadrature_norm
@@ -40,6 +41,18 @@ KERNELS = {
     "full": (apply_resolvent, resolvent_kernel_grid),
     "dirichlet": (_dirichlet_apply, dirichlet_kernel_grid),
 }
+
+# far left of the strip Re k ~ 20 on both half-lines, so on [-40, 40]
+# Re k * L ~ 800 and every O(n) scan crosses several blocks
+MULTI_BLOCK_Z = -400 + 0.3j
+
+
+def _multi_block_grid():
+    g = trapezoid_grid(40.0, 1601)
+    kk = wave_numbers(MULTI_BLOCK_Z)
+    assert (min(kk.k_plus.real, kk.k_minus.real) * g.half_length
+            > _EXP_BUDGET)
+    return g
 
 
 class TestClosedFormBounds:
@@ -110,6 +123,16 @@ class TestApplyResolvent:
         dense = resolvent_kernel_grid(z, g.nodes, g.nodes) @ (g.weights * f)
         assert np.max(np.abs(u - dense)) < 1e-12 * np.max(np.abs(dense))
 
+    @pytest.mark.parametrize("kernel", list(KERNELS))
+    def test_multi_block_matches_dense_nystrom(self, kernel):
+        g = _multi_block_grid()
+        apply, dense_kernel = KERNELS[kernel]
+        rng = np.random.default_rng(2)
+        f = rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)
+        u = apply(MULTI_BLOCK_Z, g, f)
+        dense = dense_kernel(MULTI_BLOCK_Z, g.nodes, g.nodes) @ (g.weights * f)
+        assert np.max(np.abs(u - dense)) < 1e-12 * np.max(np.abs(dense))
+
     def test_large_grid_no_overflow(self):
         # spans far beyond the exponent budget of a single block
         z = 4 + 0.1j
@@ -153,6 +176,22 @@ class TestOperatorNorm:
         mat = sw[:, None] * kernel(z, g.nodes, g.nodes) * sw[None, :]
         assert norm(z, g) == pytest.approx(float(np.linalg.norm(mat, 2)),
                                            rel=1e-8)
+
+    def test_multi_block_matches_dense_power_iteration(self):
+        # the top singular values cluster this far left (their relative
+        # gaps are ~1e-5), so the iteration is stopped at 1e-5 and the
+        # reference is the same iteration on the dense matrix
+        g = _multi_block_grid()
+        mat = resolvent_kernel_grid(MULTI_BLOCK_Z, g.nodes, g.nodes)
+        dense = _power_norm(lambda c: mat @ c, g, tol=1e-5)
+        assert quadrature_operator_norm(MULTI_BLOCK_Z, g, tol=1e-5) == \
+            pytest.approx(dense, rel=1e-12)
+
+    def test_unsettled_power_iteration_raises(self):
+        # one step cannot settle: an unconverged estimate must not return
+        with pytest.raises(ConvergenceError):
+            quadrature_operator_norm(5 + 0.5j, trapezoid_grid(10.0, 201),
+                                     max_iter=1)
 
     def test_pseudomode_witnesses_lower_bound(self):
         # ||R f0|| / ||f0|| must come within a few percent of the bound

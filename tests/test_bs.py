@@ -8,13 +8,15 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
+from sgnspec.bounds import _EXP_BUDGET
 from sgnspec.bs import (_normalized_det, box, decomposition_diagnostics,
                         delta_bump, escape_scan, find_eigenvalue, gaussian,
                         hs_growth_rates, hs_norm, k_matvec, l_hs_closed,
                         potential_grid, search_eigenvalues, spectral_radius,
                         step_well, weak_coupling_rate)
 from sgnspec.errors import ConfigError, ConvergenceError, ZeroCouplingError
-from sgnspec.kernel import dirichlet_kernel_grid, resolvent_kernel_grid
+from sgnspec.kernel import (dirichlet_kernel_grid, resolvent_kernel_grid,
+                            wave_numbers)
 from sgnspec.models import dirichlet_bs_hs_norm
 from sgnspec.quadrature import (QuadratureGrid, gauss_legendre_grid,
                                 trapezoid_grid)
@@ -238,6 +240,21 @@ class TestDenseReference:
                                    kernel or resolvent_kernel_grid)
                 assert norm(z, pot, grid) == pytest.approx(
                     np.linalg.norm(dense), rel=1e-12), (z, grid.size)
+
+    @pytest.mark.parametrize("kernel", [None, dirichlet_kernel_grid])
+    def test_hs_norm_matches_dense_multi_block(self, kernel):
+        # a wide well far left of the strip: Re k * L ~ 400, so the HS
+        # scans cross several blocks
+        norm = dirichlet_bs_hs_norm if kernel else hs_norm
+        z = -100 + 0.3j
+        pot = gaussian(-1.0, 5.0)
+        grid = potential_grid(z, pot)
+        kk = wave_numbers(z)
+        assert (min(kk.k_plus.real, kk.k_minus.real) * grid.half_length
+                > _EXP_BUDGET)
+        dense = assemble_k(z, pot, grid, kernel or resolvent_kernel_grid)
+        assert norm(z, pot, grid) == pytest.approx(np.linalg.norm(dense),
+                                                   rel=1e-12)
 
     @pytest.mark.parametrize("re_z, n", [(5.0, 160), (32.0, 300),
                                          (100.0, 520)])

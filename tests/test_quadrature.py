@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sgnspec.errors import ConfigError
 from sgnspec.quadrature import (QuadratureGrid, decay_half_length,
                                 gauss_legendre_grid, oscillation_panel_width,
                                 trapezoid_grid)
@@ -66,3 +67,13 @@ class TestSizing:
         with pytest.raises(Exception):
             QuadratureGrid(nodes=np.array([1.0, 0.0]),
                            weights=np.array([1.0, 1.0]), half_length=1.0)
+
+    @pytest.mark.parametrize("nodes, weights", [
+        ([-np.inf, 0.0, 1.0], [1.0, 1.0, 1.0]),
+        ([-1.0, 0.0, 1.0], [1.0, np.nan, 1.0]),
+        ([-1.0, 0.0, 1.0], [1.0, 1.0])],
+        ids=["infinite_node", "nan_weight", "shape_mismatch"])
+    def test_grid_rejects_bad_input(self, nodes, weights):
+        with pytest.raises(ConfigError):
+            QuadratureGrid(nodes=np.array(nodes), weights=np.array(weights),
+                           half_length=1.0)
