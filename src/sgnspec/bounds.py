@@ -1,11 +1,12 @@
-"""Two-sided resolvent-norm bounds and quadrature application of the resolvent.
+"""Quadrature application of the resolvent, and the pseudomodes.
 
-The upper bound comes from the Schur test with the two closed-form row
-integrals of the kernel; the lower bound from the explicit exponential
-pseudomode supported on the positive half-line.  Outside the closed
-half-strip the numerical-range distance bound applies instead.
+The two-sided norm bounds are closed forms and are defined in closed:
+the Schur-test upper bound from the two row integrals of the kernel,
+the lower bound from the explicit exponential pseudomode supported on
+the positive half-line, and outside the closed half-strip the
+numerical-range distance bound.  They are re-exported here.
 
-This module also holds the O(n) layer of the resolvent kernel.  The
+This module holds the O(n) layer of the resolvent kernel.  The
 kernel is the Green's function psi_-(x_<) psi_+(x_>) / (k_plus +
 k_minus); on each half-line it has the generators (k, t = |x|,
 e = e^{-kt}, g = (1 - e^{-2kt}) / (2k)) plus the coupling
@@ -24,9 +25,12 @@ import math
 
 import numpy as np
 
+from .closed import (DEFAULT_TOL_SPEC, Region, _check_off_spectrum,
+                     classify_region, wave_numbers)
+from .closed import (half_strip_distance, numrange_bound,  # re-exported
+                     pseudomode_lower_bound, schur_upper_bound)
 from .errors import ConvergenceError, DomainError
-from .kernel import (DEFAULT_TOL_SPEC, Region, _check_off_spectrum,
-                     _image_core, classify_region, wave_numbers)
+from .kernel import _image_core
 from .quadrature import (
     QuadratureGrid,
     decay_half_length,
@@ -40,69 +44,6 @@ from .quadrature import (
 # terms keep a factor e^409 of headroom to the float overflow at e^709
 # and to the underflow at e^-708
 _EXP_BUDGET = 300.0
-
-
-def _strip_wave_numbers(z: complex):
-    z = complex(z)
-    if abs(z.imag) >= 1.0 or z.real < 0.0:
-        raise DomainError(f"z={z} is not inside the half-strip")
-    kk = wave_numbers(z)
-    return kk.k_plus, kk.k_minus
-
-
-def _finite_bound(value: float, z: complex) -> float:
-    if not math.isfinite(value):
-        raise DomainError(f"bound at z={z} is not finite ({value!r})")
-    return value
-
-
-def schur_upper_bound(z: complex) -> float:
-    """Schur-test upper bound on the resolvent norm, z inside the strip.
-
-    Maximum of the two closed-form row-integral bounds (x > 0 and x < 0);
-    no quadrature involved.  Raises DomainError if the bound overflows.
-    """
-    kp, km = _strip_wave_numbers(z)
-    s = abs(kp + km)
-    d = abs(kp - km)
-    row_plus = (1.0 / (km.real * s)
-                + 1.0 / (2.0 * kp.real * abs(kp))
-                + d / (2.0 * kp.real * abs(kp) * s))
-    row_minus = (1.0 / (kp.real * s)
-                 + 1.0 / (2.0 * km.real * abs(km))
-                 + d / (2.0 * km.real * abs(km) * s))
-    return _finite_bound(max(row_plus, row_minus), z)
-
-
-def pseudomode_lower_bound(z: complex) -> float:
-    """Lower bound attained by the exponential pseudomode.
-
-    Exact value of the ratio bound: 1 / (2 sqrt(Re k+ Re k-) |k+ + k-|).
-    Raises DomainError if the bound overflows.
-    """
-    z = complex(z)
-    if classify_region(z) not in (Region.W, Region.D_PLUS, Region.D_MINUS):
-        raise DomainError(f"z={z} outside the pseudomode region")
-    kp, km = _strip_wave_numbers(z)
-    return _finite_bound(
-        1.0 / (2.0 * math.sqrt(kp.real * km.real) * abs(kp + km)), z)
-
-
-def half_strip_distance(z: complex) -> float:
-    """Distance from z to the closed half-strip [0,inf) + i[-1,1]."""
-    z = complex(z)
-    dy = max(abs(z.imag) - 1.0, 0.0)
-    if z.real >= 0.0:
-        return dy
-    return math.hypot(z.real, dy)
-
-
-def numrange_bound(z: complex) -> float:
-    """Resolvent bound 1/dist(z, S-bar) from m-sectoriality, z outside S-bar."""
-    d = half_strip_distance(z)
-    if d == 0.0:
-        raise DomainError(f"z={z} lies in the closed half-strip")
-    return 1.0 / d
 
 
 # ---------------------------------------------------------------------------

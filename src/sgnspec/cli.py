@@ -4,10 +4,14 @@ Subcommands mirror the library layers: kernel evaluation, pointwise
 bounds, pseudospectrum field export, Birman-Schwinger diagnostics and
 eigenvalue hunting, and the exactly solvable models.  All numeric output
 goes through repr so that identical invocations produce byte-identical
-output.  Exit codes: 0 success, 1 domain/spectrum error, 2 bad usage
-(including a NaN or infinite number on the command line), 3 a numerical
-method failed (no convergence, a lost eigenvalue branch, a singular
-matrix).
+output.  Exit codes: 0 success, 1 domain/spectrum error (also a value
+that leaves the float range), 2 bad usage (including a NaN or infinite
+number on the command line), 3 a numerical method failed (no
+convergence, a lost eigenvalue branch, a singular matrix).
+
+The closed-form commands (bounds, dirichlet, delta, gamma, step) use the
+standard-library module closed only; the others import their NumPy-backed
+modules when they run, so the closed forms start without loading NumPy.
 """
 
 from __future__ import annotations
@@ -16,13 +20,10 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
-from . import bounds, bs, field, models
+from . import closed
 from .errors import (ConfigError, ConvergenceError, DomainError,
                      EigenvalueLost, SgnSpecError, SingularError,
                      SpectrumError)
-from .kernel import classify_region, resolvent_kernel
 
 
 def _finite(x: float, text: str) -> float:
@@ -73,6 +74,22 @@ def parse_range(text: str) -> tuple[float, float, int]:
     return lo, hi, n
 
 
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """numpy.linspace(lo, hi, n) as a list, bitwise: the same float
+    operations in the same order, so the closed-form commands need not
+    load NumPy for it."""
+    delta = hi - lo
+    if n == 1:
+        return [0.0 * delta + lo]
+    div = n - 1
+    step = delta / div
+    if step == 0.0:  # subnormal step: numpy scales i / div by delta
+        ys = [float(i) / div * delta + lo for i in range(div)]
+    else:
+        ys = [float(i) * step + lo for i in range(div)]
+    return ys + [hi]
+
+
 def _fmt(x) -> str:
     return repr(float(x))
 
@@ -82,6 +99,8 @@ def _fmt_c(z: complex) -> str:
 
 
 def _potential_from_args(args) -> bs.PotentialSpec:
+    from . import bs
+
     if args.potential == "gaussian":
         return bs.gaussian(args.amplitude, args.width)
     if args.potential == "box":
@@ -172,26 +191,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run(args, out) -> None:
     if args.command == "kernel":
+        from .kernel import resolvent_kernel
+
         val = resolvent_kernel(args.z, args.x, args.y)
-        out.write(f"region {classify_region(args.z).name}\n")
+        out.write(f"region {closed.classify_region(args.z).name}\n")
         out.write(f"kernel {_fmt_c(val)}\n")
 
     elif args.command == "bounds":
         z = args.z
-        reg = classify_region(z)
+        reg = closed.classify_region(z)
         out.write(f"region {reg.name}\n")
         try:
-            lo = bounds.pseudomode_lower_bound(z)
-            hi = bounds.schur_upper_bound(z)
+            lo = closed.pseudomode_lower_bound(z)
+            hi = closed.schur_upper_bound(z)
         except DomainError:
-            if bounds.half_strip_distance(z) == 0.0:
+            if closed.half_strip_distance(z) == 0.0:
                 raise  # inside the strip numrange_bound does not apply
-            out.write(f"exact {_fmt(bounds.numrange_bound(z))}\n")
+            out.write(f"exact {_fmt(closed.numrange_bound(z))}\n")
         else:
             out.write(f"lower {_fmt(lo)}\n")
             out.write(f"upper {_fmt(hi)}\n")
 
     elif args.command == "field":
+        from . import field
+
         re_lo, re_hi, re_n = args.re
         im_lo, im_hi, im_n = args.im
         grid = field.GridSpec(re_lo, re_hi, re_n, im_lo, im_hi, im_n)
@@ -204,12 +227,12 @@ def _run(args, out) -> None:
         out.write(f"wrote {args.out}\n")
 
     elif args.command == "bs":
+        from . import bs
+
         pot = _potential_from_args(args)
         if args.bs_command == "sweep":
-            lo, hi, n = args.re
-            res = np.linspace(lo, hi, n)
             out.write("re k_hs l_hs l_hs_closed m_hs\n")
-            for r in res:
+            for r in _linspace(*args.re):
                 d = bs.decomposition_diagnostics(r + 1j * args.im, pot)
                 out.write(f"{_fmt(r)} {_fmt(d['k_hs'])} {_fmt(d['l_hs'])} "
                           f"{_fmt(d['l_hs_closed'])} {_fmt(d['m_hs'])}\n")
@@ -228,9 +251,9 @@ def _run(args, out) -> None:
             out.write(f"slope {_fmt(res['slope'])}\n")
 
     elif args.command == "delta":
-        lam = models.delta_eigenvalue(args.alpha)
+        lam = closed.delta_eigenvalue(args.alpha)
         out.write(f"eigenvalue {_fmt_c(lam)}\n")
-        out.write(f"exists {models.delta_eigenvalue_exists(args.alpha)}\n")
+        out.write(f"exists {closed.delta_eigenvalue_exists(args.alpha)}\n")
 
     elif args.command == "gamma":
         try:
@@ -239,18 +262,17 @@ def _run(args, out) -> None:
             raise ConfigError(f"bad sigma {args.sigma!r}")
         if len(sigma) != 3:
             raise ConfigError("sigma needs three entries")
-        lo, hi, n = args.r
-        for r in np.linspace(lo, hi, n):
-            out.write(f"alpha {_fmt_c(models.gamma_point(float(r), sigma))}\n")
+        for r in _linspace(*args.r):
+            out.write(f"alpha {_fmt_c(closed.gamma_point(r, sigma))}\n")
 
     elif args.command == "step":
-        roots = models.find_step_eigenvalues(args.a, args.b, args.lam_max)
+        roots = closed.find_step_eigenvalues(args.a, args.b, args.lam_max)
         out.write(f"count {len(roots)}\n")
         for lam in roots:
             out.write(f"eigenvalue {_fmt(lam)}\n")
 
     elif args.command == "dirichlet":
-        out.write(f"norm {_fmt(models.dirichlet_resolvent_norm(args.z))}\n")
+        out.write(f"norm {_fmt(closed.dirichlet_resolvent_norm(args.z))}\n")
 
 
 def main(argv=None, out=None) -> int:

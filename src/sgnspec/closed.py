@@ -1,0 +1,363 @@
+"""Scalar closed forms of -d2/dx2 + i*sgn(x) and of its solvable models.
+
+Everything here is exact arithmetic on the two wave numbers
+
+    k_plus  = sqrt(i - z),    k_minus = sqrt(-i - z),
+
+taken with the principal branch of the square root (cut on (-inf, 0],
+the cut itself mapping to the positive imaginary axis).  The essential
+spectrum consists of the two rays [0, inf) + i and [0, inf) - i.
+
+The module holds the region partition of the plane, the Schur,
+pseudomode and numerical-range bounds on the resolvent norm, and the
+spectral data of the point interaction, the exceptional coupling curve,
+the step-like well and the Dirichlet decoupling.  It uses the standard
+library only, so the CLI commands that print these numbers start
+without loading NumPy; kernel, bounds and models re-export each name
+from here, so every name has this one implementation.
+"""
+
+from __future__ import annotations
+
+import cmath
+import enum
+import math
+from dataclasses import dataclass
+
+from .errors import (ConfigError, DomainError, SpectrumError,
+                     ZeroCouplingError)
+
+DEFAULT_TOL_SPEC = 1e-12
+
+
+def principal_sqrt(z: complex) -> complex:
+    """Principal square root with a deterministic value on the cut.
+
+    A negative real argument with imaginary part -0.0 would land on the
+    lower side of the cut under cmath; we normalize so that the cut maps
+    to the positive imaginary axis.
+    """
+    z = complex(z)
+    if z.imag == 0.0:
+        z = complex(z.real, 0.0)
+    return cmath.sqrt(z)
+
+
+@dataclass(frozen=True)
+class WaveNumbers:
+    k_plus: complex
+    k_minus: complex
+    z: complex
+
+
+def wave_numbers(z: complex) -> WaveNumbers:
+    """Both wave numbers at spectral parameter ``z``."""
+    z = complex(z)
+    return WaveNumbers(principal_sqrt(1j - z), principal_sqrt(-1j - z), z)
+
+
+# ---------------------------------------------------------------------------
+# regions of the spectral plane
+
+class Region(enum.Enum):
+    D_PLUS = "D_PLUS"
+    D_MINUS = "D_MINUS"
+    U = "U"
+    W = "W"
+    SPECTRUM = "SPECTRUM"
+
+
+def ray_distances(z: complex) -> tuple[float, float]:
+    """Distances from ``z`` to the rays [0,inf)+i and [0,inf)-i."""
+    z = complex(z)
+    if z.real >= 0.0:
+        return abs(z.imag - 1.0), abs(z.imag + 1.0)
+    return math.hypot(z.real, z.imag - 1.0), math.hypot(z.real, z.imag + 1.0)
+
+
+def spectrum_distance(z: complex) -> float:
+    return min(ray_distances(z))
+
+
+def in_half_strip(z: complex) -> bool:
+    """Open half-strip S = [0,inf) + i(-1,1)."""
+    z = complex(z)
+    return z.real >= 0.0 and abs(z.imag) < 1.0
+
+
+def classify_region(z: complex, tol_spec: float = DEFAULT_TOL_SPEC) -> Region:
+    """Partition tag of the complex plane.
+
+    The two disks |z -+ i| <= 3/2 are closed and win boundary ties over
+    W and U; a point within ``tol_spec`` of either spectral ray is
+    SPECTRUM regardless.
+    """
+    if tol_spec <= 0.0:
+        raise DomainError("tol_spec must be positive")
+    z = complex(z)
+    if spectrum_distance(z) <= tol_spec:
+        return Region.SPECTRUM
+    # both disks lie in this box; outside it abs() could overflow
+    near = abs(z.real) <= 1.5 and abs(z.imag) <= 2.5
+    in_plus = near and abs(z - 1j) <= 1.5
+    in_minus = near and abs(z + 1j) <= 1.5
+    if in_plus and in_minus:
+        return Region.D_PLUS if z.imag >= 0.0 else Region.D_MINUS
+    if in_plus:
+        return Region.D_PLUS
+    if in_minus:
+        return Region.D_MINUS
+    if in_half_strip(z):
+        return Region.W
+    return Region.U
+
+
+def _check_off_spectrum(z: complex, tol_spec: float) -> None:
+    """Reject ray points, except the endpoints +-i where the limit exists."""
+    if spectrum_distance(z) <= tol_spec:
+        if min(abs(z - 1j), abs(z + 1j)) <= tol_spec:
+            return  # kernel stays bounded at the ray endpoints
+        raise SpectrumError(f"z={z} lies on the essential spectrum")
+
+
+# ---------------------------------------------------------------------------
+# two-sided resolvent-norm bounds
+
+def _strip_wave_numbers(z: complex):
+    z = complex(z)
+    if abs(z.imag) >= 1.0 or z.real < 0.0:
+        raise DomainError(f"z={z} is not inside the half-strip")
+    kk = wave_numbers(z)
+    return kk.k_plus, kk.k_minus
+
+
+def _finite_bound(value: float, z: complex) -> float:
+    if not math.isfinite(value):
+        raise DomainError(f"bound at z={z} is not finite ({value!r})")
+    return value
+
+
+def schur_upper_bound(z: complex) -> float:
+    """Schur-test upper bound on the resolvent norm, z inside the strip.
+
+    Maximum of the two closed-form row-integral bounds (x > 0 and x < 0);
+    no quadrature involved.  Raises DomainError if the bound overflows.
+    """
+    kp, km = _strip_wave_numbers(z)
+    s = abs(kp + km)
+    d = abs(kp - km)
+    row_plus = (1.0 / (km.real * s)
+                + 1.0 / (2.0 * kp.real * abs(kp))
+                + d / (2.0 * kp.real * abs(kp) * s))
+    row_minus = (1.0 / (kp.real * s)
+                 + 1.0 / (2.0 * km.real * abs(km))
+                 + d / (2.0 * km.real * abs(km) * s))
+    return _finite_bound(max(row_plus, row_minus), z)
+
+
+def pseudomode_lower_bound(z: complex) -> float:
+    """Lower bound attained by the exponential pseudomode.
+
+    Exact value of the ratio bound: 1 / (2 sqrt(Re k+ Re k-) |k+ + k-|).
+    Raises DomainError if the bound overflows.
+    """
+    z = complex(z)
+    if classify_region(z) not in (Region.W, Region.D_PLUS, Region.D_MINUS):
+        raise DomainError(f"z={z} outside the pseudomode region")
+    kp, km = _strip_wave_numbers(z)
+    return _finite_bound(
+        1.0 / (2.0 * math.sqrt(kp.real * km.real) * abs(kp + km)), z)
+
+
+def half_strip_distance(z: complex) -> float:
+    """Distance from z to the closed half-strip [0,inf) + i[-1,1]."""
+    z = complex(z)
+    dy = max(abs(z.imag) - 1.0, 0.0)
+    if z.real >= 0.0:
+        return dy
+    return math.hypot(z.real, dy)
+
+
+def numrange_bound(z: complex) -> float:
+    """Resolvent bound 1/dist(z, S-bar) from m-sectoriality, z outside S-bar.
+
+    Raises DomainError inside the closed half-strip, and where the
+    distance is so small that the bound overflows.
+    """
+    d = half_strip_distance(z)
+    if d == 0.0:
+        raise DomainError(f"z={z} lies in the closed half-strip")
+    return _finite_bound(1.0 / d, z)
+
+
+# ---------------------------------------------------------------------------
+# point interaction
+
+def delta_eigenvalue(alpha: complex) -> complex:
+    """The candidate discrete eigenvalue 1/alpha^2 - alpha^2/4.
+
+    This value is an eigenvalue of the point-interaction operator
+    exactly when it avoids the essential spectrum; see
+    delta_eigenvalue_exists.  For real nonzero alpha it always exists
+    and is real, diverging like alpha^{-2} as the coupling vanishes.
+    Raises DomainError where alpha^2 or the value over- or underflows.
+    """
+    alpha = complex(alpha)
+    if alpha == 0.0:
+        raise ZeroCouplingError("point interaction needs alpha != 0")
+    try:
+        a2 = alpha**2
+        lam = 1.0 / a2 - a2 / 4.0
+    except (OverflowError, ZeroDivisionError):  # alpha^2 overflows or is 0
+        raise DomainError(
+            f"alpha={alpha} squared is out of float range") from None
+    if not cmath.isfinite(lam):
+        raise DomainError(f"eigenvalue at alpha={alpha} overflows")
+    return lam
+
+
+def delta_eigenvalue_exists(alpha: complex, tol: float = 1e-12) -> bool:
+    """Whether the candidate value lies off the essential spectrum rays."""
+    return spectrum_distance(delta_eigenvalue(alpha)) > tol
+
+
+def gamma_point(r: float, sigma: tuple[int, int, int]) -> complex:
+    """One point of the exceptional coupling curve.
+
+    alpha = s1 sqrt(-2(r + i s2) + 2 s3 sqrt(r (r + 2 i s2))), r >= 0.
+    Couplings on this curve push the candidate eigenvalue onto the
+    essential spectrum, so the point interaction has no eigenvalue there.
+
+    With q = sqrt(r (r + 2 i s2)) and w = q + r + i s2 the radicand is
+    -2w for s3 = -1, and for s3 = +1 it is 2 (q - r - i s2) = 2/w,
+    because q^2 - (r + i s2)^2 = s2^2 = 1; the quotient avoids the
+    cancellation of that difference as r grows.  q is formed as
+    sqrt(r) sqrt(r + 2 i s2), so it does not overflow.  Raises
+    DomainError where the point is not a finite float.
+    """
+    if r < 0.0:
+        raise DomainError("curve parameter r must be nonnegative")
+    s1, s2, s3 = sigma
+    if not all(s in (-1, 1) for s in (s1, s2, s3)):
+        raise ConfigError("sigma entries must be +-1")
+    w = math.sqrt(r) * cmath.sqrt(r + 2j * s2) + r + 1j * s2
+    alpha = s1 * cmath.sqrt(2.0 / w if s3 == 1 else -2.0 * w)
+    if not (cmath.isfinite(w) and cmath.isfinite(alpha)):
+        raise DomainError(f"curve point at r={r!r} is not a finite float")
+    return alpha
+
+
+def all_sigma() -> list[tuple[int, int, int]]:
+    """The eight sign triples labelling the branches of the curve."""
+    return [(s1, s2, s3)
+            for s1 in (-1, 1) for s2 in (-1, 1) for s3 in (-1, 1)]
+
+
+# ---------------------------------------------------------------------------
+# step-like potential
+
+def step_implicit_residual(lam: complex, a: float, b: complex) -> complex:
+    """Residual of the eigenvalue equation for the step-like model.
+
+    [sqrt(lam^2+1) - lam - b] sin(2a s)/s - i(sqrt(lam+i) - sqrt(lam-i)) cos(2a s)
+    with s = sqrt(lam + b) (principal branch).  Vanishes exactly at the
+    eigenvalues with |Im lam| < 1.  The principal square root continues
+    the formula analytically through lam + b < 0, where sin/cos become
+    sinh/cosh automatically.
+    """
+    lam = complex(lam)
+    if abs(lam.imag) >= 1.0:
+        raise DomainError("the residual form is valid only for |Im lam| < 1")
+    if a <= 0.0:
+        raise ConfigError("half-width a must be positive")
+    s = cmath.sqrt(lam + b)
+    w = 2.0 * a * s
+    if abs(w) < 1e-8:
+        sinc = 2.0 * a * (1.0 - w * w / 6.0)
+    else:
+        sinc = cmath.sin(w) / s
+    jump = cmath.sqrt(lam + 1j) - cmath.sqrt(lam - 1j)
+    return ((cmath.sqrt(lam * lam + 1.0) - lam - b) * sinc
+            - 1j * jump * cmath.cos(w))
+
+
+def _cot_gap(lam: float, a: float, b: float) -> float:
+    """cot(2a sqrt(lam+b)) minus its value forced by the eigenvalue equation.
+
+    Real-eigenvalue rewrite of the implicit equation for lam > -b:
+    cot(2a s) = -(sqrt(lam^2+1) - (lam+b)) / (2 s Im sqrt(lam+i)).
+    Monotone decreasing from +inf to -inf between consecutive branch
+    points of the cotangent, so each interval holds exactly one root.
+    """
+    s = math.sqrt(lam + b)
+    rhs = -(math.sqrt(lam * lam + 1.0) - (lam + b)) / (
+        2.0 * s * cmath.sqrt(lam + 1j).imag)
+    return 1.0 / math.tan(2.0 * a * s) - rhs
+
+
+def find_step_eigenvalues(a: float, b: float, lam_max: float,
+                          tol: float = 1e-12) -> list[float]:
+    """All real eigenvalues of the step model in (-b, lam_max].
+
+    Brackets one root between consecutive zeros of sin(2a sqrt(lam+b))
+    at lam_k = (k pi / (2a))^2 - b and bisects the cotangent gap, to
+    width tol or down to adjacent floats.  Raises DomainError where a
+    bracket overflows or is too narrow to step inside its ends in float
+    arithmetic (a tiny a, or a b or lam_max huge against (pi / (2a))^2).
+    """
+    if a <= 0.0:
+        raise ConfigError("half-width a must be positive")
+    b = float(b)
+    if lam_max <= -b:
+        return []
+    roots = []
+    k = 0
+    while True:
+        try:
+            lo = (k * math.pi / (2.0 * a)) ** 2 - b
+            hi = ((k + 1) * math.pi / (2.0 * a)) ** 2 - b
+        except OverflowError:
+            raise DomainError(
+                f"eigenvalue bracket {k} overflows at a={a!r}") from None
+        if lo > lam_max:
+            break
+        k += 1
+        # nudge off the cotangent poles
+        pad = 1e-9 * max(1.0, hi - lo)
+        lo_n, hi_n = lo + pad, hi - pad
+        if not lo < lo_n < hi_n < hi:
+            raise DomainError(
+                f"eigenvalue bracket [{lo!r}, {hi!r}] is below float "
+                f"resolution at a={a!r}, b={b!r}")
+        if _cot_gap(lo_n, a, b) < 0.0 or _cot_gap(hi_n, a, b) > 0.0:
+            continue  # root squeezed into the pad; negligible interval
+        while hi_n - lo_n > tol:
+            mid = 0.5 * (lo_n + hi_n)
+            if not lo_n < mid < hi_n:
+                break  # lo_n and hi_n are adjacent floats
+            if _cot_gap(mid, a, b) > 0.0:
+                lo_n = mid
+            else:
+                hi_n = mid
+        lam = 0.5 * (lo_n + hi_n)
+        if lam <= lam_max:
+            roots.append(lam)
+    return roots
+
+
+# ---------------------------------------------------------------------------
+# Dirichlet decoupling
+
+def dirichlet_resolvent_norm(z: complex) -> float:
+    """Exact resolvent norm of the Dirichlet-decoupled operator.
+
+    The operator splits into two shifted self-adjoint halves, so the
+    norm is the reciprocal distance to the nearer spectral ray:
+    max(1/dist(z, i + [0, inf)), 1/dist(z, -i + [0, inf))).  Raises
+    SpectrumError on the rays and DomainError where the norm overflows.
+    """
+    d_plus, d_minus = ray_distances(z)
+    d = min(d_plus, d_minus)
+    if d == 0.0:
+        raise SpectrumError(f"z={z} lies on the spectrum")
+    return _finite_bound(1.0 / d, z)

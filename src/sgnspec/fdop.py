@@ -19,9 +19,9 @@ from typing import Callable
 
 import numpy as np
 
+from .closed import DEFAULT_TOL_SPEC, spectrum_distance
 from .errors import ConfigError, ConvergenceError, SingularError, \
     SpectrumError
-from .kernel import DEFAULT_TOL_SPEC, spectrum_distance
 from .quadrature import decay_half_length
 
 

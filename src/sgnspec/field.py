@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bounds
+from .closed import (Region, classify_region, in_half_strip, numrange_bound,
+                     pseudomode_lower_bound, schur_upper_bound)
 from .errors import ConfigError, DomainError
 from .fdop import resolvent_norm_fd
-from .kernel import Region, classify_region, in_half_strip
 
 STATUS_OK = "ok"
 STATUS_SPECTRUM = "spectrum"
@@ -102,11 +102,11 @@ def compute_field(grid: GridSpec, with_oracle: bool = False,
             continue
         try:
             if in_half_strip(z):
-                lo = bounds.pseudomode_lower_bound(z)
-                hi = bounds.schur_upper_bound(z)
+                lo = pseudomode_lower_bound(z)
+                hi = schur_upper_bound(z)
                 point_status = STATUS_OK
             else:
-                lo = hi = bounds.numrange_bound(z)
+                lo = hi = numrange_bound(z)
                 point_status = STATUS_NUMRANGE
         except DomainError:
             # a bound overflows, or z lies within the bounds' own spectral

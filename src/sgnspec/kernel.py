@@ -1,117 +1,29 @@
-"""Closed-form spectral quantities of the operator -d2/dx2 + i*sgn(x).
+"""The resolvent kernel of the operator -d2/dx2 + i*sgn(x) on grids.
 
-Everything here is exact arithmetic on the two wave numbers
+The kernel is exact arithmetic on the two wave numbers
 
-    k_plus  = sqrt(i - z),    k_minus = sqrt(-i - z),
+    k_plus  = sqrt(i - z),    k_minus = sqrt(-i - z)
 
-taken with the principal branch of the square root (cut on (-inf, 0],
-the cut itself mapping to the positive imaginary axis).  The essential
-spectrum consists of the two rays [0, inf) + i and [0, inf) - i; the
-resolvent kernel below is valid off those rays.
+(principal branch, see closed.principal_sqrt) and is valid off the two
+spectral rays [0, inf) +- i.  This module evaluates it, and its
+Dirichlet-decoupled variant, as dense NumPy matrices; the scalar kernel
+is the 1x1 matrix, so both agree bitwise.  The scalar closed forms it
+rests on (wave numbers, ray distances, the region partition) are defined
+in closed and re-exported here.
 """
 
 from __future__ import annotations
 
-import cmath
-import enum
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DomainError, SpectrumError
-
-DEFAULT_TOL_SPEC = 1e-12
+from .closed import DEFAULT_TOL_SPEC, _check_off_spectrum, principal_sqrt
+from .closed import (Region, WaveNumbers, classify_region,  # re-exported
+                     in_half_strip, ray_distances, spectrum_distance,
+                     wave_numbers)
+from .errors import DomainError
 
 # switch to a series for (e^w - 1)/w once |w| is this small
 _SERIES_CUTOFF = 1e-6
-
-
-def principal_sqrt(z: complex) -> complex:
-    """Principal square root with a deterministic value on the cut.
-
-    A negative real argument with imaginary part -0.0 would land on the
-    lower side of the cut under cmath; we normalize so that the cut maps
-    to the positive imaginary axis.
-    """
-    z = complex(z)
-    if z.imag == 0.0:
-        z = complex(z.real, 0.0)
-    return cmath.sqrt(z)
-
-
-@dataclass(frozen=True)
-class WaveNumbers:
-    k_plus: complex
-    k_minus: complex
-    z: complex
-
-
-def wave_numbers(z: complex) -> WaveNumbers:
-    """Both wave numbers at spectral parameter ``z``."""
-    z = complex(z)
-    return WaveNumbers(principal_sqrt(1j - z), principal_sqrt(-1j - z), z)
-
-
-class Region(enum.Enum):
-    D_PLUS = "D_PLUS"
-    D_MINUS = "D_MINUS"
-    U = "U"
-    W = "W"
-    SPECTRUM = "SPECTRUM"
-
-
-def ray_distances(z: complex) -> tuple[float, float]:
-    """Distances from ``z`` to the rays [0,inf)+i and [0,inf)-i."""
-    z = complex(z)
-    if z.real >= 0.0:
-        return abs(z.imag - 1.0), abs(z.imag + 1.0)
-    return math.hypot(z.real, z.imag - 1.0), math.hypot(z.real, z.imag + 1.0)
-
-
-def spectrum_distance(z: complex) -> float:
-    return min(ray_distances(z))
-
-
-def in_half_strip(z: complex) -> bool:
-    """Open half-strip S = [0,inf) + i(-1,1)."""
-    z = complex(z)
-    return z.real >= 0.0 and abs(z.imag) < 1.0
-
-
-def classify_region(z: complex, tol_spec: float = DEFAULT_TOL_SPEC) -> Region:
-    """Partition tag of the complex plane.
-
-    The two disks |z -+ i| <= 3/2 are closed and win boundary ties over
-    W and U; a point within ``tol_spec`` of either spectral ray is
-    SPECTRUM regardless.
-    """
-    if tol_spec <= 0.0:
-        raise DomainError("tol_spec must be positive")
-    z = complex(z)
-    if spectrum_distance(z) <= tol_spec:
-        return Region.SPECTRUM
-    # both disks lie in this box; outside it abs() could overflow
-    near = abs(z.real) <= 1.5 and abs(z.imag) <= 2.5
-    in_plus = near and abs(z - 1j) <= 1.5
-    in_minus = near and abs(z + 1j) <= 1.5
-    if in_plus and in_minus:
-        return Region.D_PLUS if z.imag >= 0.0 else Region.D_MINUS
-    if in_plus:
-        return Region.D_PLUS
-    if in_minus:
-        return Region.D_MINUS
-    if in_half_strip(z):
-        return Region.W
-    return Region.U
-
-
-def _check_off_spectrum(z: complex, tol_spec: float) -> None:
-    """Reject ray points, except the endpoints +-i where the limit exists."""
-    if spectrum_distance(z) <= tol_spec:
-        if min(abs(z - 1j), abs(z + 1j)) <= tol_spec:
-            return  # kernel stays bounded at the ray endpoints
-        raise SpectrumError(f"z={z} lies on the essential spectrum")
 
 
 def _image_core(k, d: np.ndarray) -> np.ndarray:
@@ -146,7 +58,8 @@ def _kernel_grid(z: complex, x: np.ndarray, y: np.ndarray, tol_spec: float,
     e^{-k_plus|u| - k_minus|v|} / (k_plus + k_minus) across it, with u
     the positive and v the negative one of x, y.  coupled=False drops
     them, which gives the Dirichlet-decoupled kernel: zero across the
-    origin and on it.
+    origin and on it.  Raises DomainError where a value is not finite,
+    which happens only for |x| or |y| near the float range.
     """
     z = complex(z)
     _check_off_spectrum(z, tol_spec)
@@ -163,16 +76,23 @@ def _kernel_grid(z: complex, x: np.ndarray, y: np.ndarray, tol_spec: float,
         same = x * y > 0.0
     k = np.where(pos, kp, km)  # same-side decay rate (unused on mixed cells)
 
-    a = np.abs(x - y)
-    b = np.abs(x) + np.abs(y)
-    image = np.exp(-k * a) * _image_core(k, b - a)
-    if not coupled:
-        return np.where(same, image, 0.0)
-
-    s = kp + km
-    e_mixed = np.where(x > 0.0, -kp * np.abs(x) - km * np.abs(y),
-                       -km * np.abs(x) - kp * np.abs(y))
-    return np.where(same, image + np.exp(-k * b) / s, np.exp(e_mixed) / s)
+    # at |x|, |y| near the float range k|x| overflows; the check below
+    # turns the NaN that follows into an error, so the warnings are muted
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.abs(x - y)
+        b = np.abs(x) + np.abs(y)
+        image = np.exp(-k * a) * _image_core(k, b - a)
+        if coupled:
+            s = kp + km
+            e_mixed = np.where(x > 0.0, -kp * np.abs(x) - km * np.abs(y),
+                               -km * np.abs(x) - kp * np.abs(y))
+            out = np.where(same, image + np.exp(-k * b) / s,
+                           np.exp(e_mixed) / s)
+        else:
+            out = np.where(same, image, 0.0)
+    if not np.isfinite(out).all():
+        raise DomainError(f"kernel at z={z} is not finite on these nodes")
+    return out
 
 
 def resolvent_kernel_grid(
@@ -184,7 +104,8 @@ def resolvent_kernel_grid(
     """Dense matrix R_z(x_i, y_j) of the resolvent kernel.
 
     Raises SpectrumError on the spectral rays (the endpoints +-i are
-    admitted with their finite limiting values).
+    admitted with their finite limiting values), and DomainError where
+    |x| or |y| is so close to the float range that a value is not finite.
     """
     return _kernel_grid(z, x, y, tol_spec, coupled=True)
 

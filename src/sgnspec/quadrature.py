@@ -14,8 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .closed import wave_numbers
 from .errors import ConfigError
-from .kernel import wave_numbers
 
 
 @dataclass(frozen=True)

@@ -70,6 +70,38 @@ class TestSubcommands:
         assert out == "region W\n"
         assert "not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["dirichlet", "--z=-5e-324,1"],
+        ["bounds", "--z=-1e-310,1"],
+        ["kernel", "--z=5,0.5", "--x=1e308", "--y=-1e308"],
+        ["delta", "--alpha=1e-200"],
+        ["delta", "--alpha=1e200"],
+        ["delta", "--alpha=1e-160"],
+        ["step", "--a=1", "--b=1e300", "--lam-max=1"],
+        ["step", "--a=1e-300", "--b=1", "--lam-max=2"],
+        ["gamma", "--sigma=1,1,1", "--r=0:1.7e308:3"],
+    ])
+    def test_out_of_range_closed_forms_exit_one(self, capsys, argv):
+        # each once printed inf or nan with exit 0, or ended in a traceback
+        code, out = run_cli(argv)
+        assert code == 1
+        assert "inf" not in out and "nan" not in out
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_gamma_far_along_the_curve(self):
+        # the s3 = +1 branch tends to 0 like 1/sqrt(r); it once gave nan
+        code, out = run_cli(["gamma", "--sigma=1,1,1", "--r=0:1e300:3"])
+        assert code == 0
+        assert out.splitlines()[-1] == "alpha 1e-150 0.0"
+
+    def test_step_bisection_stops_at_adjacent_floats(self):
+        # at b = 1e6 the roots lie where floats are 1e-12 apart or more, so
+        # the bisection once looped for ever at its tolerance of 1e-12
+        code, out = run_cli(["step", "--a=1", "--b=1e6", "--lam-max=1"])
+        assert code == 0
+        assert out.startswith("count ")
+
     def test_delta(self):
         code, out = run_cli(["delta", "--alpha", "2"])
         assert code == 0

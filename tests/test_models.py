@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sgnspec.errors import ConfigError, DomainError, SpectrumError, \
     ZeroCouplingError
@@ -58,6 +60,26 @@ class TestGammaCurve:
             lam = delta_eigenvalue(alpha)
             assert delta_eigenvalue_exists(alpha) == (
                 spectrum_distance(lam) > 1e-12)
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(st.one_of(st.floats(0.0, 50.0), st.floats(0.0, 1e300)),
+           st.sampled_from(all_sigma()))
+    @example(20.0, (1, 1, 1)).via("cancellation once cost 1.4e-14")
+    @example(1e6, (-1, 1, 1)).via("cancellation once cost 3.8e-6")
+    @example(1e150, (1, -1, 1)).via("r (r + 2i) once overflowed")
+    @example(1e300, (1, 1, -1)).via("the end of the range")
+    def test_point_matches_mpmath(self, r, sigma):
+        mpmath = pytest.importorskip("mpmath")
+        s1, s2, s3 = sigma
+        # the two terms of the radicand cancel to ~1/r on the s3 = +1
+        # branches, so the reference carries 2 log10(r) extra digits
+        with mpmath.workdps(40 + 2 * max(0, math.ceil(math.log10(r or 1)))):
+            rm = mpmath.mpf(r)
+            ref = s1 * mpmath.sqrt(-2 * (rm + 1j * s2)
+                                   + 2 * s3 * mpmath.sqrt(rm * (rm + 2j * s2)))
+            err = abs(mpmath.mpc(gamma_point(r, sigma)) - ref) / abs(ref)
+        assert err <= 1e-15
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -1,15 +1,22 @@
-"""Start-up guard: only the finite-difference oracle and the Arnoldi
-spectral radius load SciPy, so the closed-form CLI commands start in
-about the time of a NumPy import; and every module imports on its own,
-so no import cycle hides behind the package's import order."""
+"""Start-up guard: the closed-form CLI commands (bounds, dirichlet, delta,
+gamma, step) load neither NumPy nor SciPy, so they start in about the
+time of the interpreter; the NumPy-backed commands (kernel, field, bs)
+load NumPy but not SciPy, which only the finite-difference oracle and the
+Arnoldi spectral radius need; the pure-Python linspace the CLI uses in
+place of NumPy's is bitwise equal to it; and every module imports on its
+own, so no import cycle hides behind the package's import order."""
 
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sgnspec
+from sgnspec.cli import _linspace
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(sgnspec.__file__)))
 
@@ -32,6 +39,25 @@ cases = [
 for argv in cases:
     assert cli.main(argv, out=out) == 0, argv
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+_NO_NUMPY = """
+import io, sys
+from sgnspec import cli
+out = io.StringIO()
+cases = [
+    (["bounds", "--z", "50,0.3"], 0),
+    (["bounds", "--z=-2,0.5"], 0),
+    (["dirichlet", "--z", "5,0.5"], 0),
+    (["delta", "--alpha", "2"], 0),
+    (["gamma", "--sigma=-1,1,-1", "--r", "0:5:7"], 0),
+    (["step", "--a", "1", "--b", "3", "--lam-max", "60"], 0),
+    (["--dry-run", "kernel", "--z", "2", "--x", "0", "--y", "1"], 0),
+    (["bs", "sweep", "--re", "25:50:x"], 2),
+]
+for argv, code in cases:
+    assert cli.main(argv, out=out) == code, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")))
 """
 
 _ORACLE = """
@@ -72,6 +98,24 @@ def test_closed_form_commands_do_not_load_scipy(tmp_path):
     assert _fresh(_NO_SCIPY, str(tmp_path / "f.csv")) == "[]"
 
 
+def test_closed_form_commands_do_not_load_numpy():
+    assert _fresh(_NO_NUMPY) == "[]"
+
+
+_EXPORTS = """
+import sgnspec
+assert sgnspec.bounds.apply_resolvent is sgnspec.apply_resolvent
+for name in sgnspec.__all__:
+    getattr(sgnspec, name)
+assert set(sgnspec.__all__) <= set(dir(sgnspec))
+print(len(sgnspec.__all__), sgnspec.__version__)
+"""
+
+
+def test_lazy_package_exports_resolve():
+    assert _fresh(_EXPORTS) == "69 0.1.0"
+
+
 def test_oracle_still_loads_scipy(tmp_path):
     assert _fresh(_ORACLE, str(tmp_path / "f.csv")) == "True"
 
@@ -79,3 +123,22 @@ def test_oracle_still_loads_scipy(tmp_path):
 @pytest.mark.parametrize("module", _MODULES)
 def test_module_imports_alone(module):
     _fresh(_ALONE, sgnspec.__path__[0], module)
+
+
+# finite floats down to the subnormals, and the steps between them
+_ends = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                  st.floats(-1e-300, 1e-300))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_ends, _ends, st.integers(1, 40))
+@example(2.0, 2.0, 1).via("one point")
+@example(3.5, 3.5, 9).via("lo == hi")
+@example(10.0, -4.0, 8).via("lo > hi")
+@example(0.0, 5e-324, 7).via("a subnormal step that rounds to 0")
+@example(-1e-310, 1e-310, 13).via("a subnormal step")
+@example(-1.7e308, 1.7e308, 5).via("hi - lo overflows")
+def test_linspace_equals_numpy_bitwise(lo, hi, n):
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.linspace(lo, hi, n)
+    assert np.array(_linspace(lo, hi, n)).tobytes() == want.tobytes()
