@@ -11,8 +11,8 @@ import importlib
 
 # defining module -> the names the package exports from it
 _EXPORTS = {
-    "bounds": ("apply_resolvent", "default_strip_grid", "pseudomode_samples",
-               "quadrature_operator_norm", "regularized_pseudomode_ratio"),
+    "bounds": ("apply_resolvent", "default_strip_grid",
+               "quadrature_operator_norm"),
     "bs": ("PotentialSpec", "RootSearch", "box", "decomposition_diagnostics",
            "delta_bump", "escape_scan", "find_eigenvalue", "gaussian",
            "hs_growth_rates", "hs_norm", "potential_grid",
@@ -22,8 +22,8 @@ _EXPORTS = {
                "delta_eigenvalue_exists", "dirichlet_resolvent_norm",
                "find_step_eigenvalues", "gamma_point", "numrange_bound",
                "principal_sqrt", "pseudomode_lower_bound", "ray_distances",
-               "schur_upper_bound", "spectrum_distance",
-               "step_implicit_residual", "wave_numbers"),
+               "regularized_pseudomode_ratio", "schur_upper_bound",
+               "spectrum_distance", "step_implicit_residual", "wave_numbers"),
     "errors": ("ConfigError", "ConvergenceError", "DomainError",
                "EigenvalueLost", "SgnSpecError", "SingularError",
                "SpectrumError", "ZeroCouplingError"),

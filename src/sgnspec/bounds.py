@@ -1,10 +1,10 @@
-"""Quadrature application of the resolvent, and the pseudomodes.
+"""Quadrature application of the resolvent.
 
 The two-sided norm bounds are closed forms and are defined in closed:
 the Schur-test upper bound from the two row integrals of the kernel,
 the lower bound from the explicit exponential pseudomode supported on
-the positive half-line, and outside the closed half-strip the
-numerical-range distance bound.  They are re-exported here.
+the positive half-line, outside the closed half-strip the numerical-range
+bound, and the smoothed pseudomode's ratio.  They are re-exported here.
 
 This module holds the O(n) layer of the resolvent kernel.  The
 kernel is the Green's function psi_-(x_<) psi_+(x_>) / (k_plus +
@@ -25,11 +25,11 @@ import math
 
 import numpy as np
 
-from .closed import (DEFAULT_TOL_SPEC, Region, _check_off_spectrum,
-                     classify_region, wave_numbers)
+from .closed import DEFAULT_TOL_SPEC, _check_off_spectrum, wave_numbers
 from .closed import (half_strip_distance, numrange_bound,  # re-exported
-                     pseudomode_lower_bound, schur_upper_bound)
-from .errors import ConvergenceError, DomainError
+                     pseudomode_lower_bound, regularized_pseudomode_ratio,
+                     schur_upper_bound)
+from .errors import ConvergenceError
 from .kernel import _image_core
 from .quadrature import (
     QuadratureGrid,
@@ -252,52 +252,7 @@ def _power_norm(apply, grid: QuadratureGrid, max_iter: int = 200,
         f"power iteration not settled to {tol:g} in {max_iter} steps")
 
 
-# ---------------------------------------------------------------------------
-# pseudomodes
-
-def default_strip_grid(z: complex, decay_tol: float = 1e-8,
-                       points_per_wavelength: float = 20.0,
-                       breakpoints: tuple[float, ...] = ()) -> QuadratureGrid:
+def default_strip_grid(z: complex) -> QuadratureGrid:
     """Grid resolving both the oscillation and the slow decay at z."""
-    half = decay_half_length(z, decay_tol)
-    panel = oscillation_panel_width(z, points_per_wavelength)
-    return gauss_legendre_grid(half, panel, breakpoints=breakpoints)
-
-
-def pseudomode_samples(z: complex, grid: QuadratureGrid) -> np.ndarray:
-    """The exponential quasi-mode: e^{-conj(k+) x} on x > 0, zero elsewhere."""
-    kp = wave_numbers(z).k_plus
-    x = grid.nodes
-    out = np.zeros(x.size, dtype=complex)
-    mask = x > 0.0
-    out[mask] = np.exp(-np.conj(kp) * x[mask])
-    return out
-
-
-def regularized_pseudomode_ratio(z: complex, smoothing_scale: float,
-                                 grid: QuadratureGrid | None = None,
-                                 decay_tol: float = 1e-8) -> float:
-    """Pseudomode quality for the smoothed potential.
-
-    The sign potential is replaced on [-a, 0] by the linear interpolant
-    i (2x/a + 1); the difference h = i sgn - V is then supported in
-    [-a, 0].  Returns ||g0|| / ||(Hsmooth - z) g0|| where g0 is the image
-    of the exponential quasi-mode under the unsmoothed resolvent, so that
-    (Hsmooth - z) g0 = f0 - h g0.
-    """
-    z = complex(z)
-    a = float(smoothing_scale)
-    if a <= 0.0:
-        raise DomainError("smoothing scale must be positive")
-    if classify_region(z) is not Region.W:
-        raise DomainError(f"z={z} outside region W")
-    if grid is None:
-        grid = default_strip_grid(z, decay_tol, breakpoints=(a,))
-    x = grid.nodes
-    f0 = pseudomode_samples(z, grid)
-    g0 = apply_resolvent(z, grid, f0)
-    h = np.zeros(x.size, dtype=complex)
-    mask = (x >= -a) & (x < 0.0)
-    h[mask] = -1j * (2.0 * x[mask] / a + 2.0)
-    residual = f0 - h * g0
-    return grid.norm(g0) / grid.norm(residual)
+    return gauss_legendre_grid(decay_half_length(z),
+                               oscillation_panel_width(z))

@@ -49,9 +49,6 @@ class PotentialSpec:
         return np.asarray(self.func(np.asarray(x, dtype=float)),
                           dtype=complex)
 
-    def l1_norm(self) -> float:
-        return self.l1
-
 
 def gaussian(amplitude: float = -1.0, width: float = 1.0) -> PotentialSpec:
     """V(x) = amplitude * exp(-(x/width)^2)."""
@@ -96,11 +93,10 @@ def step_well(a: float, b: float) -> PotentialSpec:
 
 
 def potential_grid(z: complex, pot: PotentialSpec,
-                   points_per_wavelength: float = 20.0,
-                   min_panels: int = 4) -> QuadratureGrid:
+                   points_per_wavelength: float = 20.0) -> QuadratureGrid:
     """Composite Gauss-Legendre grid over supp V resolving e^{i sqrt(Re z) x}."""
     panel = oscillation_panel_width(z, points_per_wavelength)
-    panel = min(panel, pot.half_length / min_panels)
+    panel = min(panel, pot.half_length / 4)  # four panels per half at least
     return gauss_legendre_grid(pot.half_length, panel)
 
 
@@ -182,7 +178,7 @@ def l_hs_closed(z: complex, pot: PotentialSpec) -> float:
     z = complex(z)
     if z.real <= 0.0:
         raise DomainError("singular part needs Re z > 0")
-    return math.sqrt(z.real) * pot.l1_norm()
+    return math.sqrt(z.real) * pot.l1
 
 
 def decomposition_diagnostics(z: complex, pot: PotentialSpec,
@@ -427,7 +423,7 @@ def weak_coupling_rate(pot: PotentialSpec,
     if len(eps_values) < 3:
         raise ConfigError("need at least three couplings for a rate fit")
     if z0 is None:
-        l1 = pot.l1_norm()
+        l1 = pot.l1
         if l1 == 0.0:
             raise ZeroCouplingError("potential integrates to zero")
         z0 = 1.0 / (eps_values[0] * l1) ** 2

@@ -9,12 +9,13 @@ the cut itself mapping to the positive imaginary axis).  The essential
 spectrum consists of the two rays [0, inf) + i and [0, inf) - i.
 
 The module holds the region partition of the plane, the Schur,
-pseudomode and numerical-range bounds on the resolvent norm, and the
-spectral data of the point interaction, the exceptional coupling curve,
-the step-like well and the Dirichlet decoupling.  It uses the standard
-library only, so the CLI commands that print these numbers start
-without loading NumPy; kernel, bounds and models re-export each name
-from here, so every name has this one implementation.
+pseudomode and numerical-range bounds on the resolvent norm, the
+smoothed pseudomode's quality ratio, and the spectral data of the point
+interaction, the exceptional coupling curve, the step-like well and the
+Dirichlet decoupling.  It uses the standard library only, so the CLI
+commands that print these numbers start without loading NumPy; kernel,
+bounds and models re-export each name from here, so every name has this
+one implementation.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ from .errors import (ConfigError, DomainError, SpectrumError,
                      ZeroCouplingError)
 
 DEFAULT_TOL_SPEC = 1e-12
+
+# most brackets find_step_eigenvalues visits (~3 s on one x86 core)
+MAX_STEP_BRACKETS = 100_000
 
 
 def principal_sqrt(z: complex) -> complex:
@@ -191,6 +195,56 @@ def numrange_bound(z: complex) -> float:
 
 
 # ---------------------------------------------------------------------------
+# smoothed pseudomode
+
+def _scaled_ramp_integral(u: float) -> float:
+    """u I(u) for u >= 0, where I(u) = int_0^1 (1 - t)^2 e^{-ut} dt.
+
+    Below u = 1, where I(u) = (u^2 - 2u + 2 - 2e^{-u}) / u^3 cancels, by
+    its series (term 20 is below 1e-20); above by that form times u,
+    divided through by u^2, so u = inf gives 1.
+    """
+    if u < 1.0:
+        return 2.0 * u * sum((-u) ** n / math.factorial(n + 3)
+                             for n in range(20))
+    return 1.0 - 2.0 / u + (2.0 - 2.0 * math.exp(-u)) / (u * u)
+
+
+def regularized_pseudomode_ratio(z: complex, smoothing_scale: float) -> float:
+    """||g0|| / ||(Hsmooth - z) g0||, in closed form, where Hsmooth has the
+    sign potential smoothed on [-a, 0] to the ramp i (2x/a + 1).
+
+    g0 = R_z f0 for f0 = e^{-qx} on x > 0 (k = k_plus, q = conj(k)), so
+    (Hsmooth - z) g0 = f0 - h g0 with h = -i (2x/a + 2) on [-a, 0).  With
+    B = -1/(q^2 - k^2), C = 1/((k_plus + k_minus)(k + q)), A = C - B:
+    g0 = A e^{-kx} + B e^{-qx} on x > 0 and C e^{k_minus x} on x < 0, so
+    ||g0||^2 = (|A|^2 + |B|^2)/(2 Re k) + Re(A conj(B)/k)
+    + |C|^2/(2 Re k_minus) and ||f0 - h g0||^2 = 1/(2 Re k)
+    + 4a |C|^2 I(2a Re k_minus), I as in _scaled_ramp_integral.
+    q^2 - k^2 is formed as -4i Re k Im k, which does not cancel.  At
+    a = 1 the ratio tends to sqrt(3/2) (Re z)^{1/4}.  Raises DomainError
+    unless 0 < a < inf and z is in W, and where ||g0||^2 ~ (Re z)^{5/2}
+    overflows (Re z > ~1e123).
+    """
+    z = complex(z)
+    a = float(smoothing_scale)
+    if not 0.0 < a < math.inf:
+        raise DomainError("smoothing scale must be positive and finite")
+    if classify_region(z) is not Region.W:
+        raise DomainError(f"z={z} outside region W")
+    k, km = _strip_wave_numbers(z)
+    amp_b = 1.0 / (4j * k.real * k.imag)
+    amp_c = 1.0 / (k + km) / (2.0 * k.real)
+    mod_a, mod_b, mod_c = abs(amp_c - amp_b), abs(amp_b), abs(amp_c)
+    g_sq = ((mod_a * mod_a + mod_b * mod_b) / (2.0 * k.real)
+            + ((amp_c - amp_b) * amp_b.conjugate() / k).real
+            + mod_c * mod_c / (2.0 * km.real))
+    r_sq = (1.0 / (2.0 * k.real) + 4.0 * mod_c * mod_c
+            * _scaled_ramp_integral(2.0 * km.real * a) / (2.0 * km.real))
+    return _finite_bound(math.sqrt(g_sq / r_sq), z)
+
+
+# ---------------------------------------------------------------------------
 # point interaction
 
 def delta_eigenvalue(alpha: complex) -> complex:
@@ -303,13 +357,16 @@ def find_step_eigenvalues(a: float, b: float, lam_max: float,
     at lam_k = (k pi / (2a))^2 - b and bisects the cotangent gap, to
     width tol or down to adjacent floats.  Raises DomainError where a
     bracket overflows or is too narrow to step inside its ends in float
-    arithmetic (a tiny a, or a b or lam_max huge against (pi / (2a))^2).
+    arithmetic (a tiny a, or a b or lam_max huge against (pi / (2a))^2),
+    and ConfigError where the brackets below lam_max, about
+    2a sqrt(lam_max + b) / pi of them, exceed MAX_STEP_BRACKETS.
     """
     if a <= 0.0:
         raise ConfigError("half-width a must be positive")
     b = float(b)
     if lam_max <= -b:
         return []
+    brackets = 2.0 * a * math.sqrt(lam_max + b) / math.pi
     roots = []
     k = 0
     while True:
@@ -329,6 +386,9 @@ def find_step_eigenvalues(a: float, b: float, lam_max: float,
             raise DomainError(
                 f"eigenvalue bracket [{lo!r}, {hi!r}] is below float "
                 f"resolution at a={a!r}, b={b!r}")
+        if not brackets <= MAX_STEP_BRACKETS:  # or NaN; once bracket 0 fits
+            raise ConfigError(f"more than {MAX_STEP_BRACKETS} eigenvalue "
+                              f"brackets below lam_max={lam_max!r}")
         if _cot_gap(lo_n, a, b) < 0.0 or _cot_gap(hi_n, a, b) > 0.0:
             continue  # root squeezed into the pad; negligible interval
         while hi_n - lo_n > tol:

@@ -56,28 +56,17 @@ def gauss_legendre_grid(
     half_length: float,
     panel_width: float,
     order: int = 10,
-    breakpoints: tuple[float, ...] = (),
 ) -> QuadratureGrid:
     """Composite Gauss-Legendre grid on [-L, L], symmetric about 0.
 
-    ``breakpoints`` are extra panel boundaries (given as positive
-    abscissae; they are mirrored) for kernels or potentials with kinks.
+    Equal panels of width at most panel_width on [0, L], mirrored.
     """
     if half_length <= 0.0 or panel_width <= 0.0:
         raise ConfigError("half_length and panel_width must be positive")
     if order < 2:
         raise ConfigError("order must be at least 2")
-    edges = {0.0, half_length}
-    for b in breakpoints:
-        b = abs(float(b))
-        if 0.0 < b < half_length:
-            edges.add(b)
-    edges = sorted(edges)
-    bounds = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        m = max(1, int(math.ceil((hi - lo) / panel_width)))
-        bounds.append(np.linspace(lo, hi, m + 1))
-    right = np.unique(np.concatenate(bounds))
+    m = max(1, int(math.ceil(half_length / panel_width)))
+    right = np.linspace(0.0, half_length, m + 1)
     xr, wr = np.array(_gl_rule(order)[0]), np.array(_gl_rule(order)[1])
     mids = 0.5 * (right[:-1] + right[1:])
     half = 0.5 * np.diff(right)
@@ -101,21 +90,20 @@ def trapezoid_grid(half_length: float, n: int) -> QuadratureGrid:
     return QuadratureGrid(nodes, weights, half_length)
 
 
-def oscillation_panel_width(z: complex, points_per_wavelength: float = 20.0,
-                            order: int = 10) -> float:
+def oscillation_panel_width(z: complex,
+                            points_per_wavelength: float = 20.0) -> float:
     """Panel width resolving the e^{+-i sqrt(Re z) x} oscillation.
 
-    ``points_per_wavelength`` Gauss nodes per wavelength 2 pi / sqrt(Re z);
-    capped at 1 for slowly varying kernels (Re z <= 1).
+    ``points_per_wavelength`` nodes of 10-node Gauss panels per wavelength
+    2 pi / sqrt(Re z); capped at 1 for slowly varying kernels (Re z <= 1).
     """
     tau = max(complex(z).real, 1.0)
     wavelength = 2.0 * math.pi / math.sqrt(tau)
-    return min(1.0, wavelength * order / points_per_wavelength)
+    return min(1.0, wavelength * 10 / points_per_wavelength)
 
 
-def decay_half_length(z: complex, decay_tol: float = 1e-8,
-                      min_half_length: float = 10.0) -> float:
-    """Truncation so that e^{-Re k * L} < decay_tol.
+def decay_half_length(z: complex) -> float:
+    """Truncation L >= 10 with e^{-Re k * L} < 1e-8.
 
     Uses the slow decay rate Re k ~ (1 - |Im z|) / (2 sqrt(Re z)) inside
     the half-strip; elsewhere the exact rates, which are O(1).
@@ -124,4 +112,4 @@ def decay_half_length(z: complex, decay_tol: float = 1e-8,
     rate = min(kk.k_plus.real, kk.k_minus.real)
     if rate <= 0.0:
         raise ConfigError(f"no decaying direction at z={z}")
-    return max(min_half_length, -math.log(decay_tol) / rate)
+    return max(10.0, -math.log(1e-8) / rate)

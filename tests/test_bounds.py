@@ -1,15 +1,19 @@
-"""Tests for the two-sided bounds and the fast resolvent application."""
+"""Tests for the two-sided bounds, the fast resolvent application and the
+smoothed pseudomode ratio."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _reference import pseudomode_ratio, pseudomode_samples
+from sgnspec import closed
 from sgnspec.bounds import (_EXP_BUDGET, _apply, _power_norm, _sides,
                             apply_resolvent, default_strip_grid,
                             half_strip_distance, numrange_bound,
-                            pseudomode_lower_bound, pseudomode_samples,
-                            quadrature_operator_norm,
+                            pseudomode_lower_bound, quadrature_operator_norm,
                             regularized_pseudomode_ratio, schur_upper_bound)
 from sgnspec.errors import ConvergenceError, DomainError
 from sgnspec.kernel import (dirichlet_kernel_grid, resolvent_kernel_grid,
@@ -227,3 +231,44 @@ class TestRegularizedPseudomode:
             regularized_pseudomode_ratio(-5.0, 1.0)
         with pytest.raises(DomainError):
             regularized_pseudomode_ratio(100.0, -1.0)
+
+    def test_one_implementation(self):
+        assert regularized_pseudomode_ratio is \
+            closed.regularized_pseudomode_ratio
+
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              database=None)
+    @given(st.floats(20.0, 2000.0), st.floats(-0.8, 0.8),
+           st.floats(0.2, 3.0))
+    def test_matches_quadrature_reference(self, tau, im, a):
+        # up to ~2.3M Gauss nodes at tau = 2000, |Im z| = 0.8
+        z = complex(tau, im)
+        assert regularized_pseudomode_ratio(z, a) == pytest.approx(
+            pseudomode_ratio(z, a), rel=1e-5)
+
+    @pytest.mark.parametrize("tau", [1e6, 1e9, 1e12, 1e50])
+    def test_quarter_power_asymptote(self, tau):
+        # the ramp integral's argument u = 2 Re k_minus ~ 1/sqrt(tau) is
+        # where its closed form cancels: the series must take over
+        r = regularized_pseudomode_ratio(tau, 1.0)
+        assert abs(r / (math.sqrt(1.5) * tau ** 0.25) - 1.0) <= \
+            tau ** -0.5 + 1e-14
+
+    @pytest.mark.parametrize("u", [0.0, 1e-8, 0.3, 1.0 - 1e-15, 1.0, 2.0,
+                                   40.0, 1e300, math.inf])
+    def test_scaled_ramp_integral(self, u):
+        # u I(u), I(u) = int_0^1 (1 - t)^2 e^{-ut} dt, by an 80-node
+        # Gauss rule, exact to rounding for this analytic integrand
+        x, w = np.polynomial.legendre.leggauss(80)
+        t = 0.5 * (x + 1.0)
+        want = (0.5 * u * np.sum(w * (1 - t) ** 2 * np.exp(-u * t))
+                if u < 50.0 else 1.0 - 2.0 / u)
+        assert closed._scaled_ramp_integral(u) == pytest.approx(
+            want, rel=1e-14, abs=1e-300)
+
+    def test_float_range(self):
+        with pytest.raises(DomainError):
+            regularized_pseudomode_ratio(1e200, 1.0)
+        # a ramp wider than the float range tends to its limit, not to 0
+        assert regularized_pseudomode_ratio(1000.0, 1.7e308) == \
+            pytest.approx(regularized_pseudomode_ratio(1000.0, 1e300))

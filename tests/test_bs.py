@@ -27,14 +27,14 @@ from _reference import assemble_k, dense_logdet, weights
 class TestPotentials:
     def test_gaussian_l1(self):
         pot = gaussian(-2.0, 1.5)
-        assert pot.l1_norm() == pytest.approx(2 * 1.5 * math.sqrt(math.pi))
+        assert pot.l1 == pytest.approx(2 * 1.5 * math.sqrt(math.pi))
 
     def test_box_l1(self):
-        assert box(3.0, 0.5).l1_norm() == pytest.approx(3.0)
+        assert box(3.0, 0.5).l1 == pytest.approx(3.0)
 
     def test_delta_bump_integral(self):
         pot = delta_bump(2.0)
-        assert pot.l1_norm() == pytest.approx(2.0)
+        assert pot.l1 == pytest.approx(2.0)
         # well is attractive for positive coupling
         assert pot(np.array([0.0]))[0].real < 0
 

@@ -1,11 +1,13 @@
 """Tests for the command-line interface."""
 
 import io
+import time
 
 import pytest
 
 from sgnspec import bs
 from sgnspec.cli import main, parse_complex, parse_range
+from sgnspec.closed import MAX_STEP_BRACKETS
 from sgnspec.errors import ConvergenceError, EigenvalueLost, SingularError
 
 
@@ -101,6 +103,14 @@ class TestSubcommands:
         code, out = run_cli(["step", "--a=1", "--b=1e6", "--lam-max=1"])
         assert code == 0
         assert out.startswith("count ")
+
+    def test_step_bracket_ceiling_exits_two(self, capsys):
+        # about 6e149 brackets lie below lam_max: this once never ended
+        start = time.perf_counter()
+        code, out = run_cli(["step", "--a=1", "--b=1", "--lam-max=1e300"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert str(MAX_STEP_BRACKETS) in capsys.readouterr().err
 
     def test_delta(self):
         code, out = run_cli(["delta", "--alpha", "2"])

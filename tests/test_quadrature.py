@@ -27,15 +27,6 @@ class TestGaussLegendre:
             exact = 2.0 / (p + 1) if p % 2 == 0 else 0.0
             assert val == pytest.approx(exact, abs=1e-13)
 
-    def test_breakpoint_is_panel_edge(self):
-        g = gauss_legendre_grid(2.0, 0.9, breakpoints=(0.35,))
-        # no node may straddle the breakpoint inside one panel: check that
-        # an integrand with a kink at the breakpoint still integrates well
-        f = np.abs(g.nodes - 0.35)
-        val = np.sum(g.weights * f)
-        exact = ((0.35 + 2.0) ** 2 + (2.0 - 0.35) ** 2) / 2.0
-        assert val == pytest.approx(exact, rel=1e-12)
-
     def test_oscillatory_integral(self):
         k = 40.0
         g = gauss_legendre_grid(1.0, oscillation_panel_width(k * k))

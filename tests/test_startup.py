@@ -1,10 +1,11 @@
 """Start-up guard: the closed-form CLI commands (bounds, dirichlet, delta,
-gamma, step) load neither NumPy nor SciPy, so they start in about the
-time of the interpreter; the NumPy-backed commands (kernel, field, bs)
-load NumPy but not SciPy, which only the finite-difference oracle and the
-Arnoldi spectral radius need; the pure-Python linspace the CLI uses in
-place of NumPy's is bitwise equal to it; and every module imports on its
-own, so no import cycle hides behind the package's import order."""
+gamma, step) and the smoothed pseudomode ratio load neither NumPy nor
+SciPy, so they start in about the time of the interpreter; the
+NumPy-backed commands (kernel, field, bs) load NumPy but not SciPy, which
+only the finite-difference oracle and the Arnoldi spectral radius need;
+the pure-Python linspace the CLI uses in place of NumPy's is bitwise
+equal to it; and every module imports on its own, so no import cycle
+hides behind the package's import order."""
 
 import os
 import subprocess
@@ -113,7 +114,19 @@ print(len(sgnspec.__all__), sgnspec.__version__)
 
 
 def test_lazy_package_exports_resolve():
-    assert _fresh(_EXPORTS) == "69 0.1.0"
+    assert _fresh(_EXPORTS) == "68 0.1.0"
+
+
+_RATIO = """
+import sys
+import sgnspec.closed
+assert sgnspec.closed.regularized_pseudomode_ratio(5475.0, 1.0) > 1.0
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")))
+"""
+
+
+def test_pseudomode_ratio_does_not_load_numpy():
+    assert _fresh(_RATIO) == "[]"
 
 
 def test_oracle_still_loads_scipy(tmp_path):
