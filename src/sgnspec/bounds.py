@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .closed import DEFAULT_TOL_SPEC, _check_off_spectrum, wave_numbers
+from .closed import _check_off_spectrum, wave_numbers
 from .closed import (half_strip_distance, numrange_bound,  # re-exported
                      pseudomode_lower_bound, regularized_pseudomode_ratio,
                      schur_upper_bound)
@@ -163,7 +163,7 @@ def _sides(z: complex, x: np.ndarray, coupled: bool = True):
     endpoints +-i.
     """
     z = complex(z)
-    _check_off_spectrum(z, DEFAULT_TOL_SPEC)
+    _check_off_spectrum(z)
     kk = wave_numbers(z)
     sides = []
     for side, k in zip(_half_lines(x), (kk.k_plus, kk.k_minus)):

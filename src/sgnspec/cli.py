@@ -198,19 +198,15 @@ def _run(args, out) -> None:
         out.write(f"kernel {_fmt_c(val)}\n")
 
     elif args.command == "bounds":
-        z = args.z
-        reg = closed.classify_region(z)
-        out.write(f"region {reg.name}\n")
-        try:
-            lo = closed.pseudomode_lower_bound(z)
-            hi = closed.schur_upper_bound(z)
-        except DomainError:
-            if closed.half_strip_distance(z) == 0.0:
-                raise  # inside the strip numrange_bound does not apply
-            out.write(f"exact {_fmt(closed.numrange_bound(z))}\n")
+        nb = closed.norm_bounds(args.z)
+        out.write(f"region {nb.region.name}\n")
+        if nb.error is not None:
+            raise nb.error
+        if nb.status == closed.STATUS_NUMRANGE:
+            out.write(f"exact {_fmt(nb.upper)}\n")
         else:
-            out.write(f"lower {_fmt(lo)}\n")
-            out.write(f"upper {_fmt(hi)}\n")
+            out.write(f"lower {_fmt(nb.lower)}\n")
+            out.write(f"upper {_fmt(nb.upper)}\n")
 
     elif args.command == "field":
         from . import field

@@ -9,13 +9,14 @@ the cut itself mapping to the positive imaginary axis).  The essential
 spectrum consists of the two rays [0, inf) + i and [0, inf) - i.
 
 The module holds the region partition of the plane, the Schur,
-pseudomode and numerical-range bounds on the resolvent norm, the
-smoothed pseudomode's quality ratio, and the spectral data of the point
-interaction, the exceptional coupling curve, the step-like well and the
-Dirichlet decoupling.  It uses the standard library only, so the CLI
-commands that print these numbers start without loading NumPy; kernel,
-bounds and models re-export each name from here, so every name has this
-one implementation.
+pseudomode and numerical-range bounds on the resolvent norm together
+with norm_bounds, the one place that decides which of them holds at a
+point, the smoothed pseudomode's quality ratio, and the spectral data
+of the point interaction, the exceptional coupling curve, the step-like
+well and the Dirichlet decoupling.  It uses the standard library only,
+so the CLI commands that print these numbers start without loading
+NumPy; kernel, bounds and models re-export each name from here, so
+every name has this one implementation.
 """
 
 from __future__ import annotations
@@ -24,10 +25,12 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import (ConfigError, DomainError, SpectrumError,
+from .errors import (ConfigError, DomainError, SgnSpecError, SpectrumError,
                      ZeroCouplingError)
 
+# the one spectrum tolerance: a point this close to a ray is on it
 DEFAULT_TOL_SPEC = 1e-12
 
 # most brackets find_step_eigenvalues visits (~3 s on one x86 core)
@@ -89,17 +92,15 @@ def in_half_strip(z: complex) -> bool:
     return z.real >= 0.0 and abs(z.imag) < 1.0
 
 
-def classify_region(z: complex, tol_spec: float = DEFAULT_TOL_SPEC) -> Region:
+def classify_region(z: complex) -> Region:
     """Partition tag of the complex plane.
 
     The two disks |z -+ i| <= 3/2 are closed and win boundary ties over
-    W and U; a point within ``tol_spec`` of either spectral ray is
+    W and U; a point within DEFAULT_TOL_SPEC of either spectral ray is
     SPECTRUM regardless.
     """
-    if tol_spec <= 0.0:
-        raise DomainError("tol_spec must be positive")
     z = complex(z)
-    if spectrum_distance(z) <= tol_spec:
+    if spectrum_distance(z) <= DEFAULT_TOL_SPEC:
         return Region.SPECTRUM
     # both disks lie in this box; outside it abs() could overflow
     near = abs(z.real) <= 1.5 and abs(z.imag) <= 2.5
@@ -116,10 +117,10 @@ def classify_region(z: complex, tol_spec: float = DEFAULT_TOL_SPEC) -> Region:
     return Region.U
 
 
-def _check_off_spectrum(z: complex, tol_spec: float) -> None:
+def _check_off_spectrum(z: complex) -> None:
     """Reject ray points, except the endpoints +-i where the limit exists."""
-    if spectrum_distance(z) <= tol_spec:
-        if min(abs(z - 1j), abs(z + 1j)) <= tol_spec:
+    if spectrum_distance(z) <= DEFAULT_TOL_SPEC:
+        if min(abs(z - 1j), abs(z + 1j)) <= DEFAULT_TOL_SPEC:
             return  # kernel stays bounded at the ray endpoints
         raise SpectrumError(f"z={z} lies on the essential spectrum")
 
@@ -129,7 +130,7 @@ def _check_off_spectrum(z: complex, tol_spec: float) -> None:
 
 def _strip_wave_numbers(z: complex):
     z = complex(z)
-    if abs(z.imag) >= 1.0 or z.real < 0.0:
+    if not in_half_strip(z):
         raise DomainError(f"z={z} is not inside the half-strip")
     kk = wave_numbers(z)
     return kk.k_plus, kk.k_minus
@@ -147,7 +148,10 @@ def schur_upper_bound(z: complex) -> float:
     Maximum of the two closed-form row-integral bounds (x > 0 and x < 0);
     no quadrature involved.  Raises DomainError if the bound overflows.
     """
-    kp, km = _strip_wave_numbers(z)
+    return _schur(*_strip_wave_numbers(z), z)
+
+
+def _schur(kp: complex, km: complex, z: complex) -> float:
     s = abs(kp + km)
     d = abs(kp - km)
     row_plus = (1.0 / (km.real * s)
@@ -168,7 +172,10 @@ def pseudomode_lower_bound(z: complex) -> float:
     z = complex(z)
     if classify_region(z) not in (Region.W, Region.D_PLUS, Region.D_MINUS):
         raise DomainError(f"z={z} outside the pseudomode region")
-    kp, km = _strip_wave_numbers(z)
+    return _pseudomode(*_strip_wave_numbers(z), z)
+
+
+def _pseudomode(kp: complex, km: complex, z: complex) -> float:
     return _finite_bound(
         1.0 / (2.0 * math.sqrt(kp.real * km.real) * abs(kp + km)), z)
 
@@ -192,6 +199,53 @@ def numrange_bound(z: complex) -> float:
     if d == 0.0:
         raise DomainError(f"z={z} lies in the closed half-strip")
     return _finite_bound(1.0 / d, z)
+
+
+# statuses of a point, as norm_bounds decides them
+STATUS_OK = "ok"              # pseudomode lower and Schur upper bound
+STATUS_NUMRANGE = "numrange"  # the numerical-range bound, lower = upper
+STATUS_SPECTRUM = "spectrum"  # on a ray: the norm is infinite
+STATUS_SKIPPED = "skipped"    # the bound that holds overflows
+
+
+class NormBounds(NamedTuple):
+    """Where z lies and the resolvent-norm bounds that hold there."""
+
+    region: Region
+    status: str
+    lower: float
+    upper: float
+    error: SgnSpecError | None = None  # why there are no finite bounds
+
+
+def norm_bounds(z: complex) -> NormBounds:
+    """Classify z once and evaluate the bound that holds there.
+
+    Within DEFAULT_TOL_SPEC of a spectral ray the norm is infinite:
+    status "spectrum", lower = upper = inf, error a SpectrumError.  In
+    the open half-strip the pseudomode lower and Schur upper bounds
+    hold, from one pair of wave numbers (status "ok").  Everywhere else
+    the numerical-range bound 1/dist(z, S-bar) is an upper bound, equal
+    to the norm where |Im z| >= 1; it is reported as lower = upper
+    (status "numrange"), which overstates the lower bound for Re z < 0,
+    |Im z| < 1.  Where that bound overflows the status is "skipped",
+    lower = upper = nan, and error is the DomainError.
+    """
+    z = complex(z)
+    region = classify_region(z)
+    if region is Region.SPECTRUM:
+        error = SpectrumError(f"z={z} lies on the essential spectrum")
+        return NormBounds(region, STATUS_SPECTRUM, math.inf, math.inf, error)
+    try:
+        if in_half_strip(z):
+            kk = wave_numbers(z)
+            return NormBounds(region, STATUS_OK,
+                              _pseudomode(kk.k_plus, kk.k_minus, z),
+                              _schur(kk.k_plus, kk.k_minus, z))
+        bound = numrange_bound(z)
+    except DomainError as exc:
+        return NormBounds(region, STATUS_SKIPPED, math.nan, math.nan, exc)
+    return NormBounds(region, STATUS_NUMRANGE, bound, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +324,10 @@ def delta_eigenvalue(alpha: complex) -> complex:
     return lam
 
 
-def delta_eigenvalue_exists(alpha: complex, tol: float = 1e-12) -> bool:
-    """Whether the candidate value lies off the essential spectrum rays."""
-    return spectrum_distance(delta_eigenvalue(alpha)) > tol
+def delta_eigenvalue_exists(alpha: complex) -> bool:
+    """Whether the candidate value lies off the essential spectrum rays,
+    farther than DEFAULT_TOL_SPEC."""
+    return spectrum_distance(delta_eigenvalue(alpha)) > DEFAULT_TOL_SPEC
 
 
 def gamma_point(r: float, sigma: tuple[int, int, int]) -> complex:

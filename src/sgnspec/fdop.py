@@ -226,15 +226,22 @@ def eigenvalue_near(target: complex, n: int, half_length: float,
     A - target is factored once (see _tridiag_lu), so each Arnoldi step
     is one O(n) back-substitution.  Works on fine grids (n ~ 10^5 - 10^6)
     where the dense solve is out of reach; accuracy is then limited only
-    by the discretization.  Raises SingularError if A - target is
-    exactly singular.
+    by the discretization.  The Arnoldi start vector is fixed, so
+    repeated calls return the same bits.  Raises SingularError if
+    A - target is exactly singular and ConvergenceError if Arnoldi does
+    not converge.
     """
     import scipy.sparse.linalg as spla
 
     op = build_fd(n, half_length, potential, center_jump, cell_average)
     inv = spla.LinearOperator((n, n), matvec=_tridiag_lu(op, target),
                               dtype=complex)
-    mu = spla.eigs(inv, k=k, which="LM", return_eigenvectors=False,
-                   maxiter=2000)
+    v0 = np.random.default_rng(0).standard_normal(n)
+    try:
+        mu = spla.eigs(inv, k=k, which="LM", return_eigenvectors=False,
+                       maxiter=2000, v0=v0)
+    except spla.ArpackNoConvergence as exc:
+        raise ConvergenceError(
+            f"Arnoldi did not converge near target={target}") from exc
     vals = target + 1.0 / mu
     return vals[np.argsort(np.abs(vals - target))]

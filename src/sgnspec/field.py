@@ -17,15 +17,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .closed import (Region, classify_region, in_half_strip, numrange_bound,
-                     pseudomode_lower_bound, schur_upper_bound)
-from .errors import ConfigError, DomainError
+from .closed import DEFAULT_TOL_SPEC, norm_bounds
+from .closed import (STATUS_NUMRANGE, STATUS_OK,  # re-exported
+                     STATUS_SKIPPED, STATUS_SPECTRUM)
+from .errors import ConfigError
 from .fdop import resolvent_norm_fd
 
-STATUS_OK = "ok"
-STATUS_SPECTRUM = "spectrum"
-STATUS_NUMRANGE = "numrange"
-STATUS_SKIPPED = "skipped"
+# most points a GridSpec may hold.  Scaled from 10^5 points (2-core x86,
+# Python 3.11), a grid at the ceiling takes ~8 s and ~50 MB in
+# compute_field, ~9 s and ~0.6 GB to export as CSV and ~20 s and ~2 GB
+# as JSON; with_oracle adds one FD norm estimate per point.
+MAX_GRID_POINTS = 1_000_000
 
 _CSV_COLUMNS = ("re", "im", "region", "status",
                 "lower", "upper", "oracle", "oracle_err")
@@ -33,7 +35,8 @@ _CSV_COLUMNS = ("re", "im", "region", "status",
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Rectangular grid in the complex spectral plane."""
+    """Rectangular grid in the complex spectral plane, of at most
+    MAX_GRID_POINTS points; ConfigError otherwise."""
 
     re_min: float
     re_max: float
@@ -47,6 +50,9 @@ class GridSpec:
             raise ConfigError("grid counts must be positive")
         if self.re_max < self.re_min or self.im_max < self.im_min:
             raise ConfigError("grid bounds must be ordered")
+        if self.re_count * self.im_count > MAX_GRID_POINTS:
+            raise ConfigError(f"grid of {self.re_count}x{self.im_count} "
+                              f"points exceeds {MAX_GRID_POINTS} points")
 
     def points(self) -> np.ndarray:
         """(im_count, re_count) array of grid points, row-major in im."""
@@ -70,55 +76,40 @@ class PseudospectrumField:
 
 
 def compute_field(grid: GridSpec, with_oracle: bool = False,
-                  oracle_n: int = 2001,
-                  tol_spec: float = 1e-12) -> PseudospectrumField:
-    """Evaluate the bound pair at every grid point.
+                  oracle_n: int = 2001) -> PseudospectrumField:
+    """Evaluate the bound pair at every grid point, as closed.norm_bounds
+    selects it.
 
     Inside the half-strip both the pseudomode lower bound and the Schur
-    upper bound apply (status "ok").  Outside the closed half-strip the
-    numerical-range bound is exact on both sides (status "numrange").
-    Points on the spectrum or in the uncovered remainder of the plane are
-    flagged and carry NaNs, as do points where a bound overflows
-    (status "skipped").  with_oracle additionally runs the
-    finite-difference norm estimate at every non-spectral point.
+    upper bound apply (status "ok").  Elsewhere the numerical-range
+    bound is an upper bound, equal to the norm where |Im z| >= 1, and is
+    stored as both lower and upper (status "numrange"); for Re z < 0,
+    |Im z| < 1 it exceeds the norm, so it is no lower bound there.
+    Points on the spectrum carry inf (status "spectrum"), points where
+    the bound overflows NaN (status "skipped").  with_oracle
+    additionally runs the finite-difference norm estimate at every point
+    with finite bounds.
     """
     pts = grid.points()
     shape = pts.shape
-    lower = np.full(shape, math.nan)
-    upper = np.full(shape, math.nan)
-    status = np.full(shape, STATUS_SKIPPED, dtype=object)
+    lower = np.empty(shape)
+    upper = np.empty(shape)
+    status = np.empty(shape, dtype=object)
     region = np.empty(shape, dtype=object)
     oracle = np.full(shape, math.nan) if with_oracle else None
     oracle_err = np.full(shape, math.nan) if with_oracle else None
 
     for idx in np.ndindex(shape):
         z = complex(pts[idx])
-        reg = classify_region(z, tol_spec)
-        region[idx] = reg.name
-        if reg is Region.SPECTRUM:
-            status[idx] = STATUS_SPECTRUM
-            lower[idx] = math.inf
-            upper[idx] = math.inf
-            continue
-        try:
-            if in_half_strip(z):
-                lo = pseudomode_lower_bound(z)
-                hi = schur_upper_bound(z)
-                point_status = STATUS_OK
-            else:
-                lo = hi = numrange_bound(z)
-                point_status = STATUS_NUMRANGE
-        except DomainError:
-            # a bound overflows, or z lies within the bounds' own spectral
-            # tolerance of a ray: the point stays "skipped"
-            continue
-        lower[idx], upper[idx], status[idx] = lo, hi, point_status
-        if with_oracle:
+        nb = norm_bounds(z)
+        region[idx] = nb.region.name
+        status[idx], lower[idx], upper[idx] = nb.status, nb.lower, nb.upper
+        if with_oracle and nb.error is None:
             res = resolvent_norm_fd(z, n=oracle_n)
             oracle[idx] = res.value
             oracle_err[idx] = res.error
 
-    meta = {"with_oracle": with_oracle, "tol_spec": tol_spec}
+    meta = {"with_oracle": with_oracle, "tol_spec": DEFAULT_TOL_SPEC}
     if with_oracle:
         meta["oracle_n"] = oracle_n
     return PseudospectrumField(grid=grid, lower=lower, upper=upper,

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .closed import DEFAULT_TOL_SPEC, _check_off_spectrum, principal_sqrt
-from .closed import (Region, WaveNumbers, classify_region,  # re-exported
-                     in_half_strip, ray_distances, spectrum_distance,
-                     wave_numbers)
+from .closed import _check_off_spectrum, principal_sqrt
+from .closed import (DEFAULT_TOL_SPEC, Region, WaveNumbers,  # re-exported
+                     classify_region, in_half_strip, ray_distances,
+                     spectrum_distance, wave_numbers)
 from .errors import DomainError
 
 # switch to a series for (e^w - 1)/w once |w| is this small
@@ -44,7 +44,7 @@ def _image_core(k, d: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kernel_grid(z: complex, x: np.ndarray, y: np.ndarray, tol_spec: float,
+def _kernel_grid(z: complex, x: np.ndarray, y: np.ndarray,
                  coupled: bool) -> np.ndarray:
     """Matrix of the resolvent kernel at (x_i, y_j), full or Dirichlet.
 
@@ -62,7 +62,7 @@ def _kernel_grid(z: complex, x: np.ndarray, y: np.ndarray, tol_spec: float,
     which happens only for |x| or |y| near the float range.
     """
     z = complex(z)
-    _check_off_spectrum(z, tol_spec)
+    _check_off_spectrum(z)
     x = np.asarray(x, dtype=float)[:, None]
     y = np.asarray(y, dtype=float)[None, :]
     kp = principal_sqrt(1j - z)
@@ -95,44 +95,32 @@ def _kernel_grid(z: complex, x: np.ndarray, y: np.ndarray, tol_spec: float,
     return out
 
 
-def resolvent_kernel_grid(
-    z: complex,
-    x: np.ndarray,
-    y: np.ndarray,
-    tol_spec: float = DEFAULT_TOL_SPEC,
-) -> np.ndarray:
+def resolvent_kernel_grid(z: complex, x: np.ndarray,
+                          y: np.ndarray) -> np.ndarray:
     """Dense matrix R_z(x_i, y_j) of the resolvent kernel.
 
     Raises SpectrumError on the spectral rays (the endpoints +-i are
     admitted with their finite limiting values), and DomainError where
     |x| or |y| is so close to the float range that a value is not finite.
     """
-    return _kernel_grid(z, x, y, tol_spec, coupled=True)
+    return _kernel_grid(z, x, y, coupled=True)
 
 
-def resolvent_kernel(
-    z: complex, x: float, y: float, tol_spec: float = DEFAULT_TOL_SPEC
-) -> complex:
+def resolvent_kernel(z: complex, x: float, y: float) -> complex:
     """Resolvent kernel R_z(x, y) of -d2/dx2 + i*sgn(x) at one point."""
-    return complex(resolvent_kernel_grid(z, [x], [y], tol_spec)[0, 0])
+    return complex(resolvent_kernel_grid(z, [x], [y])[0, 0])
 
 
-def dirichlet_kernel_grid(
-    z: complex,
-    x: np.ndarray,
-    y: np.ndarray,
-    tol_spec: float = DEFAULT_TOL_SPEC,
-) -> np.ndarray:
+def dirichlet_kernel_grid(z: complex, x: np.ndarray,
+                          y: np.ndarray) -> np.ndarray:
     """Dense matrix of the kernel of the Dirichlet-decoupled resolvent.
 
     Zero whenever x and y lie on opposite sides of the origin (the two
     half-lines do not communicate) and on the boundary x = 0 or y = 0.
     """
-    return _kernel_grid(z, x, y, tol_spec, coupled=False)
+    return _kernel_grid(z, x, y, coupled=False)
 
 
-def dirichlet_kernel(
-    z: complex, x: float, y: float, tol_spec: float = DEFAULT_TOL_SPEC
-) -> complex:
+def dirichlet_kernel(z: complex, x: float, y: float) -> complex:
     """Kernel of the Dirichlet-decoupled resolvent at one point."""
-    return complex(dirichlet_kernel_grid(z, [x], [y], tol_spec)[0, 0])
+    return complex(dirichlet_kernel_grid(z, [x], [y])[0, 0])

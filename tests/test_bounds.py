@@ -15,7 +15,7 @@ from sgnspec.bounds import (_EXP_BUDGET, _apply, _power_norm, _sides,
                             half_strip_distance, numrange_bound,
                             pseudomode_lower_bound, quadrature_operator_norm,
                             regularized_pseudomode_ratio, schur_upper_bound)
-from sgnspec.errors import ConvergenceError, DomainError
+from sgnspec.errors import ConvergenceError, DomainError, SpectrumError
 from sgnspec.kernel import (dirichlet_kernel_grid, resolvent_kernel_grid,
                             wave_numbers)
 from sgnspec.models import dirichlet_quadrature_norm
@@ -102,6 +102,40 @@ class TestClosedFormBounds:
         assert half_strip_distance(-3 + 2j) == pytest.approx(math.hypot(3, 1))
         with pytest.raises(DomainError):
             numrange_bound(1 + 0.5j)
+
+
+class TestNormBounds:
+    """closed.norm_bounds picks the bound the public functions give."""
+
+    @pytest.mark.parametrize("z", [100 + 0.3j, 0.2 - 0.9j, 0.0, 5 - 0.5j])
+    def test_strip_pair(self, z):
+        nb = closed.norm_bounds(z)
+        assert nb == (closed.classify_region(z), closed.STATUS_OK,
+                      pseudomode_lower_bound(z), schur_upper_bound(z), None)
+
+    @pytest.mark.parametrize("z", [-2 + 0.5j, 1 + 3j, -0.3 + 0.2j, -1e-12,
+                                   -3 - 1.6j])
+    def test_numrange_outside_the_strip(self, z):
+        nb = closed.norm_bounds(z)
+        assert nb == (closed.classify_region(z), closed.STATUS_NUMRANGE,
+                      numrange_bound(z), numrange_bound(z), None)
+
+    @pytest.mark.parametrize("z", [1j, 5 + 1j, 5 - 1j, 5 + (1 + 1e-13) * 1j,
+                                   5 + (1 - 1e-13) * 1j, -1e-13 + 1j])
+    def test_rays_are_spectrum(self, z):
+        nb = closed.norm_bounds(z)
+        assert nb.region is closed.Region.SPECTRUM
+        assert nb.status == closed.STATUS_SPECTRUM
+        assert nb.lower == nb.upper == math.inf
+        assert isinstance(nb.error, SpectrumError)
+
+    @pytest.mark.parametrize("z", [1e308 + 0.5j, -1e-310 + 0.5j])
+    def test_overflow_is_skipped(self, z):
+        nb = closed.norm_bounds(z)
+        assert nb.status == closed.STATUS_SKIPPED
+        assert math.isnan(nb.lower) and math.isnan(nb.upper)
+        assert isinstance(nb.error, DomainError)
+        assert "not finite" in str(nb.error)
 
 
 class TestApplyResolvent:

@@ -1,14 +1,18 @@
 """Tests for the command-line interface."""
 
 import io
+import os
 import time
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from sgnspec import bs
 from sgnspec.cli import main, parse_complex, parse_range
 from sgnspec.closed import MAX_STEP_BRACKETS
 from sgnspec.errors import ConvergenceError, EigenvalueLost, SingularError
+from sgnspec.field import MAX_GRID_POINTS, GridSpec, compute_field
 
 
 def run_cli(argv):
@@ -64,6 +68,30 @@ class TestSubcommands:
     def test_bounds_on_spectrum_exits_one(self):
         code, _ = run_cli(["bounds", "--z", "1,1"])
         assert code == 1
+
+    @pytest.mark.parametrize("grid", [
+        GridSpec(-3.0, 40.0, 6, -1.6, 1.6, 5),
+        GridSpec(-1.0, 4.0, 6, -1.0, 1.0, 5),  # rows on both rays
+        GridSpec(1e307, 1e308, 2, 0.5, 0.5, 1),  # the Schur bound overflows
+        GridSpec(5.0, 5.0, 1, 1 + 1e-13, 1 + 1e-13, 1),
+        GridSpec(-1e-13, -1e-13, 1, 1.0, 1.0, 1),
+    ])
+    def test_bounds_agrees_with_field(self, grid):
+        # both read closed.norm_bounds; the two near-ray points lie a
+        # positive distance outside the closed half-strip, where bounds
+        # once printed a finite "exact" norm with exit 0
+        fld = compute_field(grid)
+        for idx in np.ndindex(fld.status.shape):
+            z = complex(grid.points()[idx])
+            code, out = run_cli(["bounds", f"--z={z.real!r},{z.imag!r}"])
+            lo, hi = float(fld.lower[idx]), float(fld.upper[idx])
+            status = fld.status[idx]
+            want = f"region {fld.region[idx]}\n"
+            finite = status in ("ok", "numrange")
+            if finite:
+                want += (f"exact {hi!r}\n" if lo == hi else
+                         f"lower {lo!r}\nupper {hi!r}\n")
+            assert (code, out) == (0 if finite else 1, want), (z, status)
 
     def test_bounds_overflow_exits_one(self, capsys):
         # the Schur bound ~ 4 Re z overflows; no inf may come back with 0
@@ -146,6 +174,21 @@ class TestSubcommands:
         with open(path) as fh:
             text = fh.read()
         assert text.startswith("re,im,region,status,lower,upper")
+
+    def test_field_point_ceiling_exits_two(self, tmp_path, capsys):
+        # 10^12 points once ended in a NumPy MemoryError traceback (14.6 TiB)
+        path = str(tmp_path / "x.csv")
+        tracemalloc.start()
+        start = time.perf_counter()
+        code, out = run_cli(["field", "--re=0:1:1000000",
+                             "--im=0:1:1000000", "--out", path])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert elapsed < 1.0 and peak < 1 << 20
+        assert not os.path.exists(path)
+        assert str(MAX_GRID_POINTS) in capsys.readouterr().err
 
     def test_field_dry_run(self, tmp_path):
         path = str(tmp_path / "f.csv")

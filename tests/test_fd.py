@@ -5,7 +5,8 @@ import pytest
 import scipy.linalg as sla
 
 from sgnspec.bounds import pseudomode_lower_bound, schur_upper_bound
-from sgnspec.errors import ConfigError, SingularError, SpectrumError
+from sgnspec.errors import (ConfigError, ConvergenceError, SingularError,
+                             SpectrumError)
 from sgnspec.fdop import (_sigma_min_banded, build_fd, eigenvalue_near,
                           resolvent_norm_fd, step_potential)
 from sgnspec.kernel import resolvent_kernel_grid
@@ -124,6 +125,22 @@ class TestEigenvalues:
         vals = eigenvalue_near(-2.0166, 60001, 25.0, potential=pot,
                                cell_average=True)
         assert abs(vals[0] - (-2.016668769510181)) < 1e-4
+
+    def test_repeated_calls_are_bitwise_equal(self):
+        # ARPACK's own random start vector once moved the last digits
+        a, b = (eigenvalue_near(-0.75, 4001, 20.0, center_jump=2.0)
+                for _ in range(2))
+        assert a.tobytes() == b.tobytes()
+
+    def test_no_convergence_is_typed(self, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        def fail(*args, **kwargs):
+            raise spla.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(spla, "eigs", fail)
+        with pytest.raises(ConvergenceError):
+            eigenvalue_near(-0.75, 101, 20.0, center_jump=2.0)
 
     def test_singular_shift_raises(self):
         with pytest.raises(SingularError):

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from sgnspec.errors import ConfigError
-from sgnspec.field import (GridSpec, compute_field, export_field,
-                           field_to_csv, field_to_json, load_field_csv)
+from sgnspec.field import (MAX_GRID_POINTS, GridSpec, compute_field,
+                           export_field, field_to_csv, field_to_json,
+                           load_field_csv)
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +28,12 @@ class TestGridSpec:
             GridSpec(1.0, 0.0, 3, 0.0, 1.0, 3)
         with pytest.raises(ConfigError):
             GridSpec(0.0, 1.0, 0, 0.0, 1.0, 3)
+
+    def test_point_ceiling(self):
+        n = MAX_GRID_POINTS // 2
+        assert GridSpec(0.0, 1.0, n, 0.0, 1.0, 2).re_count == n
+        with pytest.raises(ConfigError):
+            GridSpec(0.0, 1.0, n + 1, 0.0, 1.0, 2)
 
 
 class TestComputeField:

@@ -49,6 +49,9 @@ out = io.StringIO()
 cases = [
     (["bounds", "--z", "50,0.3"], 0),
     (["bounds", "--z=-2,0.5"], 0),
+    (["bounds", "--z", "5,1"], 1),
+    (["bounds", "--z=5,1.0000000000001"], 1),
+    (["bounds", "--z=1e308,0.5"], 1),
     (["dirichlet", "--z", "5,0.5"], 0),
     (["delta", "--alpha", "2"], 0),
     (["gamma", "--sigma=-1,1,-1", "--r", "0:5:7"], 0),
