@@ -24,7 +24,6 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (ConfigError, DomainError, SgnSpecError, SpectrumError,
@@ -50,8 +49,7 @@ def principal_sqrt(z: complex) -> complex:
     return cmath.sqrt(z)
 
 
-@dataclass(frozen=True)
-class WaveNumbers:
+class WaveNumbers(NamedTuple):
     k_plus: complex
     k_minus: complex
     z: complex
@@ -238,10 +236,9 @@ def norm_bounds(z: complex) -> NormBounds:
         return NormBounds(region, STATUS_SPECTRUM, math.inf, math.inf, error)
     try:
         if in_half_strip(z):
-            kk = wave_numbers(z)
-            return NormBounds(region, STATUS_OK,
-                              _pseudomode(kk.k_plus, kk.k_minus, z),
-                              _schur(kk.k_plus, kk.k_minus, z))
+            kp, km = principal_sqrt(1j - z), principal_sqrt(-1j - z)
+            return NormBounds(region, STATUS_OK, _pseudomode(kp, km, z),
+                              _schur(kp, km, z))
         bound = numrange_bound(z)
     except DomainError as exc:
         return NormBounds(region, STATUS_SKIPPED, math.nan, math.nan, exc)

@@ -10,7 +10,6 @@ version on the same inputs yields byte-identical files.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -24,13 +23,15 @@ from .errors import ConfigError
 from .fdop import resolvent_norm_fd
 
 # most points a GridSpec may hold.  Scaled from 10^5 points (2-core x86,
-# Python 3.11), a grid at the ceiling takes ~8 s and ~50 MB in
-# compute_field, ~9 s and ~0.6 GB to export as CSV and ~20 s and ~2 GB
-# as JSON; with_oracle adds one FD norm estimate per point.
+# Python 3.11), a grid at the ceiling takes ~3 s and ~0.15 GB in
+# compute_field, and ~3 s and ~0.45 GB to export as CSV or ~3 s and
+# ~0.7 GB as JSON (peak RSS above the interpreter's); with_oracle adds
+# one FD norm estimate per point.
 MAX_GRID_POINTS = 1_000_000
 
 _CSV_COLUMNS = ("re", "im", "region", "status",
                 "lower", "upper", "oracle", "oracle_err")
+_TEXT_COLUMNS = ("region", "status")  # the others hold floats
 
 
 @dataclass(frozen=True)
@@ -48,8 +49,14 @@ class GridSpec:
     def __post_init__(self):
         if self.re_count < 1 or self.im_count < 1:
             raise ConfigError("grid counts must be positive")
+        if not all(map(math.isfinite, (self.re_min, self.re_max,
+                                       self.im_min, self.im_max))):
+            raise ConfigError("grid bounds must be finite")
         if self.re_max < self.re_min or self.im_max < self.im_min:
             raise ConfigError("grid bounds must be ordered")
+        if not (math.isfinite(self.re_max - self.re_min)
+                and math.isfinite(self.im_max - self.im_min)):
+            raise ConfigError("grid span overflows the float range")
         if self.re_count * self.im_count > MAX_GRID_POINTS:
             raise ConfigError(f"grid of {self.re_count}x{self.im_count} "
                               f"points exceeds {MAX_GRID_POINTS} points")
@@ -92,76 +99,94 @@ def compute_field(grid: GridSpec, with_oracle: bool = False,
     """
     pts = grid.points()
     shape = pts.shape
-    lower = np.empty(shape)
-    upper = np.empty(shape)
-    status = np.empty(shape, dtype=object)
-    region = np.empty(shape, dtype=object)
-    oracle = np.full(shape, math.nan) if with_oracle else None
-    oracle_err = np.full(shape, math.nan) if with_oracle else None
-
-    for idx in np.ndindex(shape):
-        z = complex(pts[idx])
+    lower, upper, status, region = [], [], [], []
+    oracle = np.full(pts.size, math.nan) if with_oracle else None
+    oracle_err = np.full(pts.size, math.nan) if with_oracle else None
+    for i, z in enumerate(pts.ravel().tolist()):
         nb = norm_bounds(z)
-        region[idx] = nb.region.name
-        status[idx], lower[idx], upper[idx] = nb.status, nb.lower, nb.upper
+        region.append(nb.region.name)
+        status.append(nb.status)
+        lower.append(nb.lower)
+        upper.append(nb.upper)
         if with_oracle and nb.error is None:
             res = resolvent_norm_fd(z, n=oracle_n)
-            oracle[idx] = res.value
-            oracle_err[idx] = res.error
+            oracle[i], oracle_err[i] = res.value, res.error
 
     meta = {"with_oracle": with_oracle, "tol_spec": DEFAULT_TOL_SPEC}
     if with_oracle:
         meta["oracle_n"] = oracle_n
-    return PseudospectrumField(grid=grid, lower=lower, upper=upper,
-                               status=status, region=region,
-                               oracle=oracle, oracle_err=oracle_err,
-                               meta=meta)
+        oracle, oracle_err = oracle.reshape(shape), oracle_err.reshape(shape)
+    return PseudospectrumField(
+        grid=grid, lower=np.array(lower).reshape(shape),
+        upper=np.array(upper).reshape(shape),
+        status=np.array(status, dtype=object).reshape(shape),
+        region=np.array(region, dtype=object).reshape(shape),
+        oracle=oracle, oracle_err=oracle_err, meta=meta)
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _rows(fld: PseudospectrumField):
-    """Formatted cells of each grid point in row-major order, in
-    _CSV_COLUMNS order; the two oracle cells are left out when the field
-    has no oracle."""
+def _columns(fld: PseudospectrumField) -> dict[str, list]:
+    """The field's columns in _CSV_COLUMNS order, each a row-major list of
+    Python floats (the numeric columns) or strs (region and status); the
+    two oracle columns only when the field has an oracle."""
     pts = fld.grid.points()
-    floats = [pts.real, pts.imag, fld.lower, fld.upper]
+    cols = {"re": pts.real, "im": pts.imag, "region": fld.region,
+            "status": fld.status, "lower": fld.lower, "upper": fld.upper}
     if fld.oracle is not None:
-        floats += [fld.oracle, fld.oracle_err]
-    re, im, lower, upper, *oracle = (
-        [_fmt(v) for v in np.ravel(col).tolist()] for col in floats)
-    region = [str(v) for v in np.ravel(fld.region)]
-    status = [str(v) for v in np.ravel(fld.status)]
-    return zip(re, im, region, status, lower, upper, *oracle)
+        cols.update(oracle=fld.oracle, oracle_err=fld.oracle_err)
+    return {name: (np.ravel(col).tolist() if name in _TEXT_COLUMNS
+                   else np.asarray(col, dtype=float).ravel().tolist())
+            for name, col in cols.items()}
+
+
+def _cell(name: str) -> str:
+    """%-format of one cell: repr for the floats, str for the region and
+    status names, which no cell needs to quote or escape in CSV or JSON."""
+    return "%s" if name in _TEXT_COLUMNS else "%r"
 
 
 def field_to_csv(fld: PseudospectrumField) -> str:
-    """Render the field as CSV text with repr-formatted floats."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
-    empty = () if fld.oracle is not None else ("", "")
-    writer.writerows(row + empty for row in _rows(fld))
-    return buf.getvalue()
+    """Render the field as CSV text with repr-formatted floats; without an
+    oracle the two oracle cells are empty."""
+    cols = _columns(fld)
+    row = ",".join(_cell(name) if name in cols else ""
+                   for name in _CSV_COLUMNS)
+    lines = [",".join(_CSV_COLUMNS)]
+    lines += [row % cells for cells in zip(*cols.values())]
+    lines.append("")
+    return "\n".join(lines)
 
 
 def field_to_json(fld: PseudospectrumField) -> str:
     """Render the field as a JSON document with repr-formatted floats.
 
     Floats are stored as strings to keep the byte stream independent of
-    the JSON encoder's float formatting.
+    the JSON encoder's float formatting.  The layout is that of
+    json.dumps(indent=2, sort_keys=True): the grid and meta objects are
+    rendered by it, and every point from one template with its keys in
+    sorted order.
     """
     g = fld.grid
-    doc = {
-        "grid": {"re_min": _fmt(g.re_min), "re_max": _fmt(g.re_max),
-                 "re_count": g.re_count, "im_min": _fmt(g.im_min),
-                 "im_max": _fmt(g.im_max), "im_count": g.im_count},
-        "meta": fld.meta,
-        "points": [dict(zip(_CSV_COLUMNS, row)) for row in _rows(fld)],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    head = json.dumps(
+        {"grid": {"re_min": _fmt(g.re_min), "re_max": _fmt(g.re_max),
+                  "re_count": g.re_count, "im_min": _fmt(g.im_min),
+                  "im_max": _fmt(g.im_max), "im_count": g.im_count},
+         "meta": fld.meta},
+        indent=2, sort_keys=True)
+    cols = _columns(fld)
+    keys = sorted(cols)
+    point = ("    {\n"
+             + ",\n".join(f'      "{k}": "{_cell(k)}"' for k in keys)
+             + "\n    }")
+    points = [point % cells for cells in zip(*(cols[k] for k in keys))]
+    # head ends in "\n}", and "points" sorts after "grid" and "meta";
+    # one join, so the text is not copied again
+    points[0] = head[:-2] + ',\n  "points": [\n' + points[0]
+    points[-1] += "\n  ]\n}\n"
+    return ",\n".join(points)
 
 
 def export_field(fld: PseudospectrumField, path: str,
@@ -180,15 +205,35 @@ def export_field(fld: PseudospectrumField, path: str,
 
 
 def load_field_csv(path: str) -> dict[str, np.ndarray]:
-    """Parse an exported CSV back into column arrays (round-trip check)."""
+    """Parse an exported CSV back into column arrays (round-trip check).
+
+    Empty numeric cells read as NaN.  Raises ConfigError, naming the file,
+    where a column is missing, a row has another number of cells than
+    the header, or a numeric cell does not parse.
+    """
     with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        rows = [row for row in reader if row]
+    for i, row in enumerate(rows, 1):
+        if len(row) != len(header):
+            raise ConfigError(f"{path}: data row {i} has {len(row)} "
+                              f"cells, the header {len(header)}")
+    cols = (dict(zip(header, zip(*rows))) if rows
+            else dict.fromkeys(header, ()))
     out: dict[str, np.ndarray] = {}
-    for col in _CSV_COLUMNS:
-        vals = [r[col] for r in rows]
-        if col in ("region", "status"):
-            out[col] = np.array(vals, dtype=object)
-        else:
-            out[col] = np.array(
-                [math.nan if v == "" else float(v) for v in vals])
+    for name in _CSV_COLUMNS:
+        if name not in cols:
+            raise ConfigError(f"{path}: no column {name!r}")
+        if name in _TEXT_COLUMNS:
+            out[name] = np.array(cols[name], dtype=object)
+            continue
+        vals = []
+        for i, cell in enumerate(cols[name], 1):
+            try:
+                vals.append(float(cell) if cell else math.nan)
+            except ValueError:
+                raise ConfigError(f"{path}: column {name!r}, data row {i}: "
+                                  f"{cell!r} is not a number") from None
+        out[name] = np.array(vals)
     return out

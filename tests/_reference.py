@@ -4,8 +4,17 @@ The dense references for the O(n) Birman-Schwinger paths build the
 n x n Nystrom matrix from its definition, so they share no code with the
 structured scans and recursions they check.  The smoothed-pseudomode
 ratio is computed by quadrature of the pseudomode and its image under
-the resolvent, so it shares no code with the closed form it checks.
+the resolvent, so it shares no code with the closed form it checks.  The
+field renderers and the CSV loader go through csv.writer, the indenting
+json.dumps and csv.DictReader, one row or dict per point, so they share
+no formatting or parsing code with the templates and the column-wise
+reader they check.
 """
+
+import csv
+import io
+import json
+import math
 
 import numpy as np
 
@@ -80,3 +89,66 @@ def pseudomode_ratio(z, a):
     g0 = apply_resolvent(z, grid, f0)
     h = np.where((x >= -a) & (x < 0.0), -1j * (2.0 * x / a + 2.0), 0.0)
     return grid.norm(g0) / grid.norm(f0 - h * g0)
+
+
+_FIELD_COLUMNS = ("re", "im", "region", "status",
+                  "lower", "upper", "oracle", "oracle_err")
+
+
+def _fmt(x):
+    return repr(float(x))
+
+
+def _field_rows(fld):
+    """Formatted cells of each grid point in row-major order, in
+    _FIELD_COLUMNS order; without an oracle the two oracle cells are
+    left out."""
+    pts = fld.grid.points()
+    floats = [pts.real, pts.imag, fld.lower, fld.upper]
+    if fld.oracle is not None:
+        floats += [fld.oracle, fld.oracle_err]
+    re, im, lower, upper, *oracle = (
+        [_fmt(v) for v in np.ravel(col).tolist()] for col in floats)
+    region = [str(v) for v in np.ravel(fld.region)]
+    status = [str(v) for v in np.ravel(fld.status)]
+    return zip(re, im, region, status, lower, upper, *oracle)
+
+
+def field_to_csv(fld):
+    """The field as CSV text, one csv.writer row per point."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(_FIELD_COLUMNS)
+    empty = () if fld.oracle is not None else ("", "")
+    writer.writerows(row + empty for row in _field_rows(fld))
+    return buf.getvalue()
+
+
+def field_to_json(fld):
+    """The field as one json.dumps(indent=2, sort_keys=True) document, one
+    dict per point."""
+    g = fld.grid
+    doc = {
+        "grid": {"re_min": _fmt(g.re_min), "re_max": _fmt(g.re_max),
+                 "re_count": g.re_count, "im_min": _fmt(g.im_min),
+                 "im_max": _fmt(g.im_max), "im_count": g.im_count},
+        "meta": fld.meta,
+        "points": [dict(zip(_FIELD_COLUMNS, row))
+                   for row in _field_rows(fld)],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def load_field_csv(path):
+    """Column arrays of an exported CSV, one csv.DictReader dict per row."""
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    out = {}
+    for col in _FIELD_COLUMNS:
+        vals = [r[col] for r in rows]
+        if col in ("region", "status"):
+            out[col] = np.array(vals, dtype=object)
+        else:
+            out[col] = np.array(
+                [math.nan if v == "" else float(v) for v in vals])
+    return out

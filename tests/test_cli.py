@@ -190,6 +190,15 @@ class TestSubcommands:
         assert not os.path.exists(path)
         assert str(MAX_GRID_POINTS) in capsys.readouterr().err
 
+    def test_field_overflowing_span_exits_two(self, tmp_path, capsys):
+        # once wrote nan and inf points marked skipped and exited 0
+        path = str(tmp_path / "x.csv")
+        code, out = run_cli(["field", "--re=-1e308:1e308:3", "--im=0:0:1",
+                             "--out", path])
+        assert code == 2 and out == ""
+        assert not os.path.exists(path)
+        assert "span" in capsys.readouterr().err
+
     def test_field_dry_run(self, tmp_path):
         path = str(tmp_path / "f.csv")
         code, out = run_cli(["--dry-run", "field", "--re", "0:1:2",

@@ -2,10 +2,14 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import _reference as ref
 from sgnspec.errors import ConfigError
 from sgnspec.field import (MAX_GRID_POINTS, GridSpec, compute_field,
                            export_field, field_to_csv, field_to_json,
@@ -28,6 +32,23 @@ class TestGridSpec:
             GridSpec(1.0, 0.0, 3, 0.0, 1.0, 3)
         with pytest.raises(ConfigError):
             GridSpec(0.0, 1.0, 0, 0.0, 1.0, 3)
+
+    @pytest.mark.parametrize("bounds", [
+        (0.0, 1.0, -math.inf, math.inf), (-math.inf, 1.0, 0.0, 1.0),
+        (0.0, math.inf, 0.0, 1.0), (0.0, 1.0, math.nan, 1.0),
+        (math.nan, math.nan, 0.0, 0.0)])
+    def test_non_finite_bounds(self, bounds):
+        re_min, re_max, im_min, im_max = bounds
+        with pytest.raises(ConfigError, match="finite"):
+            GridSpec(re_min, re_max, 3, im_min, im_max, 2)
+
+    @pytest.mark.parametrize("bounds", [
+        (-1e308, 1e308, 0.0, 0.0), (0.0, 1.0, -1.7e308, 1.7e308)])
+    def test_overflowing_span(self, bounds):
+        # linspace would step by inf and give nan and inf points
+        re_min, re_max, im_min, im_max = bounds
+        with pytest.raises(ConfigError, match="span"):
+            GridSpec(re_min, re_max, 3, im_min, im_max, 1)
 
     def test_point_ceiling(self):
         n = MAX_GRID_POINTS // 2
@@ -66,6 +87,72 @@ class TestComputeField:
         fld = compute_field(grid)
         assert np.all(fld.status == "spectrum")
         assert np.all(np.isinf(fld.lower))
+
+
+_re_ends = st.one_of(st.floats(-60.0, 120.0), st.floats(1e306, 1.7e308),
+                     st.just(0.0))
+_im_ends = st.one_of(st.floats(-3.0, 3.0), st.sampled_from((-1.0, 0.0, 1.0)))
+
+
+@st.composite
+def grids(draw, re_ends=_re_ends, most=8):
+    """Small grids with Re z < 0 and > 0, points on the rays (an im end at
+    +-1) and points where the bounds overflow (Re z near 1e308)."""
+    re_min, re_max = sorted((draw(re_ends), draw(re_ends)))
+    im_min, im_max = sorted((draw(_im_ends), draw(_im_ends)))
+    return GridSpec(re_min, re_max, draw(st.integers(1, most)),
+                    im_min, im_max, draw(st.integers(1, most)))
+
+
+def _same_columns(got, want):
+    assert list(got) == list(want)
+    for name, col in want.items():
+        assert got[name].dtype == col.dtype and got[name].shape == col.shape
+        np.testing.assert_array_equal(got[name], col)  # NaN equals NaN
+
+
+def _check_against_reference(fld, tmp_dir):
+    text = field_to_csv(fld)
+    assert text == ref.field_to_csv(fld)
+    assert field_to_json(fld) == ref.field_to_json(fld)
+    path = tmp_dir / "field.csv"
+    path.write_text(text)
+    cols = load_field_csv(str(path))
+    _same_columns(cols, ref.load_field_csv(str(path)))
+    np.testing.assert_array_equal(cols["lower"], fld.lower.ravel())
+    np.testing.assert_array_equal(cols["upper"], fld.upper.ravel())
+
+
+@pytest.fixture(scope="module")
+def tmp_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("field")
+
+
+class TestAgainstReference:
+    """The templates and the column-wise reader against csv.writer, the
+    indenting json.dumps and csv.DictReader."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True,
+              database=None)
+    @given(grids())
+    @example(GridSpec(1e307, 1e308, 2, 0.5, 0.5, 1)).via("a skipped point")
+    @example(GridSpec(0.0, 2.0, 3, -1.0, 1.0, 3)).via("ray points")
+    @example(GridSpec(-5.0, -1.0, 4, -0.5, 0.5, 2)).via("Re z < 0")
+    @example(GridSpec(2.5, 2.5, 1, 0.3, 0.3, 1)).via("one point")
+    def test_bounds_only(self, tmp_dir, grid):
+        fld = compute_field(grid)
+        _check_against_reference(fld, tmp_dir)
+        assert np.isnan(fld.lower).any() == ("skipped" in fld.status)
+
+    @settings(max_examples=12, deadline=None, derandomize=True,
+              database=None)
+    @given(grids(re_ends=st.floats(-20.0, 60.0), most=3))
+    @example(GridSpec(-1.0, 2.0, 2, 0.5, 1.0, 2)).via("a ray point: nan")
+    def test_with_oracle(self, tmp_dir, grid):
+        fld = compute_field(grid, with_oracle=True, oracle_n=31)
+        _check_against_reference(fld, tmp_dir)
+        np.testing.assert_array_equal(
+            np.isnan(fld.oracle), fld.status == "spectrum")
 
 
 class TestExport:
@@ -108,3 +195,50 @@ class TestExport:
         # oracle must respect the two-sided bounds with slack
         assert np.all(fld.oracle >= 0.5 * fld.lower)
         assert np.all(fld.oracle <= 1.5 * fld.upper)
+
+
+class TestLoadErrors:
+    def _write(self, tmp_path, text):
+        path = tmp_path / "field.csv"
+        path.write_text(text)
+        return str(path)
+
+    def test_missing_column(self, tmp_path, small_field):
+        text = field_to_csv(small_field).replace("region,", "zone,", 1)
+        path = self._write(tmp_path, text)
+        with pytest.raises(ConfigError, match="'region'") as err:
+            load_field_csv(path)
+        assert path in str(err.value)
+
+    def test_empty_file(self, tmp_path):
+        with pytest.raises(ConfigError, match="'re'"):
+            load_field_csv(self._write(tmp_path, ""))
+
+    def test_unparsable_cell(self, tmp_path, small_field):
+        lines = field_to_csv(small_field).splitlines()
+        cells = lines[3].split(",")
+        cells[4] = "1.0.0"  # lower
+        lines[3] = ",".join(cells)
+        path = self._write(tmp_path, "\n".join(lines) + "\n")
+        with pytest.raises(ConfigError,
+                           match="'lower', data row 3: '1.0.0'") as err:
+            load_field_csv(path)
+        assert path in str(err.value)
+
+    def test_short_row(self, tmp_path, small_field):
+        lines = field_to_csv(small_field).splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0]
+        with pytest.raises(ConfigError, match="data row 2 has 7 cells"):
+            load_field_csv(self._write(tmp_path, "\n".join(lines)))
+
+
+def test_json_export_memory():
+    # ~3x the text: the columns, one string per point and the text; one
+    # dict per point and the indenting encoder's chunk list took ~9x
+    fld = compute_field(GridSpec(-5.0, 80.0, 200, -2.0, 2.0, 100))
+    tracemalloc.start()
+    text = field_to_json(fld)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert fld.lower.size == 20_000
+    assert peak < 4 * len(text)

@@ -1,11 +1,11 @@
 """Start-up guard: the closed-form CLI commands (bounds, dirichlet, delta,
 gamma, step) and the smoothed pseudomode ratio load neither NumPy nor
-SciPy, so they start in about the time of the interpreter; the
-NumPy-backed commands (kernel, field, bs) load NumPy but not SciPy, which
-only the finite-difference oracle and the Arnoldi spectral radius need;
-the pure-Python linspace the CLI uses in place of NumPy's is bitwise
-equal to it; and every module imports on its own, so no import cycle
-hides behind the package's import order."""
+SciPy nor dataclasses, so they start in about the time of the
+interpreter; the NumPy-backed commands (kernel, field, bs) load NumPy but
+not SciPy, which only the finite-difference oracle and the Arnoldi
+spectral radius need; the pure-Python linspace the CLI uses in place of
+NumPy's is bitwise equal to it; and every module imports on its own, so
+no import cycle hides behind the package's import order."""
 
 import os
 import subprocess
@@ -61,7 +61,8 @@ cases = [
 ]
 for argv, code in cases:
     assert cli.main(argv, out=out) == code, argv
-print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")))
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] in ("numpy", "scipy", "dataclasses")))
 """
 
 _ORACLE = """
@@ -124,7 +125,8 @@ _RATIO = """
 import sys
 import sgnspec.closed
 assert sgnspec.closed.regularized_pseudomode_ratio(5475.0, 1.0) > 1.0
-print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")))
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] in ("numpy", "scipy", "dataclasses")))
 """
 
 
