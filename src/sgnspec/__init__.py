@@ -32,8 +32,7 @@ _EXPORTS = {
     "field": ("GridSpec", "PseudospectrumField", "compute_field",
               "export_field", "field_to_csv", "field_to_json",
               "load_field_csv"),
-    "kernel": ("dirichlet_kernel", "dirichlet_kernel_grid",
-               "resolvent_kernel", "resolvent_kernel_grid"),
+    "kernel": ("dirichlet_kernel", "resolvent_kernel"),
     "models": ("dirichlet_bs_hs_norm", "dirichlet_quadrature_norm",
                "gamma_branch"),
     "quadrature": ("QuadratureGrid", "decay_half_length",

@@ -30,7 +30,7 @@ from .closed import (half_strip_distance, numrange_bound,  # re-exported
                      pseudomode_lower_bound, regularized_pseudomode_ratio,
                      schur_upper_bound)
 from .errors import ConvergenceError
-from .kernel import _image_core
+from .kernel import _SERIES_CUTOFF
 from .quadrature import (
     QuadratureGrid,
     decay_half_length,
@@ -131,6 +131,24 @@ def _min_scan(d: np.ndarray, blocks, g: np.ndarray,
     return back
 
 
+def _image_core(k, d: np.ndarray) -> np.ndarray:
+    """(1 - e^{-k d}) / (2k) for d >= 0, accurate as k d -> 0.
+
+    A series in w = -k d below the cutoff and expm1 above it, so the
+    value stays finite at k = 0 (z = +-i), where it is d / 2.
+    """
+    w = -k * d
+    small = np.abs(w) < _SERIES_CUTOFF
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = -np.expm1(w) / (2.0 * k)  # NaN where k = 0: small cells
+    # the series only on its own cells, so it never sees a large w
+    ws = w[small]
+    if ws.size:
+        out[small] = 0.5 * d[small] * (
+            1.0 + ws * (0.5 + ws * (1.0 / 6.0 + ws / 24.0)))
+    return out
+
+
 def _image_factor(k: complex, t: np.ndarray, e: np.ndarray) -> np.ndarray:
     """(1 - e^{-2kt}) / (2k) for increasing t >= 0, given e = e^{-kt}.
 
@@ -207,8 +225,7 @@ def apply_resolvent(z: complex, grid: QuadratureGrid,
 
 
 def quadrature_operator_norm(z: complex, grid: QuadratureGrid,
-                             max_iter: int = 200, tol: float = 1e-8,
-                             seed: int = 0) -> float:
+                             max_iter: int = 200, tol: float = 1e-8) -> float:
     """Operator norm of the discretized resolvent by power iteration.
 
     Iterates R R^H on the symmetrically weighted Nystrom operator,
@@ -217,11 +234,11 @@ def quadrature_operator_norm(z: complex, grid: QuadratureGrid,
     settled to tol within max_iter steps.
     """
     gen = _sides(z, grid.nodes)
-    return _power_norm(lambda c: _apply(gen, c), grid, max_iter, tol, seed)
+    return _power_norm(lambda c: _apply(gen, c), grid, max_iter, tol)
 
 
 def _power_norm(apply, grid: QuadratureGrid, max_iter: int = 200,
-                tol: float = 1e-8, seed: int = 0) -> float:
+                tol: float = 1e-8) -> float:
     """Norm of a discretized integral operator by power iteration.
 
     apply(c) returns sum_j R(x_i, x_j) c_j for a weighted vector c and a
@@ -230,9 +247,10 @@ def _power_norm(apply, grid: QuadratureGrid, max_iter: int = 200,
     only such applications (R^H u equals the conjugate of R applied to
     the conjugate of u).  Nothing is divided by a weight, so zero
     weights are allowed.  Raises ConvergenceError if the estimate has
-    not settled to tol within max_iter steps.
+    not settled to tol within max_iter steps.  The start vector is
+    fixed, so repeated calls return the same bits.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     sw = np.sqrt(grid.weights)
 
     def m_apply(v):

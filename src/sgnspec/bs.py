@@ -7,12 +7,12 @@ This module discretizes K_z by a symmetric Nystrom scheme on a
 Gauss-Legendre grid covering the support of V, computes Hilbert-Schmidt
 norms, the singular/regular decomposition K = L + M, locates eigenvalues
 through the determinant of I + eps*K_z, and measures weak-coupling rates.
-No path forms the kernel matrix.  Each reads the kernel's generators
-from bounds._sides, built once per z: the norms come from O(n) decaying
-scans, the spectral radius from matrix-free Arnoldi on bounds._apply,
-and the determinant from an O(n) 2x2 transfer-matrix recursion (a
-discrete Jost function).  Only the Arnoldi spectral radius uses SciPy;
-it imports it when called.
+The package has no kernel matrix (the dense one is a test reference):
+each path reads the kernel's generators from bounds._sides, built once
+per z.  The norms come from O(n) decaying scans, the spectral radius
+from matrix-free Arnoldi on bounds._apply, and the determinant from an
+O(n) 2x2 transfer-matrix recursion (a discrete Jost function).  Only
+the Arnoldi spectral radius uses SciPy; it imports it when called.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ class PotentialSpec:
 
 def gaussian(amplitude: float = -1.0, width: float = 1.0) -> PotentialSpec:
     """V(x) = amplitude * exp(-(x/width)^2)."""
-    if width <= 0.0:
-        raise ConfigError("width must be positive")
+    if not 0.0 < width < math.inf:
+        raise ConfigError(f"width must be finite and positive, not {width!r}")
 
     def v(x):
         return amplitude * np.exp(-((x / width) ** 2))
@@ -65,8 +65,9 @@ def gaussian(amplitude: float = -1.0, width: float = 1.0) -> PotentialSpec:
 
 def box(amplitude: float, radius: float) -> PotentialSpec:
     """V(x) = amplitude on (-radius, radius), zero outside."""
-    if radius <= 0.0:
-        raise ConfigError("radius must be positive")
+    if not 0.0 < radius < math.inf:
+        raise ConfigError(
+            f"radius must be finite and positive, not {radius!r}")
 
     def v(x):
         return amplitude * (np.abs(x) < radius)
@@ -217,18 +218,16 @@ def decomposition_diagnostics(z: complex, pot: PotentialSpec,
     }
 
 
-def hs_growth_rates(pot: PotentialSpec, re_values: Sequence[float],
-                    im_value: float = 0.5) -> dict:
+def hs_growth_rates(pot: PotentialSpec, re_values: Sequence[float]) -> dict:
     """Log-log slopes of the HS norms of K, L, M along Re z.
 
     Fits ||.||_HS ~ C (Re z)^p by least squares over the given real
-    parts at fixed imaginary part; returns the three exponents and the
-    raw samples.
+    parts at Im z = 0.5; returns the three exponents and the raw samples.
     """
     res = np.asarray(sorted(re_values), dtype=float)
     if res.size < 3:
         raise ConfigError("need at least three sample points for a rate")
-    rows = [decomposition_diagnostics(r + 1j * im_value, pot) for r in res]
+    rows = [decomposition_diagnostics(r + 0.5j, pot) for r in res]
     out = {"re_values": res}
     for key in ("k_hs", "l_hs", "m_hs"):
         vals = np.array([row[key] for row in rows])
@@ -326,17 +325,17 @@ def _normalized_det(eps: float, pot: PotentialSpec, grid: QuadratureGrid):
 
 
 def find_eigenvalue(eps: float, pot: PotentialSpec, z0: complex,
-                    grid: QuadratureGrid | None = None,
-                    tol: float = 1e-10, max_iter: int = 60) -> complex:
+                    grid: QuadratureGrid | None = None) -> complex:
     """Root of det(I + eps K_z) = 0 near z0 by the secant method.
 
     Each determinant is an O(n) transfer-matrix recursion on the grid
     (see _normalized_det), so a secant step costs O(n) whatever the
     well: milliseconds for a Gaussian seeded at Re z ~ 10^3 (n ~ 3000).
     The determinant is renormalized by its magnitude at z0 so the secant
-    updates work with O(1) numbers.  Raises ConvergenceError if the
-    iteration fails to converge, or as soon as a determinant value or a
-    secant iterate is not finite (before the kernel is evaluated there).
+    updates work with O(1) numbers.  Raises ConvergenceError if no step
+    is below 1e-10 max(1, |z|) within 60 steps, or as soon as a
+    determinant value or a secant iterate is not finite (before the
+    kernel is evaluated there).
     """
     if eps == 0.0:
         raise ZeroCouplingError("coupling eps must be nonzero")
@@ -356,7 +355,7 @@ def find_eigenvalue(eps: float, pot: PotentialSpec, z0: complex,
     za = complex(z0)
     zb = za + (abs(za) + 1.0) * 1e-4 * (1.0 + 0.3j)
     ga, gb = g(za), g(zb)
-    for _ in range(max_iter):
+    for _ in range(60):
         denom = gb - ga
         if denom == 0.0:
             raise ConvergenceError("secant stalled: flat determinant")
@@ -365,7 +364,7 @@ def find_eigenvalue(eps: float, pot: PotentialSpec, z0: complex,
         if not np.isfinite(zc):
             raise ConvergenceError(
                 f"secant step from z={zb} left the finite plane")
-        if abs(zc - zb) <= tol * max(1.0, abs(zb)):
+        if abs(zc - zb) <= 1e-10 * max(1.0, abs(zb)):
             return zc
         za, ga = zb, gb
         zb = zc
@@ -388,21 +387,19 @@ class RootSearch:
 
 
 def search_eigenvalues(eps: float, pot: PotentialSpec,
-                       seeds: Sequence[complex],
-                       grid: QuadratureGrid | None = None,
-                       tol: float = 1e-10,
-                       dedupe: float = 1e-6) -> RootSearch:
-    """Distinct determinant roots found from a collection of seeds,
-    together with the seeds whose search failed and why."""
+                       seeds: Sequence[complex]) -> RootSearch:
+    """Distinct determinant roots found from a collection of seeds (two
+    within 1e-6 max(1, |z|) are one), together with the seeds whose
+    search failed and why."""
     roots: list[complex] = []
     failed: list[tuple[complex, str]] = []
     for z0 in seeds:
         try:
-            z = find_eigenvalue(eps, pot, z0, grid=grid, tol=tol)
+            z = find_eigenvalue(eps, pot, z0)
         except (ConvergenceError, DomainError) as exc:
             failed.append((complex(z0), str(exc)))
             continue
-        if all(abs(z - r) > dedupe * max(1.0, abs(r)) for r in roots):
+        if all(abs(z - r) > 1e-6 * max(1.0, abs(r)) for r in roots):
             roots.append(z)
     return RootSearch(
         roots=np.array(sorted(roots, key=lambda w: (w.real, w.imag))),
@@ -410,25 +407,23 @@ def search_eigenvalues(eps: float, pot: PotentialSpec,
 
 
 def weak_coupling_rate(pot: PotentialSpec,
-                       eps_values: Sequence[float] = (0.5, 0.25, 0.125),
-                       z0: complex | None = None) -> dict:
+                       eps_values: Sequence[float] = (0.5, 0.25, 0.125)
+                       ) -> dict:
     """Divergence exponent of the eigenvalue as the coupling vanishes.
 
     Tracks the eigenvalue z(eps) of the operator perturbed by eps*V by
     continuation through the determinant root, then fits
-    log Re z(eps) ~ p log eps.  For delta-like wells the eigenvalue
+    log Re z(eps) ~ p log eps.  The search at the largest eps starts at
+    z = 1 / (eps ||V||_1)^2.  For delta-like wells the eigenvalue
     escapes to +infinity like eps^{-2}, so p is close to -2.
     """
     eps_values = sorted(eps_values, reverse=True)
     if len(eps_values) < 3:
         raise ConfigError("need at least three couplings for a rate fit")
-    if z0 is None:
-        l1 = pot.l1
-        if l1 == 0.0:
-            raise ZeroCouplingError("potential integrates to zero")
-        z0 = 1.0 / (eps_values[0] * l1) ** 2
+    if pot.l1 == 0.0:
+        raise ZeroCouplingError("potential integrates to zero")
     roots = []
-    guess = complex(z0)
+    guess = complex(1.0 / (eps_values[0] * pot.l1) ** 2)
     for i, eps in enumerate(eps_values):
         try:
             z = find_eigenvalue(eps, pot, guess)
@@ -449,9 +444,9 @@ def weak_coupling_rate(pot: PotentialSpec,
 
 
 def escape_scan(pot: PotentialSpec, eps: float,
-                re_values: Sequence[float],
-                im_value: float = 0.5) -> dict:
-    """Max spectral radius of eps K_z over a sweep of real parts.
+                re_values: Sequence[float]) -> dict:
+    """Max spectral radius of eps K_z over a sweep of real parts, at
+    Im z = 0.5.
 
     If the maximum stays below one, -1 is never an eigenvalue of
     eps K_z along the sweep, certifying the absence of eigenvalues of
@@ -459,7 +454,7 @@ def escape_scan(pot: PotentialSpec, eps: float,
     """
     res = np.asarray(sorted(re_values), dtype=float)
     radii = np.array([
-        spectral_radius(r + 1j * im_value, eps, pot) for r in res])
+        spectral_radius(r + 0.5j, eps, pot) for r in res])
     return {"re_values": res, "radii": radii,
             "max_radius": float(radii.max()),
             "escaped": bool(radii.max() < 1.0)}

@@ -9,9 +9,10 @@ that leaves the float range), 2 bad usage (including a NaN or infinite
 number on the command line), 3 a numerical method failed (no
 convergence, a lost eigenvalue branch, a singular matrix).
 
-The closed-form commands (bounds, dirichlet, delta, gamma, step) use the
-standard-library module closed only; the others import their NumPy-backed
-modules when they run, so the closed forms start without loading NumPy.
+The closed-form commands (kernel, bounds, dirichlet, delta, gamma, step)
+use the standard-library modules closed and kernel only; field and bs
+import their NumPy-backed modules when they run, so the closed forms
+start without loading NumPy.
 """
 
 from __future__ import annotations

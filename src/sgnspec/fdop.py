@@ -48,20 +48,6 @@ class FDOperator:
     def size(self) -> int:
         return self.nodes.size
 
-    def dense(self) -> np.ndarray:
-        a = np.diag(self.diag)
-        a += np.diag(self.offdiag, 1) + np.diag(self.offdiag, -1)
-        return a
-
-    def banded(self, shift: complex = 0.0) -> np.ndarray:
-        """(3, n) banded storage of (A - shift) for solve_banded."""
-        n = self.size
-        ab = np.zeros((3, n), dtype=complex)
-        ab[0, 1:] = self.offdiag
-        ab[1, :] = self.diag - shift
-        ab[2, :-1] = self.offdiag
-        return ab
-
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -97,9 +83,13 @@ def build_fd(n: int, half_length: float,
     diagonal entry.  cell_average samples the potential by
     a 33-point average over each grid cell instead of pointwise, which
     restores second order for discontinuous potentials off the grid.
+    Raises ConfigError unless half_length is finite and positive.
     """
     if n < 3:
         raise ConfigError("need at least 3 interior nodes")
+    if not 0.0 < half_length < math.inf:
+        raise ConfigError(
+            f"half_length must be finite and positive, not {half_length!r}")
     if not callable(potential):
         raise ConfigError(f"potential must be callable, not {potential!r}")
     h = 2.0 * half_length / (n + 1)
@@ -142,7 +132,7 @@ def _tridiag_lu(op: FDOperator,
     return solve
 
 
-def _sigma_min_banded(op: FDOperator, z: complex, tol: float = 1e-9) -> float:
+def _sigma_min_banded(op: FDOperator, z: complex) -> float:
     """Smallest singular value of (A - z) via Lanczos on the inverted
     normal operator ((A - z)(A - z)^H)^{-1}.
 
@@ -164,7 +154,7 @@ def _sigma_min_banded(op: FDOperator, z: complex, tol: float = 1e-9) -> float:
                               dtype=complex)
     v0 = np.random.default_rng(0).standard_normal(op.size)
     try:
-        mu = spla.eigsh(lin, k=1, which="LM", tol=tol, maxiter=5000, v0=v0,
+        mu = spla.eigsh(lin, k=1, which="LM", tol=1e-9, maxiter=5000, v0=v0,
                         return_eigenvectors=False)[0]
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError(
@@ -219,9 +209,9 @@ def resolvent_norm_fd(z: complex, n: int = 2001,
 def eigenvalue_near(target: complex, n: int, half_length: float,
                     potential: Callable = _sign,
                     center_jump: float = 0.0,
-                    cell_average: bool = False,
-                    k: int = 1) -> np.ndarray:
-    """Eigenvalues closest to target via shift-invert Arnoldi.
+                    cell_average: bool = False) -> np.ndarray:
+    """The eigenvalue closest to target via shift-invert Arnoldi, as a
+    one-element array.
 
     A - target is factored once (see _tridiag_lu), so each Arnoldi step
     is one O(n) back-substitution.  Works on fine grids (n ~ 10^5 - 10^6)
@@ -238,10 +228,9 @@ def eigenvalue_near(target: complex, n: int, half_length: float,
                               dtype=complex)
     v0 = np.random.default_rng(0).standard_normal(n)
     try:
-        mu = spla.eigs(inv, k=k, which="LM", return_eigenvectors=False,
+        mu = spla.eigs(inv, k=1, which="LM", return_eigenvectors=False,
                        maxiter=2000, v0=v0)
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError(
             f"Arnoldi did not converge near target={target}") from exc
-    vals = target + 1.0 / mu
-    return vals[np.argsort(np.abs(vals - target))]
+    return target + 1.0 / mu

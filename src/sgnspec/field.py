@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +48,11 @@ class GridSpec:
     im_count: int
 
     def __post_init__(self):
-        if self.re_count < 1 or self.im_count < 1:
+        try:
+            re_n, im_n = map(operator.index, (self.re_count, self.im_count))
+        except TypeError:
+            raise ConfigError("grid counts must be integers") from None
+        if re_n < 1 or im_n < 1:
             raise ConfigError("grid counts must be positive")
         if not all(map(math.isfinite, (self.re_min, self.re_max,
                                        self.im_min, self.im_max))):
@@ -57,7 +62,7 @@ class GridSpec:
         if not (math.isfinite(self.re_max - self.re_min)
                 and math.isfinite(self.im_max - self.im_min)):
             raise ConfigError("grid span overflows the float range")
-        if self.re_count * self.im_count > MAX_GRID_POINTS:
+        if re_n * im_n > MAX_GRID_POINTS:
             raise ConfigError(f"grid of {self.re_count}x{self.im_count} "
                               f"points exceeds {MAX_GRID_POINTS} points")
 

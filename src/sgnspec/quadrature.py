@@ -60,9 +60,11 @@ def gauss_legendre_grid(
     """Composite Gauss-Legendre grid on [-L, L], symmetric about 0.
 
     Equal panels of width at most panel_width on [0, L], mirrored.
+    Raises ConfigError unless both lengths are finite and positive.
     """
-    if half_length <= 0.0 or panel_width <= 0.0:
-        raise ConfigError("half_length and panel_width must be positive")
+    if not (0.0 < half_length < math.inf and 0.0 < panel_width < math.inf):
+        raise ConfigError("half_length and panel_width must be finite and "
+                          f"positive, not {half_length!r}, {panel_width!r}")
     if order < 2:
         raise ConfigError("order must be at least 2")
     m = max(1, int(math.ceil(half_length / panel_width)))

@@ -1,14 +1,20 @@
 """Independent references for the tests.
 
-The dense references for the O(n) Birman-Schwinger paths build the
-n x n Nystrom matrix from its definition, so they share no code with the
-structured scans and recursions they check.  The smoothed-pseudomode
-ratio is computed by quadrature of the pseudomode and its image under
-the resolvent, so it shares no code with the closed form it checks.  The
-field renderers and the CSV loader go through csv.writer, the indenting
-json.dumps and csv.DictReader, one row or dict per point, so they share
-no formatting or parsing code with the templates and the column-wise
-reader they check.
+The dense resolvent kernel matrix is built from the image-charge form
+with its own series/expm1 core, so it shares no arithmetic with the
+O(n) generators and scans of bounds, nor with the scalar kernel.  The
+finite-difference matrix comes dense and in the (3, n) banded storage
+of scipy.linalg.solve_banded, so the tests can check the tridiagonal LU
+solvers against LAPACK's dense and banded ones.  The dense references
+for the O(n) Birman-Schwinger paths build the n x n Nystrom matrix from
+its definition, so they share no code with the structured scans and
+recursions they check.  The smoothed-pseudomode ratio is computed by
+quadrature of the pseudomode and its image under the resolvent, so it
+shares no code with the closed form it checks.  The field renderers and
+the CSV loader go through csv.writer, the indenting json.dumps and
+csv.DictReader, one row or dict per point, so they share no formatting
+or parsing code with the templates and the column-wise reader they
+check.
 """
 
 import csv
@@ -19,9 +25,82 @@ import math
 import numpy as np
 
 from sgnspec.bounds import apply_resolvent
-from sgnspec.kernel import resolvent_kernel_grid, wave_numbers
+from sgnspec.closed import _check_off_spectrum, principal_sqrt, wave_numbers
+from sgnspec.errors import DomainError
 from sgnspec.quadrature import (QuadratureGrid, decay_half_length,
                                 oscillation_panel_width)
+
+
+def _image_core(k, d):
+    """(1 - e^{-k d}) / (2k) for d >= 0: a series in w = -k d below
+    |w| = 1e-6, expm1 above it, so it stays finite at k = 0."""
+    w = -k * d
+    small = np.abs(w) < 1e-6
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = -np.expm1(w) / (2.0 * k)
+    ws = w[small]
+    if ws.size:
+        out[small] = 0.5 * d[small] * (
+            1.0 + ws * (0.5 + ws * (1.0 / 6.0 + ws / 24.0)))
+    return out
+
+
+def kernel_matrix(z, x, y, coupled=True):
+    """Dense matrix of the resolvent kernel at (x_i, y_j), full or, with
+    coupled=False, Dirichlet-decoupled.
+
+    On one side of the origin the image-charge difference
+    e^{-k|x-y|} (1 - e^{-k(|x|+|y|-|x-y|)}) / (2k), k = k_plus for
+    x, y >= 0 and k_minus for x, y <= 0; coupled adds the terms through
+    the origin, e^{-k(|x|+|y|)} / (k_plus + k_minus) on the same side
+    and e^{-k_plus|u| - k_minus|v|} / (k_plus + k_minus) across it (u
+    the positive and v the negative one of x, y).  Raises SpectrumError
+    on the rays except at +-i, and DomainError where a value is not
+    finite.
+    """
+    z = complex(z)
+    _check_off_spectrum(z)
+    x = np.asarray(x, dtype=float)[:, None]
+    y = np.asarray(y, dtype=float)[None, :]
+    kp = principal_sqrt(1j - z)
+    km = principal_sqrt(-1j - z)
+    if coupled:
+        pos = (x >= 0.0) & (y >= 0.0)
+        same = pos | ((x <= 0.0) & (y <= 0.0))
+    else:
+        pos = x > 0.0
+        same = x * y > 0.0
+    k = np.where(pos, kp, km)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.abs(x - y)
+        b = np.abs(x) + np.abs(y)
+        image = np.exp(-k * a) * _image_core(k, b - a)
+        if coupled:
+            s = kp + km
+            e_mixed = np.where(x > 0.0, -kp * np.abs(x) - km * np.abs(y),
+                               -km * np.abs(x) - kp * np.abs(y))
+            out = np.where(same, image + np.exp(-k * b) / s,
+                           np.exp(e_mixed) / s)
+        else:
+            out = np.where(same, image, 0.0)
+    if not np.isfinite(out).all():
+        raise DomainError(f"kernel at z={z} is not finite on these nodes")
+    return out
+
+
+def fd_dense(op):
+    """The finite-difference matrix A as a dense array."""
+    return (np.diag(op.diag) + np.diag(op.offdiag, 1)
+            + np.diag(op.offdiag, -1))
+
+
+def fd_banded(op, shift):
+    """(3, n) banded storage of A - shift for scipy.linalg.solve_banded."""
+    ab = np.zeros((3, op.size), dtype=complex)
+    ab[0, 1:] = op.offdiag
+    ab[1, :] = op.diag - shift
+    ab[2, :-1] = op.offdiag
+    return ab
 
 
 def weights(pot, grid):
@@ -33,10 +112,12 @@ def weights(pot, grid):
     return sw * root, signed * sw
 
 
-def assemble_k(z, pot, grid, kernel=resolvent_kernel_grid):
-    """Dense symmetric Nystrom matrix of |V|^{1/2} kernel V_{1/2}."""
+def assemble_k(z, pot, grid, coupled=True):
+    """Dense symmetric Nystrom matrix of |V|^{1/2} kernel V_{1/2}, for the
+    full kernel or, with coupled=False, the Dirichlet one."""
     left, right = weights(pot, grid)
-    return left[:, None] * kernel(z, grid.nodes, grid.nodes) * right[None, :]
+    return (left[:, None] * kernel_matrix(z, grid.nodes, grid.nodes, coupled)
+            * right[None, :])
 
 
 def dense_logdet(eps, pot, grid, z):

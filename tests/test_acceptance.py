@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from _reference import fd_banded
 from sgnspec import bounds, bs, field, models
 from sgnspec.fdop import (_sigma_min_banded, build_fd, eigenvalue_near,
                           resolvent_norm_fd, step_potential)
-from sgnspec.kernel import ray_distances, resolvent_kernel_grid, \
-    spectrum_distance
+from sgnspec.kernel import ray_distances, spectrum_distance
 from sgnspec.quadrature import QuadratureGrid
 
 
@@ -48,7 +48,7 @@ def test_criterion_2_kernel_vs_fd_solve():
     for n in (2001, 4001):
         op = build_fd(n, 20.0)
         f = np.exp(-op.nodes**2)
-        u_fd = sla.solve_banded((1, 1), op.banded(z), f)
+        u_fd = sla.solve_banded((1, 1), fd_banded(op, z), f)
         grid = QuadratureGrid(nodes=op.nodes,
                               weights=np.full(n, op.step),
                               half_length=op.half_length)
@@ -60,7 +60,7 @@ def test_criterion_2_kernel_vs_fd_solve():
                           half_length=op.half_length)
     f = np.exp(-op.nodes**2)
     u = bounds.apply_resolvent(z, grid, f)
-    a = op.banded(z)
+    a = fd_banded(op, z)
     resid = (a[1] * u
              + np.concatenate(([0], a[0][1:] * u[:-1]))
              + np.concatenate((a[2][:-1] * u[1:], [0])))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _reference import pseudomode_ratio, pseudomode_samples
+from _reference import kernel_matrix, pseudomode_ratio, pseudomode_samples
 from sgnspec import closed
 from sgnspec.bounds import (_EXP_BUDGET, _apply, _power_norm, _sides,
                             apply_resolvent, default_strip_grid,
@@ -16,8 +16,7 @@ from sgnspec.bounds import (_EXP_BUDGET, _apply, _power_norm, _sides,
                             pseudomode_lower_bound, quadrature_operator_norm,
                             regularized_pseudomode_ratio, schur_upper_bound)
 from sgnspec.errors import ConvergenceError, DomainError, SpectrumError
-from sgnspec.kernel import (dirichlet_kernel_grid, resolvent_kernel_grid,
-                            wave_numbers)
+from sgnspec.kernel import wave_numbers
 from sgnspec.models import dirichlet_quadrature_norm
 from sgnspec.quadrature import (QuadratureGrid, gauss_legendre_grid,
                                 trapezoid_grid)
@@ -41,9 +40,13 @@ def _dirichlet_apply(z, grid, f):
     return _apply(_sides(z, grid.nodes, coupled=False), grid.weights * f)
 
 
+def _dirichlet_matrix(z, x, y):
+    return kernel_matrix(z, x, y, coupled=False)
+
+
 KERNELS = {
-    "full": (apply_resolvent, resolvent_kernel_grid),
-    "dirichlet": (_dirichlet_apply, dirichlet_kernel_grid),
+    "full": (apply_resolvent, kernel_matrix),
+    "dirichlet": (_dirichlet_apply, _dirichlet_matrix),
 }
 
 # far left of the strip Re k ~ 20 on both half-lines, so on [-40, 40]
@@ -158,7 +161,7 @@ class TestApplyResolvent:
         g = trapezoid_grid(10.0, 401)
         f = np.exp(-g.nodes**2) * (1.0 + 0.5j * g.nodes)
         u = apply_resolvent(z, g, f)
-        dense = resolvent_kernel_grid(z, g.nodes, g.nodes) @ (g.weights * f)
+        dense = kernel_matrix(z, g.nodes, g.nodes) @ (g.weights * f)
         assert np.max(np.abs(u - dense)) < 1e-12 * np.max(np.abs(dense))
 
     @pytest.mark.parametrize("kernel", list(KERNELS))
@@ -193,14 +196,14 @@ class TestOperatorNorm:
         # weighted Nystrom matrix, which stays bounded at +-i
         g = trapezoid_grid(10.0, 401)
         sw = np.sqrt(g.weights)
-        mat = (sw[:, None] * resolvent_kernel_grid(z, g.nodes, g.nodes)
+        mat = (sw[:, None] * kernel_matrix(z, g.nodes, g.nodes)
                * sw[None, :])
         assert quadrature_operator_norm(z, g) == pytest.approx(
             float(np.linalg.norm(mat, 2)), rel=1e-8)
 
     @pytest.mark.parametrize("norm, kernel", [
-        (quadrature_operator_norm, resolvent_kernel_grid),
-        (dirichlet_quadrature_norm, dirichlet_kernel_grid)],
+        (quadrature_operator_norm, kernel_matrix),
+        (dirichlet_quadrature_norm, _dirichlet_matrix)],
         ids=["full", "dirichlet"])
     def test_zero_weights_allowed(self, norm, kernel):
         # a valid grid may carry zero weights, here at both ends; the
@@ -220,7 +223,7 @@ class TestOperatorNorm:
         # gaps are ~1e-5), so the iteration is stopped at 1e-5 and the
         # reference is the same iteration on the dense matrix
         g = _multi_block_grid()
-        mat = resolvent_kernel_grid(MULTI_BLOCK_Z, g.nodes, g.nodes)
+        mat = kernel_matrix(MULTI_BLOCK_Z, g.nodes, g.nodes)
         dense = _power_norm(lambda c: mat @ c, g, tol=1e-5)
         assert quadrature_operator_norm(MULTI_BLOCK_Z, g, tol=1e-5) == \
             pytest.approx(dense, rel=1e-12)

@@ -15,13 +15,12 @@ from sgnspec.bs import (_normalized_det, box, decomposition_diagnostics,
                         potential_grid, search_eigenvalues, spectral_radius,
                         step_well, weak_coupling_rate)
 from sgnspec.errors import ConfigError, ConvergenceError, ZeroCouplingError
-from sgnspec.kernel import (dirichlet_kernel_grid, resolvent_kernel_grid,
-                            wave_numbers)
+from sgnspec.kernel import wave_numbers
 from sgnspec.models import dirichlet_bs_hs_norm
 from sgnspec.quadrature import (QuadratureGrid, gauss_legendre_grid,
                                 trapezoid_grid)
 
-from _reference import assemble_k, dense_logdet, weights
+from _reference import assemble_k, dense_logdet, kernel_matrix, weights
 
 
 class TestPotentials:
@@ -180,7 +179,7 @@ def _dense_norms_sq(z, pot, grid, rows=256):
     k_sq = l_sq = m_sq = 0.0
     for lo in range(0, grid.size, rows):
         r = slice(lo, lo + rows)
-        k = left[r, None] * resolvent_kernel_grid(
+        k = left[r, None] * kernel_matrix(
             z, grid.nodes[r], grid.nodes) * right[None, :]
         lmat = np.outer(col[r], row)
         k_sq += np.sum(np.abs(k) ** 2)
@@ -223,7 +222,7 @@ class TestDenseReference:
         assert d["m_hs"] == pytest.approx(np.linalg.norm(k - lmat),
                                           rel=1e-10)
 
-    @pytest.mark.parametrize("kernel", [None, dirichlet_kernel_grid])
+    @pytest.mark.parametrize("kernel", [None, "dirichlet"])
     def test_hs_norm_matches_dense(self, kernel):
         # None: the full operator (hs_norm); otherwise the Dirichlet one.
         # z = +-i is where the wave number k vanishes; the trapezoid grid
@@ -236,12 +235,11 @@ class TestDenseReference:
             right_half = QuadratureGrid(full.nodes[full.nodes > 0.0],
                                         full.weights[full.nodes > 0.0], 8.0)
             for grid in (full, trapezoid_grid(8.0, 801), right_half):
-                dense = assemble_k(z, pot, grid,
-                                   kernel or resolvent_kernel_grid)
+                dense = assemble_k(z, pot, grid, coupled=kernel is None)
                 assert norm(z, pot, grid) == pytest.approx(
                     np.linalg.norm(dense), rel=1e-12), (z, grid.size)
 
-    @pytest.mark.parametrize("kernel", [None, dirichlet_kernel_grid])
+    @pytest.mark.parametrize("kernel", [None, "dirichlet"])
     def test_hs_norm_matches_dense_multi_block(self, kernel):
         # a wide well far left of the strip: Re k * L ~ 400, so the HS
         # scans cross several blocks
@@ -252,7 +250,7 @@ class TestDenseReference:
         kk = wave_numbers(z)
         assert (min(kk.k_plus.real, kk.k_minus.real) * grid.half_length
                 > _EXP_BUDGET)
-        dense = assemble_k(z, pot, grid, kernel or resolvent_kernel_grid)
+        dense = assemble_k(z, pot, grid, coupled=kernel is None)
         assert norm(z, pot, grid) == pytest.approx(np.linalg.norm(dense),
                                                    rel=1e-12)
 

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from _reference import fd_banded, fd_dense, kernel_matrix
 from sgnspec.bounds import pseudomode_lower_bound, schur_upper_bound
 from sgnspec.errors import (ConfigError, ConvergenceError, SingularError,
                              SpectrumError)
-from sgnspec.fdop import (_sigma_min_banded, build_fd, eigenvalue_near,
-                          resolvent_norm_fd, step_potential)
-from sgnspec.kernel import resolvent_kernel_grid
+from sgnspec.fdop import (_sigma_min_banded, _tridiag_lu, build_fd,
+                          eigenvalue_near, resolvent_norm_fd, step_potential)
 
 
 def _free(x):
@@ -20,7 +20,7 @@ class TestBuild:
     def test_shapes_and_symmetry(self):
         op = build_fd(101, 10.0)
         assert op.size == 101
-        a = op.dense()
+        a = fd_dense(op)
         assert np.allclose(a, a.T)
 
     def test_grid_includes_origin_for_odd_n(self):
@@ -39,12 +39,15 @@ class TestBuild:
             resolvent_norm_fd(5 + 0.5j, n=51, potential="sgn")
 
     def test_banded_matches_dense(self):
+        # the tridiagonal LU solves, plain and adjoint, against dense
+        # LAPACK solves of the same matrix
         op = build_fd(50, 5.0)
         z = 1 + 0.3j
-        rhs = np.exp(-op.nodes**2)
-        dense = np.linalg.solve(op.dense() - z * np.eye(op.size), rhs)
-        banded = sla.solve_banded((1, 1), op.banded(z), rhs)
-        assert np.allclose(dense, banded)
+        rhs = np.exp(-op.nodes**2) * (1.0 + 0.5j * op.nodes)
+        a = fd_dense(op) - z * np.eye(op.size)
+        solve = _tridiag_lu(op, z)
+        assert np.allclose(solve(rhs), np.linalg.solve(a, rhs))
+        assert np.allclose(solve(rhs, "C"), np.linalg.solve(a.conj().T, rhs))
 
     def test_step_potential_cancels_sign_inside(self):
         v = step_potential(1.0, 3.0)(np.array([-0.5, 0.5, 2.0]))
@@ -63,7 +66,7 @@ class TestResolventNorm:
         # reference: smallest singular value from a dense SVD
         z = 9 + 0.4j
         op = build_fd(1501, 40.0)
-        dense = 1.0 / sla.svdvals(op.dense() - z * np.eye(op.size))[-1]
+        dense = 1.0 / sla.svdvals(fd_dense(op) - z * np.eye(op.size))[-1]
         same_n = 1.0 / _sigma_min_banded(op, z)
         assert same_n == pytest.approx(dense, rel=1e-10)
         finer = 1.0 / _sigma_min_banded(build_fd(3101, 40.0), z)
@@ -78,7 +81,7 @@ class TestResolventNorm:
         # must still find the smallest one
         op = build_fd(n, half_length)
         assert 4.0 / op.step**2 < z.real
-        dense = sla.svdvals(op.dense() - z * np.eye(op.size))[-1]
+        dense = sla.svdvals(fd_dense(op) - z * np.eye(op.size))[-1]
         assert _sigma_min_banded(op, z) == pytest.approx(dense, rel=1e-10)
 
     def test_resolved_grid_meets_sandwich(self):
@@ -108,9 +111,8 @@ class TestResolventNorm:
         z = -1 + 0.5j
         op = build_fd(2001, 20.0)
         f = np.exp(-op.nodes**2)
-        u_fd = sla.solve_banded((1, 1), op.banded(z), f)
-        u_kernel = (resolvent_kernel_grid(z, op.nodes, op.nodes)
-                    * op.step) @ f
+        u_fd = sla.solve_banded((1, 1), fd_banded(op, z), f)
+        u_kernel = (kernel_matrix(z, op.nodes, op.nodes) * op.step) @ f
         err = np.linalg.norm(u_fd - u_kernel) / np.linalg.norm(u_fd)
         assert err < 1e-3
 

@@ -50,6 +50,13 @@ class TestGridSpec:
         with pytest.raises(ConfigError, match="span"):
             GridSpec(re_min, re_max, 3, im_min, im_max, 1)
 
+    def test_non_integer_counts(self):
+        # a bare TypeError from np.linspace once; NumPy integers still pass
+        with pytest.raises(ConfigError, match="integers"):
+            GridSpec(0.0, 1.0, 2.5, 0.0, 1.0, 1)
+        g = GridSpec(0.0, 1.0, np.int64(3), 0.0, 1.0, np.int32(2))
+        assert g.points().shape == (2, 3)
+
     def test_point_ceiling(self):
         n = MAX_GRID_POINTS // 2
         assert GridSpec(0.0, 1.0, n, 0.0, 1.0, 2).re_count == n

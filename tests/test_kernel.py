@@ -5,12 +5,11 @@ import cmath
 import numpy as np
 import pytest
 
+from _reference import kernel_matrix
 from sgnspec.errors import DomainError, SpectrumError
 from sgnspec.kernel import (Region, classify_region, dirichlet_kernel,
-                            dirichlet_kernel_grid, principal_sqrt,
-                            ray_distances, resolvent_kernel,
-                            resolvent_kernel_grid, spectrum_distance,
-                            wave_numbers)
+                            principal_sqrt, ray_distances, resolvent_kernel,
+                            spectrum_distance, wave_numbers)
 
 
 class TestPrincipalSqrt:
@@ -109,7 +108,7 @@ class TestResolventKernel:
         z = -1 + 0.5j
         x = np.array([-1.2, -0.3, 0.0, 0.4, 2.0])
         y = np.array([-0.7, 0.1, 1.5])
-        mat = resolvent_kernel_grid(z, x, y)
+        mat = kernel_matrix(z, x, y)
         for i, xi in enumerate(x):
             for j, yj in enumerate(y):
                 assert abs(mat[i, j] - resolvent_kernel(z, xi, yj)) < 1e-13
@@ -168,7 +167,7 @@ class TestDirichletKernel:
     def test_grid_matches_scalar(self):
         z = 3 - 0.2j
         x = np.array([-1.0, -0.2, 0.3, 1.1])
-        mat = dirichlet_kernel_grid(z, x, x)
+        mat = kernel_matrix(z, x, x, coupled=False)
         for i, xi in enumerate(x):
             for j, yj in enumerate(x):
                 assert abs(mat[i, j] - dirichlet_kernel(z, xi, yj)) < 1e-13

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _reference import kernel_matrix
 from sgnspec.errors import ConfigError, DomainError, SpectrumError, \
     ZeroCouplingError
 from sgnspec.kernel import spectrum_distance
@@ -16,7 +17,6 @@ from sgnspec.models import (all_sigma, delta_eigenvalue,
                             dirichlet_resolvent_norm, find_step_eigenvalues,
                             gamma_branch, gamma_point,
                             step_implicit_residual)
-from sgnspec.kernel import dirichlet_kernel_grid
 from sgnspec.quadrature import gauss_legendre_grid, trapezoid_grid
 
 
@@ -154,8 +154,8 @@ class TestDirichlet:
         # reference: largest singular value of the dense symmetrically
         # weighted Nystrom matrix of the Dirichlet kernel
         sw = np.sqrt(grid.weights)
-        mat = sw[:, None] * dirichlet_kernel_grid(z, grid.nodes,
-                                                  grid.nodes) * sw[None, :]
+        mat = (sw[:, None] * kernel_matrix(z, grid.nodes, grid.nodes,
+                                           coupled=False) * sw[None, :])
         dense = float(np.linalg.norm(mat, 2))
         assert dirichlet_quadrature_norm(z, grid) == pytest.approx(
             dense, rel=1e-8)

@@ -1,21 +1,24 @@
 """Property tests for the region partition, the bound sandwich, the
-kernel's symmetry and the O(n) kernel layer against its dense
-references, on inputs drawn by Hypothesis (derandomized, so a run is
-reproducible)."""
+scalar kernel against the dense reference and its symmetry, and the
+O(n) kernel layer against its dense references, on inputs drawn by
+Hypothesis (derandomized, so a run is reproducible)."""
 
+import cmath
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from _reference import assemble_k, dense_logdet
+from _reference import assemble_k, dense_logdet, kernel_matrix
 from sgnspec.bounds import (_apply, _sides, apply_resolvent,
                             pseudomode_lower_bound, schur_upper_bound)
 from sgnspec.bs import _normalized_det, box, gaussian, hs_norm
+from sgnspec.errors import DomainError
 from sgnspec.kernel import (DEFAULT_TOL_SPEC, Region, classify_region,
-                            dirichlet_kernel_grid, resolvent_kernel,
-                            resolvent_kernel_grid, spectrum_distance)
+                            dirichlet_kernel, resolvent_kernel,
+                            spectrum_distance)
 from sgnspec.models import dirichlet_bs_hs_norm
 from sgnspec.quadrature import gauss_legendre_grid, trapezoid_grid
 
@@ -62,19 +65,65 @@ def test_lower_bound_below_upper_bound_in_strip(re, im):
     assert pseudomode_lower_bound(z) <= schur_upper_bound(z)
 
 
+def _off_rays(z):
+    """The kernel's domain: off the spectral rays, their endpoints +-i
+    included."""
+    return (spectrum_distance(z) > DEFAULT_TOL_SPEC
+            or min(abs(z - 1j), abs(z + 1j)) <= DEFAULT_TOL_SPEC)
+
+
+# the plane, the ray endpoints +-i, and points within t^2 of them, where
+# |k| = t and |k| (|x| + |y| - |x - y|) crosses the series cutoff 1e-6
+kernel_z = st.one_of(
+    st.builds(complex, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+    st.sampled_from([1j, -1j]),
+    st.builds(lambda s, t, phi: s + t * t * cmath.exp(1j * phi),
+              st.sampled_from([1j, -1j]), st.floats(1e-9, 1e-5),
+              st.floats(0.0, 2.0 * math.pi)))
+# both sides of the origin, and close to it
+kernel_x = st.one_of(st.floats(-40.0, 40.0), st.floats(-1e-6, 1e-6))
+
+# the scalar and the dense reference round differently (complex products
+# and quotients, exp and expm1), so they may differ by a few ulps of the
+# terms they sum: the image term and the term through the origin
+_KERNEL_ULPS = 4 * 2.0**-52
+
+
 @_SETTINGS
-@given(st.builds(complex, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
-       st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=6),
-       st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=6))
+@given(kernel_z, st.lists(kernel_x, min_size=1, max_size=6),
+       st.lists(kernel_x, min_size=1, max_size=6))
 def test_kernel_scalar_matches_grid_and_is_symmetric(z, xs, ys):
-    assume(spectrum_distance(z) > 1e-9)
-    grid = resolvent_kernel_grid(z, xs, ys)
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            val = resolvent_kernel(z, x, y)
-            assert val == grid[i, j]
-            assert val == resolvent_kernel(z, y, x)
-    assert np.array_equal(resolvent_kernel_grid(z, ys, xs), grid.T)
+    assume(_off_rays(z))
+    full = kernel_matrix(z, xs, ys)
+    image = kernel_matrix(z, xs, ys, coupled=False)
+    scale = np.abs(image) + np.abs(full - image)
+    for kernel, ref in ((resolvent_kernel, full), (dirichlet_kernel, image)):
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                val = kernel(z, x, y)
+                # an absolute floor only below the normal range
+                assert abs(val - ref[i, j]) <= (
+                    _KERNEL_ULPS * scale[i, j] + 2.2250738585072014e-308)
+                assert val == kernel(z, y, x)
+    assert np.array_equal(kernel_matrix(z, ys, xs), full.T)
+
+
+@_SETTINGS
+@given(kernel_z, st.one_of(kernel_x, finite), st.one_of(kernel_x, finite),
+       st.booleans())
+def test_kernel_is_finite_or_domain_error(z, x, y, coupled):
+    # up to the float range the kernel is a finite value, the same with x
+    # and y swapped, or DomainError, never a NaN or another exception
+    assume(_off_rays(z))
+    kernel = resolvent_kernel if coupled else dirichlet_kernel
+    try:
+        val = kernel(z, x, y)
+    except DomainError:
+        with pytest.raises(DomainError):
+            kernel(z, y, x)
+        return
+    assert cmath.isfinite(val)
+    assert val == kernel(z, y, x)
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +166,7 @@ def _dirichlet_apply(z, grid, f):
     return _apply(_sides(z, grid.nodes, coupled=False), grid.weights * f)
 
 
-_APPLIES = [(apply_resolvent, resolvent_kernel_grid),
-            (_dirichlet_apply, dirichlet_kernel_grid)]
+_APPLIES = [(apply_resolvent, True), (_dirichlet_apply, False)]
 
 
 @_SMALL
@@ -127,8 +175,8 @@ def test_apply_matches_dense_sum(z, grid, seed):
     rng = np.random.default_rng(seed)
     f = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
     wf = grid.weights * f
-    for apply, kernel in _APPLIES:
-        dense = kernel(z, grid.nodes, grid.nodes)
+    for apply, coupled in _APPLIES:
+        dense = kernel_matrix(z, grid.nodes, grid.nodes, coupled)
         # the error is measured against the sum of the moduli, so
         # cancelling terms cannot make the test ask for more than rounding
         scale = np.linalg.norm(np.abs(dense) @ np.abs(wf))
@@ -148,7 +196,7 @@ def test_hs_norms_match_dense(z, pot_grid):
     pot, grid = pot_grid
     full = np.linalg.norm(assemble_k(z, pot, grid))
     dirichlet = np.linalg.norm(
-        assemble_k(z, pot, grid, kernel=dirichlet_kernel_grid))
+        assemble_k(z, pot, grid, coupled=False))
     assert math.isclose(hs_norm(z, pot, grid), full, rel_tol=1e-12)
     assert math.isclose(dirichlet_bs_hs_norm(z, pot, grid), dirichlet,
                         rel_tol=1e-12)

@@ -1,9 +1,14 @@
-"""Tests for the composite quadrature grids."""
+"""Tests for the composite quadrature grids and the lengths that size
+them."""
+
+import math
 
 import numpy as np
 import pytest
 
+from sgnspec.bs import box, gaussian
 from sgnspec.errors import ConfigError
+from sgnspec.fdop import build_fd, resolvent_norm_fd
 from sgnspec.quadrature import (QuadratureGrid, decay_half_length,
                                 gauss_legendre_grid, oscillation_panel_width,
                                 trapezoid_grid)
@@ -68,3 +73,20 @@ class TestSizing:
         with pytest.raises(ConfigError):
             QuadratureGrid(nodes=np.array(nodes), weights=np.array(weights),
                            half_length=1.0)
+
+
+@pytest.mark.parametrize("length", [math.nan, math.inf, -1.0, 0.0])
+@pytest.mark.parametrize("build", [
+    lambda v: gauss_legendre_grid(v, 1.0),
+    lambda v: gauss_legendre_grid(1.0, v),
+    lambda v: build_fd(5, v),
+    lambda v: gaussian(width=v),
+    lambda v: box(1.0, v),
+    lambda v: resolvent_norm_fd(5 + 0.5j, n=11, half_length=v)],
+    ids=["half_length", "panel_width", "build_fd", "gaussian", "box",
+         "resolvent_norm_fd"])
+def test_lengths_must_be_finite_and_positive(build, length):
+    # a NaN or infinite length once raised a bare ValueError or
+    # OverflowError, or gave NaN entries or the answer for |L|
+    with pytest.raises(ConfigError, match="finite and positive"):
+        build(length)
