@@ -50,8 +50,20 @@ class PotentialSpec:
                           dtype=complex)
 
 
+def _check_amplitude(amplitude: float) -> None:
+    if not cmath.isfinite(amplitude):
+        raise ConfigError(f"amplitude must be finite, not {amplitude!r}")
+
+
+def _check_radius(radius: float) -> None:
+    if not 0.0 < radius < math.inf:
+        raise ConfigError(
+            f"radius must be finite and positive, not {radius!r}")
+
+
 def gaussian(amplitude: float = -1.0, width: float = 1.0) -> PotentialSpec:
     """V(x) = amplitude * exp(-(x/width)^2)."""
+    _check_amplitude(amplitude)
     if not 0.0 < width < math.inf:
         raise ConfigError(f"width must be finite and positive, not {width!r}")
 
@@ -65,9 +77,8 @@ def gaussian(amplitude: float = -1.0, width: float = 1.0) -> PotentialSpec:
 
 def box(amplitude: float, radius: float) -> PotentialSpec:
     """V(x) = amplitude on (-radius, radius), zero outside."""
-    if not 0.0 < radius < math.inf:
-        raise ConfigError(
-            f"radius must be finite and positive, not {radius!r}")
+    _check_amplitude(amplitude)
+    _check_radius(radius)
 
     def v(x):
         return amplitude * (np.abs(x) < radius)
@@ -85,7 +96,14 @@ def delta_bump(alpha: float, radius: float = 2.5e-4) -> PotentialSpec:
     """
     if alpha == 0.0:
         raise ZeroCouplingError("delta coupling must be nonzero")
-    return box(-alpha / (2.0 * radius), radius)
+    if not cmath.isfinite(alpha):
+        raise ConfigError(f"delta coupling must be finite, not {alpha!r}")
+    _check_radius(radius)
+    depth = -alpha / (2.0 * radius)
+    if not cmath.isfinite(depth):
+        raise ConfigError(f"well depth alpha/(2 radius) overflows at "
+                          f"alpha={alpha!r}, radius={radius!r}")
+    return box(depth, radius)
 
 
 def step_well(a: float, b: float) -> PotentialSpec:

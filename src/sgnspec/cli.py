@@ -10,9 +10,9 @@ number on the command line), 3 a numerical method failed (no
 convergence, a lost eigenvalue branch, a singular matrix).
 
 The closed-form commands (kernel, bounds, dirichlet, delta, gamma, step)
-use the standard-library modules closed and kernel only; field and bs
-import their NumPy-backed modules when they run, so the closed forms
-start without loading NumPy.
+and field use the standard-library modules closed, kernel and field
+only; bs and field --oracle import their NumPy-backed modules when they
+run, so the other commands start without loading NumPy.
 """
 
 from __future__ import annotations
@@ -73,22 +73,6 @@ def parse_range(text: str) -> tuple[float, float, int]:
     if n < 1:
         raise argparse.ArgumentTypeError("count must be positive")
     return lo, hi, n
-
-
-def _linspace(lo: float, hi: float, n: int) -> list[float]:
-    """numpy.linspace(lo, hi, n) as a list, bitwise: the same float
-    operations in the same order, so the closed-form commands need not
-    load NumPy for it."""
-    delta = hi - lo
-    if n == 1:
-        return [0.0 * delta + lo]
-    div = n - 1
-    step = delta / div
-    if step == 0.0:  # subnormal step: numpy scales i / div by delta
-        ys = [float(i) / div * delta + lo for i in range(div)]
-    else:
-        ys = [float(i) * step + lo for i in range(div)]
-    return ys + [hi]
 
 
 def _fmt(x) -> str:
@@ -229,7 +213,7 @@ def _run(args, out) -> None:
         pot = _potential_from_args(args)
         if args.bs_command == "sweep":
             out.write("re k_hs l_hs l_hs_closed m_hs\n")
-            for r in _linspace(*args.re):
+            for r in closed._linspace(*args.re):
                 d = bs.decomposition_diagnostics(r + 1j * args.im, pot)
                 out.write(f"{_fmt(r)} {_fmt(d['k_hs'])} {_fmt(d['l_hs'])} "
                           f"{_fmt(d['l_hs_closed'])} {_fmt(d['m_hs'])}\n")
@@ -259,7 +243,7 @@ def _run(args, out) -> None:
             raise ConfigError(f"bad sigma {args.sigma!r}")
         if len(sigma) != 3:
             raise ConfigError("sigma needs three entries")
-        for r in _linspace(*args.r):
+        for r in closed._linspace(*args.r):
             out.write(f"alpha {_fmt_c(closed.gamma_point(r, sigma))}\n")
 
     elif args.command == "step":

@@ -13,10 +13,12 @@ pseudomode and numerical-range bounds on the resolvent norm together
 with norm_bounds, the one place that decides which of them holds at a
 point, the smoothed pseudomode's quality ratio, and the spectral data
 of the point interaction, the exceptional coupling curve, the step-like
-well and the Dirichlet decoupling.  It uses the standard library only,
-so the CLI commands that print these numbers start without loading
-NumPy; kernel, bounds and models re-export each name from here, so
-every name has this one implementation.
+well and the Dirichlet decoupling, and the bitwise copy of
+numpy.linspace that the CLI sweeps and the field grids sample with.  It
+uses the standard library only, so the CLI commands that print these
+numbers start without loading NumPy; kernel, bounds and models
+re-export each name from here, so every name has this one
+implementation.
 """
 
 from __future__ import annotations
@@ -59,6 +61,22 @@ def wave_numbers(z: complex) -> WaveNumbers:
     """Both wave numbers at spectral parameter ``z``."""
     z = complex(z)
     return WaveNumbers(principal_sqrt(1j - z), principal_sqrt(-1j - z), z)
+
+
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """numpy.linspace(lo, hi, n) as a list, bitwise: the same float
+    operations in the same order, so that sampling an axis needs no
+    NumPy."""
+    delta = hi - lo
+    if n == 1:
+        return [0.0 * delta + lo]
+    div = n - 1
+    step = delta / div
+    if step == 0.0:  # subnormal step: numpy scales i / div by delta
+        ys = [float(i) / div * delta + lo for i in range(div)]
+    else:
+        ys = [float(i) * step + lo for i in range(div)]
+    return ys + [hi]
 
 
 # ---------------------------------------------------------------------------

@@ -4,24 +4,25 @@ Evaluates the two-sided bounds (and optionally the finite-difference
 oracle) over a rectangular grid in the spectral plane, records a status
 per point, and serializes the result as CSV or JSON with reproducible
 formatting: floats are written with repr so that re-running the same
-version on the same inputs yields byte-identical files.
+version on the same inputs yields byte-identical files.  Grid, field
+and export use the standard library only; the finite-difference oracle
+and load_field_csv, which returns NumPy arrays, import what they need
+when they run.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import operator
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
-
-from .closed import DEFAULT_TOL_SPEC, norm_bounds
+from .closed import DEFAULT_TOL_SPEC, _linspace, norm_bounds
 from .closed import (STATUS_NUMRANGE, STATUS_OK,  # re-exported
                      STATUS_SKIPPED, STATUS_SPECTRUM)
 from .errors import ConfigError
-from .fdop import resolvent_norm_fd
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # most points a GridSpec may hold.  Scaled from 10^5 points (2-core x86,
 # Python 3.11), a grid at the ceiling takes ~3 s and ~0.15 GB in
@@ -35,11 +36,7 @@ _CSV_COLUMNS = ("re", "im", "region", "status",
 _TEXT_COLUMNS = ("region", "status")  # the others hold floats
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Rectangular grid in the complex spectral plane, of at most
-    MAX_GRID_POINTS points; ConfigError otherwise."""
-
+class _Grid(NamedTuple):
     re_min: float
     re_max: float
     re_count: int
@@ -47,44 +44,72 @@ class GridSpec:
     im_max: float
     im_count: int
 
-    def __post_init__(self):
+
+class GridSpec(_Grid):
+    """Rectangular grid in the complex spectral plane, of at most
+    MAX_GRID_POINTS points; ConfigError otherwise."""
+
+    __slots__ = ()
+
+    def __new__(cls, re_min: float, re_max: float, re_count: int,
+                im_min: float, im_max: float, im_count: int) -> GridSpec:
         try:
-            re_n, im_n = map(operator.index, (self.re_count, self.im_count))
+            re_n, im_n = map(operator.index, (re_count, im_count))
         except TypeError:
             raise ConfigError("grid counts must be integers") from None
         if re_n < 1 or im_n < 1:
             raise ConfigError("grid counts must be positive")
-        if not all(map(math.isfinite, (self.re_min, self.re_max,
-                                       self.im_min, self.im_max))):
+        if not all(map(math.isfinite, (re_min, re_max, im_min, im_max))):
             raise ConfigError("grid bounds must be finite")
-        if self.re_max < self.re_min or self.im_max < self.im_min:
+        if re_max < re_min or im_max < im_min:
             raise ConfigError("grid bounds must be ordered")
-        if not (math.isfinite(self.re_max - self.re_min)
-                and math.isfinite(self.im_max - self.im_min)):
+        if not (math.isfinite(re_max - re_min)
+                and math.isfinite(im_max - im_min)):
             raise ConfigError("grid span overflows the float range")
         if re_n * im_n > MAX_GRID_POINTS:
-            raise ConfigError(f"grid of {self.re_count}x{self.im_count} "
+            raise ConfigError(f"grid of {re_count}x{im_count} "
                               f"points exceeds {MAX_GRID_POINTS} points")
+        return super().__new__(cls, re_min, re_max, re_count,
+                               im_min, im_max, im_count)
 
-    def points(self) -> np.ndarray:
-        """(im_count, re_count) array of grid points, row-major in im."""
-        re = np.linspace(self.re_min, self.re_max, self.re_count)
-        im = np.linspace(self.im_min, self.im_max, self.im_count)
-        return re[None, :] + 1j * im[:, None]
+    @classmethod
+    def _make(cls, iterable) -> GridSpec:
+        # _replace builds through _make, which would skip the checks
+        return cls(*iterable)
+
+    def _rows(self) -> tuple[list[list[float]], list[tuple[int, float]]]:
+        """The two lists of real parts a row may hold and, per row from
+        im_min up, the index of its list and its imaginary part.
+
+        The parts are those of NumPy's re[None, :] + 1j * im[:, None],
+        which built the points before: the imaginary part is im + 0.0,
+        and a row whose im has a clear sign bit holds re + 0.0; both
+        turn a -0.0 into 0.0.
+        """
+        re = _linspace(self.re_min, self.re_max, self.re_count)
+        im = _linspace(self.im_min, self.im_max, self.im_count)
+        return ([re, [r + 0.0 for r in re]],
+                [(int(math.copysign(1.0, i) > 0.0), i + 0.0) for i in im])
+
+    def points(self) -> list[complex]:
+        """The im_count * re_count grid points, row-major in im."""
+        re_parts, rows = self._rows()
+        return [complex(r, i) for k, i in rows for r in re_parts[k]]
 
 
-@dataclass
-class PseudospectrumField:
-    """Bounds and statuses evaluated over a GridSpec."""
+class PseudospectrumField(NamedTuple):
+    """Bounds and statuses evaluated over a GridSpec, each a flat list in
+    the row-major order of GridSpec.points(); the two oracle columns are
+    None without an oracle."""
 
     grid: GridSpec
-    lower: np.ndarray
-    upper: np.ndarray
-    status: np.ndarray
-    region: np.ndarray
-    oracle: np.ndarray | None = None
-    oracle_err: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
+    lower: list[float]
+    upper: list[float]
+    status: list[str]
+    region: list[str]
+    oracle: list[float] | None
+    oracle_err: list[float] | None
+    meta: dict
 
 
 def compute_field(grid: GridSpec, with_oracle: bool = False,
@@ -103,11 +128,13 @@ def compute_field(grid: GridSpec, with_oracle: bool = False,
     with finite bounds.
     """
     pts = grid.points()
-    shape = pts.shape
     lower, upper, status, region = [], [], [], []
-    oracle = np.full(pts.size, math.nan) if with_oracle else None
-    oracle_err = np.full(pts.size, math.nan) if with_oracle else None
-    for i, z in enumerate(pts.ravel().tolist()):
+    oracle = oracle_err = None
+    if with_oracle:
+        from .fdop import resolvent_norm_fd
+
+        oracle, oracle_err = [math.nan] * len(pts), [math.nan] * len(pts)
+    for i, z in enumerate(pts):
         nb = norm_bounds(z)
         region.append(nb.region.name)
         status.append(nb.status)
@@ -115,18 +142,13 @@ def compute_field(grid: GridSpec, with_oracle: bool = False,
         upper.append(nb.upper)
         if with_oracle and nb.error is None:
             res = resolvent_norm_fd(z, n=oracle_n)
-            oracle[i], oracle_err[i] = res.value, res.error
+            oracle[i], oracle_err[i] = float(res.value), float(res.error)
 
     meta = {"with_oracle": with_oracle, "tol_spec": DEFAULT_TOL_SPEC}
     if with_oracle:
         meta["oracle_n"] = oracle_n
-        oracle, oracle_err = oracle.reshape(shape), oracle_err.reshape(shape)
-    return PseudospectrumField(
-        grid=grid, lower=np.array(lower).reshape(shape),
-        upper=np.array(upper).reshape(shape),
-        status=np.array(status, dtype=object).reshape(shape),
-        region=np.array(region, dtype=object).reshape(shape),
-        oracle=oracle, oracle_err=oracle_err, meta=meta)
+    return PseudospectrumField(grid, lower, upper, status, region,
+                               oracle, oracle_err, meta)
 
 
 def _fmt(x: float) -> str:
@@ -134,23 +156,28 @@ def _fmt(x: float) -> str:
 
 
 def _columns(fld: PseudospectrumField) -> dict[str, list]:
-    """The field's columns in _CSV_COLUMNS order, each a row-major list of
-    Python floats (the numeric columns) or strs (region and status); the
-    two oracle columns only when the field has an oracle."""
-    pts = fld.grid.points()
-    cols = {"re": pts.real, "im": pts.imag, "region": fld.region,
+    """The field's columns in _CSV_COLUMNS order, each a row-major list:
+    re and im as text, formatted once per axis value, the others as the
+    field holds them; the two oracle columns only when the field has an
+    oracle."""
+    re_parts, rows = fld.grid._rows()
+    re_text = [[_fmt(r) for r in part] for part in re_parts]
+    re_cells, im_cells = [], []
+    for k, i in rows:
+        re_cells += re_text[k]
+        im_cells += [_fmt(i)] * fld.grid.re_count
+    cols = {"re": re_cells, "im": im_cells, "region": fld.region,
             "status": fld.status, "lower": fld.lower, "upper": fld.upper}
     if fld.oracle is not None:
         cols.update(oracle=fld.oracle, oracle_err=fld.oracle_err)
-    return {name: (np.ravel(col).tolist() if name in _TEXT_COLUMNS
-                   else np.asarray(col, dtype=float).ravel().tolist())
-            for name, col in cols.items()}
+    return cols
 
 
 def _cell(name: str) -> str:
-    """%-format of one cell: repr for the floats, str for the region and
-    status names, which no cell needs to quote or escape in CSV or JSON."""
-    return "%s" if name in _TEXT_COLUMNS else "%r"
+    """%-format of one cell: repr for the bound and oracle floats, str for
+    the re and im text and the region and status names, which no cell
+    needs to quote or escape in CSV or JSON."""
+    return "%s" if name in ("re", "im") + _TEXT_COLUMNS else "%r"
 
 
 def field_to_csv(fld: PseudospectrumField) -> str:
@@ -174,6 +201,8 @@ def field_to_json(fld: PseudospectrumField) -> str:
     rendered by it, and every point from one template with its keys in
     sorted order.
     """
+    import json
+
     g = fld.grid
     head = json.dumps(
         {"grid": {"re_min": _fmt(g.re_min), "re_max": _fmt(g.re_max),
@@ -216,6 +245,10 @@ def load_field_csv(path: str) -> dict[str, np.ndarray]:
     where a column is missing, a row has another number of cells than
     the header, or a numeric cell does not parse.
     """
+    import csv
+
+    import numpy as np
+
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])

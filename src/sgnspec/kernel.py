@@ -55,9 +55,9 @@ def _kernel(z: complex, x: float, y: float, coupled: bool) -> complex:
     if coupled:
         pos = x >= 0.0 and y >= 0.0
         same = pos or (x <= 0.0 and y <= 0.0)
-    else:
+    else:  # a sign test: x * y underflows to 0 for tiny x and y
         pos = x > 0.0
-        same = x * y > 0.0
+        same = (pos and y > 0.0) or (x < 0.0 and y < 0.0)
     k = kp if pos else km
     try:
         if same:

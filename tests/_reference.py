@@ -14,7 +14,8 @@ shares no code with the closed form it checks.  The field renderers and
 the CSV loader go through csv.writer, the indenting json.dumps and
 csv.DictReader, one row or dict per point, so they share no formatting
 or parsing code with the templates and the column-wise reader they
-check.
+check; the renderers take the grid points from NumPy's linspace and
+broadcasting, not from GridSpec.points().
 """
 
 import csv
@@ -69,7 +70,7 @@ def kernel_matrix(z, x, y, coupled=True):
         same = pos | ((x <= 0.0) & (y <= 0.0))
     else:
         pos = x > 0.0
-        same = x * y > 0.0
+        same = (pos & (y > 0.0)) | ((x < 0.0) & (y < 0.0))
     k = np.where(pos, kp, km)
     with np.errstate(over="ignore", invalid="ignore"):
         a = np.abs(x - y)
@@ -180,11 +181,19 @@ def _fmt(x):
     return repr(float(x))
 
 
+def grid_points(grid):
+    """(im_count, re_count) array of the grid points, built as NumPy's
+    linspace and broadcasting give them, signed zeros included."""
+    re = np.linspace(grid.re_min, grid.re_max, grid.re_count)
+    im = np.linspace(grid.im_min, grid.im_max, grid.im_count)
+    return re[None, :] + 1j * im[:, None]
+
+
 def _field_rows(fld):
     """Formatted cells of each grid point in row-major order, in
     _FIELD_COLUMNS order; without an oracle the two oracle cells are
     left out."""
-    pts = fld.grid.points()
+    pts = grid_points(fld.grid)
     floats = [pts.real, pts.imag, fld.lower, fld.upper]
     if fld.oracle is not None:
         floats += [fld.oracle, fld.oracle_err]

@@ -41,6 +41,28 @@ class TestPotentials:
         with pytest.raises(ZeroCouplingError):
             delta_bump(0.0)
 
+    @pytest.mark.parametrize("amplitude", [math.inf, -math.inf, math.nan])
+    def test_non_finite_amplitude(self, amplitude):
+        with pytest.raises(ConfigError, match="amplitude"):
+            gaussian(amplitude)
+        with pytest.raises(ConfigError, match="amplitude"):
+            box(amplitude, 0.5)
+
+    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+    def test_delta_bump_non_finite_coupling(self, alpha):
+        with pytest.raises(ConfigError, match="coupling"):
+            delta_bump(alpha)
+
+    def test_delta_bump_depth_overflow(self):
+        # 1 / (2 * 1e-320) overflows: the box once came back with l1 = inf
+        with pytest.raises(ConfigError, match="depth"):
+            delta_bump(1.0, radius=1e-320)
+
+    def test_delta_bump_bad_radius(self):
+        # a zero radius once divided by zero before box could check it
+        with pytest.raises(ConfigError, match="radius"):
+            delta_bump(1.0, radius=0.0)
+
     def test_step_well(self):
         pot = step_well(1.0, 3.0)
         assert pot(np.array([0.5]))[0] == -3.0

@@ -25,13 +25,20 @@ def small_field():
 class TestGridSpec:
     def test_points_shape(self):
         g = GridSpec(0.0, 1.0, 3, -1.0, 1.0, 4)
-        assert g.points().shape == (4, 3)
+        pts = g.points()
+        assert len(pts) == 12
+        assert pts[:3] == [-1j, 0.5 - 1j, 1 - 1j]
+        assert [p.real for p in pts[3:6]] == [0.0, 0.5, 1.0]
+        assert pts[3].imag == pts[5].imag == pytest.approx(-1.0 / 3.0)
+        assert pts[-1] == 1 + 1j
 
     def test_validation(self):
         with pytest.raises(ConfigError):
             GridSpec(1.0, 0.0, 3, 0.0, 1.0, 3)
         with pytest.raises(ConfigError):
             GridSpec(0.0, 1.0, 0, 0.0, 1.0, 3)
+        with pytest.raises(ConfigError):
+            GridSpec(0.0, 1.0, 3, 0.0, 1.0, 3)._replace(re_count=0)
 
     @pytest.mark.parametrize("bounds", [
         (0.0, 1.0, -math.inf, math.inf), (-math.inf, 1.0, 0.0, 1.0),
@@ -55,7 +62,7 @@ class TestGridSpec:
         with pytest.raises(ConfigError, match="integers"):
             GridSpec(0.0, 1.0, 2.5, 0.0, 1.0, 1)
         g = GridSpec(0.0, 1.0, np.int64(3), 0.0, 1.0, np.int32(2))
-        assert g.points().shape == (2, 3)
+        assert len(g.points()) == 6
 
     def test_point_ceiling(self):
         n = MAX_GRID_POINTS // 2
@@ -66,45 +73,51 @@ class TestGridSpec:
 
 class TestComputeField:
     def test_statuses_cover_plane(self, small_field):
-        statuses = set(small_field.status.ravel())
+        statuses = set(small_field.status)
         assert "ok" in statuses
         assert "numrange" in statuses
 
     def test_interior_is_sandwiched(self, small_field):
-        mask = small_field.status == "ok"
-        lo = small_field.lower[mask]
-        hi = small_field.upper[mask]
+        mask = np.array(small_field.status) == "ok"
+        lo = np.array(small_field.lower)[mask]
+        hi = np.array(small_field.upper)[mask]
         assert np.all(lo <= hi)
         assert np.all(lo > 0)
 
     def test_numrange_is_tight(self, small_field):
-        mask = small_field.status == "numrange"
-        assert np.all(small_field.lower[mask] == small_field.upper[mask])
+        mask = np.array(small_field.status) == "numrange"
+        assert np.all(np.array(small_field.lower)[mask]
+                      == np.array(small_field.upper)[mask])
 
     def test_overflowing_bound_is_skipped(self):
         # the Schur bound overflows near Re z = 1e308; the lower bound
         # does not, but a point with one bound missing carries neither
         fld = compute_field(GridSpec(1e307, 1e308, 2, 0.5, 0.5, 1))
-        assert list(fld.status.ravel()) == ["ok", "skipped"]
-        assert np.all(np.isfinite(fld.upper[fld.status == "ok"]))
-        assert np.isnan(fld.lower[0, 1]) and np.isnan(fld.upper[0, 1])
+        assert fld.status == ["ok", "skipped"]
+        assert math.isfinite(fld.upper[0])
+        assert math.isnan(fld.lower[1]) and math.isnan(fld.upper[1])
 
     def test_spectrum_points_marked(self):
         grid = GridSpec(0.0, 2.0, 3, 1.0, 1.0, 1)  # lies on the upper ray
         fld = compute_field(grid)
-        assert np.all(fld.status == "spectrum")
-        assert np.all(np.isinf(fld.lower))
+        assert fld.status == ["spectrum"] * 3
+        assert np.all(np.isinf(np.array(fld.lower)))
 
 
+# signed zeros and subnormal spans, where NumPy's broadcast sum turns a
+# -0.0 part into 0.0
+_tiny = st.one_of(st.sampled_from((-0.0, 0.0)), st.floats(-1e-300, 1e-300))
 _re_ends = st.one_of(st.floats(-60.0, 120.0), st.floats(1e306, 1.7e308),
-                     st.just(0.0))
-_im_ends = st.one_of(st.floats(-3.0, 3.0), st.sampled_from((-1.0, 0.0, 1.0)))
+                     _tiny)
+_im_ends = st.one_of(st.floats(-3.0, 3.0), st.sampled_from((-1.0, 0.0, 1.0)),
+                     _tiny)
 
 
 @st.composite
 def grids(draw, re_ends=_re_ends, most=8):
     """Small grids with Re z < 0 and > 0, points on the rays (an im end at
-    +-1) and points where the bounds overflow (Re z near 1e308)."""
+    +-1), points where the bounds overflow (Re z near 1e308), signed
+    zeros, subnormal spans and axes of one point."""
     re_min, re_max = sorted((draw(re_ends), draw(re_ends)))
     im_min, im_max = sorted((draw(_im_ends), draw(_im_ends)))
     return GridSpec(re_min, re_max, draw(st.integers(1, most)),
@@ -126,8 +139,8 @@ def _check_against_reference(fld, tmp_dir):
     path.write_text(text)
     cols = load_field_csv(str(path))
     _same_columns(cols, ref.load_field_csv(str(path)))
-    np.testing.assert_array_equal(cols["lower"], fld.lower.ravel())
-    np.testing.assert_array_equal(cols["upper"], fld.upper.ravel())
+    np.testing.assert_array_equal(cols["lower"], np.array(fld.lower))
+    np.testing.assert_array_equal(cols["upper"], np.array(fld.upper))
 
 
 @pytest.fixture(scope="module")
@@ -136,8 +149,18 @@ def tmp_dir(tmp_path_factory):
 
 
 class TestAgainstReference:
-    """The templates and the column-wise reader against csv.writer, the
+    """The grid points against NumPy's linspace and broadcasting, and the
+    templates and the column-wise reader against csv.writer, the
     indenting json.dumps and csv.DictReader."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(grids(most=12))
+    @example(GridSpec(-5.0, -0.0, 7, -0.0, 0.0, 2)).via("-0.0 ends")
+    @example(GridSpec(0.0, -0.0, 3, -0.0, -0.0, 1)).via("-0.0 span, one row")
+    def test_points_equal_numpy_bitwise(self, grid):
+        want = ref.grid_points(grid).ravel()
+        assert np.array(grid.points()).tobytes() == want.tobytes()
 
     @settings(max_examples=120, deadline=None, derandomize=True,
               database=None)
@@ -146,10 +169,15 @@ class TestAgainstReference:
     @example(GridSpec(0.0, 2.0, 3, -1.0, 1.0, 3)).via("ray points")
     @example(GridSpec(-5.0, -1.0, 4, -0.5, 0.5, 2)).via("Re z < 0")
     @example(GridSpec(2.5, 2.5, 1, 0.3, 0.3, 1)).via("one point")
+    @example(GridSpec(-5.0, -0.0, 7, -0.0, 0.0, 2)).via("-0.0 ends")
+    @example(GridSpec(-0.0, -0.0, 1, 0.0, -0.0, 3)).via("-0.0, one column")
+    @example(GridSpec(0.0, -0.0, 3, -0.0, -0.0, 1)).via("-0.0 span, one row")
+    @example(GridSpec(-1e-310, 1e-310, 5, -5e-324, 5e-324, 4)).via(
+        "subnormal spans")
     def test_bounds_only(self, tmp_dir, grid):
         fld = compute_field(grid)
         _check_against_reference(fld, tmp_dir)
-        assert np.isnan(fld.lower).any() == ("skipped" in fld.status)
+        assert np.isnan(np.array(fld.lower)).any() == ("skipped" in fld.status)
 
     @settings(max_examples=12, deadline=None, derandomize=True,
               database=None)
@@ -159,7 +187,7 @@ class TestAgainstReference:
         fld = compute_field(grid, with_oracle=True, oracle_n=31)
         _check_against_reference(fld, tmp_dir)
         np.testing.assert_array_equal(
-            np.isnan(fld.oracle), fld.status == "spectrum")
+            np.isnan(np.array(fld.oracle)), np.array(fld.status) == "spectrum")
 
 
 class TestExport:
@@ -174,8 +202,7 @@ class TestExport:
         export_field(small_field, path)
         cols = load_field_csv(path)
         pts = small_field.grid.points()
-        np.testing.assert_allclose(
-            cols["re"], np.array([p.real for p in pts.ravel()]))
+        np.testing.assert_allclose(cols["re"], [p.real for p in pts])
         mask = cols["status"] == "ok"
         finite = cols["lower"][mask]
         assert np.all(np.isfinite(finite))
@@ -186,7 +213,7 @@ class TestExport:
         with open(path) as fh:
             doc = json.load(fh)
         assert doc["grid"]["re_count"] == small_field.grid.re_count
-        assert len(doc["points"]) == small_field.lower.size
+        assert len(doc["points"]) == len(small_field.lower)
         # stored repr strings parse back to the stored floats
         rec = doc["points"][0]
         assert math.isfinite(float(rec["re"]))
@@ -198,10 +225,11 @@ class TestExport:
     def test_oracle_columns(self, tmp_path):
         grid = GridSpec(5.0, 8.0, 2, 0.3, 0.3, 1)
         fld = compute_field(grid, with_oracle=True, oracle_n=3001)
-        assert np.all(np.isfinite(fld.oracle))
+        oracle = np.array(fld.oracle)
+        assert np.all(np.isfinite(oracle))
         # oracle must respect the two-sided bounds with slack
-        assert np.all(fld.oracle >= 0.5 * fld.lower)
-        assert np.all(fld.oracle <= 1.5 * fld.upper)
+        assert np.all(oracle >= 0.5 * np.array(fld.lower))
+        assert np.all(oracle <= 1.5 * np.array(fld.upper))
 
 
 class TestLoadErrors:
@@ -247,5 +275,5 @@ def test_json_export_memory():
     text = field_to_json(fld)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert fld.lower.size == 20_000
+    assert len(fld.lower) == 20_000
     assert peak < 4 * len(text)

@@ -145,6 +145,27 @@ class TestDirichletKernel:
         z = 2 + 0.5j
         assert abs(dirichlet_kernel(z, 1e-12, 0.5)) < 1e-10
 
+    @pytest.mark.parametrize("x, y", [
+        (1e-200, 1e-200), (-1e-200, -1e-200), (1e-200, 3e-200),
+        (-3e-200, -1e-200)])
+    def test_tiny_same_side(self, x, y):
+        # x * y underflows to 0 here, which once read as "across the
+        # origin" and gave 0; the kernel is min(|x|, |y|) to first order
+        z = 2 + 0.5j
+        got = dirichlet_kernel(z, x, y)
+        assert got == pytest.approx(min(abs(x), abs(y)), rel=1e-12,
+                                    abs=0.0)
+        ref = kernel_matrix(z, [x], [y], coupled=False)[0, 0]
+        assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("x, y", [
+        (1e-200, -1e-200), (-1e-200, 1e-200), (0.0, 1e-200),
+        (-0.0, -1e-200), (1e-200, 0.0)])
+    def test_tiny_across_or_on_origin(self, x, y):
+        z = 2 + 0.5j
+        assert dirichlet_kernel(z, x, y) == 0.0
+        assert kernel_matrix(z, [x], [y], coupled=False)[0, 0] == 0.0
+
     def test_same_side_matches_image_formula(self):
         z = 2 + 0.5j
         kp = wave_numbers(z).k_plus

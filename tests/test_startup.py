@@ -1,11 +1,12 @@
 """Start-up guard: the closed-form CLI commands (kernel, bounds,
-dirichlet, delta, gamma, step) and the smoothed pseudomode ratio load
-neither NumPy nor SciPy nor dataclasses, so they start in about the time
-of the interpreter; the NumPy-backed commands (field, bs) load NumPy but
-not SciPy, which only the finite-difference oracle and the Arnoldi
-spectral radius need; the pure-Python linspace the CLI uses in place of
-NumPy's is bitwise equal to it; and every module imports on its own, so
-no import cycle hides behind the package's import order."""
+dirichlet, delta, gamma, step), the field export without the oracle and
+the smoothed pseudomode ratio load neither NumPy nor SciPy nor
+dataclasses, so they start in about the time of the interpreter; bs
+loads NumPy but not SciPy, which only the finite-difference oracle
+(field --oracle) and the Arnoldi spectral radius need; the pure-Python
+linspace that the CLI and the field grids use in place of NumPy's is
+bitwise equal to it; and every module imports on its own, so no import
+cycle hides behind the package's import order."""
 
 import os
 import subprocess
@@ -17,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sgnspec
-from sgnspec.cli import _linspace
+from sgnspec.closed import _linspace
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(sgnspec.__file__)))
 
@@ -59,6 +60,10 @@ cases = [
     (["step", "--a", "1", "--b", "3", "--lam-max", "60"], 0),
     (["--dry-run", "kernel", "--z", "2", "--x", "0", "--y", "1"], 0),
     (["bs", "sweep", "--re", "25:50:x"], 2),
+    (["field", "--re=-2:40:6", "--im=-1.5:1.5:5", "--out", sys.argv[1]], 0),
+    (["field", "--re=-5:-0.0:7", "--im=-0.0:0:2", "--out", sys.argv[2]], 0),
+    (["field", "--re=-1e308:1e308:3", "--im=0:0:1",
+      "--out", sys.argv[1]], 2),
 ]
 for argv, code in cases:
     assert cli.main(argv, out=out) == code, argv
@@ -104,8 +109,9 @@ def test_closed_form_commands_do_not_load_scipy(tmp_path):
     assert _fresh(_NO_SCIPY, str(tmp_path / "f.csv")) == "[]"
 
 
-def test_closed_form_commands_do_not_load_numpy():
-    assert _fresh(_NO_NUMPY) == "[]"
+def test_closed_form_commands_do_not_load_numpy(tmp_path):
+    assert _fresh(_NO_NUMPY, str(tmp_path / "f.csv"),
+                  str(tmp_path / "f.json")) == "[]"
 
 
 _EXPORTS = """
