@@ -13,9 +13,10 @@ e = e^{-kt}, g = (1 - e^{-2kt}) / (2k)) plus the coupling
 1 / (k_plus + k_minus) through the origin.  _sides builds them once per
 (z, grid), with each half-line's scan blocks: the block-relative decay
 d and the scalar carries between blocks (_blocks), from one complex exp
-pass per half-line.  The apply here and the Birman-Schwinger HS norm
-and determinant in bs all read them, so no other O(n) path builds its
-own, and the scans (_min_scan) only multiply and sum.
+pass per half-line, and g from one expm1 pass.  The apply here and the
+Birman-Schwinger HS norm and determinant in bs all read them, so no
+other O(n) path builds its own, and the scans (_min_scan) only multiply
+and sum.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .closed import (half_strip_distance, numrange_bound,  # re-exported
                      pseudomode_lower_bound, regularized_pseudomode_ratio,
                      schur_upper_bound)
 from .errors import ConvergenceError
-from .kernel import _SERIES_CUTOFF
 from .quadrature import (
     QuadratureGrid,
     decay_half_length,
@@ -131,38 +131,15 @@ def _min_scan(d: np.ndarray, blocks, g: np.ndarray,
     return back
 
 
-def _image_core(k, d: np.ndarray) -> np.ndarray:
-    """(1 - e^{-k d}) / (2k) for d >= 0, accurate as k d -> 0.
+def _image_factor(k: complex, t: np.ndarray) -> np.ndarray:
+    """(1 - e^{-2kt}) / (2k) for t >= 0, as -expm1(-2kt) / (2k).
 
-    A series in w = -k d below the cutoff and expm1 above it, so the
-    value stays finite at k = 0 (z = +-i), where it is d / 2.
-    """
-    w = -k * d
-    small = np.abs(w) < _SERIES_CUTOFF
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = -np.expm1(w) / (2.0 * k)  # NaN where k = 0: small cells
-    # the series only on its own cells, so it never sees a large w
-    ws = w[small]
-    if ws.size:
-        out[small] = 0.5 * d[small] * (
-            1.0 + ws * (0.5 + ws * (1.0 / 6.0 + ws / 24.0)))
-    return out
-
-
-def _image_factor(k: complex, t: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """(1 - e^{-2kt}) / (2k) for increasing t >= 0, given e = e^{-kt}.
-
-    Formed from e in bulk, and by the cancellation-safe _image_core on
-    the prefix where |2kt| < 1, which is all of t at k = 0 (z = +-i).
+    Re k >= 0, so expm1 keeps its digits as kt -> 0; at k = 0 (z = +-i)
+    the factor is its limit t.
     """
     if k == 0.0:
-        return _image_core(k, 2.0 * t)
-    m = int(t.searchsorted(0.5 / abs(k)))
-    g = np.empty_like(e)
-    g[:m] = _image_core(k, 2.0 * t[:m])
-    if m < t.size:  # the prefix is all of t on a narrow grid near 0
-        g[m:] = (1.0 - e[m:] * e[m:]) / (2.0 * k)
-    return g
+        return t.astype(complex)
+    return -np.expm1(-2.0 * k * t) / (2.0 * k)
 
 
 def _sides(z: complex, x: np.ndarray, coupled: bool = True):
@@ -187,7 +164,7 @@ def _sides(z: complex, x: np.ndarray, coupled: bool = True):
     for side, k in zip(_half_lines(x), (kk.k_plus, kk.k_minus)):
         t = np.abs(x[side])
         e, d, blocks = _blocks(k, t)
-        sides.append((side, k, e, _image_factor(k, t, e), d, blocks))
+        sides.append((side, k, e, _image_factor(k, t), d, blocks))
     c = 1.0 / (kk.k_plus + kk.k_minus) if coupled else 0.0
     return c, tuple(sides)
 
@@ -224,17 +201,16 @@ def apply_resolvent(z: complex, grid: QuadratureGrid,
                   grid.weights * np.asarray(f, dtype=complex))
 
 
-def quadrature_operator_norm(z: complex, grid: QuadratureGrid,
-                             max_iter: int = 200, tol: float = 1e-8) -> float:
+def quadrature_operator_norm(z: complex, grid: QuadratureGrid) -> float:
     """Operator norm of the discretized resolvent by power iteration.
 
     Iterates R R^H on the symmetrically weighted Nystrom operator,
     applying the resolvent in O(n) by the _apply scan on generators
     prepared once.  Raises ConvergenceError if the estimate has not
-    settled to tol within max_iter steps.
+    settled to 1e-8 relative within 200 steps.
     """
     gen = _sides(z, grid.nodes)
-    return _power_norm(lambda c: _apply(gen, c), grid, max_iter, tol)
+    return _power_norm(lambda c: _apply(gen, c), grid)
 
 
 def _power_norm(apply, grid: QuadratureGrid, max_iter: int = 200,

@@ -111,10 +111,9 @@ def step_well(a: float, b: float) -> PotentialSpec:
     return box(-b, a)
 
 
-def potential_grid(z: complex, pot: PotentialSpec,
-                   points_per_wavelength: float = 20.0) -> QuadratureGrid:
+def potential_grid(z: complex, pot: PotentialSpec) -> QuadratureGrid:
     """Composite Gauss-Legendre grid over supp V resolving e^{i sqrt(Re z) x}."""
-    panel = oscillation_panel_width(z, points_per_wavelength)
+    panel = oscillation_panel_width(z)
     panel = min(panel, pot.half_length / 4)  # four panels per half at least
     return gauss_legendre_grid(pot.half_length, panel)
 
@@ -366,7 +365,7 @@ def find_eigenvalue(eps: float, pot: PotentialSpec, z0: complex,
     def g(z: complex) -> complex:
         sign, logabs = det_at(z)
         val = sign * cmath.exp(min(logabs - ref_log, 300.0))
-        if not np.isfinite(val):
+        if not cmath.isfinite(val):
             raise ConvergenceError(f"non-finite determinant at z={z}")
         return val
 
@@ -377,9 +376,8 @@ def find_eigenvalue(eps: float, pot: PotentialSpec, z0: complex,
         denom = gb - ga
         if denom == 0.0:
             raise ConvergenceError("secant stalled: flat determinant")
-        with np.errstate(over="ignore", invalid="ignore"):
-            zc = zb - gb * (zb - za) / denom
-        if not np.isfinite(zc):
+        zc = zb - gb * (zb - za) / denom
+        if not cmath.isfinite(zc):
             raise ConvergenceError(
                 f"secant step from z={zb} left the finite plane")
         if abs(zc - zb) <= 1e-10 * max(1.0, abs(zb)):

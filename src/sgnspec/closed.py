@@ -37,6 +37,9 @@ DEFAULT_TOL_SPEC = 1e-12
 # most brackets find_step_eigenvalues visits (~3 s on one x86 core)
 MAX_STEP_BRACKETS = 100_000
 
+# width to which find_step_eigenvalues bisects each bracket
+_STEP_TOL = 1e-12
+
 
 def principal_sqrt(z: complex) -> complex:
     """Principal square root with a deterministic value on the cut.
@@ -419,13 +422,13 @@ def _cot_gap(lam: float, a: float, b: float) -> float:
     return 1.0 / math.tan(2.0 * a * s) - rhs
 
 
-def find_step_eigenvalues(a: float, b: float, lam_max: float,
-                          tol: float = 1e-12) -> list[float]:
+def find_step_eigenvalues(a: float, b: float,
+                          lam_max: float) -> list[float]:
     """All real eigenvalues of the step model in (-b, lam_max].
 
     Brackets one root between consecutive zeros of sin(2a sqrt(lam+b))
     at lam_k = (k pi / (2a))^2 - b and bisects the cotangent gap, to
-    width tol or down to adjacent floats.  Raises DomainError where a
+    width _STEP_TOL or down to adjacent floats.  Raises DomainError where a
     bracket overflows or is too narrow to step inside its ends in float
     arithmetic (a tiny a, or a b or lam_max huge against (pi / (2a))^2),
     and ConfigError where the brackets below lam_max, about
@@ -461,7 +464,7 @@ def find_step_eigenvalues(a: float, b: float, lam_max: float,
                               f"brackets below lam_max={lam_max!r}")
         if _cot_gap(lo_n, a, b) < 0.0 or _cot_gap(hi_n, a, b) > 0.0:
             continue  # root squeezed into the pad; negligible interval
-        while hi_n - lo_n > tol:
+        while hi_n - lo_n > _STEP_TOL:
             mid = 0.5 * (lo_n + hi_n)
             if not lo_n < mid < hi_n:
                 break  # lo_n and hi_n are adjacent floats

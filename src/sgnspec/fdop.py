@@ -165,10 +165,9 @@ def _sigma_min_banded(op: FDOperator, z: complex) -> float:
 
 
 def resolvent_norm_fd(z: complex, n: int = 2001,
-                      half_length: float | None = None,
-                      potential: Callable = _sign,
-                      center_jump: float = 0.0) -> OracleResult:
-    """Resolvent norm estimate 1/sigma_min(A - z) from the FD matrix.
+                      half_length: float | None = None) -> OracleResult:
+    """Resolvent norm estimate 1/sigma_min(A - z) from the FD matrix of
+    the unperturbed operator.
 
     sigma_min comes from Lanczos on the inverted normal operator, one
     tridiagonal factorization per call and two back-substitutions per
@@ -197,8 +196,7 @@ def resolvent_norm_fd(z: complex, n: int = 2001,
         half_length = decay_half_length(z)
 
     def norm_at(m: int) -> float:
-        op = build_fd(m, half_length, potential, center_jump)
-        return 1.0 / _sigma_min_banded(op, z)
+        return 1.0 / _sigma_min_banded(build_fd(m, half_length), z)
 
     coarse = norm_at(n)
     n_fine = 2 * n + 1  # halves h while keeping 0 on the grid for odd n

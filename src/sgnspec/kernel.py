@@ -25,9 +25,6 @@ from .closed import (DEFAULT_TOL_SPEC, Region, WaveNumbers,  # re-exported
                      spectrum_distance, wave_numbers)
 from .errors import DomainError
 
-# switch to a series for (e^w - 1)/w once |w| is this small
-_SERIES_CUTOFF = 1e-6
-
 
 def _kernel(z: complex, x: float, y: float, coupled: bool) -> complex:
     """The resolvent kernel at (x, y), full or Dirichlet.
@@ -35,9 +32,9 @@ def _kernel(z: complex, x: float, y: float, coupled: bool) -> complex:
     On one side of the origin the kernel is the image-charge difference
     (e^{-k|x-y|} - e^{-k(|x|+|y|)}) / (2k), with k = k_plus for x, y >= 0
     and k = k_minus for x, y <= 0, written as e^{-k|x-y|} (1 - e^{-kd})
-    / (2k), d = |x|+|y|-|x-y|, with a series in w = -kd below the cutoff
-    and expm1 above it, so it stays finite at k = 0 (z = +-i), where the
-    factor is d / 2.  coupled=True adds the terms that pass through the
+    / (2k), d = |x|+|y|-|x-y|.  The factor is -expm1(-kd) / (2k), which
+    keeps its digits as kd -> 0 because Re k >= 0, and its limit d / 2
+    at k = 0 (z = +-i).  coupled=True adds the terms that pass through the
     origin: the tail e^{-k(|x|+|y|)} / (k_plus + k_minus) on the same
     side, and e^{-k_plus|u| - k_minus|v|} / (k_plus + k_minus) across
     it, with u the positive and v the negative one of x, y.
@@ -64,11 +61,10 @@ def _kernel(z: complex, x: float, y: float, coupled: bool) -> complex:
             a = abs(x - y)
             b = abs(x) + abs(y)
             d = b - a
-            w = -k * d
-            if abs(w) < _SERIES_CUTOFF:
-                core = 0.5 * d * (
-                    1.0 + w * (0.5 + w * (1.0 / 6.0 + w / 24.0)))
+            if k == 0.0:
+                core = 0.5 * d
             else:  # -expm1(w) / (2k), expm1 taken apart as NumPy does
+                w = -k * d
                 h = math.sin(0.5 * w.imag)
                 em1 = complex(
                     math.expm1(w.real) * math.cos(w.imag) - 2.0 * h * h,

@@ -17,6 +17,10 @@ import numpy as np
 from .closed import wave_numbers
 from .errors import ConfigError
 
+# nodes per Gauss-Legendre panel, and nodes per oscillation wavelength
+_GL_ORDER = 10
+_POINTS_PER_WAVELENGTH = 20.0
+
 
 @dataclass(frozen=True)
 class QuadratureGrid:
@@ -47,29 +51,25 @@ class QuadratureGrid:
 
 
 @lru_cache(maxsize=None)
-def _gl_rule(order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    x, w = np.polynomial.legendre.leggauss(order)
+def _gl_rule() -> tuple[tuple[float, ...], tuple[float, ...]]:
+    x, w = np.polynomial.legendre.leggauss(_GL_ORDER)
     return tuple(x), tuple(w)
 
 
-def gauss_legendre_grid(
-    half_length: float,
-    panel_width: float,
-    order: int = 10,
-) -> QuadratureGrid:
+def gauss_legendre_grid(half_length: float,
+                        panel_width: float) -> QuadratureGrid:
     """Composite Gauss-Legendre grid on [-L, L], symmetric about 0.
 
-    Equal panels of width at most panel_width on [0, L], mirrored.
-    Raises ConfigError unless both lengths are finite and positive.
+    Equal panels of width at most panel_width on [0, L], mirrored, with
+    _GL_ORDER nodes each.  Raises ConfigError unless both lengths are
+    finite and positive.
     """
     if not (0.0 < half_length < math.inf and 0.0 < panel_width < math.inf):
         raise ConfigError("half_length and panel_width must be finite and "
                           f"positive, not {half_length!r}, {panel_width!r}")
-    if order < 2:
-        raise ConfigError("order must be at least 2")
     m = max(1, int(math.ceil(half_length / panel_width)))
     right = np.linspace(0.0, half_length, m + 1)
-    xr, wr = np.array(_gl_rule(order)[0]), np.array(_gl_rule(order)[1])
+    xr, wr = map(np.array, _gl_rule())
     mids = 0.5 * (right[:-1] + right[1:])
     half = 0.5 * np.diff(right)
     nodes_pos = (mids[:, None] + half[:, None] * xr[None, :]).ravel()
@@ -92,16 +92,16 @@ def trapezoid_grid(half_length: float, n: int) -> QuadratureGrid:
     return QuadratureGrid(nodes, weights, half_length)
 
 
-def oscillation_panel_width(z: complex,
-                            points_per_wavelength: float = 20.0) -> float:
+def oscillation_panel_width(z: complex) -> float:
     """Panel width resolving the e^{+-i sqrt(Re z) x} oscillation.
 
-    ``points_per_wavelength`` nodes of 10-node Gauss panels per wavelength
-    2 pi / sqrt(Re z); capped at 1 for slowly varying kernels (Re z <= 1).
+    _POINTS_PER_WAVELENGTH nodes of _GL_ORDER-node Gauss panels per
+    wavelength 2 pi / sqrt(Re z); capped at 1 for slowly varying kernels
+    (Re z <= 1).
     """
     tau = max(complex(z).real, 1.0)
     wavelength = 2.0 * math.pi / math.sqrt(tau)
-    return min(1.0, wavelength * 10 / points_per_wavelength)
+    return min(1.0, wavelength * _GL_ORDER / _POINTS_PER_WAVELENGTH)
 
 
 def decay_half_length(z: complex) -> float:

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _reference import kernel_matrix, pseudomode_ratio, pseudomode_samples
+from _reference import (_image_core, kernel_matrix, pseudomode_ratio,
+                        pseudomode_samples)
 from sgnspec import closed
 from sgnspec.bounds import (_EXP_BUDGET, _apply, _power_norm, _sides,
                             apply_resolvent, default_strip_grid,
@@ -183,6 +184,31 @@ class TestApplyResolvent:
         assert np.all(np.isfinite(u))
 
 
+class TestImageFactor:
+    @pytest.mark.parametrize("z, sign", [(1j, 1.0), (-1j, -1.0)])
+    def test_limit_at_ray_endpoint(self, z, sign):
+        # k = 0 on the endpoint's side, where (1 - e^{-2kt}) / (2k) -> t
+        x = np.sort(sign * np.array([0.0, 1e-300, 1e-9, 0.4, 3.0, 250.0]))
+        _, sides = _sides(z, x)
+        side, k, _, g, *_ = sides[0 if sign > 0 else 1]
+        assert k == 0.0
+        assert np.array_equal(g, np.abs(x[side]))
+
+    @pytest.mark.parametrize("z", [1j - 1e-6, -1j - 1e-8, 1j - 1e-3j,
+                                   5 + 0.5j, 100 - 0.3j, 0.2 + 0.9j])
+    def test_matches_reference_across_small_kt(self, z):
+        # |2kt| from 1e-12 to 10 on each half-line crosses 1e-6, where
+        # 1 - e^{-2kt} would cancel, and 1, where t = 0.5 / |k|
+        kk = wave_numbers(z)
+        s = np.geomspace(1e-12, 10.0, 400)
+        x = np.concatenate([-(s / (2.0 * abs(kk.k_minus)))[::-1],
+                            s / (2.0 * abs(kk.k_plus))])
+        _, sides = _sides(z, x)
+        for side, k, _, g, *_ in sides:
+            ref = _image_core(k, 2.0 * np.abs(x[side]))
+            assert np.all(np.abs(g - ref) <= 4 * 2.0**-52 * np.abs(ref))
+
+
 class TestOperatorNorm:
     def test_matches_bounds_at_moderate_tau(self):
         z = 100.0
@@ -225,14 +251,16 @@ class TestOperatorNorm:
         g = _multi_block_grid()
         mat = kernel_matrix(MULTI_BLOCK_Z, g.nodes, g.nodes)
         dense = _power_norm(lambda c: mat @ c, g, tol=1e-5)
-        assert quadrature_operator_norm(MULTI_BLOCK_Z, g, tol=1e-5) == \
+        gen = _sides(MULTI_BLOCK_Z, g.nodes)
+        assert _power_norm(lambda c: _apply(gen, c), g, tol=1e-5) == \
             pytest.approx(dense, rel=1e-12)
 
     def test_unsettled_power_iteration_raises(self):
         # one step cannot settle: an unconverged estimate must not return
+        g = trapezoid_grid(10.0, 201)
+        gen = _sides(5 + 0.5j, g.nodes)
         with pytest.raises(ConvergenceError):
-            quadrature_operator_norm(5 + 0.5j, trapezoid_grid(10.0, 201),
-                                     max_iter=1)
+            _power_norm(lambda c: _apply(gen, c), g, max_iter=1)
 
     def test_pseudomode_witnesses_lower_bound(self):
         # ||R f0|| / ||f0|| must come within a few percent of the bound

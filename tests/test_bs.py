@@ -18,7 +18,7 @@ from sgnspec.errors import ConfigError, ConvergenceError, ZeroCouplingError
 from sgnspec.kernel import wave_numbers
 from sgnspec.models import dirichlet_bs_hs_norm
 from sgnspec.quadrature import (QuadratureGrid, gauss_legendre_grid,
-                                trapezoid_grid)
+                                oscillation_panel_width, trapezoid_grid)
 
 from _reference import assemble_k, dense_logdet, kernel_matrix, weights
 
@@ -94,7 +94,8 @@ class TestAssembly:
         z = 30 + 0.5j
         pot = gaussian()
         g1 = potential_grid(z, pot)
-        g2 = potential_grid(z, pot, points_per_wavelength=40.0)
+        g2 = gauss_legendre_grid(pot.half_length,
+                                 oscillation_panel_width(z) / 2)
         a = hs_norm(z, pot, g1)
         b = hs_norm(z, pot, g2)
         assert abs(a - b) < 1e-4 * b

@@ -35,8 +35,6 @@ class TestBuild:
         # a name is not a potential: a typed error, not a bare KeyError
         with pytest.raises(ConfigError):
             build_fd(5, 1.0, "sgnn")
-        with pytest.raises(ConfigError):
-            resolvent_norm_fd(5 + 0.5j, n=51, potential="sgn")
 
     def test_banded_matches_dense(self):
         # the tridiagonal LU solves, plain and adjoint, against dense

@@ -97,9 +97,9 @@ class TestResolventKernel:
         assert np.isfinite(w.real) and np.isfinite(w.imag)
 
     def test_series_matches_direct_near_endpoint(self):
-        # just outside the series cutoff the two evaluation paths must agree
-        # k_plus = t at z = i - t^2; pick t on both sides of the series
-        # cutoff |k (b - a)| = 1e-6 so the two evaluation paths meet
+        # k_plus = t at z = i - t^2; the two t put |k (b - a)| below and
+        # above 1e-6, where 1 - e^{-kd} formed directly would cancel: the
+        # expm1 factor must vary smoothly across
         a = resolvent_kernel(1j - (6e-7) ** 2, 0.4, 0.6)
         b = resolvent_kernel(1j - (3e-6) ** 2, 0.4, 0.6)
         assert abs(a - b) < 1e-4 * abs(a)
@@ -175,8 +175,8 @@ class TestDirichletKernel:
         assert abs(dirichlet_kernel(z, x, y) - expect) < 1e-14
 
     def test_keeps_digits_above_series_cutoff(self):
-        # |w| = |k (b - a)| = 2.4e-6 sits just above the series cutoff,
-        # where e^w - 1 computed directly loses about 1e-11 relative
+        # at |w| = |k (b - a)| = 2.4e-6, e^w - 1 computed directly loses
+        # about 1e-11 relative; expm1 must match the Taylor series
         z = 1j - (3e-6) ** 2
         k = wave_numbers(z).k_plus
         w = -k * 0.8
@@ -184,6 +184,18 @@ class TestDirichletKernel:
                   / (2 * k) * cmath.exp(-k * 0.2))
         got = dirichlet_kernel(z, 0.4, 0.6)
         assert abs(got - expect) < 1e-14 * abs(expect)
+
+    @pytest.mark.parametrize("z, sign", [(1j, 1.0), (-1j, -1.0)])
+    @pytest.mark.parametrize("x, y", [(0.3, 0.5), (2.0, 2.0), (1.7, 0.9),
+                                      (33.0, 40.0), (1e-9, 3e-9)])
+    def test_min_kernel_at_ray_endpoint(self, z, sign, x, y):
+        # k = 0 on the side of the endpoint, where the image factor
+        # (1 - e^{-kd}) / (2k) is d / 2 and the kernel is min(|x|, |y|)
+        x, y = sign * x, sign * y
+        want = min(abs(x), abs(y))
+        got = dirichlet_kernel(z, x, y)
+        assert got.imag == 0.0
+        assert abs(got.real - want) <= 2 * np.spacing(want)
 
     def test_grid_matches_scalar(self):
         z = 3 - 0.2j

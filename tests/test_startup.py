@@ -5,9 +5,12 @@ dataclasses, so they start in about the time of the interpreter; bs
 loads NumPy but not SciPy, which only the finite-difference oracle
 (field --oracle) and the Arnoldi spectral radius need; the pure-Python
 linspace that the CLI and the field grids use in place of NumPy's is
-bitwise equal to it; and every module imports on its own, so no import
-cycle hides behind the package's import order."""
+bitwise equal to it; every module imports on its own, so no import
+cycle hides behind the package's import order; and the number of
+parameters with a default is pinned, so a new knob is added on
+purpose."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -126,6 +129,27 @@ print(len(sgnspec.__all__), sgnspec.__version__)
 
 def test_lazy_package_exports_resolve():
     assert _fresh(_EXPORTS) == "66 0.1.0"
+
+
+def _defaulted_parameters():
+    """Parameters with a default in the package's functions and lambdas,
+    positional and keyword-only: the values a caller can leave unset."""
+    count = 0
+    for name in _MODULES + ["__init__"]:
+        with open(os.path.join(sgnspec.__path__[0], name + ".py")) as f:
+            tree = ast.parse(f.read())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                count += len(node.args.defaults) + sum(
+                    d is not None for d in node.args.kw_defaults)
+    return count
+
+
+def test_defaulted_parameter_count_is_pinned():
+    # a settable value with one value in use is a constant; a new one
+    # moves this count and has to be added here on purpose
+    assert _defaulted_parameters() == 25
 
 
 _RATIO = """
