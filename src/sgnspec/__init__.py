@@ -33,8 +33,7 @@ _EXPORTS = {
               "export_field", "field_to_csv", "field_to_json",
               "load_field_csv"),
     "kernel": ("dirichlet_kernel", "resolvent_kernel"),
-    "models": ("dirichlet_bs_hs_norm", "dirichlet_quadrature_norm",
-               "gamma_branch"),
+    "models": (),  # re-exports only; listed so sgnspec.models resolves
     "quadrature": ("QuadratureGrid", "decay_half_length",
                    "gauss_legendre_grid", "oscillation_panel_width",
                    "trapezoid_grid"),

@@ -16,7 +16,10 @@ d and the scalar carries between blocks (_blocks), from one complex exp
 pass per half-line, and g from one expm1 pass.  The apply here and the
 Birman-Schwinger HS norm and determinant in bs all read them, so no
 other O(n) path builds its own, and the scans (_min_scan) only multiply
-and sum.
+and sum.  The sides do not depend on the coupling, so the same sides
+with the coupling 0 generate the Dirichlet-decoupled kernel, whose
+Nystrom checks are test references.  quadrature_operator_norm is the
+one power iteration of the package.
 """
 
 from __future__ import annotations
@@ -27,9 +30,8 @@ import math
 import numpy as np
 
 from .closed import _check_off_spectrum, wave_numbers
-from .closed import (half_strip_distance, numrange_bound,  # re-exported
-                     pseudomode_lower_bound, regularized_pseudomode_ratio,
-                     schur_upper_bound)
+from .closed import (numrange_bound, pseudomode_lower_bound,  # re-exported
+                     regularized_pseudomode_ratio, schur_upper_bound)
 from .errors import ConvergenceError
 from .quadrature import (
     QuadratureGrid,
@@ -142,7 +144,7 @@ def _image_factor(k: complex, t: np.ndarray) -> np.ndarray:
     return -np.expm1(-2.0 * k * t) / (2.0 * k)
 
 
-def _sides(z: complex, x: np.ndarray, coupled: bool = True):
+def _sides(z: complex, x: np.ndarray):
     """The kernel's generators at z on the increasing nodes x, in O(n).
 
     Returns (c, sides): per half-line (x >= 0 with k = k_plus, then
@@ -150,8 +152,9 @@ def _sides(z: complex, x: np.ndarray, coupled: bool = True):
     index slice, e = e^{-kt} with t = |x| increasing, the image factor
     g = (1 - e^{-2kt}) / (2k), and the scan blocks of _blocks (block
     decay d, per-block carries); and the coupling c = 1/(k_plus +
-    k_minus) through the origin, or 0 for the Dirichlet-decoupled kernel
-    (coupled=False).  On one side the kernel is
+    k_minus) through the origin.  The sides do not depend on c, so
+    (0.0, sides) generates the Dirichlet-decoupled kernel.  On one side
+    the kernel is
     e^{-k(t_> - t_<)} g(t_<) + c e_i e_j, across it c e_i e_j: every
     O(n) quantity of the kernel reads these, and the scans on them call
     no exp.  Raises SpectrumError on the spectral rays, except at their
@@ -165,13 +168,13 @@ def _sides(z: complex, x: np.ndarray, coupled: bool = True):
         t = np.abs(x[side])
         e, d, blocks = _blocks(k, t)
         sides.append((side, k, e, _image_factor(k, t), d, blocks))
-    c = 1.0 / (kk.k_plus + kk.k_minus) if coupled else 0.0
-    return c, tuple(sides)
+    return 1.0 / (kk.k_plus + kk.k_minus), tuple(sides)
 
 
 def _apply(gen, c: np.ndarray) -> np.ndarray:
     """u_i = sum_j R(x_i, x_j) c_j in O(n), for weighted c and the
-    generators gen = _sides(z, x, coupled) of R.
+    generators gen of R: _sides(z, x), or (0.0, _sides(z, x)[1]) for the
+    Dirichlet kernel.
 
     Per half-line the image-charge term e^{-k(t_> - t_<)} g(t_<) is one
     _min_scan; the rank-one term through the origin adds coupling *
@@ -204,46 +207,33 @@ def apply_resolvent(z: complex, grid: QuadratureGrid,
 def quadrature_operator_norm(z: complex, grid: QuadratureGrid) -> float:
     """Operator norm of the discretized resolvent by power iteration.
 
-    Iterates R R^H on the symmetrically weighted Nystrom operator,
-    applying the resolvent in O(n) by the _apply scan on generators
-    prepared once.  Raises ConvergenceError if the estimate has not
-    settled to 1e-8 relative within 200 steps.
+    Iterates R R^H on the symmetrically weighted Nystrom operator
+    sw_i R(x_i, x_j) sw_j, sw = sqrt(w), applying R in O(n) by the
+    _apply scan on generators prepared once (R is complex symmetric, so
+    R^H u is the conjugate of R applied to the conjugate of u).  Nothing
+    is divided by a weight, so zero weights are allowed.  Raises
+    ConvergenceError if the estimate has not settled to 1e-8 relative
+    within 200 steps.  The start vector is fixed, so repeated calls
+    return the same bits.
     """
     gen = _sides(z, grid.nodes)
-    return _power_norm(lambda c: _apply(gen, c), grid)
-
-
-def _power_norm(apply, grid: QuadratureGrid, max_iter: int = 200,
-                tol: float = 1e-8) -> float:
-    """Norm of a discretized integral operator by power iteration.
-
-    apply(c) returns sum_j R(x_i, x_j) c_j for a weighted vector c and a
-    complex symmetric kernel R.  Iterates R R^H on the symmetrically
-    weighted Nystrom operator sw_i R(x_i, x_j) sw_j, sw = sqrt(w), using
-    only such applications (R^H u equals the conjugate of R applied to
-    the conjugate of u).  Nothing is divided by a weight, so zero
-    weights are allowed.  Raises ConvergenceError if the estimate has
-    not settled to tol within max_iter steps.  The start vector is
-    fixed, so repeated calls return the same bits.
-    """
-    rng = np.random.default_rng(0)
     sw = np.sqrt(grid.weights)
 
     def m_apply(v):
-        return sw * apply(sw * v)
+        return sw * _apply(gen, sw * v)
 
+    rng = np.random.default_rng(0)
     v = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
     v /= np.linalg.norm(v)
     val = 0.0
-    for _ in range(max_iter):
+    for _ in range(200):
         w = np.conj(m_apply(np.conj(m_apply(v))))
         nval = np.linalg.norm(w)
         v = w / nval
-        if abs(nval - val) <= tol * nval:
+        if abs(nval - val) <= 1e-8 * nval:
             return math.sqrt(nval)
         val = nval
-    raise ConvergenceError(
-        f"power iteration not settled to {tol:g} in {max_iter} steps")
+    raise ConvergenceError("power iteration not settled to 1e-08 in 200 steps")
 
 
 def default_strip_grid(z: complex) -> QuadratureGrid:

@@ -150,9 +150,10 @@ def k_matvec(z: complex, pot: PotentialSpec, grid: QuadratureGrid
     return apply
 
 
-def _hs_sq(gen, pot: PotentialSpec, grid: QuadratureGrid) -> float:
+def _hs_sq(gen, left: np.ndarray, right: np.ndarray) -> float:
     """Squared HS norm of the Nystrom matrix, in O(n) time and memory,
-    for the kernel generators gen = bounds._sides(z, grid.nodes, coupled).
+    for the kernel generators gen of bounds._sides on the grid's nodes
+    and the weights left, right = _weights(pot, grid).
 
     On one half-line, with t = |x|, the kernel is e^{-k(t_> - t_<)} h(t_<)
     with h = g + c e^2, c the coupling (0 for the Dirichlet kernel).  So
@@ -164,7 +165,6 @@ def _hs_sq(gen, pot: PotentialSpec, grid: QuadratureGrid) -> float:
     side with t = 0, which both kernels agree with.
     """
     c, sides = gen
-    left, right = _weights(pot, grid)
     a = np.abs(left) ** 2
     b = np.abs(right) ** 2
     total = 0.0
@@ -188,7 +188,8 @@ def hs_norm(z: complex, pot: PotentialSpec, grid: QuadratureGrid) -> float:
     Summed in O(n) time and memory from the separable exponential form of
     the kernel (see _hs_sq); no kernel matrix is formed.
     """
-    return math.sqrt(_hs_sq(bounds._sides(z, grid.nodes), pot, grid))
+    return math.sqrt(_hs_sq(bounds._sides(z, grid.nodes),
+                            *_weights(pot, grid)))
 
 
 def l_hs_closed(z: complex, pot: PotentialSpec) -> float:
@@ -199,9 +200,9 @@ def l_hs_closed(z: complex, pot: PotentialSpec) -> float:
     return math.sqrt(z.real) * pot.l1
 
 
-def decomposition_diagnostics(z: complex, pot: PotentialSpec,
-                              grid: QuadratureGrid | None = None) -> dict:
-    """HS norms of K_z, L_z and the remainder M_z = K_z - L_z at z.
+def decomposition_diagnostics(z: complex, pot: PotentialSpec) -> dict:
+    """HS norms of K_z, L_z and the remainder M_z = K_z - L_z at z, on
+    potential_grid(z, pot).
 
     L_z is the rank-one singular part with kernel
     sqrt(Re z) |V|^{1/2}(x) e^{-i sqrt(Re z)(x+y)} V_{1/2}(y).  ||K|| is
@@ -215,15 +216,14 @@ def decomposition_diagnostics(z: complex, pot: PotentialSpec,
     """
     z = complex(z)
     l_closed = l_hs_closed(z, pot)
-    if grid is None:
-        grid = potential_grid(z, pot)
+    grid = potential_grid(z, pot)
     left, right = _weights(pot, grid)
     kappa = math.sqrt(z.real)
     phase = np.exp(-1j * kappa * grid.nodes)
     col = kappa * (left * phase)
     row = phase * right
     gen = bounds._sides(z, grid.nodes)
-    k_sq = _hs_sq(gen, pot, grid)
+    k_sq = _hs_sq(gen, left, right)
     l_hs = float(np.linalg.norm(col) * np.linalg.norm(row))
     kl = np.vdot(col, left * bounds._apply(gen, right * np.conj(row)))
     return {
@@ -254,9 +254,8 @@ def hs_growth_rates(pot: PotentialSpec, re_values: Sequence[float]) -> dict:
     return out
 
 
-def spectral_radius(z: complex, eps: float, pot: PotentialSpec,
-                    grid: QuadratureGrid | None = None) -> float:
-    """Spectral radius of eps * K_z.
+def spectral_radius(z: complex, eps: float, pot: PotentialSpec) -> float:
+    """Spectral radius of eps * K_z, on potential_grid(z, pot).
 
     Arnoldi (ARPACK) for the eigenvalue of largest modulus, applying K_z
     matrix-free in O(n) per step.  Raises ConvergenceError if ARPACK
@@ -264,8 +263,7 @@ def spectral_radius(z: complex, eps: float, pot: PotentialSpec,
     """
     import scipy.sparse.linalg as spla
 
-    if grid is None:
-        grid = potential_grid(z, pot)
+    grid = potential_grid(z, pot)
     op = spla.LinearOperator((grid.size, grid.size),
                              matvec=k_matvec(z, pot, grid), dtype=complex)
     # a fixed start vector: ARPACK's own random one changes from call to
@@ -341,14 +339,15 @@ def _normalized_det(eps: float, pot: PotentialSpec, grid: QuadratureGrid):
     return det_at
 
 
-def find_eigenvalue(eps: float, pot: PotentialSpec, z0: complex,
-                    grid: QuadratureGrid | None = None) -> complex:
+def find_eigenvalue(eps: float, pot: PotentialSpec, z0: complex) -> complex:
     """Root of det(I + eps K_z) = 0 near z0 by the secant method.
 
-    Each determinant is an O(n) transfer-matrix recursion on the grid
-    (see _normalized_det), so a secant step costs O(n) whatever the
-    well: milliseconds for a Gaussian seeded at Re z ~ 10^3 (n ~ 3000).
-    The determinant is renormalized by its magnitude at z0 so the secant
+    The grid is potential_grid(4 |Re z0| + 1, pot), which resolves the
+    oscillations somewhat beyond the starting guess.  Each determinant
+    is an O(n) transfer-matrix recursion on the grid (see
+    _normalized_det), so a secant step costs O(n) whatever the well:
+    milliseconds for a Gaussian seeded at Re z ~ 10^3 (n ~ 3000).  The
+    determinant is renormalized by its magnitude at z0 so the secant
     updates work with O(1) numbers.  Raises ConvergenceError if no step
     is below 1e-10 max(1, |z|) within 60 steps, or as soon as a
     determinant value or a secant iterate is not finite (before the
@@ -356,9 +355,7 @@ def find_eigenvalue(eps: float, pot: PotentialSpec, z0: complex,
     """
     if eps == 0.0:
         raise ZeroCouplingError("coupling eps must be nonzero")
-    if grid is None:
-        # resolve oscillations somewhat beyond the starting guess
-        grid = potential_grid(4.0 * abs(complex(z0).real) + 1.0, pot)
+    grid = potential_grid(4.0 * abs(complex(z0).real) + 1.0, pot)
     det_at = _normalized_det(eps, pot, grid)
     _, ref_log = det_at(z0)
 

@@ -16,9 +16,9 @@ of the point interaction, the exceptional coupling curve, the step-like
 well and the Dirichlet decoupling, and the bitwise copy of
 numpy.linspace that the CLI sweeps and the field grids sample with.  It
 uses the standard library only, so the CLI commands that print these
-numbers start without loading NumPy; kernel, bounds and models
-re-export each name from here, so every name has this one
-implementation.
+numbers start without loading NumPy.  Every name has this one
+implementation and, apart from 14 names that kernel, bounds, field and
+models re-export for their existing callers, this one import path.
 """
 
 from __future__ import annotations

@@ -17,8 +17,7 @@ import operator
 from typing import TYPE_CHECKING, NamedTuple
 
 from .closed import DEFAULT_TOL_SPEC, _linspace, norm_bounds
-from .closed import (STATUS_NUMRANGE, STATUS_OK,  # re-exported
-                     STATUS_SKIPPED, STATUS_SPECTRUM)
+from .closed import STATUS_OK  # re-exported
 from .errors import ConfigError
 
 if TYPE_CHECKING:

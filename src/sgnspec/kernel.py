@@ -9,8 +9,9 @@ spectral rays [0, inf) +- i.  This module evaluates it, and its
 Dirichlet-decoupled variant, at one point (x, y) in the standard library
 only, so the kernel command starts without loading NumPy.  On a grid of
 nodes the kernel is never formed: bounds._sides builds its O(n)
-generators.  The scalar closed forms it rests on (wave numbers, ray
-distances, the region partition) are defined in closed and re-exported
+generators.  The scalar closed forms it rests on are defined in closed;
+of them, only the region partition and the ray distances
+(classify_region, ray_distances, spectrum_distance) are re-exported
 here.
 """
 
@@ -20,9 +21,8 @@ import cmath
 import math
 
 from .closed import _check_off_spectrum, principal_sqrt
-from .closed import (DEFAULT_TOL_SPEC, Region, WaveNumbers,  # re-exported
-                     classify_region, in_half_strip, ray_distances,
-                     spectrum_distance, wave_numbers)
+from .closed import (classify_region, ray_distances,  # re-exported
+                     spectrum_distance)
 from .errors import DomainError
 
 
@@ -32,17 +32,19 @@ def _kernel(z: complex, x: float, y: float, coupled: bool) -> complex:
     On one side of the origin the kernel is the image-charge difference
     (e^{-k|x-y|} - e^{-k(|x|+|y|)}) / (2k), with k = k_plus for x, y >= 0
     and k = k_minus for x, y <= 0, written as e^{-k|x-y|} (1 - e^{-kd})
-    / (2k), d = |x|+|y|-|x-y|.  The factor is -expm1(-kd) / (2k), which
-    keeps its digits as kd -> 0 because Re k >= 0, and its limit d / 2
-    at k = 0 (z = +-i).  coupled=True adds the terms that pass through the
-    origin: the tail e^{-k(|x|+|y|)} / (k_plus + k_minus) on the same
-    side, and e^{-k_plus|u| - k_minus|v|} / (k_plus + k_minus) across
-    it, with u the positive and v the negative one of x, y.
-    coupled=False drops them, which gives the Dirichlet-decoupled kernel:
-    zero across the origin and on it.  The arithmetic is symmetric in x
-    and y, so swapping them returns the same bits.  Raises DomainError
-    where the value is not finite, which happens only for |x| or |y|
-    near the float range.
+    / (2k), d = |x|+|y|-|x-y|.  On one side d = 2 min(|x|, |y|), which is
+    exact where the difference would cancel (|x| >> |y|).  The factor is
+    -expm1(-kd) / (2k), which keeps its digits as kd -> 0 because
+    Re k >= 0, and its limit d / 2 at k = 0 (z = +-i).  coupled=True
+    adds the terms that pass through the origin: the tail
+    e^{-k(|x|+|y|)} / (k_plus + k_minus) on the same side, and
+    e^{-k_plus|u| - k_minus|v|} / (k_plus + k_minus) across it, with u
+    the positive and v the negative one of x, y.  coupled=False drops
+    them, which gives the Dirichlet-decoupled kernel: zero across the
+    origin and on it.  The arithmetic is symmetric in x and y, so
+    swapping them returns the same bits.  Raises DomainError where the
+    value is not finite, which happens only for |x| or |y| near the
+    float range.
     """
     z = complex(z)
     _check_off_spectrum(z)
@@ -60,7 +62,7 @@ def _kernel(z: complex, x: float, y: float, coupled: bool) -> complex:
         if same:
             a = abs(x - y)
             b = abs(x) + abs(y)
-            d = b - a
+            d = 2.0 * min(abs(x), abs(y))
             if k == 0.0:
                 core = 0.5 * d
             else:  # -expm1(w) / (2k), expm1 taken apart as NumPy does

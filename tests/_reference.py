@@ -10,12 +10,19 @@ for the O(n) Birman-Schwinger paths build the n x n Nystrom matrix from
 its definition, so they share no code with the structured scans and
 recursions they check.  The smoothed-pseudomode ratio is computed by
 quadrature of the pseudomode and its image under the resolvent, so it
-shares no code with the closed form it checks.  The field renderers and
-the CSV loader go through csv.writer, the indenting json.dumps and
-csv.DictReader, one row or dict per point, so they share no formatting
-or parsing code with the templates and the column-wise reader they
-check; the renderers take the grid points from NumPy's linspace and
-broadcasting, not from GridSpec.points().
+shares no code with the closed form it checks.  power_norm is the
+power iteration of bounds.quadrature_operator_norm with its step count
+and tolerance as arguments, so a dense matrix can be run through the
+same iteration.  The Nystrom checks of the Dirichlet-decoupled model
+(its operator norm and its Birman-Schwinger HS norm) run the package's
+O(n) generators with the coupling through the origin set to 0; the
+tests hold them against the dense matrices here and the exact norm
+1 / dist(z, sigma).  The field renderers and the CSV loader go through
+csv.writer, the indenting json.dumps and csv.DictReader, one row or
+dict per point, so they share no formatting or parsing code with the
+templates and the column-wise reader they check; the renderers take the
+grid points from NumPy's linspace and broadcasting, not from
+GridSpec.points().
 """
 
 import csv
@@ -25,9 +32,12 @@ import math
 
 import numpy as np
 
-from sgnspec.bounds import apply_resolvent
-from sgnspec.closed import _check_off_spectrum, principal_sqrt, wave_numbers
-from sgnspec.errors import DomainError
+from sgnspec.bounds import _apply, _sides, apply_resolvent
+from sgnspec.bs import _hs_sq, _weights, potential_grid
+from sgnspec.closed import (DEFAULT_TOL_SPEC, _check_off_spectrum,
+                            gamma_point, principal_sqrt, spectrum_distance,
+                            wave_numbers)
+from sgnspec.errors import ConvergenceError, DomainError, SpectrumError
 from sgnspec.quadrature import (QuadratureGrid, decay_half_length,
                                 oscillation_panel_width)
 
@@ -51,8 +61,10 @@ def kernel_matrix(z, x, y, coupled=True):
     coupled=False, Dirichlet-decoupled.
 
     On one side of the origin the image-charge difference
-    e^{-k|x-y|} (1 - e^{-k(|x|+|y|-|x-y|)}) / (2k), k = k_plus for
-    x, y >= 0 and k_minus for x, y <= 0; coupled adds the terms through
+    e^{-k|x-y|} (1 - e^{-kd}) / (2k), d = |x|+|y|-|x-y|, k = k_plus for
+    x, y >= 0 and k_minus for x, y <= 0.  There d = 2 min(|x|, |y|),
+    which keeps its digits where the difference cancels (|x| >> |y|).
+    coupled adds the terms through
     the origin, e^{-k(|x|+|y|)} / (k_plus + k_minus) on the same side
     and e^{-k_plus|u| - k_minus|v|} / (k_plus + k_minus) across it (u
     the positive and v the negative one of x, y).  Raises SpectrumError
@@ -75,7 +87,8 @@ def kernel_matrix(z, x, y, coupled=True):
     with np.errstate(over="ignore", invalid="ignore"):
         a = np.abs(x - y)
         b = np.abs(x) + np.abs(y)
-        image = np.exp(-k * a) * _image_core(k, b - a)
+        d = 2.0 * np.minimum(np.abs(x), np.abs(y))  # b - a on one side
+        image = np.exp(-k * a) * _image_core(k, d)
         if coupled:
             s = kp + km
             e_mixed = np.where(x > 0.0, -kp * np.abs(x) - km * np.abs(y),
@@ -87,6 +100,70 @@ def kernel_matrix(z, x, y, coupled=True):
     if not np.isfinite(out).all():
         raise DomainError(f"kernel at z={z} is not finite on these nodes")
     return out
+
+
+def power_norm(apply, weights, max_iter, tol):
+    """Norm of a discretized integral operator by power iteration.
+
+    apply(c) returns sum_j R(x_i, x_j) c_j for a weighted vector c and a
+    complex symmetric kernel R.  Iterates R R^H on sw_i R(x_i, x_j) sw_j,
+    sw = sqrt(weights), from the start vector of
+    quadrature_operator_norm.  Raises ConvergenceError if the estimate
+    has not settled to tol within max_iter steps.
+    """
+    rng = np.random.default_rng(0)
+    sw = np.sqrt(weights)
+
+    def m_apply(v):
+        return sw * apply(sw * v)
+
+    v = rng.standard_normal(sw.size) + 1j * rng.standard_normal(sw.size)
+    v /= np.linalg.norm(v)
+    val = 0.0
+    for _ in range(max_iter):
+        w = np.conj(m_apply(np.conj(m_apply(v))))
+        nval = np.linalg.norm(w)
+        v = w / nval
+        if abs(nval - val) <= tol * nval:
+            return math.sqrt(nval)
+        val = nval
+    raise ConvergenceError(
+        f"power iteration not settled to {tol:g} in {max_iter} steps")
+
+
+def dirichlet_sides(z, grid):
+    """The O(n) generators of the Dirichlet kernel: the full kernel's
+    sides with the coupling through the origin set to 0."""
+    return 0.0, _sides(z, grid.nodes)[1]
+
+
+def dirichlet_quadrature_norm(z, grid):
+    """Operator norm of the discretized Dirichlet resolvent.
+
+    The top singular values of a self-adjoint half cluster, so the
+    iteration runs to 1e-13 in up to 5000 steps.  Raises SpectrumError
+    on the spectral rays, endpoints +-i included, where the exact norm
+    is infinite.
+    """
+    z = complex(z)
+    if spectrum_distance(z) <= DEFAULT_TOL_SPEC:
+        raise SpectrumError(f"z={z} lies on the spectrum")
+    gen = dirichlet_sides(z, grid)
+    return power_norm(lambda c: _apply(gen, c), grid.weights, 5000, 1e-13)
+
+
+def dirichlet_bs_hs_norm(z, pot, grid=None):
+    """HS norm of the Dirichlet Birman-Schwinger operator in O(n), on
+    potential_grid(z, pot) unless a grid is given."""
+    if grid is None:
+        grid = potential_grid(z, pot)
+    return math.sqrt(_hs_sq(dirichlet_sides(z, grid),
+                            *_weights(pot, grid)))
+
+
+def gamma_branch(sigma, r_values):
+    """The branch of the exceptional curve sampled at the given r values."""
+    return np.array([gamma_point(r, sigma) for r in r_values])
 
 
 def fd_dense(op):

@@ -14,13 +14,13 @@ from sgnspec.bs import (_normalized_det, box, decomposition_diagnostics,
                         hs_growth_rates, hs_norm, k_matvec, l_hs_closed,
                         potential_grid, search_eigenvalues, spectral_radius,
                         step_well, weak_coupling_rate)
+from sgnspec.closed import wave_numbers
 from sgnspec.errors import ConfigError, ConvergenceError, ZeroCouplingError
-from sgnspec.kernel import wave_numbers
-from sgnspec.models import dirichlet_bs_hs_norm
 from sgnspec.quadrature import (QuadratureGrid, gauss_legendre_grid,
                                 oscillation_panel_width, trapezoid_grid)
 
-from _reference import assemble_k, dense_logdet, kernel_matrix, weights
+from _reference import (assemble_k, dense_logdet, dirichlet_bs_hs_norm,
+                        kernel_matrix, weights)
 
 
 class TestPotentials:

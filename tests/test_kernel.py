@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from _reference import kernel_matrix
+from sgnspec.closed import Region, wave_numbers
 from sgnspec.errors import DomainError, SpectrumError
-from sgnspec.kernel import (Region, classify_region, dirichlet_kernel,
+from sgnspec.kernel import (classify_region, dirichlet_kernel,
                             principal_sqrt, ray_distances, resolvent_kernel,
-                            spectrum_distance, wave_numbers)
+                            spectrum_distance)
 
 
 class TestPrincipalSqrt:
@@ -187,15 +188,25 @@ class TestDirichletKernel:
 
     @pytest.mark.parametrize("z, sign", [(1j, 1.0), (-1j, -1.0)])
     @pytest.mark.parametrize("x, y", [(0.3, 0.5), (2.0, 2.0), (1.7, 0.9),
-                                      (33.0, 40.0), (1e-9, 3e-9)])
+                                      (33.0, 40.0), (1e-9, 3e-9),
+                                      (7.5, 1e-9), (40.0, 1e-300)])
     def test_min_kernel_at_ray_endpoint(self, z, sign, x, y):
         # k = 0 on the side of the endpoint, where the image factor
-        # (1 - e^{-kd}) / (2k) is d / 2 and the kernel is min(|x|, |y|)
+        # (1 - e^{-kd}) / (2k) is d / 2 and the kernel is min(|x|, |y|);
+        # with |x| >> |y|, d = |x| + |y| - |x - y| would cancel
         x, y = sign * x, sign * y
         want = min(abs(x), abs(y))
         got = dirichlet_kernel(z, x, y)
         assert got.imag == 0.0
         assert abs(got.real - want) <= 2 * np.spacing(want)
+
+    def test_keeps_digits_with_one_point_near_origin(self):
+        # the kernel is e^{-k(x-y)} (1 - e^{-2ky}) / (2k), which is
+        # e^{-k(x-y)} y to |k y| ~ 2e-9 relative; d = x + y - |x - y|
+        # formed by subtraction, not as 2 y, is 8e-8 off
+        z, x, y = 2 + 0.5j, 7.5, 1e-9
+        want = cmath.exp(-wave_numbers(z).k_plus * (x - y)) * y
+        assert abs(dirichlet_kernel(z, x, y) - want) <= 1e-8 * abs(want)
 
     def test_grid_matches_scalar(self):
         z = 3 - 0.2j

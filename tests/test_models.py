@@ -7,16 +7,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _reference import kernel_matrix
+from _reference import (dirichlet_bs_hs_norm, dirichlet_quadrature_norm,
+                        gamma_branch, kernel_matrix)
+from sgnspec.closed import step_implicit_residual
 from sgnspec.errors import ConfigError, DomainError, SpectrumError, \
     ZeroCouplingError
 from sgnspec.kernel import spectrum_distance
 from sgnspec.models import (all_sigma, delta_eigenvalue,
-                            delta_eigenvalue_exists, dirichlet_bs_hs_norm,
-                            dirichlet_quadrature_norm,
+                            delta_eigenvalue_exists,
                             dirichlet_resolvent_norm, find_step_eigenvalues,
-                            gamma_branch, gamma_point,
-                            step_implicit_residual)
+                            gamma_point)
 from sgnspec.quadrature import gauss_legendre_grid, trapezoid_grid
 
 

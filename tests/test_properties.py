@@ -8,18 +8,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from _reference import assemble_k, dense_logdet, kernel_matrix
-from sgnspec.bounds import (_apply, _sides, apply_resolvent,
-                            pseudomode_lower_bound, schur_upper_bound)
+from _reference import (assemble_k, dense_logdet, dirichlet_bs_hs_norm,
+                        dirichlet_sides, kernel_matrix)
+from sgnspec.bounds import (_apply, apply_resolvent, pseudomode_lower_bound,
+                            schur_upper_bound)
 from sgnspec.bs import _normalized_det, box, gaussian, hs_norm
+from sgnspec.closed import DEFAULT_TOL_SPEC, Region
 from sgnspec.errors import DomainError
-from sgnspec.kernel import (DEFAULT_TOL_SPEC, Region, classify_region,
-                            dirichlet_kernel, resolvent_kernel,
-                            spectrum_distance)
-from sgnspec.models import dirichlet_bs_hs_norm
+from sgnspec.kernel import (classify_region, dirichlet_kernel,
+                            resolvent_kernel, spectrum_distance)
 from sgnspec.quadrature import gauss_legendre_grid, trapezoid_grid
 
 _SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
@@ -93,6 +93,8 @@ _KERNEL_ULPS = 4 * 2.0**-52
 @_SETTINGS
 @given(kernel_z, st.lists(kernel_x, min_size=1, max_size=6),
        st.lists(kernel_x, min_size=1, max_size=6))
+@example(1j, [-9.0], [-9.193305718761432e-07]).via(
+    "|x| + |y| - |x - y| once cancelled in the dense reference")
 def test_kernel_scalar_matches_grid_and_is_symmetric(z, xs, ys):
     assume(_off_rays(z))
     full = kernel_matrix(z, xs, ys)
@@ -163,7 +165,7 @@ potentials = st.one_of(
 
 
 def _dirichlet_apply(z, grid, f):
-    return _apply(_sides(z, grid.nodes, coupled=False), grid.weights * f)
+    return _apply(dirichlet_sides(z, grid), grid.weights * f)
 
 
 _APPLIES = [(apply_resolvent, True), (_dirichlet_apply, False)]

@@ -1,9 +1,10 @@
 """Start-up guard: the closed-form CLI commands (kernel, bounds,
-dirichlet, delta, gamma, step), the field export without the oracle and
-the smoothed pseudomode ratio load neither NumPy nor SciPy nor
-dataclasses, so they start in about the time of the interpreter; bs
-loads NumPy but not SciPy, which only the finite-difference oracle
-(field --oracle) and the Arnoldi spectral radius need; the pure-Python
+dirichlet, delta, gamma, step), the field export without the oracle,
+the smoothed pseudomode ratio and the models module load neither NumPy
+nor SciPy nor dataclasses, so they start in about the time of the
+interpreter; bs loads NumPy but not SciPy, which only the
+finite-difference oracle (field --oracle) and the Arnoldi spectral
+radius need; the pure-Python
 linspace that the CLI and the field grids use in place of NumPy's is
 bitwise equal to it; every module imports on its own, so no import
 cycle hides behind the package's import order; and the number of
@@ -120,6 +121,7 @@ def test_closed_form_commands_do_not_load_numpy(tmp_path):
 _EXPORTS = """
 import sgnspec
 assert sgnspec.bounds.apply_resolvent is sgnspec.apply_resolvent
+assert sgnspec.models.gamma_point is sgnspec.gamma_point
 for name in sgnspec.__all__:
     getattr(sgnspec, name)
 assert set(sgnspec.__all__) <= set(dir(sgnspec))
@@ -128,7 +130,7 @@ print(len(sgnspec.__all__), sgnspec.__version__)
 
 
 def test_lazy_package_exports_resolve():
-    assert _fresh(_EXPORTS) == "66 0.1.0"
+    assert _fresh(_EXPORTS) == "63 0.1.0"
 
 
 def _defaulted_parameters():
@@ -149,7 +151,7 @@ def _defaulted_parameters():
 def test_defaulted_parameter_count_is_pinned():
     # a settable value with one value in use is a constant; a new one
     # moves this count and has to be added here on purpose
-    assert _defaulted_parameters() == 25
+    assert _defaulted_parameters() == 18
 
 
 _RATIO = """
@@ -163,6 +165,18 @@ print(sorted(m for m in sys.modules
 
 def test_pseudomode_ratio_does_not_load_numpy():
     assert _fresh(_RATIO) == "[]"
+
+
+_MODELS = """
+import sys
+import sgnspec.models
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] in ("numpy", "scipy", "dataclasses")))
+"""
+
+
+def test_models_does_not_load_numpy():
+    assert _fresh(_MODELS) == "[]"
 
 
 def test_oracle_still_loads_scipy(tmp_path):
