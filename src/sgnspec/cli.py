@@ -21,7 +21,7 @@ import argparse
 import math
 import sys
 
-from . import closed
+from . import closed, errors
 from .errors import (ConfigError, ConvergenceError, DomainError,
                      EigenvalueLost, SgnSpecError, SingularError,
                      SpectrumError)
@@ -134,7 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default=None)
     p.add_argument("--oracle", action="store_true",
                    help="include the finite-difference norm estimate")
-    p.add_argument("--oracle-n", type=int, default=2001)
 
     p = sub.add_parser("bs", help="Birman-Schwinger diagnostics")
     bs_sub = p.add_subparsers(dest="bs_command", required=True)
@@ -202,10 +201,18 @@ def _run(args, out) -> None:
         if args.dry_run:
             out.write(f"plan field {re_n}x{im_n} -> {args.out}\n")
             return
-        fld = field.compute_field(grid, with_oracle=args.oracle,
-                                  oracle_n=args.oracle_n)
+        fld = field.compute_field(grid, with_oracle=args.oracle)
         field.export_field(fld, args.out, fmt=args.format)
         out.write(f"wrote {args.out}\n")
+        failed = fld.meta.get("oracle_failed", [])
+        for f in failed:
+            print(f"warning: oracle at {f['re']} {f['im']} failed: "
+                  f"{f['reason']}", file=sys.stderr)
+        if failed:
+            # the exit code of the first failure, so no NaN exits 0
+            raise getattr(errors, failed[0]["error"])(
+                f"the oracle failed at {len(failed)} of "
+                f"{len(fld.lower)} points")
 
     elif args.command == "bs":
         from . import bs

@@ -487,10 +487,10 @@ def dirichlet_resolvent_norm(z: complex) -> float:
     The operator splits into two shifted self-adjoint halves, so the
     norm is the reciprocal distance to the nearer spectral ray:
     max(1/dist(z, i + [0, inf)), 1/dist(z, -i + [0, inf))).  Raises
-    SpectrumError on the rays and DomainError where the norm overflows.
+    SpectrumError within DEFAULT_TOL_SPEC of the rays, so the norm is
+    below 1/DEFAULT_TOL_SPEC.
     """
-    d_plus, d_minus = ray_distances(z)
-    d = min(d_plus, d_minus)
-    if d == 0.0:
+    d = spectrum_distance(z)
+    if d <= DEFAULT_TOL_SPEC:
         raise SpectrumError(f"z={z} lies on the spectrum")
-    return _finite_bound(1.0 / d, z)
+    return 1.0 / d

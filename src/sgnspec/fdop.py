@@ -24,6 +24,14 @@ from .errors import ConfigError, ConvergenceError, SingularError, \
     SpectrumError
 from .quadrature import decay_half_length
 
+# most coarse nodes resolvent_norm_fd derives for itself (the fine grid
+# has twice as many).  At 1000 + 0.5i the rule asks for 269,051: the
+# call takes ~4 s and ~340 MB peak RSS (2-core x86, one BLAS thread).
+MAX_ORACLE_NODES = 300_001
+
+# h * kappa on the derived grid, so that h^2 * Re z <= 0.3 in the strip
+_H_KAPPA = math.sqrt(0.3)
+
 
 def _sign(x: np.ndarray) -> np.ndarray:
     """The unperturbed potential i sgn(x)."""
@@ -164,36 +172,60 @@ def _sigma_min_banded(op: FDOperator, z: complex) -> float:
     return 1.0 / math.sqrt(mu)
 
 
-def resolvent_norm_fd(z: complex, n: int = 2001,
-                      half_length: float | None = None) -> OracleResult:
+def _resolved_n(z: complex, half_length: float) -> int:
+    """The coarse grid resolvent_norm_fd takes when no n is given: the
+    smallest odd n >= 2001 with h * kappa <= _H_KAPPA, where
+    h = 2L/(n + 1) and kappa = max(|k+|, |k-|, 1), |k+-|^2 = |z -+ i|.
+
+    In the half-strip |k|^2 >= Re z, so h^2 * Re z <= 0.3, which
+    resolves the pseudomodes' oscillation e^{i sqrt(Re z) x}; elsewhere
+    kappa resolves their O(1) decay.  Raises ConfigError, naming n, if
+    n exceeds MAX_ORACLE_NODES.
+    """
+    kappa = math.sqrt(max(abs(z - 1j), abs(z + 1j), 1.0))
+    need = 2.0 * half_length * kappa / _H_KAPPA - 1.0
+    if not need <= MAX_ORACLE_NODES:  # also an inf or NaN need
+        n = math.ceil(need) | 1 if math.isfinite(need) else need
+        raise ConfigError(f"the FD oracle at z={z} needs n = {n} nodes, "
+                          f"more than MAX_ORACLE_NODES = {MAX_ORACLE_NODES}")
+    n = max(2001, math.ceil(need) | 1)
+    while 2.0 * half_length / (n + 1) * kappa > _H_KAPPA:  # rounding
+        n += 2
+    return n
+
+
+def resolvent_norm_fd(z: complex, n: int | None = None) -> OracleResult:
     """Resolvent norm estimate 1/sigma_min(A - z) from the FD matrix of
-    the unperturbed operator.
+    the unperturbed operator on [-L, L], L = decay_half_length(z).
 
     sigma_min comes from Lanczos on the inverted normal operator, one
     tridiagonal factorization per call and two back-substitutions per
     step (see _sigma_min_banded), at every n.  The computation is repeated
     at half the step size; the fine value is reported, with the
     Richardson extrapolation residual |v_fine - v_coarse| / 3 of the
-    second-order scheme as its error.
+    second-order scheme as its error, and the fine n.
 
     The grid must resolve the oscillation e^{i sqrt(Re z) x} of the
     pseudomodes: h^2 * Re z must stay well below 4, the top of the FD
-    Laplacian's symbol 4/h^2, where h = 2L/(n + 1) and L defaults to
-    decay_half_length(z), which grows like sqrt(Re z).  Otherwise the
-    value is meaningless and the Richardson error does not show it: at
-    z = 76.58 - 0.486i, L = 627 and the default n = 2001 give h = 0.63
-    (4/h^2 = 10.2) and 0.028 +- 0.004 against the proved sandwich
-    [87.6, 403.0], while n = 20001 (h^2 * Re z = 0.30) lands inside it.
+    Laplacian's symbol 4/h^2, where h = 2L/(n + 1) and L grows like
+    sqrt(Re z).  Otherwise the value is meaningless and the Richardson
+    error does not show it: at z = 76.58 - 0.486i, n = 2001 gives
+    h = 0.63 and 0.028 +- 0.004 against the proved sandwich
+    [87.6, 403.0].  With n None the coarse n is derived from z (see
+    _resolved_n; 20,045 there, for 204.45 +- 4.6), and is 2001 wherever
+    2001 already resolves z; an explicit n is used as given.
 
     Raises SpectrumError on the spectral rays (endpoints +-i included),
-    where the norm is infinite, ConvergenceError if Lanczos does not
-    converge and SingularError if A - z is singular.
+    where the norm is infinite, ConfigError, before any allocation, if
+    the derived n exceeds MAX_ORACLE_NODES, ConvergenceError if Lanczos
+    does not converge and SingularError if A - z is singular.
     """
     z = complex(z)
     if spectrum_distance(z) <= DEFAULT_TOL_SPEC:
         raise SpectrumError(f"z={z} lies on the essential spectrum")
-    if half_length is None:
-        half_length = decay_half_length(z)
+    half_length = decay_half_length(z)
+    if n is None:
+        n = _resolved_n(z, half_length)
 
     def norm_at(m: int) -> float:
         return 1.0 / _sigma_min_banded(build_fd(m, half_length), z)

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .closed import DEFAULT_TOL_SPEC, _linspace, norm_bounds
 from .closed import STATUS_OK  # re-exported
-from .errors import ConfigError
+from .errors import ConfigError, SgnSpecError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -27,7 +27,7 @@ if TYPE_CHECKING:
 # Python 3.11), a grid at the ceiling takes ~3 s and ~0.15 GB in
 # compute_field, and ~3 s and ~0.45 GB to export as CSV or ~3 s and
 # ~0.7 GB as JSON (peak RSS above the interpreter's); with_oracle adds
-# one FD norm estimate per point.
+# one FD norm estimate per point, up to ~4 s each (fdop.MAX_ORACLE_NODES).
 MAX_GRID_POINTS = 1_000_000
 
 _CSV_COLUMNS = ("re", "im", "region", "status",
@@ -111,8 +111,8 @@ class PseudospectrumField(NamedTuple):
     meta: dict
 
 
-def compute_field(grid: GridSpec, with_oracle: bool = False,
-                  oracle_n: int = 2001) -> PseudospectrumField:
+def compute_field(grid: GridSpec,
+                  with_oracle: bool = False) -> PseudospectrumField:
     """Evaluate the bound pair at every grid point, as closed.norm_bounds
     selects it.
 
@@ -123,12 +123,17 @@ def compute_field(grid: GridSpec, with_oracle: bool = False,
     |Im z| < 1 it exceeds the norm, so it is no lower bound there.
     Points on the spectrum carry inf (status "spectrum"), points where
     the bound overflows NaN (status "skipped").  with_oracle
-    additionally runs the finite-difference norm estimate at every point
-    with finite bounds.
+    additionally runs fdop.resolvent_norm_fd, on the grid it derives
+    from z, at every point with finite bounds.  A point where it raises
+    keeps NaN in both oracle columns and does not stop the field:
+    meta["oracle_failed"], present only if some point failed, lists
+    each such point in order as re and im (repr text), the error's
+    class name and its message.
     """
     pts = grid.points()
     lower, upper, status, region = [], [], [], []
     oracle = oracle_err = None
+    failed = []
     if with_oracle:
         from .fdop import resolvent_norm_fd
 
@@ -140,12 +145,18 @@ def compute_field(grid: GridSpec, with_oracle: bool = False,
         lower.append(nb.lower)
         upper.append(nb.upper)
         if with_oracle and nb.error is None:
-            res = resolvent_norm_fd(z, n=oracle_n)
+            try:
+                res = resolvent_norm_fd(z)
+            except SgnSpecError as exc:
+                failed.append({"re": _fmt(z.real), "im": _fmt(z.imag),
+                               "error": type(exc).__name__,
+                               "reason": str(exc)})
+                continue
             oracle[i], oracle_err[i] = float(res.value), float(res.error)
 
     meta = {"with_oracle": with_oracle, "tol_spec": DEFAULT_TOL_SPEC}
-    if with_oracle:
-        meta["oracle_n"] = oracle_n
+    if failed:
+        meta["oracle_failed"] = failed
     return PseudospectrumField(grid, lower, upper, status, region,
                                oracle, oracle_err, meta)
 

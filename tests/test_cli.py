@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import io
+import math
 import os
 import time
 import tracemalloc
@@ -11,7 +12,8 @@ from sgnspec import bs
 from sgnspec.cli import main, parse_complex, parse_range
 from sgnspec.closed import MAX_STEP_BRACKETS
 from sgnspec.errors import ConvergenceError, EigenvalueLost, SingularError
-from sgnspec.field import MAX_GRID_POINTS, GridSpec, compute_field
+from sgnspec.field import (MAX_GRID_POINTS, GridSpec, compute_field,
+                           load_field_csv)
 
 
 def run_cli(argv):
@@ -197,6 +199,23 @@ class TestSubcommands:
         assert not os.path.exists(path)
         assert "span" in capsys.readouterr().err
 
+    def test_field_oracle_past_its_ceiling_exits_two(self, tmp_path, capsys):
+        # 40 + 0.99i needs more FD nodes than MAX_ORACLE_NODES: the file
+        # is still written, with NaN at that point only, and the exit
+        # code is that of its ConfigError, so no NaN comes back with 0
+        path = str(tmp_path / "f.csv")
+        code, out = run_cli(["field", "--re=40:40:1", "--im=0.5:0.99:2",
+                             "--oracle", "--out", path])
+        assert code == 2 and out == f"wrote {path}\n"
+        cols = load_field_csv(path)
+        assert math.isfinite(cols["oracle"][0])
+        assert math.isnan(cols["oracle"][1])
+        assert math.isnan(cols["oracle_err"][1])
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("warning: oracle at 40.0 0.99 failed: ")
+        assert "MAX_ORACLE_NODES" in err[0]
+        assert err[1:] == ["error: the oracle failed at 1 of 2 points"]
+
     def test_field_dry_run(self, tmp_path):
         path = str(tmp_path / "f.csv")
         code, out = run_cli(["--dry-run", "field", "--re", "0:1:2",
@@ -301,7 +320,7 @@ class TestDeterminism:
         paths = [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
         for p in paths:
             code, _ = run_cli(["field", "--re=1:40:4", "--im=-0.5:0.5:3",
-                               "--oracle", "--oracle-n", "51", "--out", p])
+                               "--oracle", "--out", p])
             assert code == 0
         with open(paths[0], "rb") as f1, open(paths[1], "rb") as f2:
             assert f1.read() == f2.read()

@@ -1,15 +1,19 @@
 """Tests for the finite-difference oracle."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 from _reference import fd_banded, fd_dense, kernel_matrix
+from sgnspec import fdop
 from sgnspec.bounds import pseudomode_lower_bound, schur_upper_bound
 from sgnspec.errors import (ConfigError, ConvergenceError, SingularError,
                              SpectrumError)
 from sgnspec.fdop import (_sigma_min_banded, _tridiag_lu, build_fd,
                           eigenvalue_near, resolvent_norm_fd, step_potential)
+from sgnspec.quadrature import decay_half_length
 
 
 def _free(x):
@@ -83,12 +87,32 @@ class TestResolventNorm:
         assert _sigma_min_banded(op, z) == pytest.approx(dense, rel=1e-10)
 
     def test_resolved_grid_meets_sandwich(self):
-        # the default n = 2001 misses the proved sandwich here
-        # (h^2 Re z = 30); n = 20001 resolves the oscillation
-        z = 76.58 - 0.486j
-        res = resolvent_norm_fd(z, n=20001)
-        assert (pseudomode_lower_bound(z) <= res.value
-                <= schur_upper_bound(z))
+        # n = 2001 misses the proved sandwich at 76.58 - 0.486i
+        # (h^2 Re z = 30); n = 20001 and the derived grid resolve the
+        # oscillation, the latter with h * kappa <= sqrt(0.3) on its
+        # coarse grid
+        for z, n in [(76.58 - 0.486j, 20001), (76.58 - 0.486j, None),
+                     (40 + 0.75j, None)]:
+            res = resolvent_norm_fd(z, n=n)
+            assert (pseudomode_lower_bound(z) <= res.value
+                    <= schur_upper_bound(z)), (z, n)
+            if n is None:
+                h = 2.0 * decay_half_length(z) / ((res.n - 1) // 2 + 1)
+                kappa = math.sqrt(max(abs(z - 1j), abs(z + 1j), 1.0))
+                assert h * kappa <= math.sqrt(0.3), z
+
+    @pytest.mark.parametrize("z", [5 + 0.5j, -1 + 0.5j, 2 + 3j])
+    def test_derived_grid_keeps_2001_where_it_resolves(self, z):
+        assert resolvent_norm_fd(z) == resolvent_norm_fd(z, n=2001)
+
+    def test_derived_grid_past_the_ceiling_raises(self, monkeypatch):
+        # 2.69M nodes: typed, and before build_fd allocates anything
+        def fail(*args):
+            raise AssertionError("allocated")
+
+        monkeypatch.setattr(fdop, "build_fd", fail)
+        with pytest.raises(ConfigError, match=r"needs n = \d{7} "):
+            resolvent_norm_fd(1e4 + 0.5j)
 
     def test_singular_shift_raises(self):
         # h = 1 and V = 0: A - 2 has a zero diagonal and is singular

@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _reference as ref
-from sgnspec.errors import ConfigError
+from sgnspec import fdop
+from sgnspec.errors import ConfigError, ConvergenceError
 from sgnspec.field import (MAX_GRID_POINTS, GridSpec, compute_field,
                            export_field, field_to_csv, field_to_json,
                            load_field_csv)
@@ -184,10 +185,14 @@ class TestAgainstReference:
     @given(grids(re_ends=st.floats(-20.0, 60.0), most=3))
     @example(GridSpec(-1.0, 2.0, 2, 0.5, 1.0, 2)).via("a ray point: nan")
     def test_with_oracle(self, tmp_dir, grid):
-        fld = compute_field(grid, with_oracle=True, oracle_n=31)
+        fld = compute_field(grid, with_oracle=True)
         _check_against_reference(fld, tmp_dir)
+        failed = {complex(float(f["re"]), float(f["im"]))
+                  for f in fld.meta.get("oracle_failed", [])}
         np.testing.assert_array_equal(
-            np.isnan(np.array(fld.oracle)), np.array(fld.status) == "spectrum")
+            np.isnan(np.array(fld.oracle)),
+            [s == "spectrum" or z in failed
+             for s, z in zip(fld.status, grid.points())])
 
 
 class TestExport:
@@ -224,12 +229,31 @@ class TestExport:
 
     def test_oracle_columns(self, tmp_path):
         grid = GridSpec(5.0, 8.0, 2, 0.3, 0.3, 1)
-        fld = compute_field(grid, with_oracle=True, oracle_n=3001)
+        fld = compute_field(grid, with_oracle=True)
         oracle = np.array(fld.oracle)
         assert np.all(np.isfinite(oracle))
         # oracle must respect the two-sided bounds with slack
         assert np.all(oracle >= 0.5 * np.array(fld.lower))
         assert np.all(oracle <= 1.5 * np.array(fld.upper))
+        assert "oracle_failed" not in fld.meta
+
+    def test_failed_oracle_point_keeps_the_field(self, monkeypatch):
+        # one failure once discarded the whole field
+        def oracle(z):
+            if z.real == 8.0:
+                raise ConvergenceError(f"no convergence at z={z}")
+            return real_oracle(z)
+
+        real_oracle = fdop.resolvent_norm_fd
+        monkeypatch.setattr(fdop, "resolvent_norm_fd", oracle)
+        fld = compute_field(GridSpec(5.0, 8.0, 2, 0.3, 0.3, 1),
+                            with_oracle=True)
+        assert math.isfinite(fld.oracle[0])
+        assert math.isnan(fld.oracle[1]) and math.isnan(fld.oracle_err[1])
+        assert fld.meta["oracle_failed"] == [
+            {"re": "8.0", "im": "0.3", "error": "ConvergenceError",
+             "reason": "no convergence at z=(8+0.3j)"}]
+        assert json.loads(field_to_json(fld))["meta"] == fld.meta
 
 
 class TestLoadErrors:

@@ -8,7 +8,7 @@ import pytest
 
 from sgnspec.bs import box, gaussian
 from sgnspec.errors import ConfigError
-from sgnspec.fdop import build_fd, resolvent_norm_fd
+from sgnspec.fdop import build_fd
 from sgnspec.quadrature import (QuadratureGrid, decay_half_length,
                                 gauss_legendre_grid, oscillation_panel_width,
                                 trapezoid_grid)
@@ -81,10 +81,8 @@ class TestSizing:
     lambda v: gauss_legendre_grid(1.0, v),
     lambda v: build_fd(5, v),
     lambda v: gaussian(width=v),
-    lambda v: box(1.0, v),
-    lambda v: resolvent_norm_fd(5 + 0.5j, n=11, half_length=v)],
-    ids=["half_length", "panel_width", "build_fd", "gaussian", "box",
-         "resolvent_norm_fd"])
+    lambda v: box(1.0, v)],
+    ids=["half_length", "panel_width", "build_fd", "gaussian", "box"])
 def test_lengths_must_be_finite_and_positive(build, length):
     # a NaN or infinite length once raised a bare ValueError or
     # OverflowError, or gave NaN entries or the answer for |L|

@@ -59,6 +59,7 @@ cases = [
     (["kernel", "--z", "2,0.4", "--x", "0.1", "--y", "0.7"], 0),
     (["kernel", "--z=5,0.5", "--x=1e308", "--y=-1e308"], 1),
     (["dirichlet", "--z", "5,0.5"], 0),
+    (["dirichlet", "--z=5,1.0000000000001"], 1),
     (["delta", "--alpha", "2"], 0),
     (["gamma", "--sigma=-1,1,-1", "--r", "0:5:7"], 0),
     (["step", "--a", "1", "--b", "3", "--lam-max", "60"], 0),
@@ -79,7 +80,7 @@ _ORACLE = """
 import io, sys
 from sgnspec import cli
 argv = ["field", "--re=5:8:2", "--im=0.3:0.3:1", "--oracle",
-        "--oracle-n", "51", "--out", sys.argv[1]]
+        "--out", sys.argv[1]]
 assert cli.main(argv, out=io.StringIO()) == 0
 print("scipy" in sys.modules)
 """
@@ -151,7 +152,7 @@ def _defaulted_parameters():
 def test_defaulted_parameter_count_is_pinned():
     # a settable value with one value in use is a constant; a new one
     # moves this count and has to be added here on purpose
-    assert _defaulted_parameters() == 18
+    assert _defaulted_parameters() == 16
 
 
 _RATIO = """
