@@ -16,8 +16,7 @@ _EXPORTS = {
     "bs": ("PotentialSpec", "RootSearch", "box", "decomposition_diagnostics",
            "delta_bump", "escape_scan", "find_eigenvalue", "gaussian",
            "hs_growth_rates", "hs_norm", "potential_grid",
-           "search_eigenvalues", "spectral_radius", "step_well",
-           "weak_coupling_rate"),
+           "search_eigenvalues", "spectral_radius", "weak_coupling_rate"),
     "closed": ("Region", "all_sigma", "classify_region", "delta_eigenvalue",
                "delta_eigenvalue_exists", "dirichlet_resolvent_norm",
                "find_step_eigenvalues", "gamma_point", "numrange_bound",

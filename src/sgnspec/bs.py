@@ -40,7 +40,6 @@ class PotentialSpec:
     L1 norm, in closed form.
     """
 
-    name: str
     func: Callable[[np.ndarray], np.ndarray]
     half_length: float
     l1: float
@@ -70,8 +69,7 @@ def gaussian(amplitude: float = -1.0, width: float = 1.0) -> PotentialSpec:
     def v(x):
         return amplitude * np.exp(-((x / width) ** 2))
 
-    return PotentialSpec(name="gaussian", func=v,
-                         half_length=8.0 * width,
+    return PotentialSpec(func=v, half_length=8.0 * width,
                          l1=abs(amplitude) * width * math.sqrt(math.pi))
 
 
@@ -83,7 +81,7 @@ def box(amplitude: float, radius: float) -> PotentialSpec:
     def v(x):
         return amplitude * (np.abs(x) < radius)
 
-    return PotentialSpec(name="box", func=v, half_length=radius,
+    return PotentialSpec(func=v, half_length=radius,
                          l1=2.0 * abs(amplitude) * radius)
 
 
@@ -104,11 +102,6 @@ def delta_bump(alpha: float, radius: float = 2.5e-4) -> PotentialSpec:
         raise ConfigError(f"well depth alpha/(2 radius) overflows at "
                           f"alpha={alpha!r}, radius={radius!r}")
     return box(depth, radius)
-
-
-def step_well(a: float, b: float) -> PotentialSpec:
-    """The real square well of depth b on (-a, a)."""
-    return box(-b, a)
 
 
 def potential_grid(z: complex, pot: PotentialSpec) -> QuadratureGrid:

@@ -90,22 +90,16 @@ def _potential_from_args(args) -> bs.PotentialSpec:
         return bs.gaussian(args.amplitude, args.width)
     if args.potential == "box":
         return bs.box(args.amplitude, args.radius)
-    if args.potential == "delta":
-        return bs.delta_bump(args.alpha, args.radius)
-    if args.potential == "step":
-        return bs.step_well(args.a, args.b)
-    raise ConfigError(f"unknown potential {args.potential!r}")
+    return bs.delta_bump(args.alpha, args.radius)
 
 
 def _add_potential_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--potential", default="gaussian",
-                   choices=("gaussian", "box", "delta", "step"))
+                   choices=("gaussian", "box", "delta"))
     p.add_argument("--amplitude", type=parse_float, default=-1.0)
     p.add_argument("--width", type=parse_float, default=1.0)
     p.add_argument("--radius", type=parse_float, default=2.5e-4)
     p.add_argument("--alpha", type=parse_float, default=1.0)
-    p.add_argument("--a", type=parse_float, default=1.0)
-    p.add_argument("--b", type=parse_float, default=3.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,8 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sgnspec",
         description="Resolvent and pseudospectrum toolkit for "
                     "-d2/dx2 + i*sgn(x).")
-    ap.add_argument("--dry-run", action="store_true",
-                    help="validate arguments and report the plan only")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("kernel", help="evaluate the resolvent kernel")
@@ -125,13 +117,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="two-sided norm bounds at a point")
     p.add_argument("--z", type=parse_complex, required=True)
 
-    p = sub.add_parser("field", help="bounds over a grid, exported")
+    p = sub.add_parser("field", help="bounds over a grid, exported as "
+                       "JSON to a .json path, as CSV to any other")
     p.add_argument("--re", type=parse_range, required=True,
                    metavar="MIN:MAX:COUNT")
     p.add_argument("--im", type=parse_range, required=True,
                    metavar="MIN:MAX:COUNT")
     p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("csv", "json"), default=None)
     p.add_argument("--oracle", action="store_true",
                    help="include the finite-difference norm estimate")
 
@@ -198,11 +190,8 @@ def _run(args, out) -> None:
         re_lo, re_hi, re_n = args.re
         im_lo, im_hi, im_n = args.im
         grid = field.GridSpec(re_lo, re_hi, re_n, im_lo, im_hi, im_n)
-        if args.dry_run:
-            out.write(f"plan field {re_n}x{im_n} -> {args.out}\n")
-            return
         fld = field.compute_field(grid, with_oracle=args.oracle)
-        field.export_field(fld, args.out, fmt=args.format)
+        field.export_field(fld, args.out)
         out.write(f"wrote {args.out}\n")
         failed = fld.meta.get("oracle_failed", [])
         for f in failed:
@@ -270,9 +259,6 @@ def main(argv=None, out=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if args.dry_run and args.command != "field":
-        out.write(f"plan {args.command}\n")
-        return 0
     try:
         _run(args, out)
     except (SpectrumError, DomainError) as exc:
@@ -281,7 +267,7 @@ def main(argv=None, out=None) -> int:
     except (ConvergenceError, EigenvalueLost, SingularError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, SgnSpecError) as exc:
+    except SgnSpecError as exc:  # ConfigError and the rest: bad usage
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -57,13 +57,12 @@ def principal_sqrt(z: complex) -> complex:
 class WaveNumbers(NamedTuple):
     k_plus: complex
     k_minus: complex
-    z: complex
 
 
 def wave_numbers(z: complex) -> WaveNumbers:
     """Both wave numbers at spectral parameter ``z``."""
     z = complex(z)
-    return WaveNumbers(principal_sqrt(1j - z), principal_sqrt(-1j - z), z)
+    return WaveNumbers(principal_sqrt(1j - z), principal_sqrt(-1j - z))
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
@@ -147,12 +146,19 @@ def _check_off_spectrum(z: complex) -> None:
 # ---------------------------------------------------------------------------
 # two-sided resolvent-norm bounds
 
-def _strip_wave_numbers(z: complex):
+def _off_rays(z: complex) -> None:
+    """DomainError within DEFAULT_TOL_SPEC of a ray, where no bound is
+    finite."""
+    if spectrum_distance(z) <= DEFAULT_TOL_SPEC:
+        raise DomainError(f"z={z} lies on the essential spectrum")
+
+
+def _strip_wave_numbers(z: complex) -> WaveNumbers:
     z = complex(z)
     if not in_half_strip(z):
         raise DomainError(f"z={z} is not inside the half-strip")
-    kk = wave_numbers(z)
-    return kk.k_plus, kk.k_minus
+    _off_rays(z)
+    return wave_numbers(z)
 
 
 def _finite_bound(value: float, z: complex) -> float:
@@ -165,7 +171,9 @@ def schur_upper_bound(z: complex) -> float:
     """Schur-test upper bound on the resolvent norm, z inside the strip.
 
     Maximum of the two closed-form row-integral bounds (x > 0 and x < 0);
-    no quadrature involved.  Raises DomainError if the bound overflows.
+    no quadrature involved.  Raises DomainError outside the open
+    half-strip, within DEFAULT_TOL_SPEC of a ray and if the bound
+    overflows.
     """
     return _schur(*_strip_wave_numbers(z), z)
 
@@ -211,12 +219,14 @@ def half_strip_distance(z: complex) -> float:
 def numrange_bound(z: complex) -> float:
     """Resolvent bound 1/dist(z, S-bar) from m-sectoriality, z outside S-bar.
 
-    Raises DomainError inside the closed half-strip, and where the
-    distance is so small that the bound overflows.
+    Raises DomainError inside the closed half-strip, within
+    DEFAULT_TOL_SPEC of a ray, and where the distance is so small that
+    the bound overflows.
     """
     d = half_strip_distance(z)
     if d == 0.0:
         raise DomainError(f"z={z} lies in the closed half-strip")
+    _off_rays(z)
     return _finite_bound(1.0 / d, z)
 
 
@@ -260,7 +270,8 @@ def norm_bounds(z: complex) -> NormBounds:
             kp, km = principal_sqrt(1j - z), principal_sqrt(-1j - z)
             return NormBounds(region, STATUS_OK, _pseudomode(kp, km, z),
                               _schur(kp, km, z))
-        bound = numrange_bound(z)
+        # numrange_bound, less the checks the region already made
+        bound = _finite_bound(1.0 / half_strip_distance(z), z)
     except DomainError as exc:
         return NormBounds(region, STATUS_SKIPPED, math.nan, math.nan, exc)
     return NormBounds(region, STATUS_NUMRANGE, bound, bound)

@@ -103,8 +103,11 @@ def build_fd(n: int, half_length: float,
     h = 2.0 * half_length / (n + 1)
     x = -half_length + h * np.arange(1, n + 1)
     if cell_average:
-        offs = (np.arange(33) - 16.0) / 33.0 * h
-        vx = np.mean(potential(x[:, None] + offs[None, :]), axis=1)
+        # summed one offset at a time: O(n) memory, not an (n, 33) array
+        vx = np.zeros(n, dtype=complex)
+        for off in (np.arange(33) - 16.0) / 33.0 * h:
+            vx += potential(x + off)
+        vx /= 33.0
     else:
         vx = potential(x).astype(complex)
     diag = 2.0 / h**2 + vx
@@ -214,6 +217,12 @@ def resolvent_norm_fd(z: complex, n: int | None = None) -> OracleResult:
     [87.6, 403.0].  With n None the coarse n is derived from z (see
     _resolved_n; 20,045 there, for 204.45 +- 4.6), and is 2001 wherever
     2001 already resolves z; an explicit n is used as given.
+
+    The error measures h only, not the truncation at L.  Left of the
+    strip the norm sits at the threshold of the essential spectrum and
+    the truncated problem reaches it like 1/L^2: at z = -1 + 0.5i this
+    returns 0.87691049 +- 6.8e-8, below the rigorous lower bound
+    1/dist(z, sigma(H)) = 0.89442719.
 
     Raises SpectrumError on the spectral rays (endpoints +-i included),
     where the norm is infinite, ConfigError, before any allocation, if

@@ -233,17 +233,12 @@ def field_to_json(fld: PseudospectrumField) -> str:
     return ",\n".join(points)
 
 
-def export_field(fld: PseudospectrumField, path: str,
-                 fmt: str | None = None) -> None:
-    """Write the field to path as CSV or JSON (inferred from the suffix)."""
-    if fmt is None:
-        fmt = "json" if path.endswith(".json") else "csv"
-    if fmt == "csv":
-        text = field_to_csv(fld)
-    elif fmt == "json":
+def export_field(fld: PseudospectrumField, path: str) -> None:
+    """Write the field to path: JSON if path ends in .json, else CSV."""
+    if path.endswith(".json"):
         text = field_to_json(fld)
     else:
-        raise ConfigError(f"unknown export format {fmt!r}")
+        text = field_to_csv(fld)
     with open(path, "w", newline="") as fh:
         fh.write(text)
 

@@ -106,6 +106,15 @@ class TestClosedFormBounds:
         with pytest.raises(DomainError):
             numrange_bound(1 + 0.5j)
 
+    def test_within_the_spectrum_tolerance_of_a_ray(self):
+        # these once returned 1e13 and more, where the norm is infinite
+        # and norm_bounds, within the same DEFAULT_TOL_SPEC, says so
+        for bound, z in [(schur_upper_bound, 5 + 0.9999999999999j),
+                         (numrange_bound, 1.0000000000001j),
+                         (numrange_bound, -1e-13 + 1j)]:
+            with pytest.raises(DomainError, match="essential spectrum"):
+                bound(z)
+
 
 class TestNormBounds:
     """closed.norm_bounds picks the bound the public functions give."""

@@ -13,7 +13,7 @@ from sgnspec.bs import (_normalized_det, box, decomposition_diagnostics,
                         delta_bump, escape_scan, find_eigenvalue, gaussian,
                         hs_growth_rates, hs_norm, k_matvec, l_hs_closed,
                         potential_grid, search_eigenvalues, spectral_radius,
-                        step_well, weak_coupling_rate)
+                        weak_coupling_rate)
 from sgnspec.closed import wave_numbers
 from sgnspec.errors import ConfigError, ConvergenceError, ZeroCouplingError
 from sgnspec.quadrature import (QuadratureGrid, gauss_legendre_grid,
@@ -63,8 +63,9 @@ class TestPotentials:
         with pytest.raises(ConfigError, match="radius"):
             delta_bump(1.0, radius=0.0)
 
-    def test_step_well(self):
-        pot = step_well(1.0, 3.0)
+    def test_box_values(self):
+        # the real well of depth 3 on (-1, 1), pointwise
+        pot = box(-3.0, 1.0)
         assert pot(np.array([0.5]))[0] == -3.0
         assert pot(np.array([2.0]))[0] == 0.0
 

@@ -216,16 +216,6 @@ class TestSubcommands:
         assert "MAX_ORACLE_NODES" in err[0]
         assert err[1:] == ["error: the oracle failed at 1 of 2 points"]
 
-    def test_field_dry_run(self, tmp_path):
-        path = str(tmp_path / "f.csv")
-        code, out = run_cli(["--dry-run", "field", "--re", "0:1:2",
-                             "--im", "0:0:1", "--out", path])
-        assert code == 0
-        assert out == f"plan field 2x1 -> {path}\n"
-        import os
-
-        assert not os.path.exists(path)
-
     def test_bs_sweep(self):
         code, out = run_cli(["bs", "sweep", "--re", "25:100:2"])
         assert code == 0

@@ -223,10 +223,6 @@ class TestExport:
         rec = doc["points"][0]
         assert math.isfinite(float(rec["re"]))
 
-    def test_unknown_format(self, small_field, tmp_path):
-        with pytest.raises(ConfigError):
-            export_field(small_field, str(tmp_path / "x.bin"), fmt="bin")
-
     def test_oracle_columns(self, tmp_path):
         grid = GridSpec(5.0, 8.0, 2, 0.3, 0.3, 1)
         fld = compute_field(grid, with_oracle=True)

@@ -7,10 +7,11 @@ finite-difference oracle (field --oracle) and the Arnoldi spectral
 radius need; the pure-Python
 linspace that the CLI and the field grids use in place of NumPy's is
 bitwise equal to it; every module imports on its own, so no import
-cycle hides behind the package's import order; and the number of
-parameters with a default is pinned, so a new knob is added on
-purpose."""
+cycle hides behind the package's import order; and the numbers of
+parameters with a default and of CLI options are pinned, so a new knob
+is added on purpose."""
 
+import argparse
 import ast
 import os
 import subprocess
@@ -22,6 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sgnspec
+from sgnspec import cli
 from sgnspec.closed import _linspace
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(sgnspec.__file__)))
@@ -63,7 +65,6 @@ cases = [
     (["delta", "--alpha", "2"], 0),
     (["gamma", "--sigma=-1,1,-1", "--r", "0:5:7"], 0),
     (["step", "--a", "1", "--b", "3", "--lam-max", "60"], 0),
-    (["--dry-run", "kernel", "--z", "2", "--x", "0", "--y", "1"], 0),
     (["bs", "sweep", "--re", "25:50:x"], 2),
     (["field", "--re=-2:40:6", "--im=-1.5:1.5:5", "--out", sys.argv[1]], 0),
     (["field", "--re=-5:-0.0:7", "--im=-0.0:0:2", "--out", sys.argv[2]], 0),
@@ -131,7 +132,7 @@ print(len(sgnspec.__all__), sgnspec.__version__)
 
 
 def test_lazy_package_exports_resolve():
-    assert _fresh(_EXPORTS) == "63 0.1.0"
+    assert _fresh(_EXPORTS) == "62 0.1.0"
 
 
 def _defaulted_parameters():
@@ -152,7 +153,25 @@ def _defaulted_parameters():
 def test_defaulted_parameter_count_is_pinned():
     # a settable value with one value in use is a constant; a new one
     # moves this count and has to be added here on purpose
-    assert _defaulted_parameters() == 16
+    assert _defaulted_parameters() == 15
+
+
+def _cli_options(parser):
+    """Options and positionals of parser and of every subcommand below it,
+    --help excluded."""
+    count = 0
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                count += _cli_options(sub)
+        elif not isinstance(action, argparse._HelpAction):
+            count += 1
+    return count
+
+
+def test_cli_option_count_is_pinned():
+    # as for the parameters: a new option moves this count on purpose
+    assert _cli_options(cli.build_parser()) == 35
 
 
 _RATIO = """
