@@ -83,23 +83,40 @@ def _fmt_c(z: complex) -> str:
     return f"{_fmt(z.real)} {_fmt(z.imag)}"
 
 
+# the options each --potential reads, with their defaults; the parser
+# leaves every potential option at None, so an option given to a
+# potential that does not read it is seen and refused
+_POTENTIAL_OPTIONS = {
+    "gaussian": {"amplitude": -1.0, "width": 1.0},
+    "box": {"amplitude": -1.0, "radius": 2.5e-4},
+    "delta": {"alpha": 1.0, "radius": 2.5e-4},
+}
+_POTENTIAL_OPTION_NAMES = ("amplitude", "width", "radius", "alpha")
+
+
 def _potential_from_args(args) -> bs.PotentialSpec:
     from . import bs
 
+    reads = _POTENTIAL_OPTIONS[args.potential]
+    stray = [f"--{name}" for name in _POTENTIAL_OPTION_NAMES
+             if name not in reads and getattr(args, name) is not None]
+    if stray:
+        raise ConfigError(f"--potential {args.potential} does not read "
+                          f"{', '.join(stray)}")
+    opts = {name: default if getattr(args, name) is None
+            else getattr(args, name) for name, default in reads.items()}
     if args.potential == "gaussian":
-        return bs.gaussian(args.amplitude, args.width)
+        return bs.gaussian(**opts)
     if args.potential == "box":
-        return bs.box(args.amplitude, args.radius)
-    return bs.delta_bump(args.alpha, args.radius)
+        return bs.box(**opts)
+    return bs.delta_bump(**opts)
 
 
 def _add_potential_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--potential", default="gaussian",
-                   choices=("gaussian", "box", "delta"))
-    p.add_argument("--amplitude", type=parse_float, default=-1.0)
-    p.add_argument("--width", type=parse_float, default=1.0)
-    p.add_argument("--radius", type=parse_float, default=2.5e-4)
-    p.add_argument("--alpha", type=parse_float, default=1.0)
+                   choices=tuple(_POTENTIAL_OPTIONS))
+    for name in _POTENTIAL_OPTION_NAMES:
+        p.add_argument(f"--{name}", type=parse_float)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -150,9 +150,13 @@ def _sigma_min_banded(op: FDOperator, z: complex) -> float:
     A - z is factored once (see _tridiag_lu); each Lanczos step is then
     two back-substitutions on those factors, one with (A - z) and one
     with its adjoint.  Lanczos rather than power iteration because the
-    extreme singular values cluster along the pseudospectral plateau.
-    The Lanczos start vector is fixed, so repeated calls return the same
-    bits.
+    two smallest singular values can lie close.  On the grids that
+    resolvent_norm_fd takes, sigma_2/sigma_1 is 7 to 500 in the
+    half-strip (5 + 0.5i through 300 + 0.3i) but only 1.009 to 1.13 left
+    of it or above it (2 + 3i, -3 + 0.1i, -0.5, -1 + 0.5i); on a grid
+    with h * kappa >= 2 (see _resolved_n) they cluster to ~1e-6
+    relative.  The Lanczos start vector is fixed, so repeated calls
+    return the same bits.
     """
     import scipy.sparse.linalg as spla
 
@@ -175,17 +179,28 @@ def _sigma_min_banded(op: FDOperator, z: complex) -> float:
     return 1.0 / math.sqrt(mu)
 
 
-def _resolved_n(z: complex, half_length: float) -> int:
-    """The coarse grid resolvent_norm_fd takes when no n is given: the
-    smallest odd n >= 2001 with h * kappa <= _H_KAPPA, where
-    h = 2L/(n + 1) and kappa = max(|k+|, |k-|, 1), |k+-|^2 = |z -+ i|.
+def _resolved_n(z: complex, half_length: float, n: int | None) -> int:
+    """The coarse grid resolvent_norm_fd takes at z.
 
-    In the half-strip |k|^2 >= Re z, so h^2 * Re z <= 0.3, which
-    resolves the pseudomodes' oscillation e^{i sqrt(Re z) x}; elsewhere
-    kappa resolves their O(1) decay.  Raises ConfigError, naming n, if
-    n exceeds MAX_ORACLE_NODES.
+    An explicit n is kept while h * kappa < 2, where h = 2L/(n + 1) and
+    kappa = max(|k+|, |k-|, 1), |k+-|^2 = |z -+ i|.  Past that,
+    (h * kappa)^2 >= 4 puts the pseudomodes' oscillation
+    e^{i sqrt(Re z) x} above the top of the FD Laplacian's symbol, 4/h^2:
+    the grid cannot represent it, and n is derived as when it is None.
+
+    The derived n is the smallest odd n >= 2001 with
+    h * kappa <= _H_KAPPA.  In the half-strip |k|^2 >= Re z, so
+    h^2 * Re z <= 0.3, which resolves the oscillation; elsewhere kappa
+    resolves the pseudomodes' O(1) decay.  Raises ConfigError if an
+    explicit n is below 3, and, naming n, if the derived n exceeds
+    MAX_ORACLE_NODES.
     """
     kappa = math.sqrt(max(abs(z - 1j), abs(z + 1j), 1.0))
+    if n is not None:
+        if n < 3:  # as build_fd, and before n + 1 can be 0
+            raise ConfigError("need at least 3 interior nodes")
+        if 2.0 * half_length / (n + 1) * kappa < 2.0:
+            return n
     need = 2.0 * half_length * kappa / _H_KAPPA - 1.0
     if not need <= MAX_ORACLE_NODES:  # also an inf or NaN need
         n = math.ceil(need) | 1 if math.isfinite(need) else need
@@ -209,14 +224,14 @@ def resolvent_norm_fd(z: complex, n: int | None = None) -> OracleResult:
     second-order scheme as its error, and the fine n.
 
     The grid must resolve the oscillation e^{i sqrt(Re z) x} of the
-    pseudomodes: h^2 * Re z must stay well below 4, the top of the FD
-    Laplacian's symbol 4/h^2, where h = 2L/(n + 1) and L grows like
-    sqrt(Re z).  Otherwise the value is meaningless and the Richardson
-    error does not show it: at z = 76.58 - 0.486i, n = 2001 gives
-    h = 0.63 and 0.028 +- 0.004 against the proved sandwich
-    [87.6, 403.0].  With n None the coarse n is derived from z (see
-    _resolved_n; 20,045 there, for 204.45 +- 4.6), and is 2001 wherever
-    2001 already resolves z; an explicit n is used as given.
+    pseudomodes.  With h = 2L/(n + 1) and kappa = max(|k+|, |k-|, 1),
+    an explicit n is used while h * kappa < 2.  At h * kappa >= 2 the
+    oscillation lies above the top of the FD Laplacian's symbol, 4/h^2,
+    so the call takes the grid it derives when n is None: the smallest
+    odd n >= 2001 with h * kappa <= sqrt(0.3) (see _resolved_n), which
+    is 2001 wherever 2001 already resolves z.  At z = 76.58 - 0.486i an
+    explicit n = 2001 has h * kappa = 5.5, so the call runs n = 20,045
+    and returns 204.45 +- 4.6, inside the proved sandwich [87.6, 403.0].
 
     The error measures h only, not the truncation at L.  Left of the
     strip the norm sits at the threshold of the essential spectrum and
@@ -226,15 +241,15 @@ def resolvent_norm_fd(z: complex, n: int | None = None) -> OracleResult:
 
     Raises SpectrumError on the spectral rays (endpoints +-i included),
     where the norm is infinite, ConfigError, before any allocation, if
-    the derived n exceeds MAX_ORACLE_NODES, ConvergenceError if Lanczos
-    does not converge and SingularError if A - z is singular.
+    the derived n exceeds MAX_ORACLE_NODES (also where it replaces an
+    explicit n), ConvergenceError if Lanczos does not converge and
+    SingularError if A - z is singular.
     """
     z = complex(z)
     if spectrum_distance(z) <= DEFAULT_TOL_SPEC:
         raise SpectrumError(f"z={z} lies on the essential spectrum")
     half_length = decay_half_length(z)
-    if n is None:
-        n = _resolved_n(z, half_length)
+    n = _resolved_n(z, half_length, n)
 
     def norm_at(m: int) -> float:
         return 1.0 / _sigma_min_banded(build_fd(m, half_length), z)

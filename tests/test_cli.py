@@ -229,6 +229,31 @@ class TestSubcommands:
         assert code == 0
         assert "slope -2.0" in out
 
+    @pytest.mark.parametrize("argv, stray", [
+        (["roots", "--eps", "1", "--seeds=-0.3", "--potential", "box",
+          "--amplitude=-3", "--radius", "1", "--width", "7", "--alpha", "9"],
+         "box does not read --width, --alpha"),
+        (["rate", "--alpha", "1"], "gaussian does not read --alpha"),
+        (["rate", "--radius", "1e-3"], "gaussian does not read --radius"),
+        (["sweep", "--re", "25:100:2", "--potential", "delta",
+          "--amplitude=-2"], "delta does not read --amplitude"),
+        (["rate", "--potential", "box", "--width", "2"],
+         "box does not read --width"),
+    ])
+    def test_bs_option_the_potential_does_not_read_exits_two(
+            self, capsys, argv, stray):
+        # an option the chosen potential ignores is an error, not a no-op
+        code, out = run_cli(["bs", *argv])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: --potential {stray}\n"
+
+    def test_bs_box_reads_its_options(self):
+        code, out = run_cli(["bs", "roots", "--eps", "1", "--seeds=-0.3",
+                             "--potential", "box", "--amplitude=-3",
+                             "--radius", "1"])
+        assert code == 0
+        assert out.startswith("count 1\nroot 0.0745100597766705 ")
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bs_roots_divergent_seed(self):
         code, out = run_cli(["bs", "roots", "--eps", "1", "--seeds", "5,5"])

@@ -87,10 +87,10 @@ class TestResolventNorm:
         assert _sigma_min_banded(op, z) == pytest.approx(dense, rel=1e-10)
 
     def test_resolved_grid_meets_sandwich(self):
-        # n = 2001 misses the proved sandwich at 76.58 - 0.486i
-        # (h^2 Re z = 30); n = 20001 and the derived grid resolve the
-        # oscillation, the latter with h * kappa <= sqrt(0.3) on its
-        # coarse grid
+        # n = 20001 resolves the oscillation at 76.58 - 0.486i and is
+        # kept; the derived grid does too, with h * kappa <= sqrt(0.3)
+        # on its coarse grid (n = 2001 there has h * kappa = 5.5 and
+        # takes the derived grid, see below)
         for z, n in [(76.58 - 0.486j, 20001), (76.58 - 0.486j, None),
                      (40 + 0.75j, None)]:
             res = resolvent_norm_fd(z, n=n)
@@ -106,13 +106,54 @@ class TestResolventNorm:
         assert resolvent_norm_fd(z) == resolvent_norm_fd(z, n=2001)
 
     def test_derived_grid_past_the_ceiling_raises(self, monkeypatch):
-        # 2.69M nodes: typed, and before build_fd allocates anything
+        # 2.69M nodes: typed, and before build_fd allocates anything; an
+        # explicit n = 2001 has h * kappa >= 2 there and takes that grid
         def fail(*args):
             raise AssertionError("allocated")
 
         monkeypatch.setattr(fdop, "build_fd", fail)
-        with pytest.raises(ConfigError, match=r"needs n = \d{7} "):
-            resolvent_norm_fd(1e4 + 0.5j)
+        for n in (None, 2001):
+            with pytest.raises(ConfigError, match=r"needs n = \d{7} "):
+                resolvent_norm_fd(1e4 + 0.5j, n=n)
+
+    def test_under_resolved_explicit_n_takes_derived_grid(self):
+        # h * kappa = 5.5 >= 2: n = 2001 cannot represent z's oscillation
+        # (on its own it gives 0.028 +- 0.004), so the call runs the
+        # derived grid
+        z = 76.58 - 0.486j
+        res = resolvent_norm_fd(z, n=2001)
+        assert res == resolvent_norm_fd(z)
+        assert (pseudomode_lower_bound(z) <= res.value
+                <= schur_upper_bound(z))
+
+    def test_under_resolved_explicit_n_solve_count(self, monkeypatch):
+        # Lanczos on the n = 2001 grid itself needs 18,024 solves, as its
+        # smallest singular values cluster to ~1e-6 relative; the
+        # derived grid takes 84
+        solves = []
+
+        def counting_lu(op, shift):
+            solve = _tridiag_lu(op, shift)
+
+            def counted(b, trans="N"):
+                solves.append(trans)
+                return solve(b, trans)
+
+            return counted
+
+        monkeypatch.setattr(fdop, "_tridiag_lu", counting_lu)
+        resolvent_norm_fd(76.58 - 0.486j, n=2001)
+        assert len(solves) <= 200
+
+    @pytest.mark.parametrize("n", [-1, 2])
+    def test_explicit_n_below_three_raises(self, n):
+        # typed, before the grid rule divides by n + 1
+        with pytest.raises(ConfigError, match="at least 3"):
+            resolvent_norm_fd(5 + 0.5j, n=n)
+
+    def test_explicit_n_that_resolves_is_kept(self):
+        # h * kappa = 1.23 < 2 at tau = 100, n = 6001 (criterion 1)
+        assert resolvent_norm_fd(100.0, n=6001).n == 12003
 
     def test_singular_shift_raises(self):
         # h = 1 and V = 0: A - 2 has a zero diagonal and is singular

@@ -26,8 +26,6 @@ import sgnspec
 from sgnspec import cli
 from sgnspec.closed import _linspace
 
-_SRC = os.path.dirname(os.path.dirname(os.path.abspath(sgnspec.__file__)))
-
 _NO_SCIPY = """
 import io, sys
 import sgnspec
@@ -102,10 +100,8 @@ _MODULES = sorted(name[:-3] for name in os.listdir(sgnspec.__path__[0])
 
 
 def _fresh(code, *args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (_SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+    # tests/conftest.py puts src on the child's PYTHONPATH
+    proc = subprocess.run([sys.executable, "-c", code, *args],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
