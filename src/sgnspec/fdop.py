@@ -6,14 +6,18 @@ kernel, the bound sandwich, and the model eigenvalues.  Everything here is
 deliberately generic: no closed-form knowledge of the resolvent enters.
 Both solvers, the sigma_min Lanczos and the shift-invert eigensolver,
 factor the tridiagonal A - shift once per shift (LAPACK gttrf, partial
-pivoting, O(n)) and then only back-substitute (gttrs).  SciPy is
-imported inside the functions that run its solvers, so that importing
-this module does not load it.
+pivoting, O(n)) and then only back-substitute (gttrs).  Both find the
+dominant eigenvalue of the inverted operator with one NumPy Arnoldi
+(_dominant_eigenvalue), which tests for convergence after every product
+and restarts Krylov-Schur style from its leading Ritz vectors.  SciPy's
+LAPACK wrappers are imported inside _tridiag_lu, so that importing this
+module does not load SciPy; nothing here loads scipy.sparse.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,11 +30,22 @@ from .quadrature import decay_half_length
 
 # most coarse nodes resolvent_norm_fd derives for itself (the fine grid
 # has twice as many).  At 1000 + 0.5i the rule asks for 269,051: the
-# call takes ~4 s and ~340 MB peak RSS (2-core x86, one BLAS thread).
+# call takes ~0.7 s and ~170 MB peak RSS (2-core x86, one BLAS thread).
 MAX_ORACLE_NODES = 300_001
 
 # h * kappa on the derived grid, so that h^2 * Re z <= 0.3 in the strip
 _H_KAPPA = math.sqrt(0.3)
+
+# _dominant_eigenvalue's Krylov basis and the Ritz vectors a restart
+# keeps; each job's residual tolerance relative to the Ritz value and
+# its budget of restarts, as in the ARPACK calls the Arnoldi replaced
+# (eigsh tol=1e-9 maxiter=5000, eigs tol=0 maxiter=2000)
+_BASIS = 20
+_KEEP = 10
+_SIGMA_TOL = 1e-9
+_SIGMA_RESTARTS = 5000
+_EIG_TOL = float(np.finfo(float).eps)
+_EIG_RESTARTS = 2000
 
 
 def _sign(x: np.ndarray) -> np.ndarray:
@@ -76,6 +91,17 @@ def step_potential(a: float, b: float) -> Callable[[np.ndarray], np.ndarray]:
     return v
 
 
+def _node_count(n: int) -> int:
+    """n as an int; raises ConfigError unless it is an integer >= 3."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ConfigError(f"n must be an integer, not {n!r}") from None
+    if n < 3:
+        raise ConfigError("need at least 3 interior nodes")
+    return n
+
+
 def build_fd(n: int, half_length: float,
              potential: Callable[[np.ndarray], np.ndarray] = _sign,
              center_jump: float = 0.0,
@@ -91,10 +117,10 @@ def build_fd(n: int, half_length: float,
     diagonal entry.  cell_average samples the potential by
     a 33-point average over each grid cell instead of pointwise, which
     restores second order for discontinuous potentials off the grid.
-    Raises ConfigError unless half_length is finite and positive.
+    Raises ConfigError unless n is an integer >= 3 and half_length is
+    finite and positive.
     """
-    if n < 3:
-        raise ConfigError("need at least 3 interior nodes")
+    n = _node_count(n)
     if not 0.0 < half_length < math.inf:
         raise ConfigError(
             f"half_length must be finite and positive, not {half_length!r}")
@@ -143,38 +169,94 @@ def _tridiag_lu(op: FDOperator,
     return solve
 
 
+def _dominant_eigenvalue(matvec: Callable[[np.ndarray], np.ndarray],
+                         v0: np.ndarray, hermitian: bool, tol: float,
+                         max_restarts: int) -> complex:
+    """Eigenvalue of largest modulus of the operator v -> matvec(v), by
+    Arnoldi (Lanczos when hermitian) with Krylov-Schur restarts.
+
+    The basis is a row-major (_BASIS + 1, n) array, each new vector
+    orthogonalized by two passes of classical Gram-Schmidt.  After every
+    product the Ritz pair (theta, y) of largest modulus of the small
+    projected matrix is computed (eigh when hermitian), and the iteration
+    stops once the residual |beta y_last| <= tol * |theta|, ARPACK's
+    criterion.  A full basis restarts from the _KEEP leading Ritz vectors,
+    orthonormalized, and the Krylov decomposition they span (Stewart,
+    SIAM J. Matrix Anal. Appl. 23 (2001); Wu-Simon, SIAM J. Matrix Anal.
+    Appl. 22 (2000)): unlike a restart from one Ritz vector, that keeps
+    the convergence of clustered eigenvalues.  The result depends only
+    on the operator and v0, so a fixed v0 gives the same bits.  Raises
+    ConvergenceError after max_restarts restarts and SingularError if a
+    product is not finite.
+    """
+    basis = np.empty((_BASIS + 1, v0.size), dtype=complex)
+    proj = np.zeros((_BASIS + 1, _BASIS), dtype=complex)
+    basis[0] = v0 / np.linalg.norm(v0)
+    ritz = np.linalg.eigh if hermitian else np.linalg.eig
+    start = 0  # vectors carried over from the last restart
+    for _ in range(max_restarts + 1):
+        for j in range(start, _BASIS):
+            w = matvec(basis[j])
+            done = basis[:j + 1]
+            h = np.conj(done @ np.conj(w))
+            w = w - h @ done
+            again = np.conj(done @ np.conj(w))
+            w -= again @ done
+            beta = np.linalg.norm(w)
+            if not math.isfinite(beta):
+                raise SingularError("Krylov product is not finite")
+            proj[:j + 1, j] = h + again
+            proj[j + 1, j] = beta
+            vals, vecs = ritz(proj[:j + 1, :j + 1])
+            top = np.argmax(np.abs(vals))
+            if abs(beta * vecs[j, top]) <= tol * abs(vals[top]):
+                return vals[top]
+            basis[j + 1] = w / beta
+        # the basis is full: keep the leading Ritz vectors and their
+        # Krylov decomposition A U = U schur + v coupling
+        vals, vecs = ritz(proj[:_BASIS])
+        lead = np.argsort(-np.abs(vals), kind="stable")[:_KEEP]
+        if hermitian:
+            q = vecs[:, lead]
+            schur = np.diag(vals[lead])
+        else:
+            q = np.linalg.qr(vecs[:, lead])[0]
+            schur = q.conj().T @ proj[:_BASIS] @ q
+        coupling = proj[_BASIS] @ q
+        basis[:_KEEP] = q.T @ basis[:_BASIS]
+        basis[_KEEP] = basis[_BASIS]
+        proj[:] = 0.0
+        proj[:_KEEP, :_KEEP] = schur
+        proj[_KEEP, :_KEEP] = coupling
+        start = _KEEP
+    raise ConvergenceError(
+        f"Krylov iteration not converged in {max_restarts} restarts")
+
+
 def _sigma_min_banded(op: FDOperator, z: complex) -> float:
     """Smallest singular value of (A - z) via Lanczos on the inverted
     normal operator ((A - z)(A - z)^H)^{-1}.
 
     A - z is factored once (see _tridiag_lu); each Lanczos step is then
     two back-substitutions on those factors, one with (A - z) and one
-    with its adjoint.  Lanczos rather than power iteration because the
-    two smallest singular values can lie close.  On the grids that
+    with its adjoint, and _dominant_eigenvalue stops at the relative
+    residual _SIGMA_TOL.  Lanczos rather than power iteration because
+    the two smallest singular values can lie close.  On the grids that
     resolvent_norm_fd takes, sigma_2/sigma_1 is 7 to 500 in the
-    half-strip (5 + 0.5i through 300 + 0.3i) but only 1.009 to 1.13 left
-    of it or above it (2 + 3i, -3 + 0.1i, -0.5, -1 + 0.5i); on a grid
-    with h * kappa >= 2 (see _resolved_n) they cluster to ~1e-6
-    relative.  The Lanczos start vector is fixed, so repeated calls
-    return the same bits.
+    half-strip (5 + 0.5i through 300 + 0.3i), where Lanczos stops after
+    a handful of steps, but only 1.009 to 1.13 left of it or above it
+    (2 + 3i, -3 + 0.1i, -0.5, -1 + 0.5i); on a grid with h * kappa >= 2
+    (see _resolved_n) they cluster to ~1e-6 relative, and the
+    Krylov-Schur restarts carry the iteration.  The Lanczos start vector
+    is fixed, so repeated calls return the same bits.  Raises
+    ConvergenceError if Lanczos does not converge within _SIGMA_RESTARTS
+    restarts and SingularError if A - z is singular.
     """
-    import scipy.sparse.linalg as spla
-
     solve = _tridiag_lu(op, z)
-
-    def inv_normal(v):
-        return solve(solve(v, "N"), "C")
-
-    lin = spla.LinearOperator((op.size, op.size), matvec=inv_normal,
-                              dtype=complex)
     v0 = np.random.default_rng(0).standard_normal(op.size)
-    try:
-        mu = spla.eigsh(lin, k=1, which="LM", tol=1e-9, maxiter=5000, v0=v0,
-                        return_eigenvectors=False)[0]
-    except spla.ArpackNoConvergence as exc:
-        raise ConvergenceError(
-            f"Lanczos did not converge for sigma_min at z={z}") from exc
-    if not np.isfinite(mu) or mu <= 0.0:
+    mu = _dominant_eigenvalue(lambda v: solve(solve(v, "N"), "C"), v0,
+                              True, _SIGMA_TOL, _SIGMA_RESTARTS)
+    if not mu > 0.0:
         raise SingularError(f"inverse normal operator degenerate at z={z}")
     return 1.0 / math.sqrt(mu)
 
@@ -192,13 +274,12 @@ def _resolved_n(z: complex, half_length: float, n: int | None) -> int:
     h * kappa <= _H_KAPPA.  In the half-strip |k|^2 >= Re z, so
     h^2 * Re z <= 0.3, which resolves the oscillation; elsewhere kappa
     resolves the pseudomodes' O(1) decay.  Raises ConfigError if an
-    explicit n is below 3, and, naming n, if the derived n exceeds
-    MAX_ORACLE_NODES.
+    explicit n is not an integer >= 3, and, naming n, if the derived n
+    exceeds MAX_ORACLE_NODES.
     """
     kappa = math.sqrt(max(abs(z - 1j), abs(z + 1j), 1.0))
     if n is not None:
-        if n < 3:  # as build_fd, and before n + 1 can be 0
-            raise ConfigError("need at least 3 interior nodes")
+        n = _node_count(n)  # as build_fd, before n + 1 can be 0
         if 2.0 * half_length / (n + 1) * kappa < 2.0:
             return n
     need = 2.0 * half_length * kappa / _H_KAPPA - 1.0
@@ -268,23 +349,17 @@ def eigenvalue_near(target: complex, n: int, half_length: float,
     one-element array.
 
     A - target is factored once (see _tridiag_lu), so each Arnoldi step
-    is one O(n) back-substitution.  Works on fine grids (n ~ 10^5 - 10^6)
-    where the dense solve is out of reach; accuracy is then limited only
-    by the discretization.  The Arnoldi start vector is fixed, so
-    repeated calls return the same bits.  Raises SingularError if
-    A - target is exactly singular and ConvergenceError if Arnoldi does
-    not converge.
+    is one O(n) back-substitution; _dominant_eigenvalue stops when the
+    Ritz residual falls to machine epsilon relative to the Ritz value.
+    Works on fine grids (n ~ 10^5 - 10^6) where the dense solve is out
+    of reach; accuracy is then limited only by the discretization.  The
+    Arnoldi start vector is fixed, so repeated calls return the same
+    bits.  Raises ConfigError for the grid as build_fd does,
+    SingularError if A - target is exactly singular and ConvergenceError
+    if Arnoldi does not converge within _EIG_RESTARTS restarts.
     """
-    import scipy.sparse.linalg as spla
-
     op = build_fd(n, half_length, potential, center_jump, cell_average)
-    inv = spla.LinearOperator((n, n), matvec=_tridiag_lu(op, target),
-                              dtype=complex)
-    v0 = np.random.default_rng(0).standard_normal(n)
-    try:
-        mu = spla.eigs(inv, k=1, which="LM", return_eigenvectors=False,
-                       maxiter=2000, v0=v0)
-    except spla.ArpackNoConvergence as exc:
-        raise ConvergenceError(
-            f"Arnoldi did not converge near target={target}") from exc
-    return target + 1.0 / mu
+    v0 = np.random.default_rng(0).standard_normal(op.size)
+    mu = _dominant_eigenvalue(_tridiag_lu(op, target), v0, False, _EIG_TOL,
+                              _EIG_RESTARTS)
+    return np.array([target + 1.0 / mu])

@@ -22,7 +22,10 @@ csv.writer, the indenting json.dumps and csv.DictReader, one row or
 dict per point, so they share no formatting or parsing code with the
 templates and the column-wise reader they check; the renderers take the
 grid points from NumPy's linspace and broadcasting, not from
-GridSpec.points().
+GridSpec.points().  arpack_sigma_min and arpack_eigenvalue_near are
+the ARPACK calls (eigsh, eigs) that the FD oracle ran before its own
+Arnoldi, with the same start vector, tolerance and iteration budget,
+so the tests can hold the package's Krylov iteration against them.
 """
 
 import csv
@@ -38,6 +41,7 @@ from sgnspec.closed import (DEFAULT_TOL_SPEC, _check_off_spectrum,
                             gamma_point, principal_sqrt, spectrum_distance,
                             wave_numbers)
 from sgnspec.errors import ConvergenceError, DomainError, SpectrumError
+from sgnspec.fdop import _tridiag_lu
 from sgnspec.quadrature import (QuadratureGrid, decay_half_length,
                                 oscillation_panel_width)
 
@@ -179,6 +183,33 @@ def fd_banded(op, shift):
     ab[1, :] = op.diag - shift
     ab[2, :-1] = op.offdiag
     return ab
+
+
+def arpack_sigma_min(op, z):
+    """Smallest singular value of A - z by ARPACK's Lanczos (eigsh) on
+    ((A - z)(A - z)^H)^{-1}, applied by the tridiagonal LU solver."""
+    import scipy.sparse.linalg as spla
+
+    solve = _tridiag_lu(op, z)
+    lin = spla.LinearOperator((op.size, op.size), dtype=complex,
+                              matvec=lambda v: solve(solve(v, "N"), "C"))
+    v0 = np.random.default_rng(0).standard_normal(op.size)
+    mu = spla.eigsh(lin, k=1, which="LM", tol=1e-9, maxiter=5000, v0=v0,
+                    return_eigenvectors=False)[0]
+    return 1.0 / math.sqrt(mu)
+
+
+def arpack_eigenvalue_near(op, target):
+    """The eigenvalue of the FD matrix closest to target by ARPACK's
+    shift-invert Arnoldi (eigs, tol=0), as a one-element array."""
+    import scipy.sparse.linalg as spla
+
+    inv = spla.LinearOperator((op.size, op.size), dtype=complex,
+                              matvec=_tridiag_lu(op, target))
+    v0 = np.random.default_rng(0).standard_normal(op.size)
+    mu = spla.eigs(inv, k=1, which="LM", return_eigenvectors=False,
+                   maxiter=2000, v0=v0)
+    return target + 1.0 / mu
 
 
 def weights(pot, grid):

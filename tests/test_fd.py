@@ -6,18 +6,48 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from _reference import fd_banded, fd_dense, kernel_matrix
-from sgnspec import fdop
+from _reference import (arpack_eigenvalue_near, arpack_sigma_min,
+                        fd_banded, fd_dense, kernel_matrix)
+from sgnspec import fdop, models
 from sgnspec.bounds import pseudomode_lower_bound, schur_upper_bound
 from sgnspec.errors import (ConfigError, ConvergenceError, SingularError,
                              SpectrumError)
-from sgnspec.fdop import (_sigma_min_banded, _tridiag_lu, build_fd,
-                          eigenvalue_near, resolvent_norm_fd, step_potential)
+from sgnspec.fdop import (_resolved_n, _sigma_min_banded, _tridiag_lu,
+                          build_fd, eigenvalue_near, resolvent_norm_fd,
+                          step_potential)
 from sgnspec.quadrature import decay_half_length
 
 
 def _free(x):
     return np.zeros_like(x, dtype=complex)
+
+
+def _count_solves(monkeypatch):
+    """The list that every back-substitution of fdop's LU solvers appends
+    its trans flag to from now on."""
+    solves = []
+
+    def counting_lu(op, shift):
+        solve = _tridiag_lu(op, shift)
+
+        def counted(b, trans="N"):
+            solves.append(trans)
+            return solve(b, trans)
+
+        return counted
+
+    monkeypatch.setattr(fdop, "_tridiag_lu", counting_lu)
+    return solves
+
+
+def _split(op):
+    """op with the bond across the origin cut, as in criterion 6: two
+    decoupled Dirichlet halves (even n, so no node at 0)."""
+    off = op.offdiag.copy()
+    off[op.size // 2 - 1] = 0.0
+    return type(op)(nodes=op.nodes, diag=op.diag, offdiag=off,
+                    half_length=op.half_length, step=op.step)
+
 
 
 class TestBuild:
@@ -39,6 +69,12 @@ class TestBuild:
         # a name is not a potential: a typed error, not a bare KeyError
         with pytest.raises(ConfigError):
             build_fd(5, 1.0, "sgnn")
+
+    @pytest.mark.parametrize("n", [2001.0, 101.5, "2001", None])
+    def test_non_integer_n_raises(self, n):
+        # typed, not a bare TypeError from np.full
+        with pytest.raises(ConfigError, match="integer"):
+            build_fd(n, 10.0)
 
     def test_banded_matches_dense(self):
         # the tridiagonal LU solves, plain and adjoint, against dense
@@ -127,29 +163,40 @@ class TestResolventNorm:
                 <= schur_upper_bound(z))
 
     def test_under_resolved_explicit_n_solve_count(self, monkeypatch):
-        # Lanczos on the n = 2001 grid itself needs 18,024 solves, as its
+        # Lanczos on the n = 2001 grid itself needs 6,562 solves, as its
         # smallest singular values cluster to ~1e-6 relative; the
-        # derived grid takes 84
-        solves = []
-
-        def counting_lu(op, shift):
-            solve = _tridiag_lu(op, shift)
-
-            def counted(b, trans="N"):
-                solves.append(trans)
-                return solve(b, trans)
-
-            return counted
-
-        monkeypatch.setattr(fdop, "_tridiag_lu", counting_lu)
+        # derived grids take 8 each (ARPACK took 42 each)
+        solves = _count_solves(monkeypatch)
         resolvent_norm_fd(76.58 - 0.486j, n=2001)
-        assert len(solves) <= 200
+        assert len(solves) <= 24
+
+    def test_strip_solve_count(self, monkeypatch):
+        # sigma_2/sigma_1 is large in the strip: Lanczos stops after a few
+        # steps on both grids (16 solves; ARPACK's 20-vector basis took 84)
+        solves = _count_solves(monkeypatch)
+        resolvent_norm_fd(25 + 0.3j, n=4001)
+        assert len(solves) <= 24
 
     @pytest.mark.parametrize("n", [-1, 2])
     def test_explicit_n_below_three_raises(self, n):
         # typed, before the grid rule divides by n + 1
         with pytest.raises(ConfigError, match="at least 3"):
             resolvent_norm_fd(5 + 0.5j, n=n)
+
+    @pytest.mark.parametrize("z, n", [(5 + 0.5j, 2001.0),
+                                      (76.58 - 0.486j, 201.0)])
+    def test_explicit_non_integer_n_raises(self, z, n):
+        # typed, whether n would be kept (a bare TypeError from np.full
+        # before) or replaced by the derived grid (silently, before)
+        with pytest.raises(ConfigError, match="integer"):
+            resolvent_norm_fd(z, n=n)
+
+    def test_no_convergence_is_typed(self, monkeypatch):
+        # the clustered n = 401 grid below needs 253 Lanczos steps, more
+        # than one basis of 20 holds
+        monkeypatch.setattr(fdop, "_SIGMA_RESTARTS", 0)
+        with pytest.raises(ConvergenceError):
+            _sigma_min_banded(build_fd(401, 200.0), 20 - 0.5j)
 
     def test_explicit_n_that_resolves_is_kept(self):
         # h * kappa = 1.23 < 2 at tau = 100, n = 6001 (criterion 1)
@@ -198,15 +245,72 @@ class TestEigenvalues:
         assert a.tobytes() == b.tobytes()
 
     def test_no_convergence_is_typed(self, monkeypatch):
-        import scipy.sparse.linalg as spla
-
-        def fail(*args, **kwargs):
-            raise spla.ArpackNoConvergence("no convergence", [], [])
-
-        monkeypatch.setattr(spla, "eigs", fail)
+        # a target amid the discretized continuum: more than 20 Arnoldi
+        # steps to machine precision
+        monkeypatch.setattr(fdop, "_EIG_RESTARTS", 0)
         with pytest.raises(ConvergenceError):
-            eigenvalue_near(-0.75, 101, 20.0, center_jump=2.0)
+            eigenvalue_near(10.0, 2001, 20.0)
+
+    def test_solve_count(self, monkeypatch):
+        # criterion 3's input: 3 solves (ARPACK's 20-vector basis took 21)
+        solves = _count_solves(monkeypatch)
+        eigenvalue_near(models.delta_eigenvalue(2.0), 150001, 20.0,
+                        center_jump=2.0)
+        assert len(solves) <= 6
+
+    def test_non_integer_n_raises(self):
+        with pytest.raises(ConfigError, match="integer"):
+            eigenvalue_near(-0.75, 4001.0, 20.0, center_jump=2.0)
 
     def test_singular_shift_raises(self):
         with pytest.raises(SingularError):
             eigenvalue_near(2.0, 3, 2.0, potential=_free)
+
+
+class TestArpackReference:
+    """The package's Krylov iteration against the ARPACK calls it
+    replaced: sigma_min to 1e-12 relative, eigenvalues to 1e-12."""
+
+    @pytest.mark.parametrize("z", [
+        5 + 0.5j, 25 + 0.3j, 76.58 - 0.486j, 300 + 0.3j,  # the strip
+        -1 + 0.5j, -0.3 + 0.2j, -0.5, -3 + 0.1j, 2 + 3j,  # left, above
+    ])
+    def test_sigma_min_on_the_oracle_grids(self, z):
+        # the coarse and fine grids that resolvent_norm_fd(z) takes
+        half_length = decay_half_length(z)
+        n = _resolved_n(z, half_length, None)
+        for m in (n, 2 * n + 1):
+            op = build_fd(m, half_length)
+            assert _sigma_min_banded(op, z) == pytest.approx(
+                arpack_sigma_min(op, z), rel=1e-12, abs=0.0), m
+
+    @pytest.mark.parametrize("n, half_length, z", [
+        (401, 200.0, 20 - 0.5j),
+        (601, 300.0, 30 + 0.4j),
+    ])
+    def test_sigma_min_on_clustered_grids(self, n, half_length, z):
+        op = build_fd(n, half_length)
+        assert _sigma_min_banded(op, z) == pytest.approx(
+            arpack_sigma_min(op, z), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("z", [2 - 0.8j, 11.56 + 0.0889j, 45 + 0.8j])
+    def test_sigma_min_of_the_split_operator(self, z):
+        op = _split(build_fd(4000, 60.0))
+        assert _sigma_min_banded(op, z) == pytest.approx(
+            arpack_sigma_min(op, z), rel=1e-12, abs=0.0)
+
+    # the eigenvalue_near inputs of this file and of criterion 3
+    @pytest.mark.parametrize("target, n, half_length, kwargs", [
+        (-0.75, 40001, 20.0, {"center_jump": 2.0}),
+        (-2.0166, 60001, 25.0, {"potential": step_potential(1.0, 3.0),
+                                "cell_average": True}),
+        (-0.75, 4001, 20.0, {"center_jump": 2.0}),
+        (-0.75, 101, 20.0, {"center_jump": 2.0}),
+        (models.delta_eigenvalue(2.0), 150001, 20.0, {"center_jump": 2.0}),
+    ])
+    def test_eigenvalue_near(self, target, n, half_length, kwargs):
+        got = eigenvalue_near(target, n, half_length, **kwargs)
+        want = arpack_eigenvalue_near(
+            build_fd(n, half_length, **kwargs), target)
+        assert got.shape == want.shape == (1,)
+        assert abs(got[0] - want[0]) <= 1e-12

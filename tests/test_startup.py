@@ -4,7 +4,8 @@ the smoothed pseudomode ratio and the models module load neither NumPy
 nor SciPy nor dataclasses, so they start in about the time of the
 interpreter; bs loads NumPy but not SciPy, which only the
 finite-difference oracle (field --oracle) and the Arnoldi spectral
-radius need; the pure-Python
+radius need, and of SciPy the oracle loads LAPACK but not
+scipy.sparse; the pure-Python
 linspace that the CLI and the field grids use in place of NumPy's is
 bitwise equal to it; every module imports on its own, so no import
 cycle hides behind the package's import order; and the numbers of
@@ -82,6 +83,19 @@ argv = ["field", "--re=5:8:2", "--im=0.3:0.3:1", "--oracle",
         "--out", sys.argv[1]]
 assert cli.main(argv, out=io.StringIO()) == 0
 print("scipy" in sys.modules)
+"""
+
+_NO_SPARSE = """
+import sys
+import scipy.linalg.lapack
+def sparse():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[:2] == ["scipy", "sparse"])
+lapack = sparse()
+from sgnspec.fdop import eigenvalue_near, resolvent_norm_fd
+resolvent_norm_fd(5 + 0.5j)
+eigenvalue_near(-0.75, 4001, 20.0, center_jump=2.0)
+print(lapack, sparse())
 """
 
 
@@ -197,6 +211,12 @@ def test_models_does_not_load_numpy():
 
 def test_oracle_still_loads_scipy(tmp_path):
     assert _fresh(_ORACLE, str(tmp_path / "f.csv")) == "True"
+
+
+def test_fd_oracle_does_not_load_scipy_sparse():
+    # LAPACK's gttrf/gttrs alone load no scipy.sparse, nor does the
+    # oracle's own Krylov iteration
+    assert _fresh(_NO_SPARSE) == "[] []"
 
 
 @pytest.mark.parametrize("module", _MODULES)
