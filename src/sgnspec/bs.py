@@ -10,9 +10,9 @@ through the determinant of I + eps*K_z, and measures weak-coupling rates.
 The package has no kernel matrix (the dense one is a test reference):
 each path reads the kernel's generators from bounds._sides, built once
 per z.  The norms come from O(n) decaying scans, the spectral radius
-from matrix-free Arnoldi on bounds._apply, and the determinant from an
-O(n) 2x2 transfer-matrix recursion (a discrete Jost function).  Only
-the Arnoldi spectral radius uses SciPy; it imports it when called.
+from the package's matrix-free Arnoldi (krylov._dominant_eigenvalue) on
+bounds._apply, and the determinant from an O(n) 2x2 transfer-matrix
+recursion (a discrete Jost function).  Nothing here loads SciPy.
 """
 
 from __future__ import annotations
@@ -25,10 +25,18 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import bounds
+from .closed import _check_off_spectrum
 from .errors import (ConfigError, ConvergenceError, DomainError,
                      EigenvalueLost, ZeroCouplingError)
+from .krylov import _dominant_eigenvalue
 from .quadrature import QuadratureGrid, gauss_legendre_grid, \
     oscillation_panel_width
+
+# spectral_radius's residual tolerance relative to the Ritz value and its
+# budget of restarts, as in the eigs call the Arnoldi replaced (tol=0,
+# which ARPACK reads as machine epsilon, and maxiter=3000)
+_SPECRAD_TOL = float(np.finfo(float).eps)
+_SPECRAD_RESTARTS = 3000
 
 
 @dataclass(frozen=True)
@@ -105,7 +113,12 @@ def delta_bump(alpha: float, radius: float = 2.5e-4) -> PotentialSpec:
 
 
 def potential_grid(z: complex, pot: PotentialSpec) -> QuadratureGrid:
-    """Composite Gauss-Legendre grid over supp V resolving e^{i sqrt(Re z) x}."""
+    """Composite Gauss-Legendre grid over supp V resolving e^{i sqrt(Re z) x}.
+
+    Raises DomainError for a non-finite z and SpectrumError on the
+    spectral rays, where K_z is not defined.
+    """
+    _check_off_spectrum(complex(z))
     panel = oscillation_panel_width(z)
     panel = min(panel, pot.half_length / 4)  # four panels per half at least
     return gauss_legendre_grid(pot.half_length, panel)
@@ -188,6 +201,8 @@ def hs_norm(z: complex, pot: PotentialSpec, grid: QuadratureGrid) -> float:
 def l_hs_closed(z: complex, pot: PotentialSpec) -> float:
     """Exact Hilbert-Schmidt norm of L_z: sqrt(Re z) * ||V||_1."""
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"z={z} is not finite")
     if z.real <= 0.0:
         raise DomainError("singular part needs Re z > 0")
     return math.sqrt(z.real) * pot.l1
@@ -248,28 +263,30 @@ def hs_growth_rates(pot: PotentialSpec, re_values: Sequence[float]) -> dict:
 
 
 def spectral_radius(z: complex, eps: float, pot: PotentialSpec) -> float:
-    """Spectral radius of eps * K_z, on potential_grid(z, pot).
+    """Spectral radius of eps * K_z, |eps| times that of K_z, on
+    potential_grid(z, pot).
 
-    Arnoldi (ARPACK) for the eigenvalue of largest modulus, applying K_z
-    matrix-free in O(n) per step.  Raises ConvergenceError if ARPACK
-    does not converge.
+    Arnoldi (krylov._dominant_eigenvalue) finds the eigenvalue of
+    largest modulus of K_z, applied matrix-free in O(n) per product
+    (k_matvec), and stops when the Ritz residual falls to machine
+    epsilon relative to the Ritz value, as ARPACK's eigs did at its
+    default tol=0.  The start vector is fixed, so repeated calls return
+    the same bits.  The last digits carry no error estimate and follow
+    the rounding of the products where the eigenvalue is ill-conditioned:
+    at gaussian(-1, 5), 100 + 0.5i its condition number is 1331, and
+    relative noise of 2e-16 in each product moves the radius by up to
+    ~5e-14 relative.  Raises ConfigError for a non-finite eps,
+    DomainError for a non-finite z, SpectrumError on the spectral rays
+    and ConvergenceError if Arnoldi has not converged within
+    _SPECRAD_RESTARTS restarts.
     """
-    import scipy.sparse.linalg as spla
-
+    if not math.isfinite(eps):
+        raise ConfigError(f"coupling eps must be finite, not {eps!r}")
     grid = potential_grid(z, pot)
-    op = spla.LinearOperator((grid.size, grid.size),
-                             matvec=k_matvec(z, pot, grid), dtype=complex)
-    # a fixed start vector: ARPACK's own random one changes from call to
-    # call, which would make repeated calls differ in the last digits
     v0 = np.random.default_rng(0).standard_normal(grid.size)
-    try:
-        lam = spla.eigs(op, k=1, which="LM", v0=v0,
-                        return_eigenvectors=False, maxiter=3000)
-    except spla.ArpackNoConvergence as exc:
-        raise ConvergenceError(
-            f"Arnoldi did not converge for the spectral radius at z={z}"
-        ) from exc
-    return float(eps * abs(lam[0]))
+    lam = _dominant_eigenvalue(k_matvec(z, pot, grid), v0, False,
+                               _SPECRAD_TOL, _SPECRAD_RESTARTS)
+    return float(abs(eps) * abs(lam))
 
 
 def _normalized_det(eps: float, pot: PotentialSpec, grid: QuadratureGrid):
@@ -344,7 +361,7 @@ def find_eigenvalue(eps: float, pot: PotentialSpec, z0: complex) -> complex:
     updates work with O(1) numbers.  Raises ConvergenceError if no step
     is below 1e-10 max(1, |z|) within 60 steps, or as soon as a
     determinant value or a secant iterate is not finite (before the
-    kernel is evaluated there).
+    kernel is evaluated there), and DomainError for a non-finite z0.
     """
     if eps == 0.0:
         raise ZeroCouplingError("coupling eps must be nonzero")
@@ -456,9 +473,12 @@ def escape_scan(pot: PotentialSpec, eps: float,
 
     If the maximum stays below one, -1 is never an eigenvalue of
     eps K_z along the sweep, certifying the absence of eigenvalues of
-    the perturbed operator there.
+    the perturbed operator there.  Raises ConfigError for an empty
+    sweep, and as spectral_radius does.
     """
     res = np.asarray(sorted(re_values), dtype=float)
+    if res.size == 0:
+        raise ConfigError("need at least one real part to scan")
     radii = np.array([
         spectral_radius(r + 0.5j, eps, pot) for r in res])
     return {"re_values": res, "radii": radii,

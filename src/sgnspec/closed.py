@@ -136,7 +136,10 @@ def classify_region(z: complex) -> Region:
 
 
 def _check_off_spectrum(z: complex) -> None:
-    """Reject ray points, except the endpoints +-i where the limit exists."""
+    """Reject a non-finite z (DomainError) and ray points (SpectrumError),
+    except the endpoints +-i where the limit exists."""
+    if not cmath.isfinite(z):  # spectrum_distance(nan) <= tol is False
+        raise DomainError(f"z={z} is not finite")
     if spectrum_distance(z) <= DEFAULT_TOL_SPEC:
         if min(abs(z - 1j), abs(z + 1j)) <= DEFAULT_TOL_SPEC:
             return  # kernel stays bounded at the ray endpoints

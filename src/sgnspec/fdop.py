@@ -7,9 +7,10 @@ deliberately generic: no closed-form knowledge of the resolvent enters.
 Both solvers, the sigma_min Lanczos and the shift-invert eigensolver,
 factor the tridiagonal A - shift once per shift (LAPACK gttrf, partial
 pivoting, O(n)) and then only back-substitute (gttrs).  Both find the
-dominant eigenvalue of the inverted operator with one NumPy Arnoldi
-(_dominant_eigenvalue), which tests for convergence after every product
-and restarts Krylov-Schur style from its leading Ritz vectors.  SciPy's
+dominant eigenvalue of the inverted operator with the package's NumPy
+Arnoldi (krylov._dominant_eigenvalue), which tests for convergence
+after its first few products and whenever its basis is full, and
+restarts Krylov-Schur style from its leading Ritz vectors.  SciPy's
 LAPACK wrappers are imported inside _tridiag_lu, so that importing this
 module does not load SciPy; nothing here loads scipy.sparse.
 """
@@ -24,8 +25,8 @@ from typing import Callable
 import numpy as np
 
 from .closed import DEFAULT_TOL_SPEC, spectrum_distance
-from .errors import ConfigError, ConvergenceError, SingularError, \
-    SpectrumError
+from .errors import ConfigError, SingularError, SpectrumError
+from .krylov import _dominant_eigenvalue
 from .quadrature import decay_half_length
 
 # most coarse nodes resolvent_norm_fd derives for itself (the fine grid
@@ -36,12 +37,9 @@ MAX_ORACLE_NODES = 300_001
 # h * kappa on the derived grid, so that h^2 * Re z <= 0.3 in the strip
 _H_KAPPA = math.sqrt(0.3)
 
-# _dominant_eigenvalue's Krylov basis and the Ritz vectors a restart
-# keeps; each job's residual tolerance relative to the Ritz value and
-# its budget of restarts, as in the ARPACK calls the Arnoldi replaced
-# (eigsh tol=1e-9 maxiter=5000, eigs tol=0 maxiter=2000)
-_BASIS = 20
-_KEEP = 10
+# each job's residual tolerance relative to the Ritz value and its
+# budget of restarts of _dominant_eigenvalue, as in the ARPACK calls the
+# Arnoldi replaced (eigsh tol=1e-9 maxiter=5000, eigs tol=0 maxiter=2000)
 _SIGMA_TOL = 1e-9
 _SIGMA_RESTARTS = 5000
 _EIG_TOL = float(np.finfo(float).eps)
@@ -167,70 +165,6 @@ def _tridiag_lu(op: FDOperator,
         return gttrs(dl, d, du, du2, ipiv, b, trans=trans)[0]
 
     return solve
-
-
-def _dominant_eigenvalue(matvec: Callable[[np.ndarray], np.ndarray],
-                         v0: np.ndarray, hermitian: bool, tol: float,
-                         max_restarts: int) -> complex:
-    """Eigenvalue of largest modulus of the operator v -> matvec(v), by
-    Arnoldi (Lanczos when hermitian) with Krylov-Schur restarts.
-
-    The basis is a row-major (_BASIS + 1, n) array, each new vector
-    orthogonalized by two passes of classical Gram-Schmidt.  After every
-    product the Ritz pair (theta, y) of largest modulus of the small
-    projected matrix is computed (eigh when hermitian), and the iteration
-    stops once the residual |beta y_last| <= tol * |theta|, ARPACK's
-    criterion.  A full basis restarts from the _KEEP leading Ritz vectors,
-    orthonormalized, and the Krylov decomposition they span (Stewart,
-    SIAM J. Matrix Anal. Appl. 23 (2001); Wu-Simon, SIAM J. Matrix Anal.
-    Appl. 22 (2000)): unlike a restart from one Ritz vector, that keeps
-    the convergence of clustered eigenvalues.  The result depends only
-    on the operator and v0, so a fixed v0 gives the same bits.  Raises
-    ConvergenceError after max_restarts restarts and SingularError if a
-    product is not finite.
-    """
-    basis = np.empty((_BASIS + 1, v0.size), dtype=complex)
-    proj = np.zeros((_BASIS + 1, _BASIS), dtype=complex)
-    basis[0] = v0 / np.linalg.norm(v0)
-    ritz = np.linalg.eigh if hermitian else np.linalg.eig
-    start = 0  # vectors carried over from the last restart
-    for _ in range(max_restarts + 1):
-        for j in range(start, _BASIS):
-            w = matvec(basis[j])
-            done = basis[:j + 1]
-            h = np.conj(done @ np.conj(w))
-            w = w - h @ done
-            again = np.conj(done @ np.conj(w))
-            w -= again @ done
-            beta = np.linalg.norm(w)
-            if not math.isfinite(beta):
-                raise SingularError("Krylov product is not finite")
-            proj[:j + 1, j] = h + again
-            proj[j + 1, j] = beta
-            vals, vecs = ritz(proj[:j + 1, :j + 1])
-            top = np.argmax(np.abs(vals))
-            if abs(beta * vecs[j, top]) <= tol * abs(vals[top]):
-                return vals[top]
-            basis[j + 1] = w / beta
-        # the basis is full: keep the leading Ritz vectors and their
-        # Krylov decomposition A U = U schur + v coupling
-        vals, vecs = ritz(proj[:_BASIS])
-        lead = np.argsort(-np.abs(vals), kind="stable")[:_KEEP]
-        if hermitian:
-            q = vecs[:, lead]
-            schur = np.diag(vals[lead])
-        else:
-            q = np.linalg.qr(vecs[:, lead])[0]
-            schur = q.conj().T @ proj[:_BASIS] @ q
-        coupling = proj[_BASIS] @ q
-        basis[:_KEEP] = q.T @ basis[:_BASIS]
-        basis[_KEEP] = basis[_BASIS]
-        proj[:] = 0.0
-        proj[:_KEEP, :_KEEP] = schur
-        proj[_KEEP, :_KEEP] = coupling
-        start = _KEEP
-    raise ConvergenceError(
-        f"Krylov iteration not converged in {max_restarts} restarts")
 
 
 def _sigma_min_banded(op: FDOperator, z: complex) -> float:

@@ -22,10 +22,12 @@ csv.writer, the indenting json.dumps and csv.DictReader, one row or
 dict per point, so they share no formatting or parsing code with the
 templates and the column-wise reader they check; the renderers take the
 grid points from NumPy's linspace and broadcasting, not from
-GridSpec.points().  arpack_sigma_min and arpack_eigenvalue_near are
-the ARPACK calls (eigsh, eigs) that the FD oracle ran before its own
-Arnoldi, with the same start vector, tolerance and iteration budget,
-so the tests can hold the package's Krylov iteration against them.
+GridSpec.points().  arpack_sigma_min, arpack_eigenvalue_near and
+arpack_spectral_radius are the ARPACK calls (eigsh, eigs) that the FD
+oracle and the Birman-Schwinger spectral radius ran before the
+package's own Arnoldi, with the same start vector, tolerance and
+iteration budget, so the tests can hold the package's Krylov iteration
+against them.
 """
 
 import csv
@@ -36,7 +38,7 @@ import math
 import numpy as np
 
 from sgnspec.bounds import _apply, _sides, apply_resolvent
-from sgnspec.bs import _hs_sq, _weights, potential_grid
+from sgnspec.bs import _hs_sq, _weights, k_matvec, potential_grid
 from sgnspec.closed import (DEFAULT_TOL_SPEC, _check_off_spectrum,
                             gamma_point, principal_sqrt, spectrum_distance,
                             wave_numbers)
@@ -210,6 +212,20 @@ def arpack_eigenvalue_near(op, target):
     mu = spla.eigs(inv, k=1, which="LM", return_eigenvectors=False,
                    maxiter=2000, v0=v0)
     return target + 1.0 / mu
+
+
+def arpack_spectral_radius(z, eps, pot):
+    """Spectral radius of eps * K_z on potential_grid(z, pot) by ARPACK's
+    Arnoldi (eigs, tol=0) on the matrix-free k_matvec."""
+    import scipy.sparse.linalg as spla
+
+    grid = potential_grid(z, pot)
+    op = spla.LinearOperator((grid.size, grid.size), dtype=complex,
+                             matvec=k_matvec(z, pot, grid))
+    v0 = np.random.default_rng(0).standard_normal(grid.size)
+    lam = spla.eigs(op, k=1, which="LM", v0=v0, return_eigenvectors=False,
+                    maxiter=3000)
+    return float(eps * abs(lam[0]))
 
 
 def weights(pot, grid):

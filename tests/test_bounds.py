@@ -22,6 +22,11 @@ from sgnspec.quadrature import (QuadratureGrid, gauss_legendre_grid,
                                 trapezoid_grid)
 
 
+# NaN or infinite real or imaginary parts
+_NON_FINITE_Z = [complex(math.nan, 0.5), complex(math.inf, 0.5),
+                 complex(0.5, math.nan), complex(5.0, -math.inf)]
+
+
 def _right_half_grid():
     """Gauss-Legendre nodes right of 0 only: the x < 0 half-line is empty."""
     g = gauss_legendre_grid(15.0, 0.3)
@@ -183,6 +188,13 @@ class TestApplyResolvent:
         dense = dense_kernel(MULTI_BLOCK_Z, g.nodes, g.nodes) @ (g.weights * f)
         assert np.max(np.abs(u - dense)) < 1e-12 * np.max(np.abs(dense))
 
+    @pytest.mark.parametrize("z", _NON_FINITE_Z)
+    def test_non_finite_z_raises(self, z):
+        # spectrum_distance(nan) is nan, which passed the ray check
+        g = trapezoid_grid(10.0, 401)
+        with pytest.raises(DomainError, match="not finite"):
+            apply_resolvent(z, g, np.ones(g.size))
+
     def test_large_grid_no_overflow(self):
         # spans far beyond the exponent budget of a single block
         z = 4 + 0.1j
@@ -262,6 +274,11 @@ class TestOperatorNorm:
         gen = _sides(MULTI_BLOCK_Z, g.nodes)
         assert power_norm(lambda c: _apply(gen, c), g.weights, 200,
                           1e-5) == pytest.approx(dense, rel=1e-12)
+
+    @pytest.mark.parametrize("z", _NON_FINITE_Z)
+    def test_non_finite_z_raises(self, z):
+        with pytest.raises(DomainError, match="not finite"):
+            quadrature_operator_norm(z, trapezoid_grid(10.0, 401))
 
     def test_unsettled_power_iteration_raises(self):
         # 200 steps do not settle to 1e-8 at these points (the exact

@@ -6,8 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg as sla
-import scipy.sparse.linalg as spla
 
+from sgnspec import bs
 from sgnspec.bounds import _EXP_BUDGET
 from sgnspec.bs import (_normalized_det, box, decomposition_diagnostics,
                         delta_bump, escape_scan, find_eigenvalue, gaussian,
@@ -15,12 +15,13 @@ from sgnspec.bs import (_normalized_det, box, decomposition_diagnostics,
                         potential_grid, search_eigenvalues, spectral_radius,
                         weak_coupling_rate)
 from sgnspec.closed import wave_numbers
-from sgnspec.errors import ConfigError, ConvergenceError, ZeroCouplingError
+from sgnspec.errors import (ConfigError, ConvergenceError, DomainError,
+                            ZeroCouplingError)
 from sgnspec.quadrature import (QuadratureGrid, gauss_legendre_grid,
                                 oscillation_panel_width, trapezoid_grid)
 
-from _reference import (assemble_k, dense_logdet, dirichlet_bs_hs_norm,
-                        kernel_matrix, weights)
+from _reference import (arpack_spectral_radius, assemble_k, dense_logdet,
+                        dirichlet_bs_hs_norm, kernel_matrix, weights)
 
 
 class TestPotentials:
@@ -303,14 +304,12 @@ class TestDenseReference:
         assert spectral_radius(z, 0.125, pot) == spectral_radius(z, 0.125,
                                                                  pot)
 
-    def test_arpack_failure_is_typed(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise spla.ArpackNoConvergence("no convergence", np.array([]),
-                                           np.array([]))
-
-        monkeypatch.setattr(spla, "eigs", fail)
+    def test_no_convergence_is_typed(self, monkeypatch):
+        # gaussian() at -50 + 0.2i needs more than one 20-vector basis
+        # (30 products), so a budget of no restarts runs out
+        monkeypatch.setattr(bs, "_SPECRAD_RESTARTS", 0)
         with pytest.raises(ConvergenceError):
-            spectral_radius(10 + 0.5j, 0.125, gaussian())
+            spectral_radius(-50 + 0.2j, 0.125, gaussian())
 
     def test_diagnostics_memory_stays_below_dense(self):
         # at n = 16120 one dense complex n x n matrix is 4.2 GB; the
@@ -326,6 +325,73 @@ class TestDenseReference:
         finally:
             tracemalloc.stop()
         assert peak < 1024 * n
+
+
+class TestSpectralRadius:
+    """The Arnoldi spectral radius against the ARPACK call it replaced,
+    and its input checks."""
+
+    # the centres of the escape strata (one Re z per decade) and the
+    # ray endpoints, where k+ or k- vanishes
+    @pytest.mark.parametrize("z", [10 ** 0.5 + 0.5j, 10 ** 1.5 + 0.5j,
+                                   10 ** 2.5 + 0.5j, 10 ** 3.5 + 0.5j,
+                                   1j, -1j])
+    def test_matches_arpack(self, z):
+        pot = gaussian()
+        assert spectral_radius(z, 0.125, pot) == pytest.approx(
+            arpack_spectral_radius(z, 0.125, pot), rel=1e-12)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_non_finite_eps_raises(self, eps):
+        with pytest.raises(ConfigError, match="eps must be finite"):
+            spectral_radius(10 + 0.5j, eps, gaussian())
+
+    def test_negative_eps_gives_its_modulus(self):
+        # rho(eps K) = |eps| rho(K), never negative
+        pot = gaussian()
+        rho = spectral_radius(10 + 0.5j, -0.125, pot)
+        assert rho > 0.0
+        assert rho == spectral_radius(10 + 0.5j, 0.125, pot)
+
+    @pytest.mark.parametrize("z", [complex(math.nan, 0.5),
+                                   complex(math.inf, 0.5),
+                                   complex(10.0, math.nan)])
+    def test_non_finite_z_raises(self, z):
+        with pytest.raises(DomainError, match="not finite"):
+            spectral_radius(z, 0.125, gaussian())
+
+    def test_escape_scan_needs_a_point(self):
+        with pytest.raises(ConfigError):
+            escape_scan(gaussian(), 0.125, [])
+
+    def test_escape_scan_non_finite_eps_raises(self):
+        with pytest.raises(ConfigError):
+            escape_scan(gaussian(), math.nan, [10.0])
+
+
+class TestNonFiniteZ:
+    """A non-finite z raises DomainError: spectrum_distance(nan) is nan,
+    which the ray check let through, and the O(n) paths then returned
+    NaN."""
+
+    Z = [complex(math.nan, 0.5), complex(math.inf, 0.5),
+         complex(10.0, math.nan), complex(10.0, -math.inf)]
+
+    @pytest.mark.parametrize("z", Z)
+    def test_hs_norm(self, z):
+        grid = potential_grid(10 + 0.5j, gaussian())
+        with pytest.raises(DomainError, match="not finite"):
+            hs_norm(z, gaussian(), grid)
+
+    @pytest.mark.parametrize("z", Z)
+    def test_decomposition_diagnostics(self, z):
+        with pytest.raises(DomainError, match="not finite"):
+            decomposition_diagnostics(z, gaussian())
+
+    @pytest.mark.parametrize("z", Z)
+    def test_l_hs_closed(self, z):
+        with pytest.raises(DomainError, match="not finite"):
+            l_hs_closed(z, gaussian())
 
 
 def _assert_det_matches_dense(eps, pot, grid, z):

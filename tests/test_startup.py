@@ -2,9 +2,9 @@
 dirichlet, delta, gamma, step), the field export without the oracle,
 the smoothed pseudomode ratio and the models module load neither NumPy
 nor SciPy nor dataclasses, so they start in about the time of the
-interpreter; bs loads NumPy but not SciPy, which only the
-finite-difference oracle (field --oracle) and the Arnoldi spectral
-radius need, and of SciPy the oracle loads LAPACK but not
+interpreter; bs loads NumPy but not SciPy, its Arnoldi spectral radius
+and escape scan included; only the finite-difference oracle
+(field --oracle) loads SciPy, and of SciPy only LAPACK, not
 scipy.sparse; the pure-Python
 linspace that the CLI and the field grids use in place of NumPy's is
 bitwise equal to it; every module imports on its own, so no import
@@ -96,6 +96,16 @@ from sgnspec.fdop import eigenvalue_near, resolvent_norm_fd
 resolvent_norm_fd(5 + 0.5j)
 eigenvalue_near(-0.75, 4001, 20.0, center_jump=2.0)
 print(lapack, sparse())
+"""
+
+
+_BS_NO_SCIPY = """
+import sys
+from sgnspec import bs
+pot = bs.gaussian()
+assert bs.escape_scan(pot, 0.125, [3.0, 30.0, 300.0])["escaped"]
+assert bs.spectral_radius(-50 + 0.2j, 0.125, pot) < 1.0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
@@ -217,6 +227,12 @@ def test_fd_oracle_does_not_load_scipy_sparse():
     # LAPACK's gttrf/gttrs alone load no scipy.sparse, nor does the
     # oracle's own Krylov iteration
     assert _fresh(_NO_SPARSE) == "[] []"
+
+
+def test_spectral_radius_does_not_load_scipy():
+    # the Arnoldi spectral radius runs on the package's own Krylov
+    # iteration, a restart included (-50 + 0.2i takes two bases)
+    assert _fresh(_BS_NO_SCIPY) == "[]"
 
 
 @pytest.mark.parametrize("module", _MODULES)
