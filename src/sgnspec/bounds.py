@@ -18,7 +18,10 @@ Birman-Schwinger HS norm and determinant in bs all read them, so no
 other O(n) path builds its own, and the scans (_min_scan) only multiply
 and sum.  The sides do not depend on the coupling, so the same sides
 with the coupling 0 generate the Dirichlet-decoupled kernel, whose
-Nystrom checks are test references.  quadrature_operator_norm is the
+Nystrom checks are test references.  The two half-lines are independent
+jobs: on grids of at least pair._MIN_NODES nodes _sides builds them,
+and _apply scans them, side by side on two threads (pair._both), with
+the same bits as one after the other.  quadrature_operator_norm is the
 one power iteration of the package.
 """
 
@@ -32,7 +35,8 @@ import numpy as np
 from .closed import _check_off_spectrum, wave_numbers
 from .closed import (numrange_bound, pseudomode_lower_bound,  # re-exported
                      regularized_pseudomode_ratio, schur_upper_bound)
-from .errors import ConvergenceError
+from .errors import ConfigError, ConvergenceError, DomainError
+from .pair import _both
 from .quadrature import (
     QuadratureGrid,
     decay_half_length,
@@ -100,8 +104,8 @@ def _blocks(k: complex, t: np.ndarray):
     return e, d, blocks
 
 
-def _min_scan(d: np.ndarray, blocks, g: np.ndarray,
-              c: np.ndarray) -> np.ndarray:
+def _min_scan(d: np.ndarray, blocks, g: np.ndarray, c: np.ndarray,
+              out: np.ndarray | None) -> np.ndarray:
     """S_i = sum_j e^{-k |t_i - t_j|} g(min(t_i, t_j)) c_j for increasing t,
     from the block decay d and the blocks (start, stop, p, q) of _blocks.
 
@@ -111,9 +115,11 @@ def _min_scan(d: np.ndarray, blocks, g: np.ndarray,
     neighbouring blocks' end values.  Only multiplies and sums: the
     exponentials are in d, p and q.  The arithmetic follows the dtype of
     the inputs, so the HS sum scans real squared moduli at rate 2 Re k.
+    S is written to out, which may be a strided view, or to a new array
+    when out is None.
     """
     fwd = g * c
-    back = d * c
+    back = np.multiply(d, c, out=out)
     for start, stop, p, _ in blocks:
         f = fwd[start:stop]
         f /= d[start:stop]
@@ -134,14 +140,18 @@ def _min_scan(d: np.ndarray, blocks, g: np.ndarray,
 
 
 def _image_factor(k: complex, t: np.ndarray) -> np.ndarray:
-    """(1 - e^{-2kt}) / (2k) for t >= 0, as -expm1(-2kt) / (2k).
+    """(1 - e^{-2kt}) / (2k) for t >= 0, as expm1(-2kt) / (-2k), in one
+    array (-a / b equals a / -b exactly).
 
     Re k >= 0, so expm1 keeps its digits as kt -> 0; at k = 0 (z = +-i)
     the factor is its limit t.
     """
     if k == 0.0:
         return t.astype(complex)
-    return -np.expm1(-2.0 * k * t) / (2.0 * k)
+    g = -2.0 * k * t
+    np.expm1(g, out=g)
+    g /= -2.0 * k
+    return g
 
 
 def _sides(z: complex, x: np.ndarray):
@@ -157,18 +167,23 @@ def _sides(z: complex, x: np.ndarray):
     the kernel is
     e^{-k(t_> - t_<)} g(t_<) + c e_i e_j, across it c e_i e_j: every
     O(n) quantity of the kernel reads these, and the scans on them call
-    no exp.  Raises SpectrumError on the spectral rays, except at their
-    endpoints +-i.
+    no exp.  The two half-lines are built side by side on large grids
+    (pair._both).  Raises SpectrumError on the spectral rays, except at
+    their endpoints +-i.
     """
     z = complex(z)
     _check_off_spectrum(z)
     kk = wave_numbers(z)
-    sides = []
-    for side, k in zip(_half_lines(x), (kk.k_plus, kk.k_minus)):
+
+    def side_at(side, k):
         t = np.abs(x[side])
         e, d, blocks = _blocks(k, t)
-        sides.append((side, k, e, _image_factor(k, t), d, blocks))
-    return 1.0 / (kk.k_plus + kk.k_minus), tuple(sides)
+        return side, k, e, _image_factor(k, t), d, blocks
+
+    plus, minus = _half_lines(x)
+    sides = _both(x.size, lambda: side_at(plus, kk.k_plus),
+                  lambda: side_at(minus, kk.k_minus))
+    return 1.0 / (kk.k_plus + kk.k_minus), sides
 
 
 def _apply(gen, c: np.ndarray) -> np.ndarray:
@@ -180,15 +195,21 @@ def _apply(gen, c: np.ndarray) -> np.ndarray:
     _min_scan; the rank-one term through the origin adds coupling *
     e_i (sum_j e_j c_j), on the same side and across it.  It vanishes
     for the Dirichlet kernel (coupling 0), which is then also zero at a
-    node at 0 (there t = 0 and g = 0).
+    node at 0 (there t = 0 and g = 0).  The rank-one weight depends on c
+    only, so it comes first, and then each half-line scans into its own
+    slice of u, side by side on large grids (pair._both).
     """
     coupling, sides = gen
-    u = np.empty(c.size, dtype=complex)
-    for side, _, _, g, d, blocks in sides:
-        u[side] = _min_scan(d, blocks, g, c[side])
     through = coupling * sum(np.dot(e, c[side]) for side, _, e, *_ in sides)
-    for side, _, e, *_ in sides:
-        u[side] += through * e
+    u = np.empty(c.size, dtype=complex)
+
+    def side_of_u(side, k, e, g, d, blocks):
+        us = u[side]
+        _min_scan(d, blocks, g, c[side], us)
+        us += through * e
+
+    plus, minus = sides
+    _both(c.size, lambda: side_of_u(*plus), lambda: side_of_u(*minus))
     return u
 
 
@@ -198,10 +219,17 @@ def apply_resolvent(z: complex, grid: QuadratureGrid,
 
     Exploits the separable exponential structure of the kernel (see
     _apply): no kernel matrix is formed.  Matches the dense Nystrom sum
-    to rounding, up to and including the ray endpoints z = +-i.
+    to rounding, up to and including the ray endpoints z = +-i.  Raises
+    ConfigError unless f has one value per node, and DomainError if f
+    is not finite.
     """
-    return _apply(_sides(z, grid.nodes),
-                  grid.weights * np.asarray(f, dtype=complex))
+    f = np.asarray(f, dtype=complex)
+    if f.shape != grid.nodes.shape:
+        raise ConfigError(f"f has shape {f.shape}, not the grid's "
+                          f"{grid.nodes.shape}")
+    if not np.isfinite(f).all():
+        raise DomainError("f is not finite")
+    return _apply(_sides(z, grid.nodes), grid.weights * f)
 
 
 def quadrature_operator_norm(z: complex, grid: QuadratureGrid) -> float:
@@ -220,16 +248,21 @@ def quadrature_operator_norm(z: complex, grid: QuadratureGrid) -> float:
     sw = np.sqrt(grid.weights)
 
     def m_apply(v):
-        return sw * _apply(gen, sw * v)
+        u = _apply(gen, sw * v)
+        u *= sw
+        return u
 
     rng = np.random.default_rng(0)
     v = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
     v /= np.linalg.norm(v)
     val = 0.0
     for _ in range(200):
-        w = np.conj(m_apply(np.conj(m_apply(v))))
+        u = m_apply(v)
+        w = m_apply(np.conj(u, out=u))
+        np.conj(w, out=w)
         nval = np.linalg.norm(w)
-        v = w / nval
+        w /= nval
+        v = w
         if abs(nval - val) <= 1e-8 * nval:
             return math.sqrt(nval)
         val = nval

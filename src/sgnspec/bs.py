@@ -145,13 +145,17 @@ def _weights(pot: PotentialSpec, grid: QuadratureGrid
 def k_matvec(z: complex, pot: PotentialSpec, grid: QuadratureGrid
              ) -> Callable[[np.ndarray], np.ndarray]:
     """Matrix-free application of the Nystrom matrix in O(n) per call,
-    on the kernel's generators at z, built once."""
+    on the kernel's generators at z, built once.  The returned function
+    raises ConfigError unless its vector has one value per node."""
     left, right = _weights(pot, grid)
     gen = bounds._sides(z, grid.nodes)
 
     def apply(vec):
-        return left * bounds._apply(gen,
-                                    right * np.asarray(vec, dtype=complex))
+        vec = np.asarray(vec, dtype=complex)
+        if vec.shape != left.shape:
+            raise ConfigError(f"vector has shape {vec.shape}, not the "
+                              f"grid's {left.shape}")
+        return left * bounds._apply(gen, right * vec)
 
     return apply
 
@@ -182,7 +186,7 @@ def _hs_sq(gen, left: np.ndarray, right: np.ndarray) -> float:
         sq_blocks = [(start, stop, abs(p) ** 2, abs(q) ** 2)
                      for start, stop, p, q in blocks]
         total += np.dot(a[side], bounds._min_scan(
-            np.abs(d) ** 2, sq_blocks, np.abs(h) ** 2, b[side]))
+            np.abs(d) ** 2, sq_blocks, np.abs(h) ** 2, b[side], None))
     (ap, bp), (am, bm) = tails
     total += (ap * bm + am * bp) * abs(c) ** 2
     return float(total)

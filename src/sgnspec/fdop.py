@@ -10,8 +10,12 @@ pivoting, O(n)) and then only back-substitute (gttrs).  Both find the
 dominant eigenvalue of the inverted operator with the package's NumPy
 Arnoldi (krylov._dominant_eigenvalue), which tests for convergence
 after its first few products and whenever its basis is full, and
-restarts Krylov-Schur style from its leading Ritz vectors.  SciPy's
-LAPACK wrappers are imported inside _tridiag_lu, so that importing this
+restarts Krylov-Schur style from its leading Ritz vectors.  The
+oracle's coarse and fine grids are independent: from pair._MIN_NODES
+nodes on the two grids together they run side by side on two threads
+(pair._both), with the same bits as one after the other.  SciPy's
+LAPACK wrappers are imported inside _tridiag_lu, and by
+resolvent_norm_fd before it pairs the grids, so that importing this
 module does not load SciPy; nothing here loads scipy.sparse.
 """
 
@@ -27,11 +31,14 @@ import numpy as np
 from .closed import DEFAULT_TOL_SPEC, spectrum_distance
 from .errors import ConfigError, SingularError, SpectrumError
 from .krylov import _dominant_eigenvalue
+from .pair import _both
 from .quadrature import decay_half_length
 
 # most coarse nodes resolvent_norm_fd derives for itself (the fine grid
 # has twice as many).  At 1000 + 0.5i the rule asks for 269,051: the
-# call takes ~0.7 s and ~170 MB peak RSS (2-core x86, one BLAS thread).
+# call takes 0.4-0.55 s and ~220 MB peak RSS with its two grids side by
+# side, 0.5-0.57 s and ~173 MB one after the other (2-core x86, one BLAS
+# thread, SciPy's import included).
 MAX_ORACLE_NODES = 300_001
 
 # h * kappa on the derived grid, so that h^2 * Re z <= 0.3 in the strip
@@ -236,7 +243,11 @@ def resolvent_norm_fd(z: complex, n: int | None = None) -> OracleResult:
     step (see _sigma_min_banded), at every n.  The computation is repeated
     at half the step size; the fine value is reported, with the
     Richardson extrapolation residual |v_fine - v_coarse| / 3 of the
-    second-order scheme as its error, and the fine n.
+    second-order scheme as its error, and the fine n.  Both grids are
+    built first; from pair._MIN_NODES nodes on the two together the
+    fine grid's Lanczos runs on a helper thread beside the coarse one
+    (pair._both), with the same bits, and where both fail the coarse
+    grid's error is raised, as in the serial order.
 
     The grid must resolve the oscillation e^{i sqrt(Re z) x} of the
     pseudomodes.  With h = 2L/(n + 1) and kappa = max(|k+|, |k-|, 1),
@@ -265,13 +276,13 @@ def resolvent_norm_fd(z: complex, n: int | None = None) -> OracleResult:
         raise SpectrumError(f"z={z} lies on the essential spectrum")
     half_length = decay_half_length(z)
     n = _resolved_n(z, half_length, n)
-
-    def norm_at(m: int) -> float:
-        return 1.0 / _sigma_min_banded(build_fd(m, half_length), z)
-
-    coarse = norm_at(n)
     n_fine = 2 * n + 1  # halves h while keeping 0 on the grid for odd n
-    fine = norm_at(n_fine)
+    ops = build_fd(n, half_length), build_fd(n_fine, half_length)
+    # loaded here, so that the two grids' threads never race its import
+    import scipy.linalg.lapack  # noqa: F401
+    sigma = _both(n + n_fine, lambda: _sigma_min_banded(ops[0], z),
+                  lambda: _sigma_min_banded(ops[1], z))
+    coarse, fine = (1.0 / s for s in sigma)
     return OracleResult(value=fine, error=abs(fine - coarse) / 3.0, n=n_fine)
 
 

@@ -17,7 +17,8 @@ from sgnspec.bounds import (_EXP_BUDGET, _apply, _sides, apply_resolvent,
                             pseudomode_lower_bound, quadrature_operator_norm,
                             regularized_pseudomode_ratio, schur_upper_bound)
 from sgnspec.closed import half_strip_distance, wave_numbers
-from sgnspec.errors import ConvergenceError, DomainError, SpectrumError
+from sgnspec.errors import (ConfigError, ConvergenceError, DomainError,
+                             SpectrumError)
 from sgnspec.quadrature import (QuadratureGrid, gauss_legendre_grid,
                                 trapezoid_grid)
 
@@ -194,6 +195,23 @@ class TestApplyResolvent:
         g = trapezoid_grid(10.0, 401)
         with pytest.raises(DomainError, match="not finite"):
             apply_resolvent(z, g, np.ones(g.size))
+
+    @pytest.mark.parametrize("size", [0, 400, 402])
+    def test_wrong_length_raises(self, size):
+        # NumPy's untyped broadcast ValueError before
+        g = trapezoid_grid(10.0, 401)
+        with pytest.raises(ConfigError, match="shape"):
+            apply_resolvent(5 + 0.5j, g, np.ones(size))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf,
+                                     complex(0.0, -math.inf)])
+    def test_non_finite_f_raises(self, bad):
+        # an all-NaN u came back before
+        g = trapezoid_grid(10.0, 401)
+        f = np.ones(g.size, dtype=complex)
+        f[7] = bad
+        with pytest.raises(DomainError, match="f is not finite"):
+            apply_resolvent(5 + 0.5j, g, f)
 
     def test_large_grid_no_overflow(self):
         # spans far beyond the exponent budget of a single block

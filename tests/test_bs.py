@@ -91,6 +91,14 @@ class TestAssembly:
         u = k_matvec(z, pot, grid)(v)
         assert np.max(np.abs(u - k @ v)) < 1e-10 * np.max(np.abs(k @ v))
 
+    def test_matvec_wrong_length_raises(self):
+        # NumPy's untyped broadcast ValueError before
+        z = 20 + 0.5j
+        pot = gaussian()
+        grid = potential_grid(z, pot)
+        with pytest.raises(ConfigError, match="shape"):
+            k_matvec(z, pot, grid)(np.ones(grid.size + 1))
+
     def test_nystrom_convergence(self):
         # hs norm changes by < 1e-4 relative when the grid is refined
         z = 30 + 0.5j

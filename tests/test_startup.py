@@ -3,7 +3,8 @@ dirichlet, delta, gamma, step), the field export without the oracle,
 the smoothed pseudomode ratio and the models module load neither NumPy
 nor SciPy nor dataclasses, so they start in about the time of the
 interpreter; bs loads NumPy but not SciPy, its Arnoldi spectral radius
-and escape scan included; only the finite-difference oracle
+and escape scan included; neither bs nor the closed-form commands load
+concurrent.futures, which only grids large enough to pair need; only the finite-difference oracle
 (field --oracle) loads SciPy, and of SciPy only LAPACK, not
 scipy.sparse; the pure-Python
 linspace that the CLI and the field grids use in place of NumPy's is
@@ -44,6 +45,7 @@ cases = [
 ]
 for argv in cases:
     assert cli.main(argv, out=out) == 0, argv
+assert "concurrent.futures" not in sys.modules
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
@@ -105,6 +107,7 @@ from sgnspec import bs
 pot = bs.gaussian()
 assert bs.escape_scan(pot, 0.125, [3.0, 30.0, 300.0])["escaped"]
 assert bs.spectral_radius(-50 + 0.2j, 0.125, pot) < 1.0
+assert "concurrent.futures" not in sys.modules
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
@@ -231,7 +234,9 @@ def test_fd_oracle_does_not_load_scipy_sparse():
 
 def test_spectral_radius_does_not_load_scipy():
     # the Arnoldi spectral radius runs on the package's own Krylov
-    # iteration, a restart included (-50 + 0.2i takes two bases)
+    # iteration, a restart included (-50 + 0.2i takes two bases); its
+    # grids are below pair._MIN_NODES, so concurrent.futures stays
+    # unloaded too
     assert _fresh(_BS_NO_SCIPY) == "[]"
 
 
