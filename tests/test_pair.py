@@ -3,6 +3,7 @@ layer and the FD oracle's two grids side by side (pair._both).  Every
 result must be the same bits as in the serial order, errors included,
 and a forked child must run pairs on its own helper thread."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from sgnspec import bs, fdop, pair
+from sgnspec import bounds, bs, closed, fdop, pair, quadrature
 from sgnspec.bounds import (apply_resolvent, default_strip_grid,
                             quadrature_operator_norm)
 from sgnspec.errors import ConvergenceError
@@ -111,6 +112,33 @@ class TestSameBits:
 
         monkeypatch.setattr(fdop, "_SIGMA_RESTARTS", 0)
         both_ways(fails)
+
+
+def test_no_public_function_runs_on_the_helper(both_ways, monkeypatch):
+    # perfbench's span recorder wraps the public functions at every
+    # module binding and is single-threaded: each must run on the caller
+    callers = set()
+    for mod in (bounds, bs, closed, fdop, quadrature):
+        for name, fn in list(vars(mod).items()):
+            if inspect.isfunction(fn) and not name.startswith("_"):
+                def traced(*args, fn=fn, **kwargs):
+                    callers.add(threading.get_ident())
+                    return fn(*args, **kwargs)
+
+                monkeypatch.setattr(mod, name, traced)
+    z = 320 - 0.19j
+    grid = bounds.default_strip_grid(z)
+    pot = bs.gaussian()
+
+    def run():
+        bounds.apply_resolvent(z, grid, np.ones(grid.size))
+        bounds.quadrature_operator_norm(5 + 0.5j, bounds.default_strip_grid(
+            5 + 0.5j))
+        bs.spectral_radius(300 + 0.5j, 0.125, pot)
+        fdop.resolvent_norm_fd(25 + 0.3j, n=4001)
+
+    both_ways(run)
+    assert callers == {threading.get_ident()}
 
 
 _FORK = """
