@@ -168,11 +168,11 @@ def _sides(z: complex, x: np.ndarray):
     e^{-k(t_> - t_<)} g(t_<) + c e_i e_j, across it c e_i e_j: every
     O(n) quantity of the kernel reads these, and the scans on them call
     no exp.  The two half-lines are built side by side on large grids
-    (pair._both).  Raises SpectrumError on the spectral rays, except at
-    their endpoints +-i.
+    (pair._both).  Raises DomainError for a non-finite z and
+    SpectrumError on the spectral rays, except at their endpoints +-i
+    (closed._check_off_spectrum).
     """
-    z = complex(z)
-    _check_off_spectrum(z)
+    z = _check_off_spectrum(z)
     kk = wave_numbers(z)
 
     def side_at(side, k):

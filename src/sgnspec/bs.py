@@ -25,18 +25,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import bounds
-from .closed import _check_off_spectrum
+from .closed import _check_off_spectrum, _finite
 from .errors import (ConfigError, ConvergenceError, DomainError,
                      EigenvalueLost, ZeroCouplingError)
 from .krylov import _dominant_eigenvalue
 from .quadrature import QuadratureGrid, gauss_legendre_grid, \
     oscillation_panel_width
 
-# spectral_radius's residual tolerance relative to the Ritz value and its
-# budget of restarts, as in the eigs call the Arnoldi replaced (tol=0,
-# which ARPACK reads as machine epsilon, and maxiter=3000)
+# spectral_radius's residual tolerance relative to the Ritz value, as in
+# the eigs call the Arnoldi replaced (tol=0, which ARPACK reads as
+# machine epsilon)
 _SPECRAD_TOL = float(np.finfo(float).eps)
-_SPECRAD_RESTARTS = 3000
 
 
 @dataclass(frozen=True)
@@ -60,6 +59,12 @@ class PotentialSpec:
 def _check_amplitude(amplitude: float) -> None:
     if not cmath.isfinite(amplitude):
         raise ConfigError(f"amplitude must be finite, not {amplitude!r}")
+
+
+def _finite_eps(eps: float) -> float:
+    if not math.isfinite(eps):
+        raise ConfigError(f"coupling eps must be finite, not {eps!r}")
+    return eps
 
 
 def _check_radius(radius: float) -> None:
@@ -118,7 +123,7 @@ def potential_grid(z: complex, pot: PotentialSpec) -> QuadratureGrid:
     Raises DomainError for a non-finite z and SpectrumError on the
     spectral rays, where K_z is not defined.
     """
-    _check_off_spectrum(complex(z))
+    _check_off_spectrum(z)
     panel = oscillation_panel_width(z)
     panel = min(panel, pot.half_length / 4)  # four panels per half at least
     return gauss_legendre_grid(pot.half_length, panel)
@@ -204,9 +209,7 @@ def hs_norm(z: complex, pot: PotentialSpec, grid: QuadratureGrid) -> float:
 
 def l_hs_closed(z: complex, pot: PotentialSpec) -> float:
     """Exact Hilbert-Schmidt norm of L_z: sqrt(Re z) * ||V||_1."""
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise DomainError(f"z={z} is not finite")
+    z = _finite(z)
     if z.real <= 0.0:
         raise DomainError("singular part needs Re z > 0")
     return math.sqrt(z.real) * pot.l1
@@ -282,14 +285,12 @@ def spectral_radius(z: complex, eps: float, pot: PotentialSpec) -> float:
     ~5e-14 relative.  Raises ConfigError for a non-finite eps,
     DomainError for a non-finite z, SpectrumError on the spectral rays
     and ConvergenceError if Arnoldi has not converged within
-    _SPECRAD_RESTARTS restarts.
+    krylov._RESTARTS restarts.
     """
-    if not math.isfinite(eps):
-        raise ConfigError(f"coupling eps must be finite, not {eps!r}")
+    _finite_eps(eps)
     grid = potential_grid(z, pot)
-    v0 = np.random.default_rng(0).standard_normal(grid.size)
-    lam = _dominant_eigenvalue(k_matvec(z, pot, grid), v0, False,
-                               _SPECRAD_TOL, _SPECRAD_RESTARTS)
+    lam = _dominant_eigenvalue(k_matvec(z, pot, grid), grid.size, False,
+                               _SPECRAD_TOL)
     return float(abs(eps) * abs(lam))
 
 
@@ -365,8 +366,11 @@ def find_eigenvalue(eps: float, pot: PotentialSpec, z0: complex) -> complex:
     updates work with O(1) numbers.  Raises ConvergenceError if no step
     is below 1e-10 max(1, |z|) within 60 steps, or as soon as a
     determinant value or a secant iterate is not finite (before the
-    kernel is evaluated there), and DomainError for a non-finite z0.
+    kernel is evaluated there), ConfigError for a non-finite eps,
+    DomainError for a non-finite z0 and SpectrumError where z0 or an
+    iterate lies on a spectral ray.
     """
+    _finite_eps(eps)
     if eps == 0.0:
         raise ZeroCouplingError("coupling eps must be nonzero")
     grid = potential_grid(4.0 * abs(complex(z0).real) + 1.0, pot)
@@ -417,7 +421,10 @@ def search_eigenvalues(eps: float, pot: PotentialSpec,
                        seeds: Sequence[complex]) -> RootSearch:
     """Distinct determinant roots found from a collection of seeds (two
     within 1e-6 max(1, |z|) are one), together with the seeds whose
-    search failed and why."""
+    search failed and why: a ConvergenceError or a DomainError, which
+    includes a secant iterate on a spectral ray (SpectrumError).  Raises
+    ConfigError for a non-finite eps."""
+    _finite_eps(eps)
     roots: list[complex] = []
     failed: list[tuple[complex, str]] = []
     for z0 in seeds:
@@ -442,9 +449,10 @@ def weak_coupling_rate(pot: PotentialSpec,
     continuation through the determinant root, then fits
     log Re z(eps) ~ p log eps.  The search at the largest eps starts at
     z = 1 / (eps ||V||_1)^2.  For delta-like wells the eigenvalue
-    escapes to +infinity like eps^{-2}, so p is close to -2.
+    escapes to +infinity like eps^{-2}, so p is close to -2.  Raises
+    ConfigError for a non-finite coupling.
     """
-    eps_values = sorted(eps_values, reverse=True)
+    eps_values = sorted(map(_finite_eps, eps_values), reverse=True)
     if len(eps_values) < 3:
         raise ConfigError("need at least three couplings for a rate fit")
     if pot.l1 == 0.0:

@@ -23,8 +23,7 @@ import sys
 
 from . import closed, errors
 from .errors import (ConfigError, ConvergenceError, DomainError,
-                     EigenvalueLost, SgnSpecError, SingularError,
-                     SpectrumError)
+                     EigenvalueLost, SgnSpecError, SingularError)
 
 
 def _finite(x: float, text: str) -> float:
@@ -278,7 +277,7 @@ def main(argv=None, out=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         _run(args, out)
-    except (SpectrumError, DomainError) as exc:
+    except DomainError as exc:  # SpectrumError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ConvergenceError, EigenvalueLost, SingularError) as exc:

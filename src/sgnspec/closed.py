@@ -8,7 +8,10 @@ taken with the principal branch of the square root (cut on (-inf, 0],
 the cut itself mapping to the positive imaginary axis).  The essential
 spectrum consists of the two rays [0, inf) + i and [0, inf) - i.
 
-The module holds the region partition of the plane, the Schur,
+The module holds the one gate that admits a spectral parameter
+(_off_spectrum: DomainError unless z is finite, SpectrumError on a ray),
+which the bounds, the kernels, the grids, the norms and the FD oracle
+pass z through, the region partition of the plane, the Schur,
 pseudomode and numerical-range bounds on the resolvent norm together
 with norm_bounds, the one place that decides which of them holds at a
 point, the smoothed pseudomode's quality ratio, and the spectral data
@@ -135,33 +138,47 @@ def classify_region(z: complex) -> Region:
     return Region.U
 
 
-def _check_off_spectrum(z: complex) -> None:
-    """Reject a non-finite z (DomainError) and ray points (SpectrumError),
-    except the endpoints +-i where the limit exists."""
-    if not cmath.isfinite(z):  # spectrum_distance(nan) <= tol is False
-        raise DomainError(f"z={z} is not finite")
+def _finite(z: complex) -> complex:
+    """z as a complex; DomainError unless both its parts are finite."""
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"argument {z} is not finite")
+    return z
+
+
+def _off_spectrum(z: complex) -> complex:
+    """The one gate for a spectral parameter: z as a finite complex off
+    the essential spectrum.
+
+    Raises DomainError unless z is finite (spectrum_distance(nan) <= tol
+    is False, so the ray test alone would admit it) and SpectrumError
+    within DEFAULT_TOL_SPEC of a ray, the endpoints +-i included.  No
+    other module compares spectrum_distance with DEFAULT_TOL_SPEC in
+    order to raise.
+    """
+    z = _finite(z)
     if spectrum_distance(z) <= DEFAULT_TOL_SPEC:
-        if min(abs(z - 1j), abs(z + 1j)) <= DEFAULT_TOL_SPEC:
-            return  # kernel stays bounded at the ray endpoints
         raise SpectrumError(f"z={z} lies on the essential spectrum")
+    return z
+
+
+def _check_off_spectrum(z: complex) -> complex:
+    """_off_spectrum with the ray endpoints +-i admitted, where the
+    kernel stays bounded (its limit exists)."""
+    z = _finite(z)
+    if min(abs(z - 1j), abs(z + 1j)) > DEFAULT_TOL_SPEC:
+        _off_spectrum(z)
+    return z
 
 
 # ---------------------------------------------------------------------------
 # two-sided resolvent-norm bounds
 
-def _off_rays(z: complex) -> None:
-    """DomainError within DEFAULT_TOL_SPEC of a ray, where no bound is
-    finite."""
-    if spectrum_distance(z) <= DEFAULT_TOL_SPEC:
-        raise DomainError(f"z={z} lies on the essential spectrum")
-
-
 def _strip_wave_numbers(z: complex) -> WaveNumbers:
     z = complex(z)
     if not in_half_strip(z):
         raise DomainError(f"z={z} is not inside the half-strip")
-    _off_rays(z)
-    return wave_numbers(z)
+    return wave_numbers(_off_spectrum(z))
 
 
 def _finite_bound(value: float, z: complex) -> float:
@@ -175,8 +192,8 @@ def schur_upper_bound(z: complex) -> float:
 
     Maximum of the two closed-form row-integral bounds (x > 0 and x < 0);
     no quadrature involved.  Raises DomainError outside the open
-    half-strip, within DEFAULT_TOL_SPEC of a ray and if the bound
-    overflows.
+    half-strip and if the bound overflows, and SpectrumError (a
+    DomainError) within DEFAULT_TOL_SPEC of a ray.
     """
     return _schur(*_strip_wave_numbers(z), z)
 
@@ -197,11 +214,11 @@ def pseudomode_lower_bound(z: complex) -> float:
     """Lower bound attained by the exponential pseudomode.
 
     Exact value of the ratio bound: 1 / (2 sqrt(Re k+ Re k-) |k+ + k-|).
-    Raises DomainError if the bound overflows.
+    It holds in W and D+-, which cover every point of the open
+    half-strip off the rays.  Raises DomainError outside the open
+    half-strip and if the bound overflows, and SpectrumError within
+    DEFAULT_TOL_SPEC of a ray.
     """
-    z = complex(z)
-    if classify_region(z) not in (Region.W, Region.D_PLUS, Region.D_MINUS):
-        raise DomainError(f"z={z} outside the pseudomode region")
     return _pseudomode(*_strip_wave_numbers(z), z)
 
 
@@ -222,14 +239,14 @@ def half_strip_distance(z: complex) -> float:
 def numrange_bound(z: complex) -> float:
     """Resolvent bound 1/dist(z, S-bar) from m-sectoriality, z outside S-bar.
 
-    Raises DomainError inside the closed half-strip, within
-    DEFAULT_TOL_SPEC of a ray, and where the distance is so small that
-    the bound overflows.
+    Raises DomainError inside the closed half-strip and where the
+    distance is so small that the bound overflows, and SpectrumError
+    within DEFAULT_TOL_SPEC of a ray.
     """
     d = half_strip_distance(z)
     if d == 0.0:
         raise DomainError(f"z={z} lies in the closed half-strip")
-    _off_rays(z)
+    _off_spectrum(z)
     return _finite_bound(1.0 / d, z)
 
 
@@ -340,9 +357,10 @@ def delta_eigenvalue(alpha: complex) -> complex:
     exactly when it avoids the essential spectrum; see
     delta_eigenvalue_exists.  For real nonzero alpha it always exists
     and is real, diverging like alpha^{-2} as the coupling vanishes.
-    Raises DomainError where alpha^2 or the value over- or underflows.
+    Raises DomainError for a non-finite alpha and where alpha^2 or the
+    value over- or underflows.
     """
-    alpha = complex(alpha)
+    alpha = _finite(alpha)
     if alpha == 0.0:
         raise ZeroCouplingError("point interaction needs alpha != 0")
     try:
@@ -404,9 +422,10 @@ def step_implicit_residual(lam: complex, a: float, b: complex) -> complex:
     with s = sqrt(lam + b) (principal branch).  Vanishes exactly at the
     eigenvalues with |Im lam| < 1.  The principal square root continues
     the formula analytically through lam + b < 0, where sin/cos become
-    sinh/cosh automatically.
+    sinh/cosh automatically.  Raises DomainError for a non-finite lam
+    and outside |Im lam| < 1, and ConfigError unless a > 0.
     """
-    lam = complex(lam)
+    lam = _finite(lam)
     if abs(lam.imag) >= 1.0:
         raise DomainError("the residual form is valid only for |Im lam| < 1")
     if a <= 0.0:
@@ -502,9 +521,7 @@ def dirichlet_resolvent_norm(z: complex) -> float:
     norm is the reciprocal distance to the nearer spectral ray:
     max(1/dist(z, i + [0, inf)), 1/dist(z, -i + [0, inf))).  Raises
     SpectrumError within DEFAULT_TOL_SPEC of the rays, so the norm is
-    below 1/DEFAULT_TOL_SPEC.
+    below 1/DEFAULT_TOL_SPEC, and DomainError for a non-finite z (see
+    _off_spectrum).
     """
-    d = spectrum_distance(z)
-    if d <= DEFAULT_TOL_SPEC:
-        raise SpectrumError(f"z={z} lies on the spectrum")
-    return 1.0 / d
+    return 1.0 / spectrum_distance(_off_spectrum(z))

@@ -1,16 +1,22 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+A point on the essential spectrum lies outside the domain of every
+formula, so SpectrumError is a DomainError: one except clause catches a
+non-finite argument and a spectral one alike.  closed._off_spectrum is
+the one gate that raises either for a spectral parameter.
+"""
 
 
 class SgnSpecError(Exception):
     """Base class for all package errors."""
 
 
-class SpectrumError(SgnSpecError):
-    """Spectral parameter lies on (or too close to) the essential spectrum."""
-
-
 class DomainError(SgnSpecError):
     """Argument outside the validity region of a formula."""
+
+
+class SpectrumError(DomainError):
+    """Spectral parameter lies on (or too close to) the essential spectrum."""
 
 
 class ConfigError(SgnSpecError):

@@ -28,8 +28,8 @@ from typing import Callable
 
 import numpy as np
 
-from .closed import DEFAULT_TOL_SPEC, spectrum_distance
-from .errors import ConfigError, SingularError, SpectrumError
+from .closed import _finite, _off_spectrum
+from .errors import ConfigError, SingularError
 from .krylov import _dominant_eigenvalue
 from .pair import _both
 from .quadrature import decay_half_length
@@ -44,13 +44,10 @@ MAX_ORACLE_NODES = 300_001
 # h * kappa on the derived grid, so that h^2 * Re z <= 0.3 in the strip
 _H_KAPPA = math.sqrt(0.3)
 
-# each job's residual tolerance relative to the Ritz value and its
-# budget of restarts of _dominant_eigenvalue, as in the ARPACK calls the
-# Arnoldi replaced (eigsh tol=1e-9 maxiter=5000, eigs tol=0 maxiter=2000)
+# each job's residual tolerance relative to the Ritz value, as in the
+# ARPACK calls the Arnoldi replaced (eigsh tol=1e-9, eigs tol=0)
 _SIGMA_TOL = 1e-9
-_SIGMA_RESTARTS = 5000
 _EIG_TOL = float(np.finfo(float).eps)
-_EIG_RESTARTS = 2000
 
 
 def _sign(x: np.ndarray) -> np.ndarray:
@@ -122,13 +119,15 @@ def build_fd(n: int, half_length: float,
     diagonal entry.  cell_average samples the potential by
     a 33-point average over each grid cell instead of pointwise, which
     restores second order for discontinuous potentials off the grid.
-    Raises ConfigError unless n is an integer >= 3 and half_length is
-    finite and positive.
+    Raises ConfigError unless n is an integer >= 3, half_length is
+    finite and positive and center_jump is finite.
     """
     n = _node_count(n)
     if not 0.0 < half_length < math.inf:
         raise ConfigError(
             f"half_length must be finite and positive, not {half_length!r}")
+    if not np.isfinite(center_jump):
+        raise ConfigError(f"center_jump must be finite, not {center_jump!r}")
     if not callable(potential):
         raise ConfigError(f"potential must be callable, not {potential!r}")
     h = 2.0 * half_length / (n + 1)
@@ -189,14 +188,13 @@ def _sigma_min_banded(op: FDOperator, z: complex) -> float:
     (2 + 3i, -3 + 0.1i, -0.5, -1 + 0.5i); on a grid with h * kappa >= 2
     (see _resolved_n) they cluster to ~1e-6 relative, and the
     Krylov-Schur restarts carry the iteration.  The Lanczos start vector
-    is fixed, so repeated calls return the same bits.  Raises
-    ConvergenceError if Lanczos does not converge within _SIGMA_RESTARTS
-    restarts and SingularError if A - z is singular.
+    is fixed (krylov's), so repeated calls return the same bits.  Raises
+    ConvergenceError if Lanczos does not converge within
+    krylov._RESTARTS restarts and SingularError if A - z is singular.
     """
     solve = _tridiag_lu(op, z)
-    v0 = np.random.default_rng(0).standard_normal(op.size)
-    mu = _dominant_eigenvalue(lambda v: solve(solve(v, "N"), "C"), v0,
-                              True, _SIGMA_TOL, _SIGMA_RESTARTS)
+    mu = _dominant_eigenvalue(lambda v: solve(solve(v, "N"), "C"), op.size,
+                              True, _SIGMA_TOL)
     if not mu > 0.0:
         raise SingularError(f"inverse normal operator degenerate at z={z}")
     return 1.0 / math.sqrt(mu)
@@ -265,15 +263,14 @@ def resolvent_norm_fd(z: complex, n: int | None = None) -> OracleResult:
     returns 0.87691049 +- 6.8e-8, below the rigorous lower bound
     1/dist(z, sigma(H)) = 0.89442719.
 
-    Raises SpectrumError on the spectral rays (endpoints +-i included),
-    where the norm is infinite, ConfigError, before any allocation, if
+    z passes closed._off_spectrum: raises DomainError for a non-finite z
+    and SpectrumError on the spectral rays (endpoints +-i included),
+    where the norm is infinite; ConfigError, before any allocation, if
     the derived n exceeds MAX_ORACLE_NODES (also where it replaces an
     explicit n), ConvergenceError if Lanczos does not converge and
     SingularError if A - z is singular.
     """
-    z = complex(z)
-    if spectrum_distance(z) <= DEFAULT_TOL_SPEC:
-        raise SpectrumError(f"z={z} lies on the essential spectrum")
+    z = _off_spectrum(z)
     half_length = decay_half_length(z)
     n = _resolved_n(z, half_length, n)
     n_fine = 2 * n + 1  # halves h while keeping 0 on the grid for odd n
@@ -298,13 +295,14 @@ def eigenvalue_near(target: complex, n: int, half_length: float,
     Ritz residual falls to machine epsilon relative to the Ritz value.
     Works on fine grids (n ~ 10^5 - 10^6) where the dense solve is out
     of reach; accuracy is then limited only by the discretization.  The
-    Arnoldi start vector is fixed, so repeated calls return the same
-    bits.  Raises ConfigError for the grid as build_fd does,
-    SingularError if A - target is exactly singular and ConvergenceError
-    if Arnoldi does not converge within _EIG_RESTARTS restarts.
+    Arnoldi start vector is fixed (krylov's), so repeated calls return
+    the same bits.  Raises DomainError for a non-finite target,
+    ConfigError for the grid as build_fd does, SingularError if
+    A - target is exactly singular and ConvergenceError if Arnoldi does
+    not converge within krylov._RESTARTS restarts.
     """
+    _finite(target)
     op = build_fd(n, half_length, potential, center_jump, cell_average)
-    v0 = np.random.default_rng(0).standard_normal(op.size)
-    mu = _dominant_eigenvalue(_tridiag_lu(op, target), v0, False, _EIG_TOL,
-                              _EIG_RESTARTS)
+    mu = _dominant_eigenvalue(_tridiag_lu(op, target), op.size, False,
+                              _EIG_TOL)
     return np.array([target + 1.0 / mu])

@@ -46,8 +46,7 @@ def _kernel(z: complex, x: float, y: float, coupled: bool) -> complex:
     value is not finite, which happens only for |x| or |y| near the
     float range.
     """
-    z = complex(z)
-    _check_off_spectrum(z)
+    z = _check_off_spectrum(z)
     x, y = float(x), float(y)  # NumPy scalars would switch the arithmetic
     kp = principal_sqrt(1j - z)
     km = principal_sqrt(-1j - z)

@@ -4,8 +4,10 @@ Krylov-Schur restarts.
 
 The FD oracle runs it on its inverted tridiagonal operators
 (fdop._sigma_min_banded, fdop.eigenvalue_near) and the Birman-Schwinger
-code on the Nystrom matrix of K_z (bs.spectral_radius).  NumPy only:
-no SciPy is loaded here.
+code on the Nystrom matrix of K_z (bs.spectral_radius).  The callers
+pass the operator, its size, whether it is Hermitian and a tolerance;
+the start vector and the restart budget (_RESTARTS) are this module's.
+NumPy only: no SciPy is loaded here.
 """
 
 from __future__ import annotations
@@ -26,13 +28,16 @@ _KEEP = 10
 # the tolerance to rule them out
 _EARLY_TESTS = 6
 _EARLY_MARGIN = 1e3
+# restarts before ConvergenceError: the largest maxiter of the ARPACK
+# calls this iteration replaced (5000, 2000 and 3000), never measured
+_RESTARTS = 5000
 
 
 def _dominant_eigenvalue(matvec: Callable[[np.ndarray], np.ndarray],
-                         v0: np.ndarray, hermitian: bool, tol: float,
-                         max_restarts: int) -> complex:
-    """Eigenvalue of largest modulus of the operator v -> matvec(v), by
-    Arnoldi (Lanczos when hermitian) with Krylov-Schur restarts.
+                         n: int, hermitian: bool, tol: float) -> complex:
+    """Eigenvalue of largest modulus of the operator v -> matvec(v) on
+    vectors of length n, by Arnoldi (Lanczos when hermitian) with
+    Krylov-Schur restarts.
 
     The basis is a row-major (_BASIS + 1, n) array, each new vector
     orthogonalized by two passes of classical Gram-Schmidt.  A test
@@ -55,19 +60,21 @@ def _dominant_eigenvalue(matvec: Callable[[np.ndarray], np.ndarray],
     orthonormalized, and the Krylov decomposition they span (Stewart,
     SIAM J. Matrix Anal. Appl. 23 (2001); Wu-Simon, SIAM J. Matrix Anal.
     Appl. 22 (2000)): unlike a restart from one Ritz vector, that keeps
-    the convergence of clustered eigenvalues.  The result depends only
-    on the operator and v0, so a fixed v0 gives the same bits.  Raises
-    ConvergenceError after max_restarts restarts and SingularError if a
-    product is not finite.
+    the convergence of clustered eigenvalues.  The start vector is the
+    fixed standard normal draw of np.random.default_rng(0), so the
+    result depends only on the operator and repeated calls return the
+    same bits.  Raises ConvergenceError after _RESTARTS restarts and
+    SingularError if a product is not finite.
     """
-    basis = np.empty((_BASIS + 1, v0.size), dtype=complex)
+    v0 = np.random.default_rng(0).standard_normal(n)
+    basis = np.empty((_BASIS + 1, n), dtype=complex)
     proj = np.zeros((_BASIS + 1, _BASIS), dtype=complex)
     basis[0] = v0 / np.linalg.norm(v0)
     ritz = np.linalg.eigh if hermitian else np.linalg.eig
     start = 0  # vectors carried over from the last restart
     early = _EARLY_TESTS
     last = math.inf  # relative residual of the last early test
-    for _ in range(max_restarts + 1):
+    for _ in range(_RESTARTS + 1):
         for j in range(start, _BASIS):
             w = matvec(basis[j])
             done = basis[:j + 1]
@@ -81,7 +88,7 @@ def _dominant_eigenvalue(matvec: Callable[[np.ndarray], np.ndarray],
                 raise SingularError("Krylov product is not finite")
             proj[:j + 1, j] = h + again
             proj[j + 1, j] = beta
-            if j < early or j + 1 in (_BASIS, v0.size):
+            if j < early or j + 1 in (_BASIS, n):
                 vals, vecs = ritz(proj[:j + 1, :j + 1])
                 top = np.argmax(np.abs(vals))
                 resid, size = abs(beta * vecs[j, top]), abs(vals[top])
@@ -111,4 +118,4 @@ def _dominant_eigenvalue(matvec: Callable[[np.ndarray], np.ndarray],
         proj[_KEEP, :_KEEP] = coupling
         start = _KEEP
     raise ConvergenceError(
-        f"Krylov iteration not converged in {max_restarts} restarts")
+        f"Krylov iteration not converged in {_RESTARTS} restarts")

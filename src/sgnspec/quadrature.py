@@ -14,12 +14,19 @@ from functools import lru_cache
 
 import numpy as np
 
-from .closed import wave_numbers
+from .closed import _finite, _off_spectrum, wave_numbers
 from .errors import ConfigError
 
 # nodes per Gauss-Legendre panel, and nodes per oscillation wavelength
 _GL_ORDER = 10
 _POINTS_PER_WAVELENGTH = 20.0
+
+# most nodes gauss_legendre_grid builds (a multiple of 2 * _GL_ORDER).
+# At 1e6 nodes quadrature_operator_norm peaks at ~190 MB and
+# bs.spectral_radius, with its 21-vector Krylov basis, at ~520 MB
+# (ru_maxrss, 2-core x86, one BLAS thread); default_strip_grid needs
+# ~0.59e6 at 1767 + 0.3i
+MAX_GL_NODES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -62,12 +69,17 @@ def gauss_legendre_grid(half_length: float,
 
     Equal panels of width at most panel_width on [0, L], mirrored, with
     _GL_ORDER nodes each.  Raises ConfigError unless both lengths are
-    finite and positive.
+    finite and positive, and, before any allocation, where the grid's
+    2 * _GL_ORDER * ceil(L / panel_width) nodes exceed MAX_GL_NODES.
     """
     if not (0.0 < half_length < math.inf and 0.0 < panel_width < math.inf):
         raise ConfigError("half_length and panel_width must be finite and "
                           f"positive, not {half_length!r}, {panel_width!r}")
-    m = max(1, int(math.ceil(half_length / panel_width)))
+    panels = half_length / panel_width  # inf where the quotient overflows
+    if not panels <= MAX_GL_NODES // (2 * _GL_ORDER):
+        raise ConfigError(f"the grid needs {2 * _GL_ORDER * panels:.3g} "
+                          f"nodes, more than MAX_GL_NODES = {MAX_GL_NODES}")
+    m = max(1, int(math.ceil(panels)))
     right = np.linspace(0.0, half_length, m + 1)
     xr, wr = map(np.array, _gl_rule())
     mids = 0.5 * (right[:-1] + right[1:])
@@ -97,9 +109,9 @@ def oscillation_panel_width(z: complex) -> float:
 
     _POINTS_PER_WAVELENGTH nodes of _GL_ORDER-node Gauss panels per
     wavelength 2 pi / sqrt(Re z); capped at 1 for slowly varying kernels
-    (Re z <= 1).
+    (Re z <= 1).  Raises DomainError for a non-finite z.
     """
-    tau = max(complex(z).real, 1.0)
+    tau = max(_finite(z).real, 1.0)
     wavelength = 2.0 * math.pi / math.sqrt(tau)
     return min(1.0, wavelength * _GL_ORDER / _POINTS_PER_WAVELENGTH)
 
@@ -108,10 +120,10 @@ def decay_half_length(z: complex) -> float:
     """Truncation L >= 10 with e^{-Re k * L} < 1e-8.
 
     Uses the slow decay rate Re k ~ (1 - |Im z|) / (2 sqrt(Re z)) inside
-    the half-strip; elsewhere the exact rates, which are O(1).
+    the half-strip; elsewhere the exact rates, which are O(1).  z passes
+    closed._off_spectrum, so both rates are positive: raises DomainError
+    for a non-finite z and SpectrumError on the rays, endpoints included.
     """
-    kk = wave_numbers(z)
+    kk = wave_numbers(_off_spectrum(z))
     rate = min(kk.k_plus.real, kk.k_minus.real)
-    if rate <= 0.0:
-        raise ConfigError(f"no decaying direction at z={z}")
     return max(10.0, -math.log(1e-8) / rate)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from sgnspec import bs
+from sgnspec import bs, krylov
 from sgnspec.bounds import _EXP_BUDGET
 from sgnspec.bs import (_normalized_det, box, decomposition_diagnostics,
                         delta_bump, escape_scan, find_eigenvalue, gaussian,
@@ -176,6 +176,19 @@ class TestEigenvalues:
             find_eigenvalue(1.0, gaussian(), 5 + 5j)
         assert len(search_eigenvalues(1.0, gaussian(), [5 + 5j]).roots) == 0
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_eps_raises(self, eps):
+        # spectral_radius's check: find_eigenvalue once raised
+        # ConvergenceError, and search_eigenvalues returned one failed
+        # seed per seed
+        pot = delta_bump(2.0)
+        with pytest.raises(ConfigError, match="eps must be finite"):
+            find_eigenvalue(eps, pot, -0.7)
+        with pytest.raises(ConfigError, match="eps must be finite"):
+            search_eigenvalues(eps, pot, [-0.7, -0.72])
+        with pytest.raises(ConfigError, match="eps must be finite"):
+            weak_coupling_rate(pot, (0.5, eps, 0.125))
+
     def test_search_reports_failed_seeds(self):
         pot = delta_bump(2.0)
         res = search_eigenvalues(1.0, pot, [5 + 5j, -0.7, -0.72])
@@ -315,7 +328,7 @@ class TestDenseReference:
     def test_no_convergence_is_typed(self, monkeypatch):
         # gaussian() at -50 + 0.2i needs more than one 20-vector basis
         # (30 products), so a budget of no restarts runs out
-        monkeypatch.setattr(bs, "_SPECRAD_RESTARTS", 0)
+        monkeypatch.setattr(krylov, "_RESTARTS", 0)
         with pytest.raises(ConvergenceError):
             spectral_radius(-50 + 0.2j, 0.125, gaussian())
 

@@ -8,7 +8,7 @@ import scipy.linalg as sla
 
 from _reference import (arpack_eigenvalue_near, arpack_sigma_min,
                         fd_banded, fd_dense, kernel_matrix)
-from sgnspec import fdop, models
+from sgnspec import fdop, krylov, models
 from sgnspec.bounds import pseudomode_lower_bound, schur_upper_bound
 from sgnspec.errors import (ConfigError, ConvergenceError, SingularError,
                              SpectrumError)
@@ -64,6 +64,13 @@ class TestBuild:
     def test_center_jump_requires_odd_n(self):
         with pytest.raises(ConfigError):
             build_fd(100, 10.0, center_jump=2.0)
+
+    @pytest.mark.parametrize("jump",
+                             [math.nan, math.inf, complex(2.0, math.nan)])
+    def test_center_jump_must_be_finite(self, jump):
+        # once a NaN on the diagonal, without a word
+        with pytest.raises(ConfigError, match="center_jump must be finite"):
+            build_fd(101, 10.0, center_jump=jump)
 
     def test_potential_must_be_callable(self):
         # a name is not a potential: a typed error, not a bare KeyError
@@ -194,7 +201,7 @@ class TestResolventNorm:
     def test_no_convergence_is_typed(self, monkeypatch):
         # the clustered n = 401 grid below needs 253 Lanczos steps, more
         # than one basis of 20 holds
-        monkeypatch.setattr(fdop, "_SIGMA_RESTARTS", 0)
+        monkeypatch.setattr(krylov, "_RESTARTS", 0)
         with pytest.raises(ConvergenceError):
             _sigma_min_banded(build_fd(401, 200.0), 20 - 0.5j)
 
@@ -247,7 +254,7 @@ class TestEigenvalues:
     def test_no_convergence_is_typed(self, monkeypatch):
         # a target amid the discretized continuum: more than 20 Arnoldi
         # steps to machine precision
-        monkeypatch.setattr(fdop, "_EIG_RESTARTS", 0)
+        monkeypatch.setattr(krylov, "_RESTARTS", 0)
         with pytest.raises(ConvergenceError):
             eigenvalue_near(10.0, 2001, 20.0)
 

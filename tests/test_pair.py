@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from sgnspec import bounds, bs, closed, fdop, pair, quadrature
+from sgnspec import bounds, bs, closed, fdop, krylov, pair, quadrature
 from sgnspec.bounds import (apply_resolvent, default_strip_grid,
                             quadrature_operator_norm)
 from sgnspec.errors import ConvergenceError
@@ -110,7 +110,7 @@ class TestSameBits:
             with pytest.raises(ConvergenceError):
                 fdop.resolvent_norm_fd(-0.5)
 
-        monkeypatch.setattr(fdop, "_SIGMA_RESTARTS", 0)
+        monkeypatch.setattr(krylov, "_RESTARTS", 0)
         both_ways(fails)
 
 

@@ -6,12 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from sgnspec.bs import box, gaussian
+from sgnspec.bounds import default_strip_grid
+from sgnspec.bs import box, gaussian, potential_grid
 from sgnspec.errors import ConfigError
 from sgnspec.fdop import build_fd
-from sgnspec.quadrature import (QuadratureGrid, decay_half_length,
-                                gauss_legendre_grid, oscillation_panel_width,
-                                trapezoid_grid)
+from sgnspec.quadrature import (MAX_GL_NODES, QuadratureGrid,
+                                decay_half_length, gauss_legendre_grid,
+                                oscillation_panel_width, trapezoid_grid)
 
 
 class TestGaussLegendre:
@@ -88,3 +89,22 @@ def test_lengths_must_be_finite_and_positive(build, length):
     # OverflowError, or gave NaN entries or the answer for |L|
     with pytest.raises(ConfigError, match="finite and positive"):
         build(length)
+
+
+class TestNodeCap:
+    def test_cap_admits_its_own_count(self):
+        assert gauss_legendre_grid(1.0, 20.0 / MAX_GL_NODES).size \
+            == MAX_GL_NODES
+
+    @pytest.mark.parametrize("build", [
+        lambda: gauss_legendre_grid(1.0, 19.999 / MAX_GL_NODES),
+        lambda: gauss_legendre_grid(1e308, 1e-308),
+        lambda: default_strip_grid(5 + 0.999999j),
+        lambda: default_strip_grid(1e6 + 0.5j),
+        lambda: potential_grid(1e12 + 0.5j, gaussian())],
+        ids=["one_panel_more", "quotient_overflows", "near_the_ray",
+             "far_up", "bs_far_up"])
+    def test_raises_before_allocating(self, build):
+        # these asked for 1.65e9, 4.7e8 and 5.1e7 nodes before the cap
+        with pytest.raises(ConfigError, match="MAX_GL_NODES"):
+            build()

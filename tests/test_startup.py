@@ -179,6 +179,17 @@ def test_defaulted_parameter_count_is_pinned():
     assert _defaulted_parameters() == 15
 
 
+@pytest.mark.parametrize("module", ["bounds", "bs", "fdop", "quadrature"])
+def test_only_closed_tests_the_spectrum(module):
+    # the ray test is closed._off_spectrum's alone: these modules take a
+    # spectral parameter through it, not through a copy of their own
+    with open(os.path.join(sgnspec.__path__[0], module + ".py")) as f:
+        tree = ast.parse(f.read())
+    names = {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not names & {"DEFAULT_TOL_SPEC", "spectrum_distance"}
+
+
 def _cli_options(parser):
     """Options and positionals of parser and of every subcommand below it,
     --help excluded."""
