@@ -421,16 +421,17 @@ def search_eigenvalues(eps: float, pot: PotentialSpec,
                        seeds: Sequence[complex]) -> RootSearch:
     """Distinct determinant roots found from a collection of seeds (two
     within 1e-6 max(1, |z|) are one), together with the seeds whose
-    search failed and why: a ConvergenceError or a DomainError, which
-    includes a secant iterate on a spectral ray (SpectrumError).  Raises
-    ConfigError for a non-finite eps."""
+    search failed and why: a ConvergenceError, a DomainError, which
+    includes a secant iterate on a spectral ray (SpectrumError), or a
+    ConfigError, where the seed's grid would pass quadrature.MAX_GL_NODES.
+    Raises ConfigError for a non-finite eps."""
     _finite_eps(eps)
     roots: list[complex] = []
     failed: list[tuple[complex, str]] = []
     for z0 in seeds:
         try:
             z = find_eigenvalue(eps, pot, z0)
-        except (ConvergenceError, DomainError) as exc:
+        except (ConfigError, ConvergenceError, DomainError) as exc:
             failed.append((complex(z0), str(exc)))
             continue
         if all(abs(z - r) > 1e-6 * max(1.0, abs(r)) for r in roots):

@@ -118,9 +118,10 @@ def classify_region(z: complex) -> Region:
 
     The two disks |z -+ i| <= 3/2 are closed and win boundary ties over
     W and U; a point within DEFAULT_TOL_SPEC of either spectral ray is
-    SPECTRUM regardless.
+    SPECTRUM regardless.  Raises DomainError for a non-finite z
+    (_finite).
     """
-    z = complex(z)
+    z = _finite(z)
     if spectrum_distance(z) <= DEFAULT_TOL_SPEC:
         return Region.SPECTRUM
     # both disks lie in this box; outside it abs() could overflow
@@ -278,7 +279,8 @@ def norm_bounds(z: complex) -> NormBounds:
     to the norm where |Im z| >= 1; it is reported as lower = upper
     (status "numrange"), which overstates the lower bound for Re z < 0,
     |Im z| < 1.  Where that bound overflows the status is "skipped",
-    lower = upper = nan, and error is the DomainError.
+    lower = upper = nan, and error is the DomainError.  Raises
+    DomainError for a non-finite z (classify_region).
     """
     z = complex(z)
     region = classify_region(z)

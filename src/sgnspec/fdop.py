@@ -243,7 +243,7 @@ def resolvent_norm_fd(z: complex, n: int | None = None) -> OracleResult:
     Richardson extrapolation residual |v_fine - v_coarse| / 3 of the
     second-order scheme as its error, and the fine n.  Both grids are
     built first; from pair._MIN_NODES nodes on the two together the
-    fine grid's Lanczos runs on a helper thread beside the coarse one
+    fine grid's Lanczos runs on a thread of its own beside the coarse one
     (pair._both), with the same bits, and where both fail the coarse
     grid's error is raised, as in the serial order.
 

@@ -118,6 +118,10 @@ class TestDecomposition:
         assert decomposition_diagnostics(z, pot)["l_hs"] == pytest.approx(
             l_hs_closed(z, pot), rel=1e-10)
 
+    def test_l_hs_closed_needs_positive_real_part(self):
+        with pytest.raises(DomainError, match="Re z > 0"):
+            l_hs_closed(-1 + 0.5j, gaussian())
+
     def test_growth_rates(self):
         rates = hs_growth_rates(gaussian(), [25.0, 100.0, 400.0])
         assert 0.3 < rates["k_hs_slope"] < 0.7
@@ -197,6 +201,15 @@ class TestEigenvalues:
         assert [seed for seed, _ in res.failed] == [5 + 5j]
         assert "left the finite plane" in res.failed[0][1]
 
+    def test_seed_past_the_grid_cap_fails_alone(self):
+        # the seed 1e9 asks for a grid of 3.22e6 nodes, past MAX_GL_NODES:
+        # its ConfigError once aborted the whole search
+        res = search_eigenvalues(3.0, gaussian(), [0.5, 1e9])
+        assert len(res.roots) == 1
+        assert abs(res.roots[0] - 0.5913) < 1e-4
+        assert [seed for seed, _ in res.failed] == [1e9]
+        assert "MAX_GL_NODES" in res.failed[0][1]
+
 
 class TestWeakCoupling:
     def test_rate_near_minus_two(self):
@@ -208,6 +221,14 @@ class TestWeakCoupling:
         for eps, z in zip(res["eps"], res["eigenvalues"]):
             exact = 1.0 / eps**2 - eps**2 / 4.0
             assert abs(z - exact) < 1e-2 * abs(exact)
+
+    def test_needs_three_couplings(self):
+        with pytest.raises(ConfigError, match="three couplings"):
+            weak_coupling_rate(gaussian(), [0.5, 0.25])
+
+    def test_zero_coupling_potential_rejected(self):
+        with pytest.raises(ZeroCouplingError):
+            weak_coupling_rate(box(0.0, 1.0))
 
     def test_gaussian_escape(self):
         scan = escape_scan(gaussian(), 0.125, [1.0, 100.0, 10000.0])

@@ -155,6 +155,16 @@ class TestSubcommands:
         code, _ = run_cli(["gamma", "--sigma", "1,1", "--r", "0:1:3"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "--z=2,0.4", "--x=abc", "--y=1"],
+        ["field", "--re=0:1:x", "--im=0:1:2", "--out=f.csv"],
+        ["field", "--re=0:1:0", "--im=0:1:2", "--out=f.csv"],
+        ["gamma", "--sigma=a,b,c", "--r=0:1:3"],
+    ])
+    def test_malformed_option_exits_two(self, argv):
+        code, out = run_cli(argv)
+        assert code == 2 and out == ""
+
     def test_step(self):
         code, out = run_cli(["step", "--a", "1", "--b", "3",
                              "--lam-max", "20"])
@@ -259,6 +269,18 @@ class TestSubcommands:
         code, out = run_cli(["bs", "roots", "--eps", "1", "--seeds", "5,5"])
         assert code == 0
         assert out == "count 0\n"
+
+    def test_bs_roots_seed_past_the_grid_cap_fails_alone(self, capsys):
+        # the seed 1e9 asks for a grid of 3.22e6 nodes: it once aborted
+        # the whole search with exit 2
+        code, out = run_cli(["bs", "roots", "--eps", "3",
+                             "--seeds", "0.5", "1e9"])
+        assert code == 0
+        assert out.startswith("count 1\nroot 0.5912950")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("warning: seed 1000000000.0 0.0 failed: ")
+        assert "MAX_GL_NODES" in err[0]
 
     def test_bs_roots_reports_failed_seeds(self, capsys):
         # both searches diverge: stdout still says count 0, and stderr

@@ -5,7 +5,8 @@ another error type.  A SpectrumError counts, since it is a DomainError.
 
 The spectral parameters pass one gate, closed._off_spectrum; the other
 complex arguments (a coupling, a step-model eigenvalue, an FD target, a
-panel width's z) pass its finite test, closed._finite.
+panel width's z, the z of a region tag, which is SPECTRUM on a ray) pass
+its finite test, closed._finite.
 """
 
 import math
@@ -19,7 +20,8 @@ from sgnspec.bounds import (apply_resolvent, default_strip_grid,
                             regularized_pseudomode_ratio, schur_upper_bound)
 from sgnspec.bs import (decomposition_diagnostics, find_eigenvalue, gaussian,
                         hs_norm, l_hs_closed, potential_grid, spectral_radius)
-from sgnspec.closed import (delta_eigenvalue, dirichlet_resolvent_norm,
+from sgnspec.closed import (classify_region, delta_eigenvalue,
+                            dirichlet_resolvent_norm, norm_bounds,
                             step_implicit_residual)
 from sgnspec.errors import DomainError, SpectrumError
 from sgnspec.fdop import eigenvalue_near, resolvent_norm_fd
@@ -39,6 +41,8 @@ _CALLS = [
     ("regularized_pseudomode_ratio",
      lambda z: regularized_pseudomode_ratio(z, 1.0), True),
     ("dirichlet_resolvent_norm", dirichlet_resolvent_norm, True),
+    ("classify_region", classify_region, False),
+    ("norm_bounds", norm_bounds, False),
     ("delta_eigenvalue", delta_eigenvalue, False),
     ("step_implicit_residual",
      lambda z: step_implicit_residual(z, 1.0, 3.0), False),

@@ -1,7 +1,8 @@
 """Tests for the paired path: the two half-lines of the O(n) resolvent
 layer and the FD oracle's two grids side by side (pair._both).  Every
-result must be the same bits as in the serial order, errors included,
-and a forked child must run pairs on its own helper thread."""
+result must be the same bits as in the serial order, errors included; a
+paired call must leave no thread behind and load no thread pool, and a
+job that pairs again and a forked child must run their pairs."""
 
 import inspect
 import os
@@ -172,9 +173,49 @@ else:
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork here")
 def test_forked_child_runs_pairs():
-    # the child has no helper thread: it must not queue work for the
-    # parent's; tests/conftest.py puts src on the child's PYTHONPATH
+    # the child has only the thread that forked: each of its pairs
+    # starts a thread of its own; tests/conftest.py puts src on the
+    # child's PYTHONPATH
     proc = subprocess.run([sys.executable, "-c", _FORK], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0"
+
+
+_FRESH = """
+import sys, threading
+from sgnspec import pair
+pair._two_cores = lambda: True
+before = threading.active_count()
+assert pair._both(pair._MIN_NODES, lambda: 1, lambda: 2) == (1, 2)
+print(threading.active_count() - before, "concurrent.futures" in sys.modules)
+"""
+
+
+def test_a_pair_leaves_no_thread_and_no_pool():
+    # a fresh process, since another test may have loaded the module
+    proc = subprocess.run([sys.executable, "-c", _FRESH], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 False"
+
+
+_NESTED = """
+from sgnspec import pair
+pair._MIN_NODES = 0
+pair._two_cores = lambda: True
+inner = lambda: pair._both(1, lambda: 1, lambda: 2)
+print(pair._both(1, inner, inner))
+"""
+
+
+def test_a_job_pairs_again():
+    # a subprocess with a deadline, since a pair whose second job waits
+    # for a thread it occupies itself never ends
+    try:
+        proc = subprocess.run([sys.executable, "-c", _NESTED],
+                              capture_output=True, text=True, timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail("a job that pairs again hung")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "((1, 2), (1, 2))"

@@ -4,7 +4,7 @@ the smoothed pseudomode ratio and the models module load neither NumPy
 nor SciPy nor dataclasses, so they start in about the time of the
 interpreter; bs loads NumPy but not SciPy, its Arnoldi spectral radius
 and escape scan included; neither bs nor the closed-form commands load
-concurrent.futures, which only grids large enough to pair need; only the finite-difference oracle
+concurrent.futures, which the package does not use; only the finite-difference oracle
 (field --oracle) loads SciPy, and of SciPy only LAPACK, not
 scipy.sparse; the pure-Python
 linspace that the CLI and the field grids use in place of NumPy's is
@@ -245,9 +245,8 @@ def test_fd_oracle_does_not_load_scipy_sparse():
 
 def test_spectral_radius_does_not_load_scipy():
     # the Arnoldi spectral radius runs on the package's own Krylov
-    # iteration, a restart included (-50 + 0.2i takes two bases); its
-    # grids are below pair._MIN_NODES, so concurrent.futures stays
-    # unloaded too
+    # iteration, a restart included (-50 + 0.2i takes two bases), and
+    # concurrent.futures stays unloaded too
     assert _fresh(_BS_NO_SCIPY) == "[]"
 
 
