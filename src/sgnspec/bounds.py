@@ -8,21 +8,27 @@ bound, and the smoothed pseudomode's ratio.  They are re-exported here.
 
 This module holds the O(n) layer of the resolvent kernel.  The
 kernel is the Green's function psi_-(x_<) psi_+(x_>) / (k_plus +
-k_minus); on each half-line it has the generators (k, t = |x|,
-e = e^{-kt}, g = (1 - e^{-2kt}) / (2k)) plus the coupling
-1 / (k_plus + k_minus) through the origin.  _sides builds them once per
-(z, grid), with each half-line's scan blocks: the block-relative decay
-d and the scalar carries between blocks (_blocks), from one complex exp
-pass per half-line, and g from one expm1 pass.  The apply here and the
-Birman-Schwinger HS norm and determinant in bs all read them, so no
-other O(n) path builds its own, and the scans (_min_scan) only multiply
-and sum.  The sides do not depend on the coupling, so the same sides
-with the coupling 0 generate the Dirichlet-decoupled kernel, whose
-Nystrom checks are test references.  The two half-lines are independent
-jobs: on grids of at least pair._MIN_NODES nodes _sides builds them,
-and _apply scans them, side by side on two threads (pair._both), with
-the same bits as one after the other.  quadrature_operator_norm is the
-one power iteration of the package.
+k_minus); on each half-line, with t = |x|, it is
+e^{-k(t_> - t_<)} g(t_<) + c e_i e_j, g = (1 - e^{-2kt}) / (2k) and
+e = e^{-kt}, plus c e_i e_j across the origin, c = 1 / (k_plus +
+k_minus).  _sides builds its generators once per (z, grid), in one
+divide-free format: per half-line the block-relative decay d of the
+scan blocks (_blocks), the image factor as a = g / d, and per block
+the scalar carries and e0 with e = e0 d, from one complex exp and one
+expm1 pass per half-line.  That is two complex n-vectors, 32 bytes per
+node.  The apply here and the Birman-Schwinger HS norm in bs read them,
+forming g = a d and e from d where they need them, so no other O(n)
+path builds its own, and the scans (_min_scan) only multiply and sum,
+in place.  Scaling a and d by real weights scales the kernel on both
+sides, which is how quadrature_operator_norm, the one power iteration
+of the package, folds in the square roots of the quadrature weights.
+The sides do not depend on the coupling, so the same sides with the
+coupling 0 generate the Dirichlet-decoupled kernel, whose Nystrom
+checks are test references.  The two half-lines are independent jobs:
+on grids of at least pair._MIN_NODES nodes _sides builds them, and
+_apply scans them, side by side on two threads (pair._both), with the
+same bits as one after the other.  The kernel's diagonal, which the
+Birman-Schwinger determinant needs pointwise, is _diagonal.
 """
 
 from __future__ import annotations
@@ -45,10 +51,10 @@ from .quadrature import (
 )
 
 # max Re(k) * span of one scan block.  The modulus of the block decay d
-# of _blocks is taken from the block's midpoint, so d and 1/d lie within
-# e^{+-150} and the HS sum's squared moduli within e^{+-300}: the scanned
-# terms keep a factor e^409 of headroom to the float overflow at e^709
-# and to the underflow at e^-708
+# of _blocks is taken from the block's midpoint, so d and a / g = 1/d
+# lie within e^{+-150} and the HS sum's squared moduli within e^{+-300}:
+# the scanned terms keep a factor e^409 of headroom to the float
+# overflow at e^709 and to the underflow at e^-708
 _EXP_BUDGET = 300.0
 
 
@@ -65,78 +71,87 @@ def _half_lines(x: np.ndarray) -> tuple[slice, slice]:
 def _blocks(k: complex, t: np.ndarray):
     """Scan blocks of the increasing t at the decay rate Re k >= 0.
 
-    Returns (e, d, blocks).  A block spans at most _EXP_BUDGET / Re k of
-    t.  Its decay d = s e^{-k(t - r)}, with s = e^{Re k (t_m - r)}, takes
-    the phase from the reference r (the origin on a first block that
-    starts within half a span of it, else the block's first node) and
-    the modulus from the midpoint t_m, so d and 1/d stay within
+    Returns (d, blocks).  A block spans at most _EXP_BUDGET / Re k of
+    t.  Its decay d = s e^{-k(t - r)}, with s = e^{Re k (t_m - r)},
+    takes the phase from the reference r (the origin on a first block
+    that starts within half a span of it, else the block's first node)
+    and the modulus from the midpoint t_m, so d and 1/d stay within
     e^{+-_EXP_BUDGET/2} and d_i / d_j = e^{-k(t_i - t_j)}.  Per block
-    (start, stop, p, q), the carries p = e^{-k(r - t_{start-1})} / s and
-    q = s e^{-k(t_stop - r)} bring in the previous and the next block (0
-    where there is none).  e = e^{-kt} is e^{-k(t - r)} e^{-kr}, where
-    r = 0 the direct exp.  One complex exp pass over t.
+    (start, stop, p, q, e0): the carries
+    p = d_{start-1} e^{-k(r - t_{start-1})} / s and
+    q = s e^{-k(t_stop - r)} / d_stop take a scan's sum at the previous
+    block's last and the next block's first node into this block's
+    cumsum domain (0 where there is none), and e0 = e^{-kr} / s gives
+    e = e^{-kt} = e0 d on the block.  One complex exp pass over t.
     """
     rate = max(k.real, 0.0)
     span = _EXP_BUDGET / rate if rate > 0.0 else math.inf
     n = t.size
-    e = t * -k  # -k(t - r), made e^{-k(t - r)} below
     refs = []  # (start, stop, r, s) per block
     start = 0
     while start < n:
         stop = n if t[n - 1] - t[start] <= span else max(start + 1, int(
             np.searchsorted(t, t[start] + span, side="right")))
         r = t[start] if start or t[0] > 0.5 * span else 0.0
-        if r:
-            e[start:stop] = (t[start:stop] - r) * -k
         s = math.exp(rate * (0.5 * (t[start] + t[stop - 1]) - r))
         refs.append((start, stop, r, s))
         start = stop
-    np.exp(e, out=e)
-    d = np.empty_like(e)
+    d = np.empty(n, dtype=complex)
     blocks = []
-    for start, stop, r, s in refs:
-        np.multiply(e[start:stop], s, out=d[start:stop])
-        if r:
-            e[start:stop] *= cmath.exp(-k * r)
-        blocks.append((start, stop,
-                       cmath.exp(-k * (r - t[start - 1])) / s if start else 0j,
-                       s * cmath.exp(-k * (t[stop] - r)) if stop < n else 0j))
-    return e, d, blocks
+    for i, (start, stop, r, s) in enumerate(refs):
+        block = d[start:stop]
+        np.multiply(t[start:stop] - r if r else t[start:stop], -k, out=block)
+        np.exp(block, out=block)
+        block *= s
+        p = (complex(d[start - 1]) * cmath.exp(-k * (r - t[start - 1])) / s
+             if start else 0j)
+        q = (s * cmath.exp(-k * (t[stop] - r)) / refs[i + 1][3]
+             if stop < n else 0j)
+        blocks.append((start, stop, p, q, cmath.exp(-k * r) / s))
+    return d, blocks
 
 
-def _min_scan(d: np.ndarray, blocks, g: np.ndarray, c: np.ndarray,
-              out: np.ndarray | None) -> np.ndarray:
-    """S_i = sum_j e^{-k |t_i - t_j|} g(min(t_i, t_j)) c_j for increasing t,
-    from the block decay d and the blocks (start, stop, p, q) of _blocks.
+def _min_scan(d: np.ndarray, blocks, a: np.ndarray, c: np.ndarray,
+              out: np.ndarray, lift: complex) -> np.ndarray:
+    """S_i = sum_j e^{-k |t_i - t_j|} g(min(t_i, t_j)) c_j + lift e_i for
+    increasing t, from the generators a = g / d and d of one half-line
+    and the blocks (start, stop, p, q, e0) of _blocks.
 
-    The terms with t_j <= t_i are the forward scan d cumsum(g c / d); the
-    others are g_i times the backward scan (reversed cumsum of d c) / d
-    with its diagonal term removed.  The carries p and q bring in the
-    neighbouring blocks' end values.  Only multiplies and sums: the
-    exponentials are in d, p and q.  The arithmetic follows the dtype of
-    the inputs, so the HS sum scans real squared moduli at rate 2 Re k.
-    S is written to out, which may be a strided view, or to a new array
-    when out is None.
+    With d_i / d_j = e^{-k(t_i - t_j)} on a block, the terms with
+    t_j <= t_i are d_i F_i, F the cumsum of a c, and the others a_i E_i,
+    E the exclusive reversed cumsum of d c.  The carries p and q bring
+    in the neighbouring blocks' sums in the cumsum domain, and lift e_i
+    = lift e0 d_i joins d_i F_i as the constant lift e0 added to F.
+    Only multiplies and sums, in place: the exponentials are in d, p, q
+    and e0.  S is written to out, which may be a strided view, and c is
+    overwritten.  The arithmetic follows the dtype of the inputs, so the
+    HS sum scans real squared moduli at rate 2 Re k.
     """
-    fwd = g * c
-    back = np.multiply(d, c, out=out)
-    for start, stop, p, _ in blocks:
-        f = fwd[start:stop]
-        f /= d[start:stop]
+    np.multiply(a, c, out=out)
+    c *= d
+    end = 0.0  # F at the previous block's last node
+    for start, stop, p, _, e0 in blocks:
+        f = out[start:stop]
         np.cumsum(f, out=f)
-        if start:
-            f += p * fwd[start - 1]
-        f *= d[start:stop]
-    for start, stop, _, q in reversed(blocks):
-        b = back[start:stop]
+        carry = p * end
+        end = f[-1] + carry
+        shift = carry + lift * e0
+        if shift:
+            f += shift
+    out *= d
+    n = c.size
+    for start, stop, _, q, _ in reversed(blocks):
+        b = c[start:stop]
         np.cumsum(b[::-1], out=b[::-1])
-        if stop < back.size:
-            b += q * back[stop]
-        b /= d[start:stop]
-    back -= c
-    back *= g
-    back += fwd
-    return back
+        if stop < n:
+            b += q * c[stop]
+    for start, stop, _, q, _ in blocks:  # E_i is the sum from i + 1 on
+        tail = c[start + 1:stop]
+        tail *= a[start:stop - 1]
+        out[start:stop - 1] += tail
+        if stop < n:
+            out[stop - 1] += a[stop - 1] * q * c[stop]
+    return out
 
 
 def _image_factor(k: complex, t: np.ndarray) -> np.ndarray:
@@ -154,22 +169,42 @@ def _image_factor(k: complex, t: np.ndarray) -> np.ndarray:
     return g
 
 
+def _diagonal(z: complex, x: np.ndarray):
+    """The kernel's diagonal R(x_i, x_i) = g + c e^2 at z on the
+    increasing nodes x, pointwise: no scan, so nothing is scaled to
+    blocks.  Returns (c, (k_plus, k_minus), diagonal) with the coupling
+    c = 1 / (k_plus + k_minus), g = _image_factor(k, t) and
+    e = e^{-kt}, t = |x|.  Raises as _sides does.
+    """
+    z = _check_off_spectrum(z)
+    kk = wave_numbers(z)
+    c = 1.0 / (kk.k_plus + kk.k_minus)
+    diag = np.empty(x.size, dtype=complex)
+    for side, k in zip(_half_lines(x), (kk.k_plus, kk.k_minus)):
+        t = np.abs(x[side])
+        e = np.exp(t * -k)
+        diag[side] = _image_factor(k, t) + c * e * e
+    return c, (kk.k_plus, kk.k_minus), diag
+
+
 def _sides(z: complex, x: np.ndarray):
     """The kernel's generators at z on the increasing nodes x, in O(n).
 
     Returns (c, sides): per half-line (x >= 0 with k = k_plus, then
-    x < 0 with k = k_minus) the tuple (side, k, e, g, d, blocks) of the
-    index slice, e = e^{-kt} with t = |x| increasing, the image factor
-    g = (1 - e^{-2kt}) / (2k), and the scan blocks of _blocks (block
-    decay d, per-block carries); and the coupling c = 1/(k_plus +
-    k_minus) through the origin.  The sides do not depend on c, so
-    (0.0, sides) generates the Dirichlet-decoupled kernel.  On one side
-    the kernel is
+    x < 0 with k = k_minus) the tuple (side, k, a, d, blocks) of the
+    index slice, the scan generator a = g / d of the image factor
+    g = (1 - e^{-2kt}) / (2k) with t = |x| increasing, and the scan
+    blocks of _blocks (block decay d, per-block carries and e0 with
+    e = e^{-kt} = e0 d); and the coupling c = 1/(k_plus + k_minus)
+    through the origin.  The sides do not depend on c, so (0.0, sides)
+    generates the Dirichlet-decoupled kernel.  On one side the kernel is
     e^{-k(t_> - t_<)} g(t_<) + c e_i e_j, across it c e_i e_j: every
     O(n) quantity of the kernel reads these, and the scans on them call
-    no exp.  The two half-lines are built side by side on large grids
-    (pair._both).  Raises DomainError for a non-finite z and
-    SpectrumError on the spectral rays, except at their endpoints +-i
+    no exp and divide by nothing.  Scaling a and d by the same real
+    weights w scales the kernel to w_i R(x_i, x_j) w_j.  The two
+    half-lines are built side by side on large grids (pair._both).
+    Raises DomainError for a non-finite z and SpectrumError on the
+    spectral rays, except at their endpoints +-i
     (closed._check_off_spectrum).
     """
     z = _check_off_spectrum(z)
@@ -177,8 +212,10 @@ def _sides(z: complex, x: np.ndarray):
 
     def side_at(side, k):
         t = np.abs(x[side])
-        e, d, blocks = _blocks(k, t)
-        return side, k, e, _image_factor(k, t), d, blocks
+        a = _image_factor(k, t)
+        d, blocks = _blocks(k, t)
+        a /= d
+        return side, k, a, d, blocks
 
     plus, minus = _half_lines(x)
     sides = _both(x.size, lambda: side_at(plus, kk.k_plus),
@@ -186,31 +223,47 @@ def _sides(z: complex, x: np.ndarray):
     return 1.0 / (kk.k_plus + kk.k_minus), sides
 
 
-def _apply(gen, c: np.ndarray) -> np.ndarray:
+def _apply(gen, c: np.ndarray, out: np.ndarray) -> np.ndarray:
     """u_i = sum_j R(x_i, x_j) c_j in O(n), for weighted c and the
     generators gen of R: _sides(z, x), or (0.0, _sides(z, x)[1]) for the
     Dirichlet kernel.
 
     Per half-line the image-charge term e^{-k(t_> - t_<)} g(t_<) is one
     _min_scan; the rank-one term through the origin adds coupling *
-    e_i (sum_j e_j c_j), on the same side and across it.  It vanishes
-    for the Dirichlet kernel (coupling 0), which is then also zero at a
-    node at 0 (there t = 0 and g = 0).  The rank-one weight depends on c
-    only, so it comes first, and then each half-line scans into its own
-    slice of u, side by side on large grids (pair._both).
+    e_i (sum_j e_j c_j), on the same side and across it, as the scans'
+    lift.  It vanishes for the Dirichlet kernel (coupling 0), which is
+    then also zero at a node at 0 (there t = 0 and g = 0).  The lift
+    depends on c only, so it comes first, and then each half-line scans
+    in its own slices of c and u, side by side on large grids
+    (pair._both).  u is written to out, and c is overwritten.
     """
     coupling, sides = gen
-    through = coupling * sum(np.dot(e, c[side]) for side, _, e, *_ in sides)
-    u = np.empty(c.size, dtype=complex)
+    lift = 0.0
+    if coupling:  # sum_j e_j c_j, pairwise in out, which the scans overwrite
+        for side, _, _, d, blocks in sides:
+            dc = np.multiply(d, c[side], out=out[side])
+            lift += sum(e0 * dc[start:stop].sum()
+                        for start, stop, *_, e0 in blocks)
+        lift *= coupling
 
-    def side_of_u(side, k, e, g, d, blocks):
-        us = u[side]
-        _min_scan(d, blocks, g, c[side], us)
-        us += through * e
+    def scan(side, k, a, d, blocks):
+        _min_scan(d, blocks, a, c[side], out[side], lift)
 
     plus, minus = sides
-    _both(c.size, lambda: side_of_u(*plus), lambda: side_of_u(*minus))
-    return u
+    _both(c.size, lambda: scan(*plus), lambda: scan(*minus))
+    return out
+
+
+def _weigh(gen, weights: np.ndarray):
+    """The generators gen of _sides, scaled in place to those of the
+    kernel sw_i R(x_i, x_j) sw_j, sw = sqrt(weights): a and d take sw,
+    while the carries and e0 were formed before and do not, so nothing
+    is divided by a weight and zero weights are allowed."""
+    for side, _, a, d, _ in gen[1]:
+        sw = np.sqrt(weights[side])
+        a *= sw
+        d *= sw
+    return gen
 
 
 def apply_resolvent(z: complex, grid: QuadratureGrid,
@@ -229,40 +282,43 @@ def apply_resolvent(z: complex, grid: QuadratureGrid,
                           f"{grid.nodes.shape}")
     if not np.isfinite(f).all():
         raise DomainError("f is not finite")
-    return _apply(_sides(z, grid.nodes), grid.weights * f)
+    c = grid.weights * f
+    return _apply(_sides(z, grid.nodes), c, np.empty_like(c))
 
 
 def quadrature_operator_norm(z: complex, grid: QuadratureGrid) -> float:
     """Operator norm of the discretized resolvent by power iteration.
 
     Iterates R R^H on the symmetrically weighted Nystrom operator
-    sw_i R(x_i, x_j) sw_j, sw = sqrt(w), applying R in O(n) by the
-    _apply scan on generators prepared once (R is complex symmetric, so
-    R^H u is the conjugate of R applied to the conjugate of u).  Nothing
-    is divided by a weight, so zero weights are allowed.  Raises
-    ConvergenceError if the estimate has not settled to 1e-8 relative
-    within 200 steps.  The start vector is fixed, so repeated calls
-    return the same bits.
+    sw_i R(x_i, x_j) sw_j, sw = sqrt(w), applying it in O(n) by the
+    _apply scan on generators prepared once with sw folded into a and d
+    (R is complex symmetric, so R^H u is the conjugate of R applied to
+    the conjugate of u).  The iteration holds two work vectors and each
+    product scans in its input, so the call needs ~64 bytes per node
+    besides the grid.  Nothing is divided by a weight, so zero weights
+    are allowed.  Raises ConvergenceError if the estimate has not
+    settled to 1e-8 relative within 200 steps.  The start vector is
+    fixed, so repeated calls return the same bits.
     """
-    gen = _sides(z, grid.nodes)
-    sw = np.sqrt(grid.weights)
-
-    def m_apply(v):
-        u = _apply(gen, sw * v)
-        u *= sw
-        return u
-
+    gen = _weigh(_sides(z, grid.nodes), grid.weights)
+    n = grid.size
+    v = np.empty(n, dtype=complex)
+    u = np.empty(n, dtype=complex)
+    # the draws of default_rng(0).standard_normal(n) + 1j * (the next n),
+    # made in u's memory
     rng = np.random.default_rng(0)
-    v = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
-    v /= np.linalg.norm(v)
+    draws = u.view(float)
+    rng.standard_normal(out=draws[:n])
+    rng.standard_normal(out=draws[n:])
+    v.real = draws[:n]
+    v.imag = draws[n:]
+    v *= 1.0 / np.linalg.norm(v)
     val = 0.0
     for _ in range(200):
-        u = m_apply(v)
-        w = m_apply(np.conj(u, out=u))
-        np.conj(w, out=w)
-        nval = np.linalg.norm(w)
-        w /= nval
-        v = w
+        np.conj(_apply(gen, v, u), out=u)
+        np.conj(_apply(gen, u, v), out=v)
+        nval = np.linalg.norm(v)
+        v *= 1.0 / nval
         if abs(nval - val) <= 1e-8 * nval:
             return math.sqrt(nval)
         val = nval

@@ -8,11 +8,15 @@ Gauss-Legendre grid covering the support of V, computes Hilbert-Schmidt
 norms, the singular/regular decomposition K = L + M, locates eigenvalues
 through the determinant of I + eps*K_z, and measures weak-coupling rates.
 The package has no kernel matrix (the dense one is a test reference):
-each path reads the kernel's generators from bounds._sides, built once
-per z.  The norms come from O(n) decaying scans, the spectral radius
-from the package's matrix-free Arnoldi (krylov._dominant_eigenvalue) on
-bounds._apply, and the determinant from an O(n) 2x2 transfer-matrix
-recursion (a discrete Jost function).  Nothing here loads SciPy.
+the norms and the spectral radius read the kernel's generators from
+bounds._sides, built once per z in its divide-free format (per
+half-line the block decay d and a = g / d; g = a d and e = e0 d are
+formed where needed), and the determinant reads the kernel's diagonal
+(bounds._diagonal).  The norms come from O(n) decaying scans, the
+spectral radius from the package's matrix-free Arnoldi
+(krylov._dominant_eigenvalue) on bounds._apply, and the determinant
+from an O(n) 2x2 transfer-matrix recursion (a discrete Jost function).
+Nothing here loads SciPy.
 """
 
 from __future__ import annotations
@@ -160,7 +164,9 @@ def k_matvec(z: complex, pot: PotentialSpec, grid: QuadratureGrid
         if vec.shape != left.shape:
             raise ConfigError(f"vector has shape {vec.shape}, not the "
                               f"grid's {left.shape}")
-        return left * bounds._apply(gen, right * vec)
+        u = bounds._apply(gen, right * vec, np.empty(vec.size, dtype=complex))
+        u *= left
+        return u
 
     return apply
 
@@ -175,23 +181,29 @@ def _hs_sq(gen, left: np.ndarray, right: np.ndarray) -> float:
     |K_ij|^2 = a_i b_j |h|^2(t_<) e^{-2 Re k |t_i - t_j|} with
     a = |left|^2 and b = |right|^2, and the sum over one half-line is one
     real bounds._min_scan at the rate 2 Re k, on the squared moduli of
-    the generators' block decay d and carries p, q.  The block across the
-    origin is the rank one c e_i e_j.  A node at 0 sits on the positive
-    side with t = 0, which both kernels agree with.
+    the generators' block decay d and carries p, q, with |h|^2 / |d|^2
+    in place of a; g = a d and e = e0 d come from the generators.  The
+    block across the origin is the rank one c e_i e_j.  A node at 0 sits
+    on the positive side with t = 0, which both kernels agree with.
     """
     c, sides = gen
     a = np.abs(left) ** 2
     b = np.abs(right) ** 2
     total = 0.0
     tails = []  # (sum a |e|^2, sum b |e|^2) per side
-    for side, _, e, g, d, blocks in sides:
-        h = g + c * e * e
+    for side, _, amp, d, blocks in sides:
+        e = np.empty_like(d)  # e^{-kt} = e0 d on each block
+        for start, stop, *_, e0 in blocks:
+            np.multiply(d[start:stop], e0, out=e[start:stop])
         decay = np.abs(e) ** 2
-        tails.append((np.dot(a[side], decay), np.dot(b[side], decay)))
-        sq_blocks = [(start, stop, abs(p) ** 2, abs(q) ** 2)
-                     for start, stop, p, q in blocks]
-        total += np.dot(a[side], bounds._min_scan(
-            np.abs(d) ** 2, sq_blocks, np.abs(h) ** 2, b[side], None))
+        tails.append((a[side] @ decay, b[side] @ decay))
+        sq = np.abs(d) ** 2
+        sq_blocks = [(start, stop, abs(p) ** 2, abs(q) ** 2, 0.0)
+                     for start, stop, p, q, _ in blocks]
+        h = amp * d + c * e * e
+        total += a[side] @ bounds._min_scan(
+            sq, sq_blocks, np.abs(h) ** 2 / sq, b[side], np.empty(sq.size),
+            0.0)
     (ap, bp), (am, bm) = tails
     total += (ap * bm + am * bp) * abs(c) ** 2
     return float(total)
@@ -240,7 +252,8 @@ def decomposition_diagnostics(z: complex, pot: PotentialSpec) -> dict:
     gen = bounds._sides(z, grid.nodes)
     k_sq = _hs_sq(gen, left, right)
     l_hs = float(np.linalg.norm(col) * np.linalg.norm(row))
-    kl = np.vdot(col, left * bounds._apply(gen, right * np.conj(row)))
+    c = right * np.conj(row)
+    kl = np.vdot(col, left * bounds._apply(gen, c, np.empty_like(c)))
     return {
         "k_hs": math.sqrt(k_sq),
         "l_hs": l_hs,
@@ -312,9 +325,9 @@ def _normalized_det(eps: float, pot: PotentialSpec, grid: QuadratureGrid):
     pivots 1 + d (c - tau) telescope into M and are never divided by,
     so a vanishing leading minor costs no accuracy; (N, M) is rescaled
     to |N| + |M| = 1 at every step, so nothing overflows.  Both inputs
-    come from the generators of bounds._sides: c_k = g + e^2 / (k_plus
-    + k_minus), and psi_+ = R(x, x) / psi_- with psi_- = e on x < 0.
-    O(n) time and memory per z; no kernel matrix is formed.
+    come from the kernel's diagonal (bounds._diagonal): c_k = g + e^2 /
+    (k_plus + k_minus), and psi_+ = R(x, x) / psi_- with psi_- = e on
+    x < 0.  O(n) time and memory per z; no kernel matrix is formed.
     """
     left, right = _weights(pot, grid)
     d = (eps * left * right).tolist()
@@ -322,13 +335,10 @@ def _normalized_det(eps: float, pot: PotentialSpec, grid: QuadratureGrid):
     # steps of x split at 0, for the exponents of psi_+ on either side
     step_plus = np.diff(np.maximum(x, 0.0))
     step_minus = np.diff(np.minimum(x, 0.0))
+    neg = bounds._half_lines(x)[1]
 
     def det_at(z: complex):
-        c, sides = bounds._sides(z, x)
-        diag = np.empty(x.size, dtype=complex)
-        for side, _, e, g, *_ in sides:
-            diag[side] = g + c * e * e
-        (_, kp, *_), (neg, km, *_) = sides
+        c, (kp, km), diag = bounds._diagonal(z, x)
         # psi_+ e^{k x}, k per side: 1 on x >= 0; on x < 0, where
         # psi_- = e^{k_minus x}, it is psi_- psi_+ = R(x, x) / c
         amp = np.ones(x.size, dtype=complex)

@@ -187,13 +187,17 @@ def _sigma_min_banded(op: FDOperator, z: complex) -> float:
     a handful of steps, but only 1.009 to 1.13 left of it or above it
     (2 + 3i, -3 + 0.1i, -0.5, -1 + 0.5i); on a grid with h * kappa >= 2
     (see _resolved_n) they cluster to ~1e-6 relative, and the
-    Krylov-Schur restarts carry the iteration.  The Lanczos start vector
+    Krylov-Schur restarts carry the iteration.  op is dropped once
+    factored: a caller that passes its only reference frees it.  The
+    Lanczos start vector
     is fixed (krylov's), so repeated calls return the same bits.  Raises
     ConvergenceError if Lanczos does not converge within
     krylov._RESTARTS restarts and SingularError if A - z is singular.
     """
+    size = op.size
     solve = _tridiag_lu(op, z)
-    mu = _dominant_eigenvalue(lambda v: solve(solve(v, "N"), "C"), op.size,
+    del op  # the factors are all the solves need
+    mu = _dominant_eigenvalue(lambda v: solve(solve(v, "N"), "C"), size,
                               True, _SIGMA_TOL)
     if not mu > 0.0:
         raise SingularError(f"inverse normal operator degenerate at z={z}")
@@ -241,11 +245,14 @@ def resolvent_norm_fd(z: complex, n: int | None = None) -> OracleResult:
     step (see _sigma_min_banded), at every n.  The computation is repeated
     at half the step size; the fine value is reported, with the
     Richardson extrapolation residual |v_fine - v_coarse| / 3 of the
-    second-order scheme as its error, and the fine n.  Both grids are
-    built first; from pair._MIN_NODES nodes on the two together the
-    fine grid's Lanczos runs on a thread of its own beside the coarse one
-    (pair._both), with the same bits, and where both fail the coarse
-    grid's error is raised, as in the serial order.
+    second-order scheme as its error, and the fine n.  The fine grid is
+    built first; from pair._MIN_NODES nodes on the two together its
+    Lanczos runs on a thread of its own while the calling thread builds
+    and runs the coarse grid (pair._both), with the same bits, and where
+    both fail the coarse grid's error is raised, as in the serial order.
+    Each grid's operator is dropped once factored (_sigma_min_banded),
+    so the two grids hold their factors and Krylov bases but not two
+    operators.
 
     The grid must resolve the oscillation e^{i sqrt(Re z) x} of the
     pseudomodes.  With h = 2L/(n + 1) and kappa = max(|k+|, |k-|, 1),
@@ -274,11 +281,15 @@ def resolvent_norm_fd(z: complex, n: int | None = None) -> OracleResult:
     half_length = decay_half_length(z)
     n = _resolved_n(z, half_length, n)
     n_fine = 2 * n + 1  # halves h while keeping 0 on the grid for odd n
-    ops = build_fd(n, half_length), build_fd(n_fine, half_length)
     # loaded here, so that the two grids' threads never race its import
     import scipy.linalg.lapack  # noqa: F401
-    sigma = _both(n + n_fine, lambda: _sigma_min_banded(ops[0], z),
-                  lambda: _sigma_min_banded(ops[1], z))
+    # public functions run on the calling thread (see pair), so the fine
+    # grid is built here; its job takes the only reference, and each
+    # job drops its operator once factored
+    fine = [build_fd(n_fine, half_length)]
+    sigma = _both(n + n_fine,
+                  lambda: _sigma_min_banded(build_fd(n, half_length), z),
+                  lambda: _sigma_min_banded(fine.pop(), z))
     coarse, fine = (1.0 / s for s in sigma)
     return OracleResult(value=fine, error=abs(fine - coarse) / 3.0, n=n_fine)
 
@@ -303,6 +314,8 @@ def eigenvalue_near(target: complex, n: int, half_length: float,
     """
     _finite(target)
     op = build_fd(n, half_length, potential, center_jump, cell_average)
-    mu = _dominant_eigenvalue(_tridiag_lu(op, target), op.size, False,
-                              _EIG_TOL)
+    size = op.size
+    solve = _tridiag_lu(op, target)
+    del op  # the factors are all the solves need
+    mu = _dominant_eigenvalue(solve, size, False, _EIG_TOL)
     return np.array([target + 1.0 / mu])

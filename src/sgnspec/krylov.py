@@ -100,7 +100,8 @@ def _dominant_eigenvalue(matvec: Callable[[np.ndarray], np.ndarray],
                     if rel * rate ** (early - 1 - j) > _EARLY_MARGIN * tol:
                         early = j + 1
                     last = rel
-            np.divide(w, beta, out=basis[j + 1])
+            # a multiply, not a complex division, for the same bits
+            np.multiply(w, 1.0 / beta, out=basis[j + 1])
         # the basis is full: keep the leading Ritz vectors of the last
         # test and their Krylov decomposition A U = U schur + v coupling
         lead = np.argsort(-np.abs(vals), kind="stable")[:_KEEP]

@@ -22,10 +22,11 @@ _GL_ORDER = 10
 _POINTS_PER_WAVELENGTH = 20.0
 
 # most nodes gauss_legendre_grid builds (a multiple of 2 * _GL_ORDER).
-# At 1e6 nodes quadrature_operator_norm peaks at ~190 MB and
-# bs.spectral_radius, with its 21-vector Krylov basis, at ~520 MB
-# (ru_maxrss, 2-core x86, one BLAS thread); default_strip_grid needs
-# ~0.59e6 at 1767 + 0.3i
+# At 1e6 nodes quadrature_operator_norm peaks at ~125 MB (998,480 nodes
+# at 2980 + 0.3i) and bs.spectral_radius, with its 21-vector Krylov
+# basis, at ~490 MB (992,820 nodes at 3.8e8 + 0.5i), grid and imports
+# included (ru_maxrss, 2-core x86, one BLAS thread); default_strip_grid
+# needs ~0.59e6 at 1767 + 0.3i
 MAX_GL_NODES = 1_000_000
 
 

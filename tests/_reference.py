@@ -155,7 +155,8 @@ def dirichlet_quadrature_norm(z, grid):
     if spectrum_distance(z) <= DEFAULT_TOL_SPEC:
         raise SpectrumError(f"z={z} lies on the spectrum")
     gen = dirichlet_sides(z, grid)
-    return power_norm(lambda c: _apply(gen, c), grid.weights, 5000, 1e-13)
+    return power_norm(lambda c: _apply(gen, c, np.empty_like(c)),
+                      grid.weights, 5000, 1e-13)
 
 
 def dirichlet_bs_hs_norm(z, pot, grid=None):

@@ -2,6 +2,7 @@
 smoothed pseudomode ratio."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from _reference import (_image_core, dirichlet_quadrature_norm,
                         dirichlet_sides, kernel_matrix, power_norm,
                         pseudomode_ratio, pseudomode_samples)
 from sgnspec import closed
-from sgnspec.bounds import (_EXP_BUDGET, _apply, _sides, apply_resolvent,
-                            default_strip_grid, numrange_bound,
+from sgnspec.bounds import (_EXP_BUDGET, _apply, _image_factor, _sides,
+                            _weigh, apply_resolvent, default_strip_grid,
+                            numrange_bound,
                             pseudomode_lower_bound, quadrature_operator_norm,
                             regularized_pseudomode_ratio, schur_upper_bound)
 from sgnspec.closed import half_strip_distance, wave_numbers
@@ -43,7 +45,8 @@ GRIDS = {
 
 
 def _dirichlet_apply(z, grid, f):
-    return _apply(dirichlet_sides(z, grid), grid.weights * f)
+    c = grid.weights * f
+    return _apply(dirichlet_sides(z, grid), c, np.empty_like(c))
 
 
 def _dirichlet_matrix(z, x, y):
@@ -226,11 +229,13 @@ class TestImageFactor:
     @pytest.mark.parametrize("z, sign", [(1j, 1.0), (-1j, -1.0)])
     def test_limit_at_ray_endpoint(self, z, sign):
         # k = 0 on the endpoint's side, where (1 - e^{-2kt}) / (2k) -> t
+        # the sides keep a = g / d, and d = 1 at k = 0
         x = np.sort(sign * np.array([0.0, 1e-300, 1e-9, 0.4, 3.0, 250.0]))
         _, sides = _sides(z, x)
-        side, k, _, g, *_ = sides[0 if sign > 0 else 1]
+        side, k, a, d, _ = sides[0 if sign > 0 else 1]
         assert k == 0.0
-        assert np.array_equal(g, np.abs(x[side]))
+        assert np.all(d == 1.0)
+        assert np.array_equal(a, np.abs(x[side]))
 
     @pytest.mark.parametrize("z", [1j - 1e-6, -1j - 1e-8, 1j - 1e-3j,
                                    5 + 0.5j, 100 - 0.3j, 0.2 + 0.9j])
@@ -241,9 +246,9 @@ class TestImageFactor:
         s = np.geomspace(1e-12, 10.0, 400)
         x = np.concatenate([-(s / (2.0 * abs(kk.k_minus)))[::-1],
                             s / (2.0 * abs(kk.k_plus))])
-        _, sides = _sides(z, x)
-        for side, k, _, g, *_ in sides:
-            ref = _image_core(k, 2.0 * np.abs(x[side]))
+        for k, t in [(kk.k_plus, x[x >= 0.0]), (kk.k_minus, -x[x < 0.0])]:
+            ref = _image_core(k, 2.0 * t)
+            g = _image_factor(k, t)
             assert np.all(np.abs(g - ref) <= 4 * 2.0**-52 * np.abs(ref))
 
 
@@ -282,6 +287,51 @@ class TestOperatorNorm:
         assert norm(z, g) == pytest.approx(float(np.linalg.norm(mat, 2)),
                                            rel=1e-8)
 
+    def test_zero_weights_at_block_boundaries(self):
+        # the weighted generators carry sqrt(w) in a and d only; the
+        # carries between blocks must not divide by it
+        g = _multi_block_grid()
+        gen = _sides(MULTI_BLOCK_Z, g.nodes)
+        w = g.weights.copy()
+        for side, *_, blocks in gen[1]:
+            at = np.arange(g.size)[side]
+            for start, *_ in blocks[1:]:
+                w[at[start - 1:start + 1]] = 0.0
+        assert np.count_nonzero(w == 0.0) >= 4  # a boundary on each side
+        _weigh(gen, w)
+        sw = np.sqrt(w)
+        rng = np.random.default_rng(3)
+        v = rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)
+        dense = sw * (kernel_matrix(MULTI_BLOCK_Z, g.nodes, g.nodes)
+                      @ (sw * v))
+        u = _apply(gen, v.copy(), np.empty_like(v))
+        assert np.max(np.abs(u - dense)) < 1e-12 * np.max(np.abs(dense))
+        assert np.all(u[w == 0.0] == 0.0)
+
+    def test_leaves_the_grid_and_repeats_its_bits(self):
+        # the weights are folded into the generators, not into the grid
+        z = 30 + 0.3j
+        g = default_strip_grid(z)
+        nodes, weights = g.nodes.tobytes(), g.weights.tobytes()
+        first = quadrature_operator_norm(z, g)
+        assert g.nodes.tobytes() == nodes
+        assert g.weights.tobytes() == weights
+        assert quadrature_operator_norm(z, g).hex() == first.hex()
+
+    def test_memory_per_node(self):
+        # the generators a, d and the two work vectors are 64 bytes per
+        # node; the grid is built beforehand
+        z = 321.2 + 0.3j
+        g = default_strip_grid(z)
+        assert g.size == 107_640
+        tracemalloc.start()
+        try:
+            quadrature_operator_norm(z, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 96 * g.size
+
     def test_multi_block_matches_dense_power_iteration(self):
         # the top singular values cluster this far left (their relative
         # gaps are ~1e-5), so the iteration is stopped at 1e-5 and the
@@ -290,8 +340,9 @@ class TestOperatorNorm:
         mat = kernel_matrix(MULTI_BLOCK_Z, g.nodes, g.nodes)
         dense = power_norm(lambda c: mat @ c, g.weights, 200, 1e-5)
         gen = _sides(MULTI_BLOCK_Z, g.nodes)
-        assert power_norm(lambda c: _apply(gen, c), g.weights, 200,
-                          1e-5) == pytest.approx(dense, rel=1e-12)
+        assert power_norm(lambda c: _apply(gen, c, np.empty_like(c)),
+                          g.weights, 200, 1e-5) == pytest.approx(dense,
+                                                                 rel=1e-12)
 
     @pytest.mark.parametrize("z", _NON_FINITE_Z)
     def test_non_finite_z_raises(self, z):

@@ -165,7 +165,8 @@ potentials = st.one_of(
 
 
 def _dirichlet_apply(z, grid, f):
-    return _apply(dirichlet_sides(z, grid), grid.weights * f)
+    c = grid.weights * f
+    return _apply(dirichlet_sides(z, grid), c, np.empty_like(c))
 
 
 _APPLIES = [(apply_resolvent, True), (_dirichlet_apply, False)]

@@ -13,7 +13,14 @@ the quartiles over runs and the number of runs, plus the relative change
 of the medians.  Given in run order with equally many runs per side, the
 i-th parent and the i-th change run form a pair, and ``change_lower``
 counts the pairs in which the change's value is the lower one.
-Standard library only.
+
+Each row also gets a ``verdict``, printed one row a line: ``gain`` when
+the change is better in at least 9 of 10 pairs and its median beats the
+parent's by more than the parent's interquartile range; ``regression``
+when its median is worse than the parent's by more than the metric's
+relative ``bound`` in BENCHMARK.json (end-to-end metrics only);
+otherwise ``neutral``.  Which way is better comes from BENCHMARK.json,
+and is lower for metrics it does not list.  Standard library only.
 """
 
 from __future__ import annotations
@@ -23,6 +30,9 @@ import json
 import statistics
 import sys
 from pathlib import Path
+
+# a gain needs the change better in at least this share of the pairs
+GAIN_PAIRS = 0.9
 
 
 def _load(paths: list[str]) -> dict[str, list[dict]]:
@@ -43,8 +53,31 @@ def _spread(values: list[float]) -> dict:
             "n": len(values)}
 
 
-def fold(parent: dict[str, list[dict]], change: dict[str, list[dict]]
-         ) -> dict:
+def _rules(benchmark: dict) -> dict[str, tuple[str, float | None]]:
+    """metric -> (which way is better, relative bound or None)."""
+    rules = {m["name"]: (m["better"], None)
+             for m in benchmark.get("per_layer", [])}
+    rules.update((m["name"], (m["better"], m["bound"]))
+                 for m in benchmark.get("end_to_end", []))
+    return rules
+
+
+def _verdict(p: list[float], c: list[float], row: dict, better: str,
+             bound: float | None) -> str:
+    sign = 1.0 if better == "lower" else -1.0
+    pm, cm = row["parent"]["median"], row["change"]["median"]
+    if bound is not None and sign * (cm - pm) > bound * abs(pm):
+        return "regression"
+    iqr = row["parent"]["q3"] - row["parent"]["q1"]
+    wins = sum(sign * (b - a) < 0 for a, b in zip(p, c))
+    if (len(p) == len(c) and wins >= GAIN_PAIRS * len(p)
+            and sign * (pm - cm) > iqr):
+        return "gain"
+    return "neutral"
+
+
+def fold(parent: dict[str, list[dict]], change: dict[str, list[dict]],
+         rules: dict[str, tuple[str, float | None]]) -> dict:
     out = {}
     for key in sorted(set(parent) & set(change)):
         prs, chs = parent[key], change[key]
@@ -63,6 +96,8 @@ def fold(parent: dict[str, list[dict]], change: dict[str, list[dict]]
             if len(p) == len(c):
                 row["change_lower"] = (
                     f"{sum(b < a for a, b in zip(p, c))}/{len(p)}")
+            row["verdict"] = _verdict(p, c, row,
+                                      *rules.get(name, ("lower", None)))
             metrics[name] = row
         out[key] = {"seeds": sorted({r["seed"] for r in prs + chs}),
                     "env": prs[0]["env"], "metrics": metrics}
@@ -76,6 +111,10 @@ def main(argv=None) -> int:
     ap.add_argument("--change", nargs="+", required=True,
                     help="result files of the change, in run order")
     ap.add_argument("--out", required=True, help="summary JSON to write")
+    root = Path(__file__).resolve().parents[1]
+    ap.add_argument("--benchmark", default=str(root / "BENCHMARK.json"),
+                    help="benchmark declaration with each metric's "
+                         "direction and bound (default: the checkout's)")
     args = ap.parse_args(argv)
     parent, change = _load(args.parent), _load(args.change)
     unmatched = sorted(set(parent) ^ set(change))
@@ -83,8 +122,15 @@ def main(argv=None) -> int:
         print(f"no runs on the other side for: {', '.join(unmatched)}",
               file=sys.stderr)
         return 2
+    rules = _rules(json.loads(Path(args.benchmark).read_text()))
+    summary = fold(parent, change, rules)
     Path(args.out).write_text(
-        json.dumps(fold(parent, change), indent=1, sort_keys=True) + "\n")
+        json.dumps(summary, indent=1, sort_keys=True) + "\n")
+    for key, group in summary.items():
+        for name, row in group["metrics"].items():
+            pm, cm = row["parent"]["median"], row["change"]["median"]
+            print(f"{key} {name} {pm:.6g} -> {cm:.6g} "
+                  f"{row.get('change_lower', '-')} lower: {row['verdict']}")
     return 0
 
 
