@@ -16,19 +16,21 @@ divide-free format: per half-line the block-relative decay d of the
 scan blocks (_blocks), the image factor as a = g / d, and per block
 the scalar carries and e0 with e = e0 d, from one complex exp and one
 expm1 pass per half-line.  That is two complex n-vectors, 32 bytes per
-node.  The apply here and the Birman-Schwinger HS norm in bs read them,
-forming g = a d and e from d where they need them, so no other O(n)
-path builds its own, and the scans (_min_scan) only multiply and sum,
-in place.  Scaling a and d by real weights scales the kernel on both
-sides, which is how quadrature_operator_norm, the one power iteration
-of the package, folds in the square roots of the quadrature weights.
-The sides do not depend on the coupling, so the same sides with the
-coupling 0 generate the Dirichlet-decoupled kernel, whose Nystrom
-checks are test references.  The two half-lines are independent jobs:
-on grids of at least pair._MIN_NODES nodes _sides builds them, and
-_apply scans them, side by side on two threads (pair._both), with the
-same bits as one after the other.  The kernel's diagonal, which the
-Birman-Schwinger determinant needs pointwise, is _diagonal.
+node.  This module is the format's one reader: the apply (_apply) and
+the Birman-Schwinger HS sum (_hs_sq, which bs.hs_norm calls) form
+g = a d and e from d where they need them, no other module unpacks the
+sides or their blocks, and the scans (_min_scan) only multiply and
+sum, in place.  Scaling a and d by real weights scales the kernel on
+both sides, which is how quadrature_operator_norm, the one power
+iteration of the package, folds in the square roots of the quadrature
+weights.  The sides do not depend on the coupling, so the same sides
+with the coupling 0 generate the Dirichlet-decoupled kernel, whose
+Nystrom checks are test references.  The two half-lines are
+independent jobs: on grids of at least pair._MIN_NODES nodes _sides
+builds them, and _apply scans them, side by side on two threads
+(pair._both), with the same bits as one after the other.  The kernel's
+diagonal, which the Birman-Schwinger determinant needs pointwise, is
+_diagonal.
 """
 
 from __future__ import annotations
@@ -252,6 +254,44 @@ def _apply(gen, c: np.ndarray, out: np.ndarray) -> np.ndarray:
     plus, minus = sides
     _both(c.size, lambda: scan(*plus), lambda: scan(*minus))
     return out
+
+
+def _hs_sq(gen, left: np.ndarray, right: np.ndarray) -> float:
+    """Squared HS norm of the Nystrom matrix left_i R(x_i, x_j) right_j,
+    in O(n) time and memory, for the kernel generators gen of _sides on
+    the grid's nodes (bs.hs_norm takes left and right from its weights).
+
+    On one half-line, with t = |x|, the kernel is e^{-k(t_> - t_<)} h(t_<)
+    with h = g + c e^2, c the coupling (0 for the Dirichlet kernel).  So
+    |K_ij|^2 = a_i b_j |h|^2(t_<) e^{-2 Re k |t_i - t_j|} with
+    a = |left|^2 and b = |right|^2, and the sum over one half-line is one
+    real _min_scan at the rate 2 Re k, on the squared moduli of
+    the generators' block decay d and carries p, q, with |h|^2 / |d|^2
+    in place of a; g = a d and e = e0 d come from the generators.  The
+    block across the origin is the rank one c e_i e_j.  A node at 0 sits
+    on the positive side with t = 0, which both kernels agree with.
+    """
+    c, sides = gen
+    a = np.abs(left) ** 2
+    b = np.abs(right) ** 2
+    total = 0.0
+    tails = []  # (sum a |e|^2, sum b |e|^2) per side
+    for side, _, amp, d, blocks in sides:
+        e = np.empty_like(d)  # e^{-kt} = e0 d on each block
+        for start, stop, *_, e0 in blocks:
+            np.multiply(d[start:stop], e0, out=e[start:stop])
+        decay = np.abs(e) ** 2
+        tails.append((a[side] @ decay, b[side] @ decay))
+        sq = np.abs(d) ** 2
+        sq_blocks = [(start, stop, abs(p) ** 2, abs(q) ** 2, 0.0)
+                     for start, stop, p, q, _ in blocks]
+        h = amp * d + c * e * e
+        total += a[side] @ _min_scan(
+            sq, sq_blocks, np.abs(h) ** 2 / sq, b[side], np.empty(sq.size),
+            0.0)
+    (ap, bp), (am, bm) = tails
+    total += (ap * bm + am * bp) * abs(c) ** 2
+    return float(total)
 
 
 def _weigh(gen, weights: np.ndarray):

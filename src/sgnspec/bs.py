@@ -8,14 +8,15 @@ Gauss-Legendre grid covering the support of V, computes Hilbert-Schmidt
 norms, the singular/regular decomposition K = L + M, locates eigenvalues
 through the determinant of I + eps*K_z, and measures weak-coupling rates.
 The package has no kernel matrix (the dense one is a test reference):
-the norms and the spectral radius read the kernel's generators from
-bounds._sides, built once per z in its divide-free format (per
-half-line the block decay d and a = g / d; g = a d and e = e0 d are
-formed where needed), and the determinant reads the kernel's diagonal
+the norms and the spectral radius run on the kernel's generators of
+bounds._sides, built once per z, which this module passes to bounds
+and never unpacks: the HS norm is bounds._hs_sq, the products are
+bounds._apply.  The determinant reads the kernel's diagonal
 (bounds._diagonal).  The norms come from O(n) decaying scans, the
 spectral radius from the package's matrix-free Arnoldi
 (krylov._dominant_eigenvalue) on bounds._apply, and the determinant
 from an O(n) 2x2 transfer-matrix recursion (a discrete Jost function).
+A coupling, an amplitude and a radius pass closed's setting gate.
 Nothing here loads SciPy.
 """
 
@@ -29,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import bounds
-from .closed import _check_off_spectrum, _finite
+from .closed import _check_off_spectrum, _finite, _positive, _setting
 from .errors import (ConfigError, ConvergenceError, DomainError,
                      EigenvalueLost, ZeroCouplingError)
 from .krylov import _dominant_eigenvalue
@@ -60,28 +61,11 @@ class PotentialSpec:
                           dtype=complex)
 
 
-def _check_amplitude(amplitude: float) -> None:
-    if not cmath.isfinite(amplitude):
-        raise ConfigError(f"amplitude must be finite, not {amplitude!r}")
-
-
-def _finite_eps(eps: float) -> float:
-    if not math.isfinite(eps):
-        raise ConfigError(f"coupling eps must be finite, not {eps!r}")
-    return eps
-
-
-def _check_radius(radius: float) -> None:
-    if not 0.0 < radius < math.inf:
-        raise ConfigError(
-            f"radius must be finite and positive, not {radius!r}")
-
-
 def gaussian(amplitude: float = -1.0, width: float = 1.0) -> PotentialSpec:
-    """V(x) = amplitude * exp(-(x/width)^2)."""
-    _check_amplitude(amplitude)
-    if not 0.0 < width < math.inf:
-        raise ConfigError(f"width must be finite and positive, not {width!r}")
+    """V(x) = amplitude * exp(-(x/width)^2).  Raises ConfigError unless
+    the (possibly complex) amplitude is finite and 0 < width < inf."""
+    _setting(amplitude, "amplitude")
+    _positive(width, "width")
 
     def v(x):
         return amplitude * np.exp(-((x / width) ** 2))
@@ -91,9 +75,10 @@ def gaussian(amplitude: float = -1.0, width: float = 1.0) -> PotentialSpec:
 
 
 def box(amplitude: float, radius: float) -> PotentialSpec:
-    """V(x) = amplitude on (-radius, radius), zero outside."""
-    _check_amplitude(amplitude)
-    _check_radius(radius)
+    """V(x) = amplitude on (-radius, radius), zero outside.  Raises
+    ConfigError unless the amplitude is finite and 0 < radius < inf."""
+    _setting(amplitude, "amplitude")
+    _positive(radius, "radius")
 
     def v(x):
         return amplitude * (np.abs(x) < radius)
@@ -107,13 +92,13 @@ def delta_bump(alpha: float, radius: float = 2.5e-4) -> PotentialSpec:
 
     The point interaction with coupling alpha binds through the
     matching condition u'(0+) - u'(0-) = alpha u(0); its potential
-    realization is the well of depth alpha/(2 radius).
+    realization is the well of depth alpha/(2 radius).  Raises
+    ZeroCouplingError for alpha = 0, and ConfigError unless alpha is
+    finite, 0 < radius < inf and the depth is finite.
     """
-    if alpha == 0.0:
+    if _setting(alpha, "delta coupling alpha") == 0.0:
         raise ZeroCouplingError("delta coupling must be nonzero")
-    if not cmath.isfinite(alpha):
-        raise ConfigError(f"delta coupling must be finite, not {alpha!r}")
-    _check_radius(radius)
+    _positive(radius, "radius")
     depth = -alpha / (2.0 * radius)
     if not cmath.isfinite(depth):
         raise ConfigError(f"well depth alpha/(2 radius) overflows at "
@@ -171,52 +156,14 @@ def k_matvec(z: complex, pot: PotentialSpec, grid: QuadratureGrid
     return apply
 
 
-def _hs_sq(gen, left: np.ndarray, right: np.ndarray) -> float:
-    """Squared HS norm of the Nystrom matrix, in O(n) time and memory,
-    for the kernel generators gen of bounds._sides on the grid's nodes
-    and the weights left, right = _weights(pot, grid).
-
-    On one half-line, with t = |x|, the kernel is e^{-k(t_> - t_<)} h(t_<)
-    with h = g + c e^2, c the coupling (0 for the Dirichlet kernel).  So
-    |K_ij|^2 = a_i b_j |h|^2(t_<) e^{-2 Re k |t_i - t_j|} with
-    a = |left|^2 and b = |right|^2, and the sum over one half-line is one
-    real bounds._min_scan at the rate 2 Re k, on the squared moduli of
-    the generators' block decay d and carries p, q, with |h|^2 / |d|^2
-    in place of a; g = a d and e = e0 d come from the generators.  The
-    block across the origin is the rank one c e_i e_j.  A node at 0 sits
-    on the positive side with t = 0, which both kernels agree with.
-    """
-    c, sides = gen
-    a = np.abs(left) ** 2
-    b = np.abs(right) ** 2
-    total = 0.0
-    tails = []  # (sum a |e|^2, sum b |e|^2) per side
-    for side, _, amp, d, blocks in sides:
-        e = np.empty_like(d)  # e^{-kt} = e0 d on each block
-        for start, stop, *_, e0 in blocks:
-            np.multiply(d[start:stop], e0, out=e[start:stop])
-        decay = np.abs(e) ** 2
-        tails.append((a[side] @ decay, b[side] @ decay))
-        sq = np.abs(d) ** 2
-        sq_blocks = [(start, stop, abs(p) ** 2, abs(q) ** 2, 0.0)
-                     for start, stop, p, q, _ in blocks]
-        h = amp * d + c * e * e
-        total += a[side] @ bounds._min_scan(
-            sq, sq_blocks, np.abs(h) ** 2 / sq, b[side], np.empty(sq.size),
-            0.0)
-    (ap, bp), (am, bm) = tails
-    total += (ap * bm + am * bp) * abs(c) ** 2
-    return float(total)
-
-
 def hs_norm(z: complex, pot: PotentialSpec, grid: QuadratureGrid) -> float:
     """Hilbert-Schmidt (Frobenius) norm of the Nystrom matrix of K_z.
 
     Summed in O(n) time and memory from the separable exponential form of
-    the kernel (see _hs_sq); no kernel matrix is formed.
+    the kernel (see bounds._hs_sq); no kernel matrix is formed.
     """
-    return math.sqrt(_hs_sq(bounds._sides(z, grid.nodes),
-                            *_weights(pot, grid)))
+    return math.sqrt(bounds._hs_sq(bounds._sides(z, grid.nodes),
+                                   *_weights(pot, grid)))
 
 
 def l_hs_closed(z: complex, pot: PotentialSpec) -> float:
@@ -250,7 +197,7 @@ def decomposition_diagnostics(z: complex, pot: PotentialSpec) -> dict:
     col = kappa * (left * phase)
     row = phase * right
     gen = bounds._sides(z, grid.nodes)
-    k_sq = _hs_sq(gen, left, right)
+    k_sq = bounds._hs_sq(gen, left, right)
     l_hs = float(np.linalg.norm(col) * np.linalg.norm(row))
     c = right * np.conj(row)
     kl = np.vdot(col, left * bounds._apply(gen, c, np.empty_like(c)))
@@ -268,6 +215,8 @@ def hs_growth_rates(pot: PotentialSpec, re_values: Sequence[float]) -> dict:
 
     Fits ||.||_HS ~ C (Re z)^p by least squares over the given real
     parts at Im z = 0.5; returns the three exponents and the raw samples.
+    Raises ConfigError for fewer than three real parts, and as
+    decomposition_diagnostics does (DomainError for a non-finite one).
     """
     res = np.asarray(sorted(re_values), dtype=float)
     if res.size < 3:
@@ -300,7 +249,7 @@ def spectral_radius(z: complex, eps: float, pot: PotentialSpec) -> float:
     and ConvergenceError if Arnoldi has not converged within
     krylov._RESTARTS restarts.
     """
-    _finite_eps(eps)
+    _setting(eps, "coupling eps")
     grid = potential_grid(z, pot)
     lam = _dominant_eigenvalue(k_matvec(z, pot, grid), grid.size, False,
                                _SPECRAD_TOL)
@@ -335,7 +284,7 @@ def _normalized_det(eps: float, pot: PotentialSpec, grid: QuadratureGrid):
     # steps of x split at 0, for the exponents of psi_+ on either side
     step_plus = np.diff(np.maximum(x, 0.0))
     step_minus = np.diff(np.minimum(x, 0.0))
-    neg = bounds._half_lines(x)[1]
+    neg = x < 0.0
 
     def det_at(z: complex):
         c, (kp, km), diag = bounds._diagonal(z, x)
@@ -380,8 +329,7 @@ def find_eigenvalue(eps: float, pot: PotentialSpec, z0: complex) -> complex:
     DomainError for a non-finite z0 and SpectrumError where z0 or an
     iterate lies on a spectral ray.
     """
-    _finite_eps(eps)
-    if eps == 0.0:
+    if _setting(eps, "coupling eps") == 0.0:
         raise ZeroCouplingError("coupling eps must be nonzero")
     grid = potential_grid(4.0 * abs(complex(z0).real) + 1.0, pot)
     det_at = _normalized_det(eps, pot, grid)
@@ -435,7 +383,7 @@ def search_eigenvalues(eps: float, pot: PotentialSpec,
     includes a secant iterate on a spectral ray (SpectrumError), or a
     ConfigError, where the seed's grid would pass quadrature.MAX_GL_NODES.
     Raises ConfigError for a non-finite eps."""
-    _finite_eps(eps)
+    _setting(eps, "coupling eps")
     roots: list[complex] = []
     failed: list[tuple[complex, str]] = []
     for z0 in seeds:
@@ -463,7 +411,8 @@ def weak_coupling_rate(pot: PotentialSpec,
     escapes to +infinity like eps^{-2}, so p is close to -2.  Raises
     ConfigError for a non-finite coupling.
     """
-    eps_values = sorted(map(_finite_eps, eps_values), reverse=True)
+    eps_values = sorted((_setting(eps, "coupling eps") for eps in eps_values),
+                        reverse=True)
     if len(eps_values) < 3:
         raise ConfigError("need at least three couplings for a rate fit")
     if pot.l1 == 0.0:

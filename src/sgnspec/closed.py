@@ -8,18 +8,25 @@ taken with the principal branch of the square root (cut on (-inf, 0],
 the cut itself mapping to the positive imaginary axis).  The essential
 spectrum consists of the two rays [0, inf) + i and [0, inf) - i.
 
-The module holds the one gate that admits a spectral parameter
-(_off_spectrum: DomainError unless z is finite, SpectrumError on a ray),
-which the bounds, the kernels, the grids, the norms and the FD oracle
-pass z through, the region partition of the plane, the Schur,
-pseudomode and numerical-range bounds on the resolvent norm together
-with norm_bounds, the one place that decides which of them holds at a
-point, the smoothed pseudomode's quality ratio, and the spectral data
-of the point interaction, the exceptional coupling curve, the step-like
-well and the Dirichlet decoupling, and the bitwise copy of
-numpy.linspace that the CLI sweeps and the field grids sample with.  It
-uses the standard library only, so the CLI commands that print these
-numbers start without loading NumPy.  Every name has this one
+The module holds the package's two gates.  Every spectral parameter
+passes _off_spectrum (DomainError unless z is finite, through _finite,
+SpectrumError on a ray), in the bounds, the kernels, the grids, the
+norms and the FD oracle; the other complex arguments and a kernel's
+points x, y pass _finite.  Every real setting of closed, kernel,
+quadrature, bs and fdop (a length, a half-width, a well depth, an
+amplitude or coupling, which may be complex, a node count) passes the
+setting gate: _setting (finite), _positive (finite and positive) or
+_count (an integer of at least k), each a ConfigError that names it.
+The smoothing scale and the curve parameter r keep their own checks,
+which raise DomainError.  Besides, the module holds the region partition
+of the plane, the Schur, pseudomode and numerical-range bounds on the
+resolvent norm together with norm_bounds, the one place that decides
+which of them holds at a point, the smoothed pseudomode's quality ratio,
+and the spectral data of the point interaction, the exceptional coupling
+curve, the step-like well and the Dirichlet decoupling, and the bitwise
+copy of numpy.linspace that the CLI sweeps and the field grids sample
+with.  It uses the standard library only, so the CLI commands that print
+these numbers start without loading NumPy.  Every name has this one
 implementation and, apart from 14 names that kernel, bounds, field and
 models re-export for their existing callers, this one import path.
 """
@@ -29,6 +36,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import operator
 from typing import NamedTuple
 
 from .errors import (ConfigError, DomainError, SgnSpecError, SpectrumError,
@@ -145,6 +153,35 @@ def _finite(z: complex) -> complex:
     if not cmath.isfinite(z):
         raise DomainError(f"argument {z} is not finite")
     return z
+
+
+def _setting(value, name: str):
+    """The one gate for a real setting, and for a complex amplitude or
+    coupling: value unchanged, ConfigError naming it unless finite."""
+    if not cmath.isfinite(value):
+        raise ConfigError(f"{name} must be finite, not {value!r}")
+    return value
+
+
+def _positive(value: float, name: str) -> float:
+    """value unchanged; ConfigError naming it unless 0 < value < inf."""
+    if not 0.0 < value < math.inf:
+        raise ConfigError(
+            f"{name} must be finite and positive, not {value!r}")
+    return value
+
+
+def _count(value: int, least: int, name: str) -> int:
+    """value as an int; ConfigError naming it unless it is an integer
+    (operator.index: not 3.0, not a NumPy float) of at least least."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ConfigError(
+            f"{name} must be an integer, not {value!r}") from None
+    if value < least:
+        raise ConfigError(f"{name} must be at least {least}, not {value}")
+    return value
 
 
 def _off_spectrum(z: complex) -> complex:
@@ -425,14 +462,14 @@ def step_implicit_residual(lam: complex, a: float, b: complex) -> complex:
     eigenvalues with |Im lam| < 1.  The principal square root continues
     the formula analytically through lam + b < 0, where sin/cos become
     sinh/cosh automatically.  Raises DomainError for a non-finite lam
-    and outside |Im lam| < 1, and ConfigError unless a > 0.
+    and outside |Im lam| < 1, and ConfigError unless 0 < a < inf and b
+    is finite.
     """
     lam = _finite(lam)
     if abs(lam.imag) >= 1.0:
         raise DomainError("the residual form is valid only for |Im lam| < 1")
-    if a <= 0.0:
-        raise ConfigError("half-width a must be positive")
-    s = cmath.sqrt(lam + b)
+    _positive(a, "half-width a")
+    s = cmath.sqrt(lam + _setting(b, "well depth b"))
     w = 2.0 * a * s
     if abs(w) < 1e-8:
         sinc = 2.0 * a * (1.0 - w * w / 6.0)
@@ -466,12 +503,13 @@ def find_step_eigenvalues(a: float, b: float,
     width _STEP_TOL or down to adjacent floats.  Raises DomainError where a
     bracket overflows or is too narrow to step inside its ends in float
     arithmetic (a tiny a, or a b or lam_max huge against (pi / (2a))^2),
-    and ConfigError where the brackets below lam_max, about
-    2a sqrt(lam_max + b) / pi of them, exceed MAX_STEP_BRACKETS.
+    and ConfigError unless 0 < a < inf and b is finite, and where the
+    brackets below lam_max, about 2a sqrt(lam_max + b) / pi of them,
+    exceed MAX_STEP_BRACKETS (a NaN or +inf lam_max too; at -inf there
+    are none).
     """
-    if a <= 0.0:
-        raise ConfigError("half-width a must be positive")
-    b = float(b)
+    _positive(a, "half-width a")
+    b = _setting(float(b), "well depth b")
     if lam_max <= -b:
         return []
     brackets = 2.0 * a * math.sqrt(lam_max + b) / math.pi

@@ -3,7 +3,9 @@
 A point on the essential spectrum lies outside the domain of every
 formula, so SpectrumError is a DomainError: one except clause catches a
 non-finite argument and a spectral one alike.  closed._off_spectrum is
-the one gate that raises either for a spectral parameter.
+the one gate that raises either for a spectral parameter; a real
+setting that is not finite, not positive or not a count raises
+ConfigError from closed's setting gate.
 """
 
 

@@ -22,13 +22,12 @@ module does not load SciPy; nothing here loads scipy.sparse.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .closed import _finite, _off_spectrum
+from .closed import _count, _finite, _off_spectrum, _positive, _setting
 from .errors import ConfigError, SingularError
 from .krylov import _dominant_eigenvalue
 from .pair import _both
@@ -85,23 +84,15 @@ class OracleResult:
 
 def step_potential(a: float, b: float) -> Callable[[np.ndarray], np.ndarray]:
     """Potential of the step model: the perturbation cancels the
-    imaginary sign on (-a, a) and replaces it by the real well -b."""
+    imaginary sign on (-a, a) and replaces it by the real well -b.
+    Raises ConfigError unless 0 < a < inf and b is finite."""
+    _positive(a, "half-width a")
+    _setting(b, "well depth b")
 
     def v(x: np.ndarray) -> np.ndarray:
         return np.where(np.abs(x) < a, -b + 0j, 1j * np.sign(x))
 
     return v
-
-
-def _node_count(n: int) -> int:
-    """n as an int; raises ConfigError unless it is an integer >= 3."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise ConfigError(f"n must be an integer, not {n!r}") from None
-    if n < 3:
-        raise ConfigError("need at least 3 interior nodes")
-    return n
 
 
 def build_fd(n: int, half_length: float,
@@ -122,12 +113,9 @@ def build_fd(n: int, half_length: float,
     Raises ConfigError unless n is an integer >= 3, half_length is
     finite and positive and center_jump is finite.
     """
-    n = _node_count(n)
-    if not 0.0 < half_length < math.inf:
-        raise ConfigError(
-            f"half_length must be finite and positive, not {half_length!r}")
-    if not np.isfinite(center_jump):
-        raise ConfigError(f"center_jump must be finite, not {center_jump!r}")
+    n = _count(n, 3, "n")
+    _positive(half_length, "half_length")
+    _setting(center_jump, "center_jump")
     if not callable(potential):
         raise ConfigError(f"potential must be callable, not {potential!r}")
     h = 2.0 * half_length / (n + 1)
@@ -222,7 +210,7 @@ def _resolved_n(z: complex, half_length: float, n: int | None) -> int:
     """
     kappa = math.sqrt(max(abs(z - 1j), abs(z + 1j), 1.0))
     if n is not None:
-        n = _node_count(n)  # as build_fd, before n + 1 can be 0
+        n = _count(n, 3, "n")  # as build_fd, before n + 1 can be 0
         if 2.0 * half_length / (n + 1) * kappa < 2.0:
             return n
     need = 2.0 * half_length * kappa / _H_KAPPA - 1.0

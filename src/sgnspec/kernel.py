@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .closed import _check_off_spectrum, principal_sqrt
+from .closed import _check_off_spectrum, _finite, principal_sqrt
 from .closed import (classify_region, ray_distances,  # re-exported
                      spectrum_distance)
 from .errors import DomainError
@@ -42,12 +42,14 @@ def _kernel(z: complex, x: float, y: float, coupled: bool) -> complex:
     the positive and v the negative one of x, y.  coupled=False drops
     them, which gives the Dirichlet-decoupled kernel: zero across the
     origin and on it.  The arithmetic is symmetric in x and y, so
-    swapping them returns the same bits.  Raises DomainError where the
-    value is not finite, which happens only for |x| or |y| near the
-    float range.
+    swapping them returns the same bits.  Raises DomainError for a
+    non-finite x or y (closed._finite) and where the value is not
+    finite, which happens only for |x| or |y| near the float range.
     """
     z = _check_off_spectrum(z)
     x, y = float(x), float(y)  # NumPy scalars would switch the arithmetic
+    _finite(x)
+    _finite(y)
     kp = principal_sqrt(1j - z)
     km = principal_sqrt(-1j - z)
     if coupled:
@@ -92,9 +94,9 @@ def resolvent_kernel(z: complex, x: float, y: float) -> complex:
     """Resolvent kernel R_z(x, y) of -d2/dx2 + i*sgn(x) at one point.
 
     Raises SpectrumError on the spectral rays (the endpoints +-i are
-    admitted with their finite limiting values), and DomainError where
-    |x| or |y| is so close to the float range that the value is not
-    finite.
+    admitted with their finite limiting values), and DomainError for a
+    non-finite x or y and where |x| or |y| is so close to the float
+    range that the value is not finite.
     """
     return _kernel(z, x, y, coupled=True)
 
@@ -104,5 +106,6 @@ def dirichlet_kernel(z: complex, x: float, y: float) -> complex:
 
     Zero whenever x and y lie on opposite sides of the origin (the two
     half-lines do not communicate) and on the boundary x = 0 or y = 0.
+    Raises as resolvent_kernel does.
     """
     return _kernel(z, x, y, coupled=False)

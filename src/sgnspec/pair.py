@@ -35,7 +35,14 @@ B = TypeVar("B")
 # Those calls still divided per node; the divide-free scan that
 # replaced it breaks even paired only near 131,080 nodes (2.60-2.70 ->
 # 2.63-2.67 ms, medians of 101 alternating calls at the same points).
-# _sides and the FD pair, called once per z, take the same threshold.
+# _sides and the FD pair, called once per z, take the same threshold,
+# and gain from it: _sides on default_strip_grid(316 + 0.1i), 82,360
+# nodes, takes 11.2-11.3 ms serial and 6.1-6.2 paired, and 62-79 ->
+# 33-42 ms at 1732 + 0.1i, 451,360 nodes (medians of alternating
+# calls, two runs).  In a strip_oracle pass the lower Nystrom op (~95k
+# nodes) loses ~2.4 ms on its applies and gains ~5 ms on its _sides,
+# the upper one gains ~47 ms and each FD oracle ~5 ms: 0.391 s serial,
+# 0.316 s paired.
 _MIN_NODES = 32_768
 
 

@@ -14,7 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .closed import _finite, _off_spectrum, wave_numbers
+from .closed import (_count, _finite, _off_spectrum, _positive,
+                     wave_numbers)
 from .errors import ConfigError
 
 # nodes per Gauss-Legendre panel, and nodes per oscillation wavelength
@@ -73,10 +74,9 @@ def gauss_legendre_grid(half_length: float,
     finite and positive, and, before any allocation, where the grid's
     2 * _GL_ORDER * ceil(L / panel_width) nodes exceed MAX_GL_NODES.
     """
-    if not (0.0 < half_length < math.inf and 0.0 < panel_width < math.inf):
-        raise ConfigError("half_length and panel_width must be finite and "
-                          f"positive, not {half_length!r}, {panel_width!r}")
-    panels = half_length / panel_width  # inf where the quotient overflows
+    # inf where the quotient overflows
+    panels = (_positive(half_length, "half_length")
+              / _positive(panel_width, "panel_width"))
     if not panels <= MAX_GL_NODES // (2 * _GL_ORDER):
         raise ConfigError(f"the grid needs {2 * _GL_ORDER * panels:.3g} "
                           f"nodes, more than MAX_GL_NODES = {MAX_GL_NODES}")
@@ -93,11 +93,15 @@ def gauss_legendre_grid(half_length: float,
 
 
 def trapezoid_grid(half_length: float, n: int) -> QuadratureGrid:
-    """Uniform trapezoid grid with n nodes including both endpoints."""
-    if half_length <= 0.0:
-        raise ConfigError("half_length must be positive")
-    if n < 3 or n % 2 == 0:
-        raise ConfigError("n must be odd and at least 3 (node at 0)")
+    """Uniform trapezoid grid with n nodes including both endpoints.
+
+    Raises ConfigError unless half_length is finite and positive and n
+    is an odd integer of at least 3 (so that 0 is a node).
+    """
+    _positive(half_length, "half_length")
+    n = _count(n, 3, "n")
+    if n % 2 == 0:
+        raise ConfigError("n must be odd so that 0 is a node")
     nodes = np.linspace(-half_length, half_length, n)
     h = nodes[1] - nodes[0]
     weights = np.full(n, h)

@@ -37,8 +37,8 @@ import math
 
 import numpy as np
 
-from sgnspec.bounds import _apply, _sides, apply_resolvent
-from sgnspec.bs import _hs_sq, _weights, k_matvec, potential_grid
+from sgnspec.bounds import _apply, _hs_sq, _sides, apply_resolvent
+from sgnspec.bs import _weights, k_matvec, potential_grid
 from sgnspec.closed import (DEFAULT_TOL_SPEC, _check_off_spectrum,
                             gamma_point, principal_sqrt, spectrum_distance,
                             wave_numbers)

@@ -2,7 +2,9 @@
 smoothed pseudomode ratio."""
 
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from _reference import (_image_core, dirichlet_quadrature_norm,
                         dirichlet_sides, kernel_matrix, power_norm,
                         pseudomode_ratio, pseudomode_samples)
+import sgnspec
 from sgnspec import closed
 from sgnspec.bounds import (_EXP_BUDGET, _apply, _image_factor, _sides,
                             _weigh, apply_resolvent, default_strip_grid,
@@ -433,3 +436,14 @@ class TestRegularizedPseudomode:
         # a ramp wider than the float range tends to its limit, not to 0
         assert regularized_pseudomode_ratio(1000.0, 1.7e308) == \
             pytest.approx(regularized_pseudomode_ratio(1000.0, 1e300))
+
+
+def test_only_bounds_reads_the_scan_format():
+    # the generator format has one owner: bs once called _min_scan on
+    # the sides' blocks, so a change of format had to edit bs too
+    for path in Path(sgnspec.__file__).parent.glob("*.py"):
+        if path.name == "bounds.py":
+            continue
+        text = path.read_text()
+        for name in ("_min_scan", "_blocks", "_half_lines"):
+            assert not re.search(rf"\b{name}\b", text), (path.name, name)

@@ -7,6 +7,14 @@ The spectral parameters pass one gate, closed._off_spectrum; the other
 complex arguments (a coupling, a step-model eigenvalue, an FD target, a
 panel width's z, the z of a region tag, which is SPECTRUM on a ray) pass
 its finite test, closed._finite.
+
+Every public real setting of closed, kernel, quadrature, bs and fdop
+refuses NaN and +-inf, and a count refuses 3.0 too, with its documented
+error: a ConfigError that names the parameter from the one gate for
+settings (closed._setting, _positive, _count), a DomainError for a
+kernel point x, y (closed._finite) and for the three settings that keep
+their own checks (the smoothing scale, the curve parameter r, and the
+real parts of a sweep, which become spectral parameters).
 """
 
 import math
@@ -18,16 +26,20 @@ from sgnspec.bounds import (apply_resolvent, default_strip_grid,
                             numrange_bound, pseudomode_lower_bound,
                             quadrature_operator_norm,
                             regularized_pseudomode_ratio, schur_upper_bound)
-from sgnspec.bs import (decomposition_diagnostics, find_eigenvalue, gaussian,
-                        hs_norm, l_hs_closed, potential_grid, spectral_radius)
+from sgnspec.bs import (box, decomposition_diagnostics, delta_bump,
+                        escape_scan, find_eigenvalue, gaussian,
+                        hs_growth_rates, hs_norm, l_hs_closed,
+                        potential_grid, search_eigenvalues, spectral_radius,
+                        weak_coupling_rate)
 from sgnspec.closed import (classify_region, delta_eigenvalue,
-                            dirichlet_resolvent_norm, norm_bounds,
-                            step_implicit_residual)
-from sgnspec.errors import DomainError, SpectrumError
-from sgnspec.fdop import eigenvalue_near, resolvent_norm_fd
+                            dirichlet_resolvent_norm, find_step_eigenvalues,
+                            gamma_point, norm_bounds, step_implicit_residual)
+from sgnspec.errors import ConfigError, DomainError, SpectrumError
+from sgnspec.fdop import (build_fd, eigenvalue_near, resolvent_norm_fd,
+                          step_potential)
 from sgnspec.kernel import dirichlet_kernel, resolvent_kernel
 from sgnspec.quadrature import (decay_half_length, gauss_legendre_grid,
-                                oscillation_panel_width)
+                                oscillation_panel_width, trapezoid_grid)
 
 _GRID = gauss_legendre_grid(10.0, 1.0)
 _POT = gaussian()
@@ -82,3 +94,116 @@ def test_raises_domain_error(call, z):
 
 def test_spectrum_error_is_a_domain_error():
     assert issubclass(SpectrumError, DomainError)
+
+
+# (module.function-parameter, call of one value, the error it raises, a
+# substring of its message (the parameter's name), whether it is a count)
+_SETTINGS = [
+    ("closed.regularized_pseudomode_ratio-smoothing_scale",
+     lambda v: regularized_pseudomode_ratio(5 + 0.5j, v), DomainError,
+     "smoothing scale", False),
+    ("closed.gamma_point-r", lambda v: gamma_point(v, (1, 1, 1)),
+     DomainError, None, False),
+    ("closed.step_implicit_residual-a",
+     lambda v: step_implicit_residual(0.5, v, 3.0), ConfigError,
+     "half-width a", False),
+    ("closed.step_implicit_residual-b",
+     lambda v: step_implicit_residual(0.5, 1.0, v), ConfigError,
+     "well depth b", False),
+    ("closed.find_step_eigenvalues-a",
+     lambda v: find_step_eigenvalues(v, 3.0, 10.0), ConfigError,
+     "half-width a", False),
+    ("closed.find_step_eigenvalues-b",
+     lambda v: find_step_eigenvalues(1.0, v, 10.0), ConfigError,
+     "well depth b", False),
+    ("kernel.resolvent_kernel-x", lambda v: resolvent_kernel(5 + 0.5j, v, 1.0),
+     DomainError, "not finite", False),
+    ("kernel.resolvent_kernel-y", lambda v: resolvent_kernel(5 + 0.5j, 1.0, v),
+     DomainError, "not finite", False),
+    ("kernel.dirichlet_kernel-x", lambda v: dirichlet_kernel(5 + 0.5j, v, 1.0),
+     DomainError, "not finite", False),
+    ("kernel.dirichlet_kernel-y", lambda v: dirichlet_kernel(5 + 0.5j, 1.0, v),
+     DomainError, "not finite", False),
+    ("quadrature.gauss_legendre_grid-half_length",
+     lambda v: gauss_legendre_grid(v, 1.0), ConfigError, "half_length",
+     False),
+    ("quadrature.gauss_legendre_grid-panel_width",
+     lambda v: gauss_legendre_grid(1.0, v), ConfigError, "panel_width",
+     False),
+    ("quadrature.trapezoid_grid-half_length",
+     lambda v: trapezoid_grid(v, 5), ConfigError, "half_length", False),
+    ("quadrature.trapezoid_grid-n", lambda v: trapezoid_grid(5.0, v),
+     ConfigError, "n must be an integer", True),
+    ("bs.gaussian-amplitude", lambda v: gaussian(v), ConfigError,
+     "amplitude", False),
+    ("bs.gaussian-width", lambda v: gaussian(-1.0, v), ConfigError, "width",
+     False),
+    ("bs.box-amplitude", lambda v: box(v, 0.5), ConfigError, "amplitude",
+     False),
+    ("bs.box-radius", lambda v: box(1.0, v), ConfigError, "radius", False),
+    ("bs.delta_bump-alpha", lambda v: delta_bump(v), ConfigError,
+     "coupling alpha", False),
+    ("bs.delta_bump-radius", lambda v: delta_bump(1.0, v), ConfigError,
+     "radius", False),
+    ("bs.spectral_radius-eps", lambda v: spectral_radius(10 + 0.5j, v, _POT),
+     ConfigError, "eps must be finite", False),
+    ("bs.find_eigenvalue-eps", lambda v: find_eigenvalue(v, _POT, -0.7),
+     ConfigError, "eps must be finite", False),
+    ("bs.search_eigenvalues-eps",
+     lambda v: search_eigenvalues(v, _POT, [-0.7]), ConfigError,
+     "eps must be finite", False),
+    ("bs.weak_coupling_rate-eps_values",
+     lambda v: weak_coupling_rate(_POT, (0.5, v, 0.125)), ConfigError,
+     "eps must be finite", False),
+    ("bs.escape_scan-eps", lambda v: escape_scan(_POT, v, [10.0]),
+     ConfigError, "eps must be finite", False),
+    ("bs.escape_scan-re_values", lambda v: escape_scan(_POT, 0.125, [v]),
+     DomainError, "not finite", False),
+    ("bs.hs_growth_rates-re_values",
+     lambda v: hs_growth_rates(_POT, [v, 1.0, 2.0]), DomainError,
+     "not finite", False),
+    ("fdop.step_potential-a", lambda v: step_potential(v, 3.0), ConfigError,
+     "half-width a", False),
+    ("fdop.step_potential-b", lambda v: step_potential(1.0, v), ConfigError,
+     "well depth b", False),
+    ("fdop.build_fd-n", lambda v: build_fd(v, 10.0), ConfigError,
+     "n must be an integer", True),
+    ("fdop.build_fd-half_length", lambda v: build_fd(101, v), ConfigError,
+     "half_length", False),
+    ("fdop.build_fd-center_jump",
+     lambda v: build_fd(101, 10.0, center_jump=v), ConfigError,
+     "center_jump must be finite", False),
+    ("fdop.resolvent_norm_fd-n", lambda v: resolvent_norm_fd(5 + 0.5j, v),
+     ConfigError, "n must be an integer", True),
+    ("fdop.eigenvalue_near-n", lambda v: eigenvalue_near(-0.75, v, 20.0),
+     ConfigError, "n must be an integer", True),
+    ("fdop.eigenvalue_near-half_length",
+     lambda v: eigenvalue_near(-0.75, 101, v), ConfigError, "half_length",
+     False),
+    ("fdop.eigenvalue_near-center_jump",
+     lambda v: eigenvalue_near(-0.75, 101, 20.0, center_jump=v),
+     ConfigError, "center_jump must be finite", False),
+]
+
+_SETTING_CASES = [
+    pytest.param(call, value, error, match, id=f"{name}-{label}")
+    for name, call, error, match, count in _SETTINGS
+    for label, value in [("nan", math.nan), ("inf", math.inf),
+                         ("-inf", -math.inf), ("3.0", 3.0)]
+    if count or label != "3.0"]
+
+
+@pytest.mark.parametrize("call, value, error, match", _SETTING_CASES)
+def test_setting_raises_its_error(call, value, error, match):
+    with pytest.raises(error, match=match) as info:
+        call(value)
+    assert type(info.value) is error
+
+
+@pytest.mark.parametrize("lam_max", [math.nan, math.inf])
+def test_step_eigenvalues_lam_max(lam_max):
+    # no bracket count below a NaN or infinite lam_max; at -inf the
+    # answer is the empty list, which is correct
+    with pytest.raises(ConfigError, match="brackets"):
+        find_step_eigenvalues(1.0, 3.0, lam_max)
+    assert find_step_eigenvalues(1.0, 3.0, -math.inf) == []
