@@ -33,14 +33,9 @@ from . import bounds
 from .closed import _check_off_spectrum, _finite, _positive, _setting
 from .errors import (ConfigError, ConvergenceError, DomainError,
                      EigenvalueLost, ZeroCouplingError)
-from .krylov import _dominant_eigenvalue
+from .krylov import _EPS_TOL, _dominant_eigenvalue
 from .quadrature import QuadratureGrid, gauss_legendre_grid, \
     oscillation_panel_width
-
-# spectral_radius's residual tolerance relative to the Ritz value, as in
-# the eigs call the Arnoldi replaced (tol=0, which ARPACK reads as
-# machine epsilon)
-_SPECRAD_TOL = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -49,12 +44,16 @@ class PotentialSpec:
 
     func maps an array of points to (complex) potential values;
     half_length bounds the effective support [-L, L]; l1 is the exact
-    L1 norm, in closed form.
+    L1 norm, in closed form.  Raises ConfigError unless l1 is finite.
     """
 
     func: Callable[[np.ndarray], np.ndarray]
     half_length: float
     l1: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.l1):
+            raise ConfigError("the L1 norm of the potential overflows")
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.func(np.asarray(x, dtype=float)),
@@ -63,7 +62,8 @@ class PotentialSpec:
 
 def gaussian(amplitude: float = -1.0, width: float = 1.0) -> PotentialSpec:
     """V(x) = amplitude * exp(-(x/width)^2).  Raises ConfigError unless
-    the (possibly complex) amplitude is finite and 0 < width < inf."""
+    the (possibly complex) amplitude is finite, 0 < width < inf and the
+    L1 norm is finite."""
     _setting(amplitude, "amplitude")
     _positive(width, "width")
 
@@ -76,7 +76,8 @@ def gaussian(amplitude: float = -1.0, width: float = 1.0) -> PotentialSpec:
 
 def box(amplitude: float, radius: float) -> PotentialSpec:
     """V(x) = amplitude on (-radius, radius), zero outside.  Raises
-    ConfigError unless the amplitude is finite and 0 < radius < inf."""
+    ConfigError unless the amplitude is finite, 0 < radius < inf and the
+    L1 norm is finite."""
     _setting(amplitude, "amplitude")
     _positive(radius, "radius")
 
@@ -160,10 +161,19 @@ def hs_norm(z: complex, pot: PotentialSpec, grid: QuadratureGrid) -> float:
     """Hilbert-Schmidt (Frobenius) norm of the Nystrom matrix of K_z.
 
     Summed in O(n) time and memory from the separable exponential form of
-    the kernel (see bounds._hs_sq); no kernel matrix is formed.
+    the kernel (see bounds._hs_sq); no kernel matrix is formed.  Raises
+    DomainError where the norm leaves the float range.
     """
-    return math.sqrt(bounds._hs_sq(bounds._sides(z, grid.nodes),
-                                   *_weights(pot, grid)))
+    hs = math.sqrt(bounds._hs_sq(bounds._sides(z, grid.nodes),
+                                 *_weights(pot, grid)))
+    _check_finite(z, hs)
+    return hs
+
+
+def _check_finite(z: complex, *norms: float) -> None:
+    """DomainError unless every one of the norms at z is finite."""
+    if not all(map(math.isfinite, norms)):
+        raise DomainError(f"an HS norm at z={z} leaves the float range")
 
 
 def l_hs_closed(z: complex, pot: PotentialSpec) -> float:
@@ -186,7 +196,9 @@ def decomposition_diagnostics(z: complex, pot: PotentialSpec) -> dict:
     O(n) time and memory.  ||M|| stays bounded while ||K||^2 and ||L||^2
     grow like Re z, so m_hs carries an absolute error of about the
     rounding error of ||K||^2: its relative accuracy drops by roughly the
-    factor (k_hs / m_hs)^2 as Re z grows.
+    factor (k_hs / m_hs)^2 as Re z grows.  Raises DomainError where a
+    norm leaves the float range, and as l_hs_closed and potential_grid
+    do.
     """
     z = complex(z)
     l_closed = l_hs_closed(z, pot)
@@ -201,11 +213,13 @@ def decomposition_diagnostics(z: complex, pot: PotentialSpec) -> dict:
     l_hs = float(np.linalg.norm(col) * np.linalg.norm(row))
     c = right * np.conj(row)
     kl = np.vdot(col, left * bounds._apply(gen, c, np.empty_like(c)))
+    m_sq = k_sq - 2.0 * kl.real + l_hs * l_hs
+    _check_finite(z, k_sq, l_hs, l_closed, m_sq)
     return {
         "k_hs": math.sqrt(k_sq),
         "l_hs": l_hs,
         "l_hs_closed": l_closed,
-        "m_hs": math.sqrt(k_sq - 2.0 * kl.real + l_hs * l_hs),
+        "m_hs": math.sqrt(m_sq),
         "n": grid.size,
     }
 
@@ -215,12 +229,12 @@ def hs_growth_rates(pot: PotentialSpec, re_values: Sequence[float]) -> dict:
 
     Fits ||.||_HS ~ C (Re z)^p by least squares over the given real
     parts at Im z = 0.5; returns the three exponents and the raw samples.
-    Raises ConfigError for fewer than three real parts, and as
+    Raises ConfigError for fewer than three distinct real parts, and as
     decomposition_diagnostics does (DomainError for a non-finite one).
     """
     res = np.asarray(sorted(re_values), dtype=float)
-    if res.size < 3:
-        raise ConfigError("need at least three sample points for a rate")
+    if np.unique(res).size < 3:
+        raise ConfigError("a rate needs three sample points, all distinct")
     rows = [decomposition_diagnostics(r + 0.5j, pot) for r in res]
     out = {"re_values": res}
     for key in ("k_hs", "l_hs", "m_hs"):
@@ -238,21 +252,20 @@ def spectral_radius(z: complex, eps: float, pot: PotentialSpec) -> float:
     Arnoldi (krylov._dominant_eigenvalue) finds the eigenvalue of
     largest modulus of K_z, applied matrix-free in O(n) per product
     (k_matvec), and stops when the Ritz residual falls to machine
-    epsilon relative to the Ritz value, as ARPACK's eigs did at its
-    default tol=0.  The start vector is fixed, so repeated calls return
-    the same bits.  The last digits carry no error estimate and follow
-    the rounding of the products where the eigenvalue is ill-conditioned:
-    at gaussian(-1, 5), 100 + 0.5i its condition number is 1331, and
-    relative noise of 2e-16 in each product moves the radius by up to
-    ~5e-14 relative.  Raises ConfigError for a non-finite eps,
-    DomainError for a non-finite z, SpectrumError on the spectral rays
-    and ConvergenceError if Arnoldi has not converged within
-    krylov._RESTARTS restarts.
+    epsilon relative to the Ritz value (krylov._EPS_TOL), as ARPACK's
+    eigs did at its default tol=0.  The start vector is fixed, so
+    repeated calls return the same bits.  The last digits carry no error
+    estimate and follow the rounding of the products where the
+    eigenvalue is ill-conditioned: at gaussian(-1, 5), 100 + 0.5i its
+    condition number is 1331, and relative noise of 2e-16 in each
+    product moves the radius by up to ~5e-14 relative.  Raises
+    ConfigError for a non-finite eps, DomainError for a non-finite z,
+    SpectrumError on the spectral rays and ConvergenceError if Arnoldi
+    has not converged within krylov._RESTARTS restarts.
     """
     _setting(eps, "coupling eps")
     grid = potential_grid(z, pot)
-    lam = _dominant_eigenvalue(k_matvec(z, pot, grid), grid.size, False,
-                               _SPECRAD_TOL)
+    lam = _dominant_eigenvalue(k_matvec(z, pot, grid), grid.size, _EPS_TOL)
     return float(abs(eps) * abs(lam))
 
 
@@ -409,12 +422,13 @@ def weak_coupling_rate(pot: PotentialSpec,
     log Re z(eps) ~ p log eps.  The search at the largest eps starts at
     z = 1 / (eps ||V||_1)^2.  For delta-like wells the eigenvalue
     escapes to +infinity like eps^{-2}, so p is close to -2.  Raises
-    ConfigError for a non-finite coupling.
+    ConfigError for a non-finite coupling and for fewer than three
+    distinct ones.
     """
     eps_values = sorted((_setting(eps, "coupling eps") for eps in eps_values),
                         reverse=True)
-    if len(eps_values) < 3:
-        raise ConfigError("need at least three couplings for a rate fit")
+    if len(set(eps_values)) < 3:
+        raise ConfigError("a rate fit needs three couplings, all distinct")
     if pot.l1 == 0.0:
         raise ZeroCouplingError("potential integrates to zero")
     roots = []

@@ -4,17 +4,17 @@ Independent second-order discretization of -u'' + V u on a truncated
 interval [-L, L] with Dirichlet ends, used to cross-check the closed-form
 kernel, the bound sandwich, and the model eigenvalues.  Everything here is
 deliberately generic: no closed-form knowledge of the resolvent enters.
-Both solvers, the sigma_min Lanczos and the shift-invert eigensolver,
-factor the tridiagonal A - shift once per shift (LAPACK gttrf, partial
-pivoting, O(n)) and then only back-substitute (gttrs).  Both find the
-dominant eigenvalue of the inverted operator with the package's NumPy
-Arnoldi (krylov._dominant_eigenvalue), which tests for convergence
-after its first few products and whenever its basis is full, and
-restarts Krylov-Schur style from its leading Ritz vectors.  The
-oracle's coarse and fine grids are independent: from pair._MIN_NODES
-nodes on the two grids together they run side by side on two threads
-(pair._both), with the same bits as one after the other.  SciPy's
-LAPACK wrappers are imported inside _tridiag_lu, and by
+Both solvers, sigma_min and the shift-invert eigensolver, factor the
+tridiagonal A - shift once per shift (LAPACK gttrf, partial pivoting,
+O(n)) and then only back-substitute (gttrs).  Both find the dominant
+eigenvalue of the inverted operator with the package's NumPy Arnoldi
+(krylov._dominant_eigenvalue), as bs.spectral_radius does, which tests
+for convergence after its first few products and whenever its basis is
+full, and restarts Krylov-Schur style from its leading Ritz vectors.
+The oracle's coarse and fine grids are independent: from
+pair._MIN_NODES nodes on the two grids together they run side by side
+on two threads (pair._both), with the same bits as one after the
+other.  SciPy's LAPACK wrappers are imported inside _tridiag_lu, and by
 resolvent_norm_fd before it pairs the grids, so that importing this
 module does not load SciPy; nothing here loads scipy.sparse.
 """
@@ -29,7 +29,7 @@ import numpy as np
 
 from .closed import _count, _finite, _off_spectrum, _positive, _setting
 from .errors import ConfigError, SingularError
-from .krylov import _dominant_eigenvalue
+from .krylov import _EPS_TOL, _dominant_eigenvalue
 from .pair import _both
 from .quadrature import decay_half_length
 
@@ -43,10 +43,10 @@ MAX_ORACLE_NODES = 300_001
 # h * kappa on the derived grid, so that h^2 * Re z <= 0.3 in the strip
 _H_KAPPA = math.sqrt(0.3)
 
-# each job's residual tolerance relative to the Ritz value, as in the
-# ARPACK calls the Arnoldi replaced (eigsh tol=1e-9, eigs tol=0)
+# sigma_min's residual tolerance relative to the Ritz value, as in the
+# eigsh call the Arnoldi replaced (tol=1e-9); eigenvalue_near takes
+# krylov._EPS_TOL
 _SIGMA_TOL = 1e-9
-_EIG_TOL = float(np.finfo(float).eps)
 
 
 def _sign(x: np.ndarray) -> np.ndarray:
@@ -111,7 +111,9 @@ def build_fd(n: int, half_length: float,
     a 33-point average over each grid cell instead of pointwise, which
     restores second order for discontinuous potentials off the grid.
     Raises ConfigError unless n is an integer >= 3, half_length is
-    finite and positive and center_jump is finite.
+    finite and positive, the step h and the diagonal term 2/h^2 are
+    finite and positive (an extreme half_length over- or underflows
+    them) and center_jump is finite.
     """
     n = _count(n, 3, "n")
     _positive(half_length, "half_length")
@@ -119,6 +121,9 @@ def build_fd(n: int, half_length: float,
     if not callable(potential):
         raise ConfigError(f"potential must be callable, not {potential!r}")
     h = 2.0 * half_length / (n + 1)
+    if not (0.0 < h * h < math.inf and 2.0 / (h * h) < math.inf):
+        raise ConfigError(f"half_length={half_length!r} with n={n} gives "
+                          f"a step h={h!r} whose 2/h^2 leaves the float range")
     x = -half_length + h * np.arange(1, n + 1)
     if cell_average:
         # summed one offset at a time: O(n) memory, not an (n, 33) array
@@ -162,31 +167,32 @@ def _tridiag_lu(op: FDOperator,
 
 
 def _sigma_min_banded(op: FDOperator, z: complex) -> float:
-    """Smallest singular value of (A - z) via Lanczos on the inverted
+    """Smallest singular value of (A - z) via Arnoldi on the inverted
     normal operator ((A - z)(A - z)^H)^{-1}.
 
-    A - z is factored once (see _tridiag_lu); each Lanczos step is then
+    A - z is factored once (see _tridiag_lu); each Arnoldi step is then
     two back-substitutions on those factors, one with (A - z) and one
     with its adjoint, and _dominant_eigenvalue stops at the relative
-    residual _SIGMA_TOL.  Lanczos rather than power iteration because
-    the two smallest singular values can lie close.  On the grids that
-    resolvent_norm_fd takes, sigma_2/sigma_1 is 7 to 500 in the
-    half-strip (5 + 0.5i through 300 + 0.3i), where Lanczos stops after
-    a handful of steps, but only 1.009 to 1.13 left of it or above it
-    (2 + 3i, -3 + 0.1i, -0.5, -1 + 0.5i); on a grid with h * kappa >= 2
-    (see _resolved_n) they cluster to ~1e-6 relative, and the
-    Krylov-Schur restarts carry the iteration.  op is dropped once
-    factored: a caller that passes its only reference frees it.  The
-    Lanczos start vector
-    is fixed (krylov's), so repeated calls return the same bits.  Raises
-    ConvergenceError if Lanczos does not converge within
-    krylov._RESTARTS restarts and SingularError if A - z is singular.
+    residual _SIGMA_TOL.  The operator is Hermitian positive definite,
+    so its eigenvalues are real and the real part of the Ritz value is
+    taken.  Krylov rather than power iteration because the two smallest
+    singular values can lie close.  On the grids that resolvent_norm_fd
+    takes, sigma_2/sigma_1 is 7 to 500 in the half-strip (5 + 0.5i
+    through 300 + 0.3i), where Arnoldi stops after a handful of steps,
+    but only 1.009 to 1.13 left of it or above it (2 + 3i, -3 + 0.1i,
+    -0.5, -1 + 0.5i); on a grid with h * kappa >= 2 (see _resolved_n)
+    they cluster to ~1e-6 relative, and the Krylov-Schur restarts carry
+    the iteration.  op is dropped once factored: a caller that passes
+    its only reference frees it.  The start vector is fixed (krylov's),
+    so repeated calls return the same bits.  Raises ConvergenceError if
+    Arnoldi does not converge within krylov._RESTARTS restarts and
+    SingularError if A - z is singular.
     """
     size = op.size
     solve = _tridiag_lu(op, z)
     del op  # the factors are all the solves need
     mu = _dominant_eigenvalue(lambda v: solve(solve(v, "N"), "C"), size,
-                              True, _SIGMA_TOL)
+                              _SIGMA_TOL).real
     if not mu > 0.0:
         raise SingularError(f"inverse normal operator degenerate at z={z}")
     return 1.0 / math.sqrt(mu)
@@ -228,14 +234,14 @@ def resolvent_norm_fd(z: complex, n: int | None = None) -> OracleResult:
     """Resolvent norm estimate 1/sigma_min(A - z) from the FD matrix of
     the unperturbed operator on [-L, L], L = decay_half_length(z).
 
-    sigma_min comes from Lanczos on the inverted normal operator, one
+    sigma_min comes from Arnoldi on the inverted normal operator, one
     tridiagonal factorization per call and two back-substitutions per
     step (see _sigma_min_banded), at every n.  The computation is repeated
     at half the step size; the fine value is reported, with the
     Richardson extrapolation residual |v_fine - v_coarse| / 3 of the
     second-order scheme as its error, and the fine n.  The fine grid is
     built first; from pair._MIN_NODES nodes on the two together its
-    Lanczos runs on a thread of its own while the calling thread builds
+    Arnoldi runs on a thread of its own while the calling thread builds
     and runs the coarse grid (pair._both), with the same bits, and where
     both fail the coarse grid's error is raised, as in the serial order.
     Each grid's operator is dropped once factored (_sigma_min_banded),
@@ -262,7 +268,7 @@ def resolvent_norm_fd(z: complex, n: int | None = None) -> OracleResult:
     and SpectrumError on the spectral rays (endpoints +-i included),
     where the norm is infinite; ConfigError, before any allocation, if
     the derived n exceeds MAX_ORACLE_NODES (also where it replaces an
-    explicit n), ConvergenceError if Lanczos does not converge and
+    explicit n), ConvergenceError if Arnoldi does not converge and
     SingularError if A - z is singular.
     """
     z = _off_spectrum(z)
@@ -291,7 +297,8 @@ def eigenvalue_near(target: complex, n: int, half_length: float,
 
     A - target is factored once (see _tridiag_lu), so each Arnoldi step
     is one O(n) back-substitution; _dominant_eigenvalue stops when the
-    Ritz residual falls to machine epsilon relative to the Ritz value.
+    Ritz residual falls to machine epsilon relative to the Ritz value
+    (krylov._EPS_TOL).
     Works on fine grids (n ~ 10^5 - 10^6) where the dense solve is out
     of reach; accuracy is then limited only by the discretization.  The
     Arnoldi start vector is fixed (krylov's), so repeated calls return
@@ -305,5 +312,5 @@ def eigenvalue_near(target: complex, n: int, half_length: float,
     size = op.size
     solve = _tridiag_lu(op, target)
     del op  # the factors are all the solves need
-    mu = _dominant_eigenvalue(solve, size, False, _EIG_TOL)
+    mu = _dominant_eigenvalue(solve, size, _EPS_TOL)
     return np.array([target + 1.0 / mu])

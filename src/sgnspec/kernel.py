@@ -10,8 +10,7 @@ Dirichlet-decoupled variant, at one point (x, y) in the standard library
 only, so the kernel command starts without loading NumPy.  On a grid of
 nodes the kernel is never formed: bounds._sides builds its O(n)
 generators.  The scalar closed forms it rests on are defined in closed;
-of them, only the region partition and the ray distances
-(classify_region, ray_distances, spectrum_distance) are re-exported
+of them, only the region partition (classify_region) is re-exported
 here.
 """
 
@@ -21,8 +20,7 @@ import cmath
 import math
 
 from .closed import _check_off_spectrum, _finite, principal_sqrt
-from .closed import (classify_region, ray_distances,  # re-exported
-                     spectrum_distance)
+from .closed import classify_region  # re-exported
 from .errors import DomainError
 
 

@@ -1,13 +1,14 @@
 """The package's one Krylov iteration: the eigenvalue of largest modulus
-of a matrix-free operator, by Arnoldi (Lanczos when Hermitian) with
-Krylov-Schur restarts.
+of a matrix-free operator, by Arnoldi with Krylov-Schur restarts.
 
 The FD oracle runs it on its inverted tridiagonal operators
 (fdop._sigma_min_banded, fdop.eigenvalue_near) and the Birman-Schwinger
-code on the Nystrom matrix of K_z (bs.spectral_radius).  The callers
-pass the operator, its size, whether it is Hermitian and a tolerance;
-the start vector and the restart budget (_RESTARTS) are this module's.
-NumPy only: no SciPy is loaded here.
+code on the Nystrom matrix of K_z (bs.spectral_radius), each through
+the same Arnoldi: a Hermitian operator gets no path of its own.  The
+callers pass the operator, its size and a tolerance, fdop._SIGMA_TOL
+for the FD sigma_min and _EPS_TOL for the other two; the start vector
+and the restart budget (_RESTARTS) are this module's.  NumPy only: no
+SciPy is loaded here.
 """
 
 from __future__ import annotations
@@ -31,19 +32,22 @@ _EARLY_MARGIN = 1e3
 # restarts before ConvergenceError: the largest maxiter of the ARPACK
 # calls this iteration replaced (5000, 2000 and 3000), never measured
 _RESTARTS = 5000
+# the residual tolerance relative to the Ritz value of
+# fdop.eigenvalue_near and bs.spectral_radius, as in the eigs calls the
+# Arnoldi replaced (tol=0, which ARPACK reads as machine epsilon)
+_EPS_TOL = float(np.finfo(float).eps)
 
 
 def _dominant_eigenvalue(matvec: Callable[[np.ndarray], np.ndarray],
-                         n: int, hermitian: bool, tol: float) -> complex:
+                         n: int, tol: float) -> complex:
     """Eigenvalue of largest modulus of the operator v -> matvec(v) on
-    vectors of length n, by Arnoldi (Lanczos when hermitian) with
-    Krylov-Schur restarts.
+    vectors of length n, by Arnoldi with Krylov-Schur restarts.
 
     The basis is a row-major (_BASIS + 1, n) array, each new vector
     orthogonalized by two passes of classical Gram-Schmidt.  A test
     computes the Ritz pair (theta, y) of largest modulus of the small
-    projected matrix (eigh when hermitian) and stops the iteration once
-    the residual |beta y_last| <= tol * |theta|, ARPACK's criterion.
+    projected matrix and stops the iteration once the residual
+    |beta y_last| <= tol * |theta|, ARPACK's criterion.
 
     One test is a small dense eigenproblem, which costs more than a
     product of the Birman-Schwinger operator at its grid sizes, so the
@@ -70,7 +74,6 @@ def _dominant_eigenvalue(matvec: Callable[[np.ndarray], np.ndarray],
     basis = np.empty((_BASIS + 1, n), dtype=complex)
     proj = np.zeros((_BASIS + 1, _BASIS), dtype=complex)
     basis[0] = v0 / np.linalg.norm(v0)
-    ritz = np.linalg.eigh if hermitian else np.linalg.eig
     start = 0  # vectors carried over from the last restart
     early = _EARLY_TESTS
     last = math.inf  # relative residual of the last early test
@@ -89,7 +92,7 @@ def _dominant_eigenvalue(matvec: Callable[[np.ndarray], np.ndarray],
             proj[:j + 1, j] = h + again
             proj[j + 1, j] = beta
             if j < early or j + 1 in (_BASIS, n):
-                vals, vecs = ritz(proj[:j + 1, :j + 1])
+                vals, vecs = np.linalg.eig(proj[:j + 1, :j + 1])
                 top = np.argmax(np.abs(vals))
                 resid, size = abs(beta * vecs[j, top]), abs(vals[top])
                 if resid <= tol * size:
@@ -105,12 +108,8 @@ def _dominant_eigenvalue(matvec: Callable[[np.ndarray], np.ndarray],
         # the basis is full: keep the leading Ritz vectors of the last
         # test and their Krylov decomposition A U = U schur + v coupling
         lead = np.argsort(-np.abs(vals), kind="stable")[:_KEEP]
-        if hermitian:
-            q = vecs[:, lead]
-            schur = np.diag(vals[lead])
-        else:
-            q = np.linalg.qr(vecs[:, lead])[0]
-            schur = q.conj().T @ proj[:_BASIS] @ q
+        q = np.linalg.qr(vecs[:, lead])[0]
+        schur = q.conj().T @ proj[:_BASIS] @ q
         coupling = proj[_BASIS] @ q
         basis[:_KEEP] = q.T @ basis[:_BASIS]
         basis[_KEEP] = basis[_BASIS]

@@ -1,15 +1,20 @@
-"""Two independent jobs side by side, on two cores.
+"""Two independent jobs side by side, on two threads.
 
 The resolvent kernel of H is one decaying exponential per half-line, so
 the O(n) layer of bounds splits into a job for x >= 0 and one for
 x < 0, and the FD oracle's Richardson pair into its coarse and its fine
 grid.  _both runs such a pair: the first job in the calling thread and
 the second on a thread of its own, started for the call and joined
-before it returns, when the grid has at least _MIN_NODES nodes and the
-process may run on two cores; otherwise the two one after the other.
-Each job computes what it computes alone, so the results are the same
-bits either way.  No thread outlives its call, so a job may pair again
-and a forked child pairs as its parent does.
+before it returns, when the grid has at least _MIN_NODES nodes;
+otherwise the two one after the other.  The grid size is the one rule:
+a process held to one core pairs too, at a cost of at most ~6 % (2-core
+x86 pinned to one core, one BLAS thread, medians of 9 alternating runs,
+two runs, paired vs serial: 17.9-27.4 vs 17.3-26.2 ms for the Nystrom
+norm on 82,360 nodes, 116.6-120.1 vs 114.4-117.1 ms on 495,140 and
+18.4-18.6 vs 17.3-17.9 ms for an n = 20001 FD oracle).  Each job
+computes what it computes alone, so the results are the same bits
+either way.  No thread outlives its call, so a job may pair again and a
+forked child pairs as its parent does.
 
 Only private functions run on the second thread: perfbench's span
 recorder is single-threaded and wraps the public ones.
@@ -17,7 +22,6 @@ recorder is single-threaded and wraps the public ones.
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Callable, TypeVar
 
@@ -46,13 +50,6 @@ B = TypeVar("B")
 _MIN_NODES = 32_768
 
 
-def _two_cores() -> bool:
-    try:
-        return len(os.sched_getaffinity(0)) >= 2
-    except AttributeError:  # no affinity mask on this platform
-        return (os.cpu_count() or 1) >= 2
-
-
 def _both(size: int, first: Callable[[], A],
           second: Callable[[], B]) -> tuple[A, B]:
     """(first(), second()) for two independent jobs on a grid of size
@@ -61,7 +58,7 @@ def _both(size: int, first: Callable[[], A],
     Returns only once both jobs have finished.  If both fail, the error
     raised is first's, as in the serial order.
     """
-    if size < _MIN_NODES or not _two_cores():
+    if size < _MIN_NODES:
         return first(), second()
     got = {}
 

@@ -15,9 +15,9 @@ import scipy.linalg as sla
 
 from _reference import fd_banded
 from sgnspec import bounds, bs, field, models
+from sgnspec.closed import ray_distances, spectrum_distance
 from sgnspec.fdop import (_sigma_min_banded, build_fd, eigenvalue_near,
                           resolvent_norm_fd, step_potential)
-from sgnspec.kernel import ray_distances, spectrum_distance
 from sgnspec.quadrature import QuadratureGrid
 
 

@@ -101,3 +101,14 @@ def test_direction_comes_from_the_benchmark(tmp_path):
                     "rate") == "gain"
     assert _verdict(tmp_path, _PARENT, [v * 0.5 for v in _PARENT],
                     "rate") == "neutral"
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved(tmp_path):
+    # parent quartiles 10.0 and 12.275: 23 % of the median, past the
+    # bound 0.2, so an equal change cannot be told from one 15 % worse
+    parent = [10.0] * 5 + [10.1] + [13.0] * 4
+    assert _verdict(tmp_path, parent, parent) == "unresolved"
+    # unless every change run reads better than every parent run
+    assert _verdict(tmp_path, parent, [9.9] * 10) == "neutral"
+    # per-layer metrics have no bound to resolve
+    assert _verdict(tmp_path, parent, parent, "rate") == "neutral"

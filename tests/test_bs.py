@@ -59,6 +59,13 @@ class TestPotentials:
         with pytest.raises(ConfigError, match="depth"):
             delta_bump(1.0, radius=1e-320)
 
+    @pytest.mark.parametrize("make", [lambda: gaussian(1e308, 10.0),
+                                      lambda: box(1e308, 1e308)])
+    def test_overflowing_l1(self, make):
+        # box(1e308, 1e308) once came back with l1 = inf
+        with pytest.raises(ConfigError, match="L1 norm"):
+            make()
+
     def test_delta_bump_bad_radius(self):
         # a zero radius once divided by zero before box could check it
         with pytest.raises(ConfigError, match="radius"):
@@ -140,6 +147,22 @@ class TestDecomposition:
     def test_needs_three_points(self):
         with pytest.raises(ConfigError):
             hs_growth_rates(gaussian(), [10.0, 20.0])
+
+    @pytest.mark.parametrize("re_values", [[50, 50, 50], [50, 60, 50]])
+    def test_needs_three_distinct_points(self, re_values):
+        # [50, 50, 50] once fitted a k_hs slope of 0.313
+        with pytest.raises(ConfigError, match="distinct"):
+            hs_growth_rates(gaussian(), re_values)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_norms_past_the_float_range_raise(self):
+        # amplitude 1e200 once gave k_hs = inf and m_hs = nan
+        pot = gaussian(1e200)
+        z = 25 + 0.5j
+        with pytest.raises(DomainError, match="float range"):
+            hs_norm(z, pot, potential_grid(z, pot))
+        with pytest.raises(DomainError, match="float range"):
+            decomposition_diagnostics(z, pot)
 
 
 class TestEigenvalues:
@@ -225,6 +248,11 @@ class TestWeakCoupling:
     def test_needs_three_couplings(self):
         with pytest.raises(ConfigError, match="three couplings"):
             weak_coupling_rate(gaussian(), [0.5, 0.25])
+
+    def test_needs_three_distinct_couplings(self):
+        # a rank-deficient fit once returned a slope of -0.99
+        with pytest.raises(ConfigError, match="distinct"):
+            weak_coupling_rate(delta_bump(1.0), [0.5, 0.5, 0.5])
 
     def test_zero_coupling_potential_rejected(self):
         with pytest.raises(ZeroCouplingError):

@@ -239,6 +239,30 @@ class TestSubcommands:
         assert code == 0
         assert "slope -2.0" in out
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_bs_sweep_past_the_float_range_exits_one(self, capsys):
+        # every row once printed k_hs inf and m_hs nan, with exit 0
+        code, out = run_cli(["bs", "sweep", "--re", "25:100:3",
+                             "--amplitude", "1e200"])
+        assert code == 1
+        assert out == "re k_hs l_hs l_hs_closed m_hs\n"
+        assert "float range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, match", [
+        (["rate", "--potential", "delta", "--eps", "0.5", "0.5", "0.5"],
+         "distinct"),
+        (["sweep", "--re", "25:100:2", "--potential", "box",
+          "--amplitude", "1e308", "--radius", "1e308"], "L1 norm"),
+        (["sweep", "--re", "25:100:2", "--amplitude", "1e308",
+          "--width", "10"], "L1 norm"),
+    ])
+    def test_bs_degenerate_setting_exits_two(self, capsys, argv, match):
+        # each once exited 0: one coupling three times fitted a slope
+        # of -0.99, and the potentials had an L1 norm of inf
+        code, out = run_cli(["bs", *argv])
+        assert code == 2 and out == ""
+        assert match in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, stray", [
         (["roots", "--eps", "1", "--seeds=-0.3", "--potential", "box",
           "--amplitude=-3", "--radius", "1", "--width", "7", "--alpha", "9"],

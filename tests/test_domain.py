@@ -200,6 +200,18 @@ def test_setting_raises_its_error(call, value, error, match):
     assert type(info.value) is error
 
 
+@pytest.mark.parametrize("call", [
+    lambda: build_fd(3, 1e308),  # h = inf: it once came back as the step
+    lambda: build_fd(3, 1e200),  # h**2 overflows: once an OverflowError
+    lambda: build_fd(3, 1e-300),  # h**2 is 0: once a ZeroDivisionError
+    lambda: eigenvalue_near(-0.75, 101, 1e308),  # once returned [1j]
+])
+def test_fd_step_out_of_the_float_range(call):
+    with pytest.raises(ConfigError, match="half_length") as info:
+        call()
+    assert type(info.value) is ConfigError
+
+
 @pytest.mark.parametrize("lam_max", [math.nan, math.inf])
 def test_step_eigenvalues_lam_max(lam_max):
     # no bracket count below a NaN or infinite lam_max; at -inf the

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from _reference import kernel_matrix
-from sgnspec.closed import Region, wave_numbers
+from sgnspec.closed import (Region, ray_distances, spectrum_distance,
+                            wave_numbers)
 from sgnspec.errors import DomainError, SpectrumError
 from sgnspec.kernel import (classify_region, dirichlet_kernel,
-                            principal_sqrt, ray_distances, resolvent_kernel,
-                            spectrum_distance)
+                            principal_sqrt, resolvent_kernel)
 
 
 class TestPrincipalSqrt:

@@ -2,7 +2,8 @@
 layer and the FD oracle's two grids side by side (pair._both).  Every
 result must be the same bits as in the serial order, errors included; a
 paired call must leave no thread behind and load no thread pool, and a
-job that pairs again and a forked child must run their pairs."""
+job that pairs again, a forked child and a process held to one core
+must run their pairs."""
 
 import inspect
 import os
@@ -27,21 +28,19 @@ _SERIAL = 10**12
 @pytest.fixture
 def both_ways(monkeypatch):
     """fn() in the serial order and with every grid paired on two
-    threads, also where the process may run on one core only."""
+    threads."""
 
     def run(fn):
         monkeypatch.setattr(pair, "_MIN_NODES", _SERIAL)
         serial = fn()
         monkeypatch.setattr(pair, "_MIN_NODES", 0)
-        monkeypatch.setattr(pair, "_two_cores", lambda: True)
         return serial, fn()
 
     return run
 
 
 class TestBoth:
-    def test_second_job_runs_on_the_helper(self, monkeypatch):
-        monkeypatch.setattr(pair, "_two_cores", lambda: True)
+    def test_second_job_runs_on_the_helper(self):
         here = threading.get_ident()
         assert pair._both(pair._MIN_NODES - 1, threading.get_ident,
                           threading.get_ident) == (here, here)
@@ -49,9 +48,7 @@ class TestBoth:
                                    threading.get_ident)
         assert first == here != second
 
-    def test_both_failing_raises_the_first_after_the_second_ends(
-            self, monkeypatch):
-        monkeypatch.setattr(pair, "_two_cores", lambda: True)
+    def test_both_failing_raises_the_first_after_the_second_ends(self):
         ended = threading.Event()
 
         def first():
@@ -66,9 +63,7 @@ class TestBoth:
             pair._both(pair._MIN_NODES, first, second)
         assert ended.is_set()
 
-    def test_second_failing_alone_raises_its_error(self, monkeypatch):
-        monkeypatch.setattr(pair, "_two_cores", lambda: True)
-
+    def test_second_failing_alone_raises_its_error(self):
         def second():
             raise ValueError("second")
 
@@ -149,7 +144,6 @@ from sgnspec import pair
 from sgnspec.bounds import apply_resolvent
 from sgnspec.quadrature import gauss_legendre_grid
 pair._MIN_NODES = 0
-pair._two_cores = lambda: True
 grid = gauss_legendre_grid(15.0, 0.3)
 f = np.exp(-grid.nodes ** 2)
 want = apply_resolvent(5 + 0.5j, grid, f).tobytes()
@@ -185,7 +179,6 @@ def test_forked_child_runs_pairs():
 _FRESH = """
 import sys, threading
 from sgnspec import pair
-pair._two_cores = lambda: True
 before = threading.active_count()
 assert pair._both(pair._MIN_NODES, lambda: 1, lambda: 2) == (1, 2)
 print(threading.active_count() - before, "concurrent.futures" in sys.modules)
@@ -203,7 +196,6 @@ def test_a_pair_leaves_no_thread_and_no_pool():
 _NESTED = """
 from sgnspec import pair
 pair._MIN_NODES = 0
-pair._two_cores = lambda: True
 inner = lambda: pair._both(1, lambda: 1, lambda: 2)
 print(pair._both(1, inner, inner))
 """
@@ -219,3 +211,24 @@ def test_a_job_pairs_again():
         pytest.fail("a job that pairs again hung")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "((1, 2), (1, 2))"
+
+
+_ONE_CORE = """
+import os, threading
+from sgnspec import pair
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+here = threading.get_ident()
+first, second = pair._both(pair._MIN_NODES, threading.get_ident,
+                           threading.get_ident)
+print(len(os.sched_getaffinity(0)), first == here, second != here)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="no affinity mask here")
+def test_a_process_on_one_core_pairs_by_size():
+    # the grid size alone decides: a subprocess, since it pins itself
+    proc = subprocess.run([sys.executable, "-c", _ONE_CORE],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1 True True"

@@ -16,10 +16,10 @@ from _reference import (assemble_k, dense_logdet, dirichlet_bs_hs_norm,
 from sgnspec.bounds import (_apply, apply_resolvent, pseudomode_lower_bound,
                             schur_upper_bound)
 from sgnspec.bs import _normalized_det, box, gaussian, hs_norm
-from sgnspec.closed import DEFAULT_TOL_SPEC, Region
+from sgnspec.closed import DEFAULT_TOL_SPEC, Region, spectrum_distance
 from sgnspec.errors import DomainError
 from sgnspec.kernel import (classify_region, dirichlet_kernel,
-                            resolvent_kernel, spectrum_distance)
+                            resolvent_kernel)
 from sgnspec.quadrature import gauss_legendre_grid, trapezoid_grid
 
 _SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,

@@ -19,8 +19,12 @@ the change is better in at least 9 of 10 pairs and its median beats the
 parent's by more than the parent's interquartile range; ``regression``
 when its median is worse than the parent's by more than the metric's
 relative ``bound`` in BENCHMARK.json (end-to-end metrics only);
-otherwise ``neutral``.  Which way is better comes from BENCHMARK.json,
-and is lower for metrics it does not list.  Standard library only.
+``unresolved`` when the parent's interquartile range, relative to its
+median, is wider than that bound, so the runs cannot tell a change
+within the bound from none, unless every run of the change reads better
+than every run of the parent; otherwise ``neutral``.  Which way is
+better comes from BENCHMARK.json, and is lower for metrics it does not
+list.  Standard library only.
 """
 
 from __future__ import annotations
@@ -73,6 +77,9 @@ def _verdict(p: list[float], c: list[float], row: dict, better: str,
     if (len(p) == len(c) and wins >= GAIN_PAIRS * len(p)
             and sign * (pm - cm) > iqr):
         return "gain"
+    if (bound is not None and iqr > bound * abs(pm)
+            and max(sign * b for b in c) >= min(sign * a for a in p)):
+        return "unresolved"
     return "neutral"
 
 
