@@ -30,7 +30,11 @@ independent jobs: on grids of at least pair._MIN_NODES nodes _sides
 builds them, and _apply scans them, side by side on two threads
 (pair._both), with the same bits as one after the other.  The kernel's
 diagonal, which the Birman-Schwinger determinant needs pointwise, is
-_diagonal.
+_diagonal.  apply_resolvent and each power iterate of
+quadrature_operator_norm pass closed's result gate (closed._result),
+under np.errstate(all="ignore") for the whole call, so an overflow
+reaches the gate without a NumPy warning; _apply itself, run once per
+product, sets no error state.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import math
 
 import numpy as np
 
-from .closed import _check_off_spectrum, wave_numbers
+from .closed import _check_off_spectrum, _result, wave_numbers
 from .closed import (numrange_bound, pseudomode_lower_bound,  # re-exported
                      regularized_pseudomode_ratio, schur_upper_bound)
 from .errors import ConfigError, ConvergenceError, DomainError
@@ -306,6 +310,7 @@ def _weigh(gen, weights: np.ndarray):
     return gen
 
 
+@np.errstate(all="ignore")  # the result is gated
 def apply_resolvent(z: complex, grid: QuadratureGrid,
                     f: np.ndarray) -> np.ndarray:
     """u(x_i) = sum_j w_j R_z(x_i, x_j) f(x_j) on the grid, in O(n).
@@ -314,7 +319,7 @@ def apply_resolvent(z: complex, grid: QuadratureGrid,
     _apply): no kernel matrix is formed.  Matches the dense Nystrom sum
     to rounding, up to and including the ray endpoints z = +-i.  Raises
     ConfigError unless f has one value per node, and DomainError if f
-    is not finite.
+    is not finite and where an entry of u leaves the float range.
     """
     f = np.asarray(f, dtype=complex)
     if f.shape != grid.nodes.shape:
@@ -323,9 +328,13 @@ def apply_resolvent(z: complex, grid: QuadratureGrid,
     if not np.isfinite(f).all():
         raise DomainError("f is not finite")
     c = grid.weights * f
-    return _apply(_sides(z, grid.nodes), c, np.empty_like(c))
+    u = _apply(_sides(z, grid.nodes), c, np.empty_like(c))
+    # the largest part of an entry: finite exactly where every entry is
+    _result(np.abs(u.view(float)).max(), "the resolvent applied at z={}", z)
+    return u
 
 
+@np.errstate(all="ignore")  # each step is gated
 def quadrature_operator_norm(z: complex, grid: QuadratureGrid) -> float:
     """Operator norm of the discretized resolvent by power iteration.
 
@@ -337,8 +346,9 @@ def quadrature_operator_norm(z: complex, grid: QuadratureGrid) -> float:
     product scans in its input, so the call needs ~64 bytes per node
     besides the grid.  Nothing is divided by a weight, so zero weights
     are allowed.  Raises ConvergenceError if the estimate has not
-    settled to 1e-8 relative within 200 steps.  The start vector is
-    fixed, so repeated calls return the same bits.
+    settled to 1e-8 relative within 200 steps, and DomainError as soon
+    as an iterate leaves the float range.  The start vector is fixed, so
+    repeated calls return the same bits.
     """
     gen = _weigh(_sides(z, grid.nodes), grid.weights)
     n = grid.size
@@ -357,7 +367,7 @@ def quadrature_operator_norm(z: complex, grid: QuadratureGrid) -> float:
     for _ in range(200):
         np.conj(_apply(gen, v, u), out=u)
         np.conj(_apply(gen, u, v), out=v)
-        nval = np.linalg.norm(v)
+        nval = _result(np.linalg.norm(v), "the power iterate at z={}", z)
         v *= 1.0 / nval
         if abs(nval - val) <= 1e-8 * nval:
             return math.sqrt(nval)

@@ -16,8 +16,11 @@ bounds._apply.  The determinant reads the kernel's diagonal
 spectral radius from the package's matrix-free Arnoldi
 (krylov._dominant_eigenvalue) on bounds._apply, and the determinant
 from an O(n) 2x2 transfer-matrix recursion (a discrete Jost function).
-A coupling, an amplitude and a radius pass closed's setting gate.
-Nothing here loads SciPy.
+A coupling, an amplitude, a radius, a well depth and an L1 norm pass
+closed's setting gate, and every norm and radius closed's result gate
+(_result).  hs_norm and decomposition_diagnostics run under
+np.errstate(all="ignore"), so a sum that overflows reaches the gate
+without a NumPy warning.  Nothing here loads SciPy.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import bounds
-from .closed import _check_off_spectrum, _finite, _positive, _setting
+from .closed import (_check_off_spectrum, _finite, _positive, _result,
+                     _setting)
 from .errors import (ConfigError, ConvergenceError, DomainError,
                      EigenvalueLost, ZeroCouplingError)
 from .krylov import _EPS_TOL, _dominant_eigenvalue
@@ -52,8 +56,7 @@ class PotentialSpec:
     l1: float
 
     def __post_init__(self):
-        if not math.isfinite(self.l1):
-            raise ConfigError("the L1 norm of the potential overflows")
+        _setting(self.l1, "the L1 norm of the potential")
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.func(np.asarray(x, dtype=float)),
@@ -101,10 +104,7 @@ def delta_bump(alpha: float, radius: float = 2.5e-4) -> PotentialSpec:
         raise ZeroCouplingError("delta coupling must be nonzero")
     _positive(radius, "radius")
     depth = -alpha / (2.0 * radius)
-    if not cmath.isfinite(depth):
-        raise ConfigError(f"well depth alpha/(2 radius) overflows at "
-                          f"alpha={alpha!r}, radius={radius!r}")
-    return box(depth, radius)
+    return box(_setting(depth, "well depth alpha/(2 radius)"), radius)
 
 
 def potential_grid(z: complex, pot: PotentialSpec) -> QuadratureGrid:
@@ -157,6 +157,7 @@ def k_matvec(z: complex, pot: PotentialSpec, grid: QuadratureGrid
     return apply
 
 
+@np.errstate(all="ignore")  # the result is gated
 def hs_norm(z: complex, pot: PotentialSpec, grid: QuadratureGrid) -> float:
     """Hilbert-Schmidt (Frobenius) norm of the Nystrom matrix of K_z.
 
@@ -164,26 +165,22 @@ def hs_norm(z: complex, pot: PotentialSpec, grid: QuadratureGrid) -> float:
     the kernel (see bounds._hs_sq); no kernel matrix is formed.  Raises
     DomainError where the norm leaves the float range.
     """
-    hs = math.sqrt(bounds._hs_sq(bounds._sides(z, grid.nodes),
-                                 *_weights(pot, grid)))
-    _check_finite(z, hs)
-    return hs
-
-
-def _check_finite(z: complex, *norms: float) -> None:
-    """DomainError unless every one of the norms at z is finite."""
-    if not all(map(math.isfinite, norms)):
-        raise DomainError(f"an HS norm at z={z} leaves the float range")
+    return _result(math.sqrt(bounds._hs_sq(bounds._sides(z, grid.nodes),
+                                           *_weights(pot, grid))),
+                   "the HS norm at z={}", z)
 
 
 def l_hs_closed(z: complex, pot: PotentialSpec) -> float:
-    """Exact Hilbert-Schmidt norm of L_z: sqrt(Re z) * ||V||_1."""
+    """Exact Hilbert-Schmidt norm of L_z: sqrt(Re z) * ||V||_1.  Raises
+    DomainError for a non-finite z, unless Re z > 0 and where the norm
+    leaves the float range."""
     z = _finite(z)
     if z.real <= 0.0:
         raise DomainError("singular part needs Re z > 0")
-    return math.sqrt(z.real) * pot.l1
+    return _result(math.sqrt(z.real) * pot.l1, "||L_z|| at z={}", z)
 
 
+@np.errstate(all="ignore")  # the result is gated
 def decomposition_diagnostics(z: complex, pot: PotentialSpec) -> dict:
     """HS norms of K_z, L_z and the remainder M_z = K_z - L_z at z, on
     potential_grid(z, pot).
@@ -197,8 +194,9 @@ def decomposition_diagnostics(z: complex, pot: PotentialSpec) -> dict:
     grow like Re z, so m_hs carries an absolute error of about the
     rounding error of ||K||^2: its relative accuracy drops by roughly the
     factor (k_hs / m_hs)^2 as Re z grows.  Raises DomainError where a
-    norm leaves the float range, and as l_hs_closed and potential_grid
-    do.
+    norm leaves the float range, where ||M||^2 comes out negative (||M||
+    is then below the rounding error of ||K||^2, as at delta_bump(1.0)
+    and Re z = 5e8), and as l_hs_closed and potential_grid do.
     """
     z = complex(z)
     l_closed = l_hs_closed(z, pot)
@@ -213,8 +211,12 @@ def decomposition_diagnostics(z: complex, pot: PotentialSpec) -> dict:
     l_hs = float(np.linalg.norm(col) * np.linalg.norm(row))
     c = right * np.conj(row)
     kl = np.vdot(col, left * bounds._apply(gen, c, np.empty_like(c)))
-    m_sq = k_sq - 2.0 * kl.real + l_hs * l_hs
-    _check_finite(z, k_sq, l_hs, l_closed, m_sq)
+    # not finite where any of k_sq, kl and l_hs is not
+    m_sq = _result(k_sq - 2.0 * kl.real + l_hs * l_hs,
+                   "||M_z||^2 at z={}", z)
+    if m_sq < 0.0:
+        raise DomainError(f"||M_z|| at z={z} is below the rounding error of "
+                          f"||K_z||^2 = {k_sq!r}")
     return {
         "k_hs": math.sqrt(k_sq),
         "l_hs": l_hs,
@@ -259,14 +261,16 @@ def spectral_radius(z: complex, eps: float, pot: PotentialSpec) -> float:
     eigenvalue is ill-conditioned: at gaussian(-1, 5), 100 + 0.5i its
     condition number is 1331, and relative noise of 2e-16 in each
     product moves the radius by up to ~5e-14 relative.  Raises
-    ConfigError for a non-finite eps, DomainError for a non-finite z,
-    SpectrumError on the spectral rays and ConvergenceError if Arnoldi
-    has not converged within krylov._RESTARTS restarts.
+    ConfigError for a non-finite eps, DomainError for a non-finite z and
+    where the radius leaves the float range, SpectrumError on the
+    spectral rays and ConvergenceError if Arnoldi has not converged
+    within krylov._RESTARTS restarts.
     """
     _setting(eps, "coupling eps")
     grid = potential_grid(z, pot)
     lam = _dominant_eigenvalue(k_matvec(z, pot, grid), grid.size, _EPS_TOL)
-    return float(abs(eps) * abs(lam))
+    return _result(float(abs(eps)) * float(abs(lam)),
+                   "the spectral radius at z={}", z)
 
 
 def _normalized_det(eps: float, pot: PotentialSpec, grid: QuadratureGrid):
@@ -423,12 +427,15 @@ def weak_coupling_rate(pot: PotentialSpec,
     z = 1 / (eps ||V||_1)^2.  For delta-like wells the eigenvalue
     escapes to +infinity like eps^{-2}, so p is close to -2.  Raises
     ConfigError for a non-finite coupling and for fewer than three
-    distinct ones.
+    distinct ones, and ZeroCouplingError, before any search, for a zero
+    one.
     """
     eps_values = sorted((_setting(eps, "coupling eps") for eps in eps_values),
                         reverse=True)
     if len(set(eps_values)) < 3:
         raise ConfigError("a rate fit needs three couplings, all distinct")
+    if 0.0 in eps_values:
+        raise ZeroCouplingError("coupling eps must be nonzero")
     if pot.l1 == 0.0:
         raise ZeroCouplingError("potential integrates to zero")
     roots = []

@@ -8,7 +8,7 @@ taken with the principal branch of the square root (cut on (-inf, 0],
 the cut itself mapping to the positive imaginary axis).  The essential
 spectrum consists of the two rays [0, inf) + i and [0, inf) - i.
 
-The module holds the package's two gates.  Every spectral parameter
+The module holds the package's three gates.  Every spectral parameter
 passes _off_spectrum (DomainError unless z is finite, through _finite,
 SpectrumError on a ray), in the bounds, the kernels, the grids, the
 norms and the FD oracle; the other complex arguments and a kernel's
@@ -16,19 +16,29 @@ points x, y pass _finite.  Every real setting of closed, kernel,
 quadrature, bs and fdop (a length, a half-width, a well depth, an
 amplitude or coupling, which may be complex, a node count) passes the
 setting gate: _setting (finite), _positive (finite and positive) or
-_count (an integer of at least k), each a ConfigError that names it.
-The smoothing scale and the curve parameter r keep their own checks,
-which raise DomainError.  Besides, the module holds the region partition
-of the plane, the Schur, pseudomode and numerical-range bounds on the
-resolvent norm together with norm_bounds, the one place that decides
-which of them holds at a point, the smoothed pseudomode's quality ratio,
-and the spectral data of the point interaction, the exceptional coupling
-curve, the step-like well and the Dirichlet decoupling, and the bitwise
-copy of numpy.linspace that the CLI sweeps and the field grids sample
-with.  It uses the standard library only, so the CLI commands that print
-these numbers start without loading NumPy.  Every name has this one
-implementation and, apart from 14 names that kernel, bounds, field and
-models re-export for their existing callers, this one import path.
+_count (an integer of at least k), each a ConfigError that names it; so
+do the settings that bs derives (a potential's L1 norm, the delta
+well's depth).  The smoothing scale and the curve parameter r keep
+their own checks, which raise DomainError.  Every public numeric result
+that can leave the float range passes the result gate, _result: a
+DomainError whose message says "not finite" and "float range" and is
+built only when it raises.  It takes the bounds and the smoothed ratio,
+the delta eigenvalue, the curve point and the step residual here, the
+kernel, the resolvent applied on a grid and each power iterate in
+bounds, and the HS norms, ||L|| and the spectral radius in bs; no other
+module tests a result for finiteness (the iterations' checks on their
+iterates raise ConvergenceError or SingularError).  Besides, the module
+holds the region partition of the plane, the Schur, pseudomode and
+numerical-range bounds on the resolvent norm together with norm_bounds,
+the one place that decides which of them holds at a point, the smoothed
+pseudomode's quality ratio, and the spectral data of the point
+interaction, the exceptional coupling curve, the step-like well and the
+Dirichlet decoupling, and the bitwise copy of numpy.linspace that the
+CLI sweeps and the field grids sample with.  It uses the standard
+library only, so the CLI commands that print these numbers start
+without loading NumPy.  Every name has this one implementation and,
+apart from 14 names that kernel, bounds, field and models re-export for
+their existing callers, this one import path.
 """
 
 from __future__ import annotations
@@ -204,7 +214,9 @@ def _check_off_spectrum(z: complex) -> complex:
     """_off_spectrum with the ray endpoints +-i admitted, where the
     kernel stays bounded (its limit exists)."""
     z = _finite(z)
-    if min(abs(z - 1j), abs(z + 1j)) > DEFAULT_TOL_SPEC:
+    # both disks lie in this box; outside it abs() could overflow
+    if not (abs(z.real) <= 1.0 and abs(z.imag) <= 2.0
+            and min(abs(z - 1j), abs(z + 1j)) <= DEFAULT_TOL_SPEC):
         _off_spectrum(z)
     return z
 
@@ -219,9 +231,13 @@ def _strip_wave_numbers(z: complex) -> WaveNumbers:
     return wave_numbers(_off_spectrum(z))
 
 
-def _finite_bound(value: float, z: complex) -> float:
-    if not math.isfinite(value):
-        raise DomainError(f"bound at z={z} is not finite ({value!r})")
+def _result(value, what: str, *args):
+    """The one gate for a numeric result: value, real or complex,
+    unchanged; DomainError unless finite.  The message, what formatted
+    with args, is built only when the gate raises."""
+    if not cmath.isfinite(value):
+        raise DomainError(f"{what.format(*args)} leaves the float range: "
+                          f"{value} is not finite")
     return value
 
 
@@ -245,7 +261,7 @@ def _schur(kp: complex, km: complex, z: complex) -> float:
     row_minus = (1.0 / (kp.real * s)
                  + 1.0 / (2.0 * km.real * abs(km))
                  + d / (2.0 * km.real * abs(km) * s))
-    return _finite_bound(max(row_plus, row_minus), z)
+    return _result(max(row_plus, row_minus), "bound at z={}", z)
 
 
 def pseudomode_lower_bound(z: complex) -> float:
@@ -261,8 +277,8 @@ def pseudomode_lower_bound(z: complex) -> float:
 
 
 def _pseudomode(kp: complex, km: complex, z: complex) -> float:
-    return _finite_bound(
-        1.0 / (2.0 * math.sqrt(kp.real * km.real) * abs(kp + km)), z)
+    return _result(1.0 / (2.0 * math.sqrt(kp.real * km.real)
+                          * abs(kp + km)), "bound at z={}", z)
 
 
 def half_strip_distance(z: complex) -> float:
@@ -285,7 +301,7 @@ def numrange_bound(z: complex) -> float:
     if d == 0.0:
         raise DomainError(f"z={z} lies in the closed half-strip")
     _off_spectrum(z)
-    return _finite_bound(1.0 / d, z)
+    return _result(1.0 / d, "bound at z={}", z)
 
 
 # statuses of a point, as norm_bounds decides them
@@ -330,7 +346,7 @@ def norm_bounds(z: complex) -> NormBounds:
             return NormBounds(region, STATUS_OK, _pseudomode(kp, km, z),
                               _schur(kp, km, z))
         # numrange_bound, less the checks the region already made
-        bound = _finite_bound(1.0 / half_strip_distance(z), z)
+        bound = _result(1.0 / half_strip_distance(z), "bound at z={}", z)
     except DomainError as exc:
         return NormBounds(region, STATUS_SKIPPED, math.nan, math.nan, exc)
     return NormBounds(region, STATUS_NUMRANGE, bound, bound)
@@ -383,7 +399,7 @@ def regularized_pseudomode_ratio(z: complex, smoothing_scale: float) -> float:
             + mod_c * mod_c / (2.0 * km.real))
     r_sq = (1.0 / (2.0 * k.real) + 4.0 * mod_c * mod_c
             * _scaled_ramp_integral(2.0 * km.real * a) / (2.0 * km.real))
-    return _finite_bound(math.sqrt(g_sq / r_sq), z)
+    return _result(math.sqrt(g_sq / r_sq), "ratio at z={}", z)
 
 
 # ---------------------------------------------------------------------------
@@ -406,11 +422,8 @@ def delta_eigenvalue(alpha: complex) -> complex:
         a2 = alpha**2
         lam = 1.0 / a2 - a2 / 4.0
     except (OverflowError, ZeroDivisionError):  # alpha^2 overflows or is 0
-        raise DomainError(
-            f"alpha={alpha} squared is out of float range") from None
-    if not cmath.isfinite(lam):
-        raise DomainError(f"eigenvalue at alpha={alpha} overflows")
-    return lam
+        lam = math.inf
+    return _result(lam, "eigenvalue at alpha={}", alpha)
 
 
 def delta_eigenvalue_exists(alpha: complex) -> bool:
@@ -438,11 +451,10 @@ def gamma_point(r: float, sigma: tuple[int, int, int]) -> complex:
     s1, s2, s3 = sigma
     if not all(s in (-1, 1) for s in (s1, s2, s3)):
         raise ConfigError("sigma entries must be +-1")
-    w = math.sqrt(r) * cmath.sqrt(r + 2j * s2) + r + 1j * s2
-    alpha = s1 * cmath.sqrt(2.0 / w if s3 == 1 else -2.0 * w)
-    if not (cmath.isfinite(w) and cmath.isfinite(alpha)):
-        raise DomainError(f"curve point at r={r!r} is not a finite float")
-    return alpha
+    w = _result(math.sqrt(r) * cmath.sqrt(r + 2j * s2) + r + 1j * s2,
+                "curve point at r={!r}", r)
+    return _result(s1 * cmath.sqrt(2.0 / w if s3 == 1 else -2.0 * w),
+                   "curve point at r={!r}", r)
 
 
 def all_sigma() -> list[tuple[int, int, int]]:
@@ -461,9 +473,11 @@ def step_implicit_residual(lam: complex, a: float, b: complex) -> complex:
     with s = sqrt(lam + b) (principal branch).  Vanishes exactly at the
     eigenvalues with |Im lam| < 1.  The principal square root continues
     the formula analytically through lam + b < 0, where sin/cos become
-    sinh/cosh automatically.  Raises DomainError for a non-finite lam
-    and outside |Im lam| < 1, and ConfigError unless 0 < a < inf and b
-    is finite.
+    sinh/cosh automatically.  Raises DomainError for a non-finite lam,
+    outside |Im lam| < 1 and where the residual leaves the float range
+    (at a = 1, b = 3: lam below ~-1.3e5, where cosh(2a |s|) overflows,
+    and above ~1e154, where lam^2 does), and ConfigError unless
+    0 < a < inf and b is finite.
     """
     lam = _finite(lam)
     if abs(lam.imag) >= 1.0:
@@ -471,13 +485,17 @@ def step_implicit_residual(lam: complex, a: float, b: complex) -> complex:
     _positive(a, "half-width a")
     s = cmath.sqrt(lam + _setting(b, "well depth b"))
     w = 2.0 * a * s
-    if abs(w) < 1e-8:
-        sinc = 2.0 * a * (1.0 - w * w / 6.0)
-    else:
-        sinc = cmath.sin(w) / s
-    jump = cmath.sqrt(lam + 1j) - cmath.sqrt(lam - 1j)
-    return ((cmath.sqrt(lam * lam + 1.0) - lam - b) * sinc
-            - 1j * jump * cmath.cos(w))
+    try:
+        if abs(w) < 1e-8:
+            sinc = 2.0 * a * (1.0 - w * w / 6.0)
+        else:
+            sinc = cmath.sin(w) / s
+        jump = cmath.sqrt(lam + 1j) - cmath.sqrt(lam - 1j)
+        res = ((cmath.sqrt(lam * lam + 1.0) - lam - b) * sinc
+               - 1j * jump * cmath.cos(w))
+    except (ArithmeticError, ValueError):  # sin, cos of a huge argument
+        res = math.inf
+    return _result(res, "residual at lam={}", lam)
 
 
 def _cot_gap(lam: float, a: float, b: float) -> float:

@@ -5,7 +5,9 @@ formula, so SpectrumError is a DomainError: one except clause catches a
 non-finite argument and a spectral one alike.  closed._off_spectrum is
 the one gate that raises either for a spectral parameter; a real
 setting that is not finite, not positive or not a count raises
-ConfigError from closed's setting gate.
+ConfigError from closed's setting gate; a public numeric result that
+leaves the float range raises DomainError from closed's result gate,
+closed._result, so no inf or NaN comes back as a value.
 """
 
 

@@ -27,7 +27,8 @@ from typing import Callable
 
 import numpy as np
 
-from .closed import _count, _finite, _off_spectrum, _positive, _setting
+from .closed import (_count, _finite, _off_spectrum, _positive, _result,
+                     _setting)
 from .errors import ConfigError, SingularError
 from .krylov import _EPS_TOL, _dominant_eigenvalue
 from .pair import _both
@@ -211,12 +212,18 @@ def _resolved_n(z: complex, half_length: float, n: int | None) -> int:
     h * kappa <= _H_KAPPA.  In the half-strip |k|^2 >= Re z, so
     h^2 * Re z <= 0.3, which resolves the oscillation; elsewhere kappa
     resolves the pseudomodes' O(1) decay.  Raises ConfigError if an
-    explicit n is not an integer >= 3, and, naming n, if the derived n
-    exceeds MAX_ORACLE_NODES.
+    explicit n is not an integer >= 3, and, naming n, if the explicit or
+    the derived n exceeds MAX_ORACLE_NODES.
     """
-    kappa = math.sqrt(max(abs(z - 1j), abs(z + 1j), 1.0))
+    try:
+        kappa = math.sqrt(max(abs(z - 1j), abs(z + 1j), 1.0))
+    except OverflowError:  # |z -+ i| leaves the float range
+        kappa = math.inf
     if n is not None:
         n = _count(n, 3, "n")  # as build_fd, before n + 1 can be 0
+        if n > MAX_ORACLE_NODES:
+            raise ConfigError(f"n = {n} is more than MAX_ORACLE_NODES = "
+                              f"{MAX_ORACLE_NODES}")
         if 2.0 * half_length / (n + 1) * kappa < 2.0:
             return n
     need = 2.0 * half_length * kappa / _H_KAPPA - 1.0
@@ -267,9 +274,9 @@ def resolvent_norm_fd(z: complex, n: int | None = None) -> OracleResult:
     z passes closed._off_spectrum: raises DomainError for a non-finite z
     and SpectrumError on the spectral rays (endpoints +-i included),
     where the norm is infinite; ConfigError, before any allocation, if
-    the derived n exceeds MAX_ORACLE_NODES (also where it replaces an
-    explicit n), ConvergenceError if Arnoldi does not converge and
-    SingularError if A - z is singular.
+    an explicit n or the derived one (also where it replaces an explicit
+    n) exceeds MAX_ORACLE_NODES, ConvergenceError if Arnoldi does not
+    converge and SingularError if A - z is singular.
     """
     z = _off_spectrum(z)
     half_length = decay_half_length(z)
@@ -288,6 +295,7 @@ def resolvent_norm_fd(z: complex, n: int | None = None) -> OracleResult:
     return OracleResult(value=fine, error=abs(fine - coarse) / 3.0, n=n_fine)
 
 
+@np.errstate(all="ignore")  # the result is gated
 def eigenvalue_near(target: complex, n: int, half_length: float,
                     potential: Callable = _sign,
                     center_jump: float = 0.0,
@@ -302,10 +310,11 @@ def eigenvalue_near(target: complex, n: int, half_length: float,
     Works on fine grids (n ~ 10^5 - 10^6) where the dense solve is out
     of reach; accuracy is then limited only by the discretization.  The
     Arnoldi start vector is fixed (krylov's), so repeated calls return
-    the same bits.  Raises DomainError for a non-finite target,
-    ConfigError for the grid as build_fd does, SingularError if
-    A - target is exactly singular and ConvergenceError if Arnoldi does
-    not converge within krylov._RESTARTS restarts.
+    the same bits.  Raises DomainError for a non-finite target and
+    where the eigenvalue leaves the float range, ConfigError for the
+    grid as build_fd does, SingularError if A - target is exactly
+    singular and ConvergenceError if Arnoldi does not converge within
+    krylov._RESTARTS restarts.
     """
     _finite(target)
     op = build_fd(n, half_length, potential, center_jump, cell_average)
@@ -313,4 +322,5 @@ def eigenvalue_near(target: complex, n: int, half_length: float,
     solve = _tridiag_lu(op, target)
     del op  # the factors are all the solves need
     mu = _dominant_eigenvalue(solve, size, _EPS_TOL)
-    return np.array([target + 1.0 / mu])
+    return np.array([_result(target + 1.0 / mu,
+                             "the eigenvalue near target={}", target)])

@@ -19,9 +19,8 @@ from __future__ import annotations
 import cmath
 import math
 
-from .closed import _check_off_spectrum, _finite, principal_sqrt
+from .closed import _check_off_spectrum, _finite, _result, principal_sqrt
 from .closed import classify_region  # re-exported
-from .errors import DomainError
 
 
 def _kernel(z: complex, x: float, y: float, coupled: bool) -> complex:
@@ -42,7 +41,8 @@ def _kernel(z: complex, x: float, y: float, coupled: bool) -> complex:
     origin and on it.  The arithmetic is symmetric in x and y, so
     swapping them returns the same bits.  Raises DomainError for a
     non-finite x or y (closed._finite) and where the value is not
-    finite, which happens only for |x| or |y| near the float range.
+    finite (closed._result), which happens only for |x| or |y| near the
+    float range.
     """
     z = _check_off_spectrum(z)
     x, y = float(x), float(y)  # NumPy scalars would switch the arithmetic
@@ -79,13 +79,10 @@ def _kernel(z: complex, x: float, y: float, coupled: bool) -> complex:
             out = cmath.exp(-kp * u + km * v) / (kp + km)
         else:
             return 0j
-    except (ArithmeticError, ValueError) as exc:
+    except (ArithmeticError, ValueError):
         # k|x| overflows, or turns into a NaN that reaches a division
-        raise DomainError(
-            f"kernel at z={z}, x={x!r}, y={y!r} is not finite") from exc
-    if not cmath.isfinite(out):
-        raise DomainError(f"kernel at z={z}, x={x!r}, y={y!r} is not finite")
-    return out
+        out = math.inf
+    return _result(out, "kernel at z={}, x={!r}, y={!r}", z, x, y)
 
 
 def resolvent_kernel(z: complex, x: float, y: float) -> complex:

@@ -22,6 +22,7 @@ recorder is single-threaded and wraps the public ones.
 
 from __future__ import annotations
 
+import contextvars
 import threading
 from typing import Callable, TypeVar
 
@@ -56,7 +57,9 @@ def _both(size: int, first: Callable[[], A],
     nodes, the second on a thread of its own from _MIN_NODES nodes up.
 
     Returns only once both jobs have finished.  If both fail, the error
-    raised is first's, as in the serial order.
+    raised is first's, as in the serial order.  The second job runs in a
+    copy of the caller's context, so an np.errstate the caller set holds
+    on both threads.
     """
     if size < _MIN_NODES:
         return first(), second()
@@ -68,7 +71,8 @@ def _both(size: int, first: Callable[[], A],
         except BaseException as exc:  # re-raised in the caller
             got["error"] = exc
 
-    thread = threading.Thread(target=run)
+    thread = threading.Thread(target=contextvars.copy_context().run,
+                              args=(run,))
     thread.start()
     try:
         a = first()

@@ -154,15 +154,23 @@ class TestDecomposition:
         with pytest.raises(ConfigError, match="distinct"):
             hs_growth_rates(gaussian(), re_values)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_norms_past_the_float_range_raise(self):
-        # amplitude 1e200 once gave k_hs = inf and m_hs = nan
+        # amplitude 1e200 once gave k_hs = inf and m_hs = nan, and then
+        # NumPy's overflow warnings ahead of the DomainError
         pot = gaussian(1e200)
         z = 25 + 0.5j
         with pytest.raises(DomainError, match="float range"):
             hs_norm(z, pot, potential_grid(z, pot))
         with pytest.raises(DomainError, match="float range"):
             decomposition_diagnostics(z, pot)
+
+    @pytest.mark.parametrize("re", [5e8, 1e9, 1e10])
+    def test_m_below_the_rounding_error_of_k_raises(self, re):
+        # ||K||^2 - 2 Re<K, L> + ||L||^2 cancels to a negative number
+        # here: math.sqrt once raised a bare ValueError
+        with pytest.raises(DomainError, match="below the rounding error"):
+            decomposition_diagnostics(re + 0.5j, delta_bump(1.0))
 
 
 class TestEigenvalues:
@@ -257,6 +265,19 @@ class TestWeakCoupling:
     def test_zero_coupling_potential_rejected(self):
         with pytest.raises(ZeroCouplingError):
             weak_coupling_rate(box(0.0, 1.0))
+
+    @pytest.mark.parametrize("eps_values", [(0.5, 0.25, 0.0),
+                                            (0.5, -0.0, 0.125, 0.25)])
+    def test_zero_coupling_rejected_before_any_search(self, monkeypatch,
+                                                      eps_values):
+        # the continuation once divided by the zero coupling after two
+        # searches: a bare ZeroDivisionError
+        def fail(*args):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(bs, "find_eigenvalue", fail)
+        with pytest.raises(ZeroCouplingError, match="nonzero"):
+            weak_coupling_rate(delta_bump(1.0), eps_values)
 
     def test_gaussian_escape(self):
         scan = escape_scan(gaussian(), 0.125, [1.0, 100.0, 10000.0])

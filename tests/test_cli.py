@@ -3,6 +3,8 @@
 import io
 import math
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -247,6 +249,38 @@ class TestSubcommands:
         assert code == 1
         assert out == "re k_hs l_hs l_hs_closed m_hs\n"
         assert "float range" in capsys.readouterr().err
+
+    def test_bs_sweep_past_the_float_range_writes_one_error_line(self):
+        # NumPy once printed two overflow RuntimeWarnings ahead of the
+        # error line; in a child process, as a user sees it
+        proc = subprocess.run(
+            [sys.executable, "-m", "sgnspec.cli", "bs", "sweep", "--re",
+             "25:100:3", "--amplitude", "1e200"],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stdout == "re k_hs l_hs l_hs_closed m_hs\n"
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "not finite" in err[0] and "float range" in err[0]
+
+    def test_bs_sweep_below_the_rounding_error_exits_one(self, capsys):
+        # ||M||^2 cancels to a negative number at Re z = 1e9: the sweep
+        # once ended in a ValueError traceback after its header
+        code, out = run_cli(["bs", "sweep", "--re", "1e9:1e12:4",
+                             "--potential", "delta"])
+        assert code == 1
+        assert out == "re k_hs l_hs l_hs_closed m_hs\n"
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "below the rounding error" in err[0]
+
+    def test_bs_rate_zero_coupling_exits_two(self, capsys):
+        # it once ended in a ZeroDivisionError traceback, as bs roots
+        # --eps 0 does not
+        code, out = run_cli(["bs", "rate", "--potential", "delta",
+                             "--eps", "0.5", "0.25", "0"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == (
+            "error: coupling eps must be nonzero\n")
 
     @pytest.mark.parametrize("argv, match", [
         (["rate", "--potential", "delta", "--eps", "0.5", "0.5", "0.5"],

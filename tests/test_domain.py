@@ -15,6 +15,13 @@ settings (closed._setting, _positive, _count), a DomainError for a
 kernel point x, y (closed._finite) and for the three settings that keep
 their own checks (the smoothing scale, the curve parameter r, and the
 real parts of a sweep, which become spectral parameters).
+
+Every public function whose number can leave the float range for
+finite arguments raises a DomainError there, from the one result gate
+(closed._result), whose message says "not finite" and "float range":
+never inf or NaN, never a bare Python error, and no NumPy warning ahead
+of it.  A spectral parameter far beyond +-i in both parts, where
+|z -+ i| overflows, is no bare OverflowError either.
 """
 
 import math
@@ -209,6 +216,99 @@ def test_setting_raises_its_error(call, value, error, match):
 def test_fd_step_out_of_the_float_range(call):
     with pytest.raises(ConfigError, match="half_length") as info:
         call()
+    assert type(info.value) is ConfigError
+
+
+_BIG_GRID = trapezoid_grid(10.0, 101)
+
+# (module.function-what overflows, call of finite arguments whose result
+# leaves the float range)
+_RESULTS = [
+    ("closed.schur_upper_bound", lambda: schur_upper_bound(1e308 + 0.5j)),
+    ("closed.pseudomode_lower_bound",
+     lambda: pseudomode_lower_bound(1e308 + 0.9j)),
+    ("closed.numrange_bound", lambda: numrange_bound(-1e-310 + 0.5j)),
+    ("closed.regularized_pseudomode_ratio",
+     lambda: regularized_pseudomode_ratio(1e200, 1.0)),
+    ("closed.delta_eigenvalue-alpha_squared_underflows",
+     lambda: delta_eigenvalue(1e-200)),
+    ("closed.delta_eigenvalue-alpha_squared_overflows",
+     lambda: delta_eigenvalue(1e200)),
+    ("closed.delta_eigenvalue-inverse_overflows",
+     lambda: delta_eigenvalue(1e-160)),
+    ("closed.gamma_point", lambda: gamma_point(1.7e308, (1, 1, 1))),
+    # (-inf+nanj) came back
+    ("closed.step_implicit_residual-lam_squared",
+     lambda: step_implicit_residual(1e200, 1.0, 3.0)),
+    # a bare OverflowError from cmath.sin
+    ("closed.step_implicit_residual-sinh",
+     lambda: step_implicit_residual(-1e300, 1.0, 3.0)),
+    ("kernel.resolvent_kernel",
+     lambda: resolvent_kernel(5 + 0.5j, 1e308, -1e308)),
+    ("kernel.dirichlet_kernel",
+     lambda: dirichlet_kernel(5 + 0.5j, -1e308, -1.7e308)),
+    # inf and nan entries came back
+    ("bounds.apply_resolvent",
+     lambda: apply_resolvent(5 + 0.5j, _BIG_GRID, np.full(101, 1e308))),
+    # ConvergenceError after 200 steps of NaN
+    ("bounds.quadrature_operator_norm",
+     lambda: quadrature_operator_norm(5 + 0.5j, trapezoid_grid(1e300, 101))),
+    ("bs.hs_norm",
+     lambda: hs_norm(25 + 0.5j, gaussian(1e200), _GRID)),
+    # inf came back
+    ("bs.l_hs_closed", lambda: l_hs_closed(1e308 + 0.5j, gaussian(1e200))),
+    ("bs.decomposition_diagnostics",
+     lambda: decomposition_diagnostics(25 + 0.5j, gaussian(1e200))),
+    ("bs.hs_growth_rates",
+     lambda: hs_growth_rates(gaussian(1e200), [25.0, 50.0, 100.0])),
+    # inf came back
+    ("bs.spectral_radius",
+     lambda: spectral_radius(30 + 0.5j, 1e308, gaussian(1e10))),
+    # max_radius inf came back
+    ("bs.escape_scan", lambda: escape_scan(gaussian(1e10), 1e308, [30.0])),
+    # [inf+nanj] came back
+    ("fdop.eigenvalue_near",
+     lambda: eigenvalue_near(1.7e308 + 1.7e308j, 201, 20.0)),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("call", [pytest.param(call, id=name)
+                                  for name, call in _RESULTS])
+def test_result_out_of_the_float_range_raises(call):
+    # the DomainError comes alone: no NumPy warning ahead of it
+    with pytest.raises(DomainError, match="float range") as info:
+        call()
+    assert type(info.value) is DomainError
+    assert "not finite" in str(info.value)
+
+
+# far from both rays, where |z -+ i| leaves the float range
+_CORNER = -1.7e308 + 1.7e308j
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("call", [
+    lambda: resolvent_kernel(_CORNER, 0.3, -0.7),
+    lambda: dirichlet_kernel(_CORNER, 0.3, 0.7),
+    lambda: apply_resolvent(_CORNER, _GRID, np.ones(_GRID.size)),
+    lambda: hs_norm(_CORNER, _POT, _GRID),
+    lambda: spectral_radius(_CORNER, 0.125, _POT),
+    lambda: potential_grid(_CORNER, _POT).half_length,
+    lambda: quadrature_operator_norm(_CORNER, _GRID),
+], ids=["resolvent_kernel", "dirichlet_kernel", "apply_resolvent", "hs_norm",
+        "spectral_radius", "potential_grid", "quadrature_operator_norm"])
+def test_spectral_parameter_past_the_float_range_of_i(call):
+    # abs(z - 1j) in the gate that admits the ray endpoints once raised
+    # a bare OverflowError here
+    assert np.isfinite(call()).all()
+
+
+@pytest.mark.parametrize("n", [None, 201])
+def test_fd_oracle_past_the_float_range_of_i(n):
+    # a bare OverflowError before; the grid needs infinitely many nodes
+    with pytest.raises(ConfigError, match="MAX_ORACLE_NODES") as info:
+        resolvent_norm_fd(_CORNER, n)
     assert type(info.value) is ConfigError
 
 

@@ -159,6 +159,22 @@ class TestResolventNorm:
             with pytest.raises(ConfigError, match=r"needs n = \d{7} "):
                 resolvent_norm_fd(1e4 + 0.5j, n=n)
 
+    @pytest.mark.parametrize("n", [fdop.MAX_ORACLE_NODES + 2, 10**9])
+    def test_explicit_n_past_the_ceiling_raises(self, monkeypatch, n):
+        # h * kappa < 2 kept an explicit n whatever its size: n = 10**9
+        # went on to a ~16 GB np.arange and a MemoryError
+        def fail(*args):
+            raise AssertionError("allocated")
+
+        monkeypatch.setattr(fdop, "build_fd", fail)
+        with pytest.raises(ConfigError, match="MAX_ORACLE_NODES"):
+            resolvent_norm_fd(5 + 0.5j, n=n)
+
+    def test_explicit_n_at_the_ceiling_is_kept(self):
+        z = 5 + 0.5j
+        assert _resolved_n(z, decay_half_length(z),
+                           fdop.MAX_ORACLE_NODES) == fdop.MAX_ORACLE_NODES
+
     def test_under_resolved_explicit_n_takes_derived_grid(self):
         # h * kappa = 5.5 >= 2: n = 2001 cannot represent z's oscillation
         # (on its own it gives 0.028 +- 0.004), so the call runs the

@@ -3,7 +3,8 @@ layer and the FD oracle's two grids side by side (pair._both).  Every
 result must be the same bits as in the serial order, errors included; a
 paired call must leave no thread behind and load no thread pool, and a
 job that pairs again, a forked child and a process held to one core
-must run their pairs."""
+must run their pairs.  The second job runs in the caller's NumPy error
+state."""
 
 import inspect
 import os
@@ -18,7 +19,7 @@ import pytest
 from sgnspec import bounds, bs, closed, fdop, krylov, pair, quadrature
 from sgnspec.bounds import (apply_resolvent, default_strip_grid,
                             quadrature_operator_norm)
-from sgnspec.errors import ConvergenceError
+from sgnspec.errors import ConvergenceError, DomainError
 from sgnspec.quadrature import gauss_legendre_grid
 
 # a threshold above every grid of these tests: the serial order
@@ -69,6 +70,21 @@ class TestBoth:
 
         with pytest.raises(ValueError, match="second"):
             pair._both(pair._MIN_NODES, lambda: 1, second)
+
+    def test_second_job_keeps_the_callers_errstate(self):
+        # a thread starts in an empty context, where NumPy's error state
+        # is the default
+        with np.errstate(over="raise"):
+            states = pair._both(pair._MIN_NODES, np.geterr, np.geterr)
+        assert states[0]["over"] == states[1]["over"] == "raise"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_on_the_helper_reaches_the_gate(self, monkeypatch):
+        # the helper's half-line scan once warned before the DomainError
+        monkeypatch.setattr(pair, "_MIN_NODES", 0)
+        grid = gauss_legendre_grid(10.0, 1.0)
+        with pytest.raises(DomainError, match="float range"):
+            apply_resolvent(5 + 0.5j, grid, np.full(grid.size, 1e308))
 
 
 class TestSameBits:
