@@ -63,6 +63,9 @@ from .quadrature import (
 # overflow at e^709 and to the underflow at e^-708
 _EXP_BUDGET = 300.0
 
+# the smallest normal float
+_TINY = float(np.finfo(float).tiny)
+
 
 # ---------------------------------------------------------------------------
 # quadrature application of the resolvent
@@ -345,7 +348,11 @@ def quadrature_operator_norm(z: complex, grid: QuadratureGrid) -> float:
     the conjugate of u).  The iteration holds two work vectors and each
     product scans in its input, so the call needs ~64 bytes per node
     besides the grid.  Nothing is divided by a weight, so zero weights
-    are allowed.  Raises ConvergenceError if the estimate has not
+    are allowed.  Where R R^H would underflow (z near the float range,
+    ||R|| ~ 5e-156), a step scales its first product to unit norm and
+    the estimate is carried as that norm times the second's, so the
+    norm comes back positive; every other operator keeps its steps
+    unscaled.  Raises ConvergenceError if the estimate has not
     settled to 1e-8 relative within 200 steps, and DomainError as soon
     as an iterate leaves the float range.  The start vector is fixed, so
     repeated calls return the same bits.
@@ -363,14 +370,20 @@ def quadrature_operator_norm(z: complex, grid: QuadratureGrid) -> float:
     v.real = draws[:n]
     v.imag = draws[n:]
     v *= 1.0 / np.linalg.norm(v)
-    val = 0.0
+    val, scale = 0.0, 1.0  # the last estimate of ||R||^2 is val * scale
     for _ in range(200):
         np.conj(_apply(gen, v, u), out=u)
+        last, scale = scale, 1.0
+        if not val * last >= _TINY:  # the first step, or a tiny operator
+            size = np.linalg.norm(u)
+            if size and size * size < _TINY:  # R u would underflow
+                scale = size
+                u *= 1.0 / size
         np.conj(_apply(gen, u, v), out=v)
         nval = _result(np.linalg.norm(v), "the power iterate at z={}", z)
         v *= 1.0 / nval
-        if abs(nval - val) <= 1e-8 * nval:
-            return math.sqrt(nval)
+        if abs(nval - val * (last / scale)) <= 1e-8 * nval:
+            return math.sqrt(scale) * math.sqrt(nval)
         val = nval
     raise ConvergenceError("power iteration not settled to 1e-08 in 200 steps")
 

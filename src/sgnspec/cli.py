@@ -57,7 +57,8 @@ def parse_complex(text: str) -> complex:
 
 
 def parse_range(text: str) -> tuple[float, float, int]:
-    """'min:max:count' -> (min, max, count), bounds finite."""
+    """'min:max:count' -> (min, max, count), bounds finite, count at most
+    field.MAX_GRID_POINTS, refused before a sweep allocates its axis."""
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(
@@ -71,6 +72,10 @@ def parse_range(text: str) -> tuple[float, float, int]:
     _finite(hi, text)
     if n < 1:
         raise argparse.ArgumentTypeError("count must be positive")
+    from .field import MAX_GRID_POINTS
+    if n > MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"count {n} exceeds MAX_GRID_POINTS = {MAX_GRID_POINTS}")
     return lo, hi, n
 
 

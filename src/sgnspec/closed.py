@@ -6,7 +6,9 @@ Everything here is exact arithmetic on the two wave numbers
 
 taken with the principal branch of the square root (cut on (-inf, 0],
 the cut itself mapping to the positive imaginary axis).  The essential
-spectrum consists of the two rays [0, inf) + i and [0, inf) - i.
+spectrum consists of the two rays [0, inf) + i and [0, inf) - i.  The
+distances |z -+ i| = |k_+-|^2 to their endpoints are formed in one
+place, _to_i, which returns inf where they leave the float range.
 
 The module holds the package's three gates.  Every spectral parameter
 passes _off_spectrum (DomainError unless z is finite, through _finite,
@@ -17,28 +19,28 @@ quadrature, bs and fdop (a length, a half-width, a well depth, an
 amplitude or coupling, which may be complex, a node count) passes the
 setting gate: _setting (finite), _positive (finite and positive) or
 _count (an integer of at least k), each a ConfigError that names it; so
-do the settings that bs derives (a potential's L1 norm, the delta
-well's depth).  The smoothing scale and the curve parameter r keep
-their own checks, which raise DomainError.  Every public numeric result
-that can leave the float range passes the result gate, _result: a
-DomainError whose message says "not finite" and "float range" and is
-built only when it raises.  It takes the bounds and the smoothed ratio,
-the delta eigenvalue, the curve point and the step residual here, the
-kernel, the resolvent applied on a grid and each power iterate in
-bounds, and the HS norms, ||L|| and the spectral radius in bs; no other
-module tests a result for finiteness (the iterations' checks on their
-iterates raise ConvergenceError or SingularError).  Besides, the module
-holds the region partition of the plane, the Schur, pseudomode and
-numerical-range bounds on the resolvent norm together with norm_bounds,
-the one place that decides which of them holds at a point, the smoothed
-pseudomode's quality ratio, and the spectral data of the point
-interaction, the exceptional coupling curve, the step-like well and the
-Dirichlet decoupling, and the bitwise copy of numpy.linspace that the
-CLI sweeps and the field grids sample with.  It uses the standard
-library only, so the CLI commands that print these numbers start
-without loading NumPy.  Every name has this one implementation and,
-apart from 14 names that kernel, bounds, field and models re-export for
-their existing callers, this one import path.
+do the settings that bs derives (a potential's L1 norm, the delta well's
+depth).  The smoothing scale and the curve parameter r keep their own
+checks, which raise DomainError.  Every public numeric result that can
+leave the float range passes the result gate, _result: a DomainError
+whose message says "not finite" and "float range" and is built only when
+it raises.  It takes the bounds and the smoothed ratio, the ray
+distances, the delta eigenvalue, the curve point and the step residual
+here, the kernel, the resolvent applied on a grid and each power iterate
+in bounds, and the HS norms, ||L|| and the spectral radius in bs; no
+other module tests a result for finiteness (the iterations' checks on
+their iterates raise ConvergenceError or SingularError).  Besides, the
+module holds the region partition of the plane, the Schur, pseudomode
+and numerical-range bounds on the resolvent norm together with
+norm_bounds, the one place that decides which of them holds at a point,
+the smoothed pseudomode's quality ratio, and the spectral data of the
+point interaction, the exceptional coupling curve, the step-like well
+and the Dirichlet decoupling, and the bitwise copy of numpy.linspace
+that the CLI sweeps and the field grids sample with.  It uses the
+standard library only, so the CLI commands that print these numbers
+start without loading NumPy.  Every name has this one implementation
+and, apart from 14 names that kernel, bounds, field and models re-export
+for their existing callers, this one import path.
 """
 
 from __future__ import annotations
@@ -113,15 +115,32 @@ class Region(enum.Enum):
     SPECTRUM = "SPECTRUM"
 
 
-def ray_distances(z: complex) -> tuple[float, float]:
-    """Distances from ``z`` to the rays [0,inf)+i and [0,inf)-i."""
-    z = complex(z)
-    if z.real >= 0.0:
-        return abs(z.imag - 1.0), abs(z.imag + 1.0)
+def _to_i(z: complex) -> tuple[float, float]:
+    """|z - i| and |z + i|: hypot of the parts, as abs() forms them, but
+    inf where abs() would raise OverflowError."""
     return math.hypot(z.real, z.imag - 1.0), math.hypot(z.real, z.imag + 1.0)
 
 
+def _rays(z: complex) -> tuple[float, float]:
+    """Distances from z to the rays [0,inf)+i and [0,inf)-i, inf where
+    they leave the float range (such a z is off both rays)."""
+    if z.real >= 0.0:
+        return abs(z.imag - 1.0), abs(z.imag + 1.0)
+    return _to_i(z)
+
+
+def ray_distances(z: complex) -> tuple[float, float]:
+    """Distances from ``z`` to the rays [0,inf)+i and [0,inf)-i.  Raises
+    DomainError for a non-finite z and where a distance leaves the float
+    range (both parts of z near it, Re z < 0)."""
+    pair = _rays(_finite(z))
+    _result(max(pair), "distance from z={} to a ray", z)
+    return pair
+
+
 def spectrum_distance(z: complex) -> float:
+    """Distance from ``z`` to the essential spectrum; raises as
+    ray_distances."""
     return min(ray_distances(z))
 
 
@@ -140,12 +159,12 @@ def classify_region(z: complex) -> Region:
     (_finite).
     """
     z = _finite(z)
-    if spectrum_distance(z) <= DEFAULT_TOL_SPEC:
+    if min(_rays(z)) <= DEFAULT_TOL_SPEC:
         return Region.SPECTRUM
-    # both disks lie in this box; outside it abs() could overflow
-    near = abs(z.real) <= 1.5 and abs(z.imag) <= 2.5
-    in_plus = near and abs(z - 1j) <= 1.5
-    in_minus = near and abs(z + 1j) <= 1.5
+    in_plus = in_minus = False
+    # a fast path: both disks lie in this box, and most points skip _to_i
+    if abs(z.real) <= 1.5 and abs(z.imag) <= 2.5:
+        in_plus, in_minus = (d <= 1.5 for d in _to_i(z))
     if in_plus and in_minus:
         return Region.D_PLUS if z.imag >= 0.0 else Region.D_MINUS
     if in_plus:
@@ -198,14 +217,14 @@ def _off_spectrum(z: complex) -> complex:
     """The one gate for a spectral parameter: z as a finite complex off
     the essential spectrum.
 
-    Raises DomainError unless z is finite (spectrum_distance(nan) <= tol
-    is False, so the ray test alone would admit it) and SpectrumError
-    within DEFAULT_TOL_SPEC of a ray, the endpoints +-i included.  No
-    other module compares spectrum_distance with DEFAULT_TOL_SPEC in
-    order to raise.
+    Raises DomainError unless z is finite (a NaN distance is not <= tol,
+    so the ray test alone would admit it) and SpectrumError within
+    DEFAULT_TOL_SPEC of a ray, the endpoints +-i included.  No other
+    module compares a ray distance with DEFAULT_TOL_SPEC in order to
+    raise.
     """
     z = _finite(z)
-    if spectrum_distance(z) <= DEFAULT_TOL_SPEC:
+    if min(_rays(z)) <= DEFAULT_TOL_SPEC:
         raise SpectrumError(f"z={z} lies on the essential spectrum")
     return z
 
@@ -214,9 +233,7 @@ def _check_off_spectrum(z: complex) -> complex:
     """_off_spectrum with the ray endpoints +-i admitted, where the
     kernel stays bounded (its limit exists)."""
     z = _finite(z)
-    # both disks lie in this box; outside it abs() could overflow
-    if not (abs(z.real) <= 1.0 and abs(z.imag) <= 2.0
-            and min(abs(z - 1j), abs(z + 1j)) <= DEFAULT_TOL_SPEC):
+    if min(_to_i(z)) > DEFAULT_TOL_SPEC:
         _off_spectrum(z)
     return z
 
@@ -429,7 +446,7 @@ def delta_eigenvalue(alpha: complex) -> complex:
 def delta_eigenvalue_exists(alpha: complex) -> bool:
     """Whether the candidate value lies off the essential spectrum rays,
     farther than DEFAULT_TOL_SPEC."""
-    return spectrum_distance(delta_eigenvalue(alpha)) > DEFAULT_TOL_SPEC
+    return min(_rays(delta_eigenvalue(alpha))) > DEFAULT_TOL_SPEC
 
 
 def gamma_point(r: float, sigma: tuple[int, int, int]) -> complex:
@@ -582,4 +599,4 @@ def dirichlet_resolvent_norm(z: complex) -> float:
     below 1/DEFAULT_TOL_SPEC, and DomainError for a non-finite z (see
     _off_spectrum).
     """
-    return 1.0 / spectrum_distance(_off_spectrum(z))
+    return 1.0 / min(_rays(_off_spectrum(z)))

@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .closed import (_count, _finite, _off_spectrum, _positive, _result,
-                     _setting)
+                     _setting, _to_i)
 from .errors import ConfigError, SingularError
 from .krylov import _EPS_TOL, _dominant_eigenvalue
 from .pair import _both
@@ -215,10 +215,7 @@ def _resolved_n(z: complex, half_length: float, n: int | None) -> int:
     explicit n is not an integer >= 3, and, naming n, if the explicit or
     the derived n exceeds MAX_ORACLE_NODES.
     """
-    try:
-        kappa = math.sqrt(max(abs(z - 1j), abs(z + 1j), 1.0))
-    except OverflowError:  # |z -+ i| leaves the float range
-        kappa = math.inf
+    kappa = math.sqrt(max(*_to_i(z), 1.0))  # inf past the float range
     if n is not None:
         n = _count(n, 3, "n")  # as build_fd, before n + 1 can be 0
         if n > MAX_ORACLE_NODES:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .closed import _check_off_spectrum, _finite, _result, principal_sqrt
+from .closed import _check_off_spectrum, _finite, _result, wave_numbers
 from .closed import classify_region  # re-exported
 
 
@@ -48,8 +48,7 @@ def _kernel(z: complex, x: float, y: float, coupled: bool) -> complex:
     x, y = float(x), float(y)  # NumPy scalars would switch the arithmetic
     _finite(x)
     _finite(y)
-    kp = principal_sqrt(1j - z)
-    km = principal_sqrt(-1j - z)
+    kp, km = wave_numbers(z)
     if coupled:
         pos = x >= 0.0 and y >= 0.0
         same = pos or (x <= 0.0 and y <= 0.0)

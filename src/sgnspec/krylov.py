@@ -38,6 +38,7 @@ _RESTARTS = 5000
 _EPS_TOL = float(np.finfo(float).eps)
 
 
+@np.errstate(all="ignore")  # each product's norm is tested
 def _dominant_eigenvalue(matvec: Callable[[np.ndarray], np.ndarray],
                          n: int, tol: float) -> complex:
     """Eigenvalue of largest modulus of the operator v -> matvec(v) on
@@ -67,8 +68,10 @@ def _dominant_eigenvalue(matvec: Callable[[np.ndarray], np.ndarray],
     the convergence of clustered eigenvalues.  The start vector is the
     fixed standard normal draw of np.random.default_rng(0), so the
     result depends only on the operator and repeated calls return the
-    same bits.  Raises ConvergenceError after _RESTARTS restarts and
-    SingularError if a product is not finite.
+    same bits.  A product whose squared norm overflows is measured
+    scaled by its largest part, so the radius of a large but finite
+    operator comes back.  Raises ConvergenceError after _RESTARTS
+    restarts and SingularError if a product or its norm is not finite.
     """
     v0 = np.random.default_rng(0).standard_normal(n)
     basis = np.empty((_BASIS + 1, n), dtype=complex)
@@ -85,8 +88,14 @@ def _dominant_eigenvalue(matvec: Callable[[np.ndarray], np.ndarray],
             w = w - h @ done
             again = np.conj(done @ np.conj(w))
             w -= again @ done
-            # np.linalg.norm's arithmetic, without its overhead
+            # np.linalg.norm's arithmetic, without its overhead; scaled
+            # by the largest part only where the squares overflow
             beta = math.sqrt(w.real @ w.real + w.imag @ w.imag)
+            if beta == math.inf:
+                top = np.abs(w.view(float)).max()
+                scaled = w * (1.0 / top)
+                beta = top * math.sqrt(scaled.real @ scaled.real
+                                       + scaled.imag @ scaled.imag)
             if not math.isfinite(beta):
                 raise SingularError("Krylov product is not finite")
             proj[:j + 1, j] = h + again

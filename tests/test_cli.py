@@ -10,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from sgnspec import bs
+from sgnspec import bs, closed
 from sgnspec.cli import main, parse_complex, parse_range
 from sgnspec.closed import MAX_STEP_BRACKETS
 from sgnspec.errors import ConvergenceError, EigenvalueLost, SingularError
@@ -201,6 +201,21 @@ class TestSubcommands:
         assert elapsed < 1.0 and peak < 1 << 20
         assert not os.path.exists(path)
         assert str(MAX_GRID_POINTS) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["gamma", "--sigma=1,1,1", "--r=0:1:100000000"],
+        ["bs", "sweep", "--re=10:20:100000000"],
+    ])
+    def test_sweep_count_ceiling_exits_two(self, monkeypatch, capsys, argv):
+        # 10^8 samples once built the whole axis, several GB, before a
+        # line was printed; the axis is never built here
+        def refuse(*args):
+            raise AssertionError("the axis was built")
+
+        monkeypatch.setattr(closed, "_linspace", refuse)
+        assert run_cli(argv) == (2, "")
+        assert f"MAX_GRID_POINTS = {MAX_GRID_POINTS}" in \
+            capsys.readouterr().err
 
     def test_field_overflowing_span_exits_two(self, tmp_path, capsys):
         # once wrote nan and inf points marked skipped and exited 0

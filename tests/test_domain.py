@@ -29,6 +29,7 @@ import math
 import numpy as np
 import pytest
 
+from _reference import kernel_matrix
 from sgnspec.bounds import (apply_resolvent, default_strip_grid,
                             numrange_bound, pseudomode_lower_bound,
                             quadrature_operator_norm,
@@ -40,7 +41,8 @@ from sgnspec.bs import (box, decomposition_diagnostics, delta_bump,
                         weak_coupling_rate)
 from sgnspec.closed import (classify_region, delta_eigenvalue,
                             dirichlet_resolvent_norm, find_step_eigenvalues,
-                            gamma_point, norm_bounds, step_implicit_residual)
+                            gamma_point, norm_bounds, ray_distances,
+                            spectrum_distance, step_implicit_residual)
 from sgnspec.errors import ConfigError, DomainError, SpectrumError
 from sgnspec.fdop import (build_fd, eigenvalue_near, resolvent_norm_fd,
                           step_potential)
@@ -61,6 +63,8 @@ _CALLS = [
      lambda z: regularized_pseudomode_ratio(z, 1.0), True),
     ("dirichlet_resolvent_norm", dirichlet_resolvent_norm, True),
     ("classify_region", classify_region, False),
+    ("ray_distances", ray_distances, False),
+    ("spectrum_distance", spectrum_distance, False),
     ("norm_bounds", norm_bounds, False),
     ("delta_eigenvalue", delta_eigenvalue, False),
     ("step_implicit_residual",
@@ -237,6 +241,10 @@ _RESULTS = [
     ("closed.delta_eigenvalue-inverse_overflows",
      lambda: delta_eigenvalue(1e-160)),
     ("closed.gamma_point", lambda: gamma_point(1.7e308, (1, 1, 1))),
+    # inf came back
+    ("closed.ray_distances", lambda: ray_distances(-1.7e308 + 1.7e308j)),
+    ("closed.spectrum_distance",
+     lambda: spectrum_distance(-1.7e308 - 1.7e308j)),
     # (-inf+nanj) came back
     ("closed.step_implicit_residual-lam_squared",
      lambda: step_implicit_residual(1e200, 1.0, 3.0)),
@@ -302,6 +310,26 @@ def test_spectral_parameter_past_the_float_range_of_i(call):
     # abs(z - 1j) in the gate that admits the ray endpoints once raised
     # a bare OverflowError here
     assert np.isfinite(call()).all()
+
+
+def test_operator_norm_far_from_both_rays_is_positive():
+    # the R R^H iterate underflowed and 0.0 came back; the dense norm,
+    # taken on the matrix scaled by a power of two, is representable
+    val = quadrature_operator_norm(_CORNER, _GRID)
+    assert val > 0.0
+    sw = np.sqrt(_GRID.weights)
+    dense = kernel_matrix(_CORNER, _GRID.nodes, _GRID.nodes) * 2.0**600
+    ref = np.linalg.norm(sw[:, None] * dense * sw, 2) / 2.0**600
+    assert val == pytest.approx(ref, rel=1e-7)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_spectral_radius_whose_products_square_past_the_float_range():
+    # the squared norm of a product overflowed: a NumPy warning, then
+    # SingularError, though the radius is linear in the amplitude
+    val = spectral_radius(30 + 0.5j, 1.0, gaussian(1e200))
+    ref = 1e50 * spectral_radius(30 + 0.5j, 1.0, gaussian(1e150))
+    assert val == pytest.approx(ref, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [None, 201])

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from _reference import kernel_matrix
-from sgnspec.closed import (Region, ray_distances, spectrum_distance,
-                            wave_numbers)
+from sgnspec.closed import (Region, principal_sqrt, ray_distances,
+                            spectrum_distance, wave_numbers)
 from sgnspec.errors import DomainError, SpectrumError
-from sgnspec.kernel import (classify_region, dirichlet_kernel,
-                            principal_sqrt, resolvent_kernel)
+from sgnspec.kernel import classify_region, dirichlet_kernel, resolvent_kernel
 
 
 class TestPrincipalSqrt:

@@ -9,9 +9,10 @@ concurrent.futures, which the package does not use; only the finite-difference o
 scipy.sparse; the pure-Python
 linspace that the CLI and the field grids use in place of NumPy's is
 bitwise equal to it; every module imports on its own, so no import
-cycle hides behind the package's import order; and the numbers of
-parameters with a default and of CLI options are pinned, so a new knob
-is added on purpose."""
+cycle hides behind the package's import order; no module but closed
+forms |z -+ i| (closed._to_i does), and kernel takes its wave numbers
+from closed; and the numbers of parameters with a default and of CLI
+options are pinned, so a new knob is added on purpose."""
 
 import argparse
 import ast
@@ -188,6 +189,27 @@ def test_only_closed_tests_the_spectrum(module):
     names = {alias.name for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert not names & {"DEFAULT_TOL_SPEC", "spectrum_distance"}
+
+
+def _module_tree(module):
+    with open(os.path.join(sgnspec.__path__[0], module + ".py")) as f:
+        return ast.parse(f.read())
+
+
+@pytest.mark.parametrize("module", [m for m in _MODULES if m != "closed"])
+def test_only_closed_forms_the_distance_to_the_endpoints(module):
+    # |z -+ i| is closed._to_i's alone, which returns inf where abs()
+    # would raise OverflowError
+    for node in ast.walk(_module_tree(module)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "abs"):
+            assert not any(isinstance(c, ast.Constant) and c.value == 1j
+                           for arg in node.args for c in ast.walk(arg))
+
+
+def test_kernel_takes_its_wave_numbers_from_closed():
+    assert not any(isinstance(node, ast.Name) and node.id == "principal_sqrt"
+                   for node in ast.walk(_module_tree("kernel")))
 
 
 def _cli_options(parser):
