@@ -7,11 +7,11 @@ the positive half-line, outside the closed half-strip the numerical-range
 bound, and the smoothed pseudomode's ratio.  They are re-exported here.
 
 This module holds the O(n) layer of the resolvent kernel.  The
-kernel is the Green's function psi_-(x_<) psi_+(x_>) / (k_plus +
-k_minus); on each half-line, with t = |x|, it is
-e^{-k(t_> - t_<)} g(t_<) + c e_i e_j, g = (1 - e^{-2kt}) / (2k) and
-e = e^{-kt}, plus c e_i e_j across the origin, c = 1 / (k_plus +
-k_minus).  _sides builds its generators once per (z, grid), in one
+kernel is the Green's function c psi_-(x_<) psi_+(x_>), with the
+coupling c = 1 / (k_plus + k_minus) of closed._coupling; on each
+half-line, with t = |x|, it is e^{-k(t_> - t_<)} g(t_<) + c e_i e_j,
+g = (1 - e^{-2kt}) / (2k) and e = e^{-kt}, plus c e_i e_j across the
+origin.  _sides builds its generators once per (z, grid), in one
 divide-free format: per half-line the block-relative decay d of the
 scan blocks (_blocks), the image factor as a = g / d, and per block
 the scalar carries and e0 with e = e0 d, from one complex exp and one
@@ -44,7 +44,7 @@ import math
 
 import numpy as np
 
-from .closed import _check_off_spectrum, _result, wave_numbers
+from .closed import _check_off_spectrum, _coupling, _result, wave_numbers
 from .closed import (numrange_bound, pseudomode_lower_bound,  # re-exported
                      regularized_pseudomode_ratio, schur_upper_bound)
 from .errors import ConfigError, ConvergenceError, DomainError
@@ -182,12 +182,12 @@ def _diagonal(z: complex, x: np.ndarray):
     """The kernel's diagonal R(x_i, x_i) = g + c e^2 at z on the
     increasing nodes x, pointwise: no scan, so nothing is scaled to
     blocks.  Returns (c, (k_plus, k_minus), diagonal) with the coupling
-    c = 1 / (k_plus + k_minus), g = _image_factor(k, t) and
+    c = closed._coupling(k_plus, k_minus), g = _image_factor(k, t) and
     e = e^{-kt}, t = |x|.  Raises as _sides does.
     """
     z = _check_off_spectrum(z)
     kk = wave_numbers(z)
-    c = 1.0 / (kk.k_plus + kk.k_minus)
+    c = _coupling(*kk)
     diag = np.empty(x.size, dtype=complex)
     for side, k in zip(_half_lines(x), (kk.k_plus, kk.k_minus)):
         t = np.abs(x[side])
@@ -205,9 +205,10 @@ def _sides(z: complex, x: np.ndarray):
     g = (1 - e^{-2kt}) / (2k) with t = |x| increasing, and the scan
     blocks of _blocks (block decay d, per-block carries and e0 with
     e = e^{-kt} = e0 d); and the coupling c = 1/(k_plus + k_minus)
-    through the origin.  The sides do not depend on c, so (0.0, sides)
-    generates the Dirichlet-decoupled kernel.  On one side the kernel is
-    e^{-k(t_> - t_<)} g(t_<) + c e_i e_j, across it c e_i e_j: every
+    through the origin, from closed._coupling.  The sides do not depend
+    on c, so (0.0, sides) generates the Dirichlet-decoupled kernel.  On
+    one side the kernel is e^{-k(t_> - t_<)} g(t_<) + c e_i e_j, across
+    it c e_i e_j: every
     O(n) quantity of the kernel reads these, and the scans on them call
     no exp and divide by nothing.  Scaling a and d by the same real
     weights w scales the kernel to w_i R(x_i, x_j) w_j.  The two
@@ -229,7 +230,7 @@ def _sides(z: complex, x: np.ndarray):
     plus, minus = _half_lines(x)
     sides = _both(x.size, lambda: side_at(plus, kk.k_plus),
                   lambda: side_at(minus, kk.k_minus))
-    return 1.0 / (kk.k_plus + kk.k_minus), sides
+    return _coupling(*kk), sides
 
 
 def _apply(gen, c: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -276,10 +276,11 @@ def spectral_radius(z: complex, eps: float, pot: PotentialSpec) -> float:
 def _normalized_det(eps: float, pot: PotentialSpec, grid: QuadratureGrid):
     """Sign/log-magnitude factory for det(I + eps K_z) on a fixed grid.
 
-    The kernel is the Green's function R(x, y) = psi_-(x_<) psi_+(x_>)
-    / (k_plus + k_minus), with psi_+ = e^{-k_plus x} on x >= 0 and
-    psi_- = e^{k_minus x} on x <= 0, each continued across 0.  So the
-    Nystrom matrix is quasiseparable of order one, and Gaussian
+    The kernel is the Green's function R(x, y) = w psi_-(x_<) psi_+(x_>)
+    with the coupling w = 1/(k_plus + k_minus) of closed._coupling,
+    psi_+ = e^{-k_plus x} on x >= 0 and psi_- = e^{k_minus x} on
+    x <= 0, each continued across 0.  So the Nystrom matrix is
+    quasiseparable of order one, and Gaussian
     elimination on I + D R in node order, D = eps left right, carries a
     single number tau_k = N / M.  Each step is a 2x2 transfer matrix in
     the diagonal c_k = R(x_k, x_k), the weight d_k and the step ratio
@@ -291,9 +292,9 @@ def _normalized_det(eps: float, pot: PotentialSpec, grid: QuadratureGrid):
     pivots 1 + d (c - tau) telescope into M and are never divided by,
     so a vanishing leading minor costs no accuracy; (N, M) is rescaled
     to |N| + |M| = 1 at every step, so nothing overflows.  Both inputs
-    come from the kernel's diagonal (bounds._diagonal): c_k = g + e^2 /
-    (k_plus + k_minus), and psi_+ = R(x, x) / psi_- with psi_- = e on
-    x < 0.  O(n) time and memory per z; no kernel matrix is formed.
+    come from the kernel's diagonal (bounds._diagonal): c_k = g + w e^2,
+    and psi_+ = R(x, x) / (w psi_-) with psi_- = e on x < 0.  O(n) time
+    and memory per z; no kernel matrix is formed.
     """
     left, right = _weights(pot, grid)
     d = (eps * left * right).tolist()

@@ -39,8 +39,11 @@ and the Dirichlet decoupling, and the bitwise copy of numpy.linspace
 that the CLI sweeps and the field grids sample with.  It uses the
 standard library only, so the CLI commands that print these numbers
 start without loading NumPy.  Every name has this one implementation
-and, apart from 14 names that kernel, bounds, field and models re-export
-for their existing callers, this one import path.
+and, apart from 12 names that kernel, bounds, field and models re-export
+for their existing callers, this one import path.  The coupling
+c = 1/(k_plus + k_minus) through the origin, which the kernel, its O(n)
+generators and the bounds all carry, is formed in one place, _coupling,
+so that it keeps its digits on both sides of the plane.
 """
 
 from __future__ import annotations
@@ -86,6 +89,23 @@ def wave_numbers(z: complex) -> WaveNumbers:
     """Both wave numbers at spectral parameter ``z``."""
     z = complex(z)
     return WaveNumbers(principal_sqrt(1j - z), principal_sqrt(-1j - z))
+
+
+def _coupling(kp: complex, km: complex) -> complex:
+    """The coupling c = 1/(k_plus + k_minus) through the origin, the one
+    place that forms k_plus +- k_minus.
+
+    k_plus^2 - k_minus^2 = 2i, so c = (k_plus - k_minus)/(2i) as well.
+    The sum cancels for Re z >> 1, where k_+- ~ +-i sqrt(Re z), and the
+    difference for Re z << -1, where k_plus ~ k_minus.  Their moduli
+    multiply to 2, so the one of at least sqrt(2) has not cancelled:
+    the sum where |s| >= sqrt(2), the difference elsewhere, each giving
+    c to rounding.
+    """
+    s = kp + km
+    if abs(s) >= math.sqrt(2.0):
+        return 1.0 / s
+    return (kp - km) * -0.5j
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
@@ -270,14 +290,10 @@ def schur_upper_bound(z: complex) -> float:
 
 
 def _schur(kp: complex, km: complex, z: complex) -> float:
-    s = abs(kp + km)
-    d = abs(kp - km)
-    row_plus = (1.0 / (km.real * s)
-                + 1.0 / (2.0 * kp.real * abs(kp))
-                + d / (2.0 * kp.real * abs(kp) * s))
-    row_minus = (1.0 / (kp.real * s)
-                 + 1.0 / (2.0 * km.real * abs(km))
-                 + d / (2.0 * km.real * abs(km) * s))
+    # |k_plus + k_minus| = 1/|c| and |k_plus - k_minus| = 2|c|
+    c = abs(_coupling(kp, km))
+    row_plus = c / km.real + (1.0 + 2.0 * c * c) / (2.0 * kp.real * abs(kp))
+    row_minus = c / kp.real + (1.0 + 2.0 * c * c) / (2.0 * km.real * abs(km))
     return _result(max(row_plus, row_minus), "bound at z={}", z)
 
 
@@ -294,8 +310,8 @@ def pseudomode_lower_bound(z: complex) -> float:
 
 
 def _pseudomode(kp: complex, km: complex, z: complex) -> float:
-    return _result(1.0 / (2.0 * math.sqrt(kp.real * km.real)
-                          * abs(kp + km)), "bound at z={}", z)
+    return _result(abs(_coupling(kp, km))
+                   / (2.0 * math.sqrt(kp.real * km.real)), "bound at z={}", z)
 
 
 def half_strip_distance(z: complex) -> float:
@@ -391,7 +407,7 @@ def regularized_pseudomode_ratio(z: complex, smoothing_scale: float) -> float:
 
     g0 = R_z f0 for f0 = e^{-qx} on x > 0 (k = k_plus, q = conj(k)), so
     (Hsmooth - z) g0 = f0 - h g0 with h = -i (2x/a + 2) on [-a, 0).  With
-    B = -1/(q^2 - k^2), C = 1/((k_plus + k_minus)(k + q)), A = C - B:
+    B = -1/(q^2 - k^2), C = c/(k + q), c = _coupling(k, k_minus), A = C - B:
     g0 = A e^{-kx} + B e^{-qx} on x > 0 and C e^{k_minus x} on x < 0, so
     ||g0||^2 = (|A|^2 + |B|^2)/(2 Re k) + Re(A conj(B)/k)
     + |C|^2/(2 Re k_minus) and ||f0 - h g0||^2 = 1/(2 Re k)
@@ -409,7 +425,7 @@ def regularized_pseudomode_ratio(z: complex, smoothing_scale: float) -> float:
         raise DomainError(f"z={z} outside region W")
     k, km = _strip_wave_numbers(z)
     amp_b = 1.0 / (4j * k.real * k.imag)
-    amp_c = 1.0 / (k + km) / (2.0 * k.real)
+    amp_c = _coupling(k, km) / (2.0 * k.real)
     mod_a, mod_b, mod_c = abs(amp_c - amp_b), abs(amp_b), abs(amp_c)
     g_sq = ((mod_a * mod_a + mod_b * mod_b) / (2.0 * k.real)
             + ((amp_c - amp_b) * amp_b.conjugate() / k).real
@@ -423,14 +439,14 @@ def regularized_pseudomode_ratio(z: complex, smoothing_scale: float) -> float:
 # point interaction
 
 def delta_eigenvalue(alpha: complex) -> complex:
-    """The candidate discrete eigenvalue 1/alpha^2 - alpha^2/4.
+    """The candidate discrete eigenvalue 1/alpha^2 - alpha^2/4 of
+    H - alpha delta, the convention of fdop.build_fd's center_jump.
 
-    This value is an eigenvalue of the point-interaction operator
-    exactly when it avoids the essential spectrum; see
-    delta_eigenvalue_exists.  For real nonzero alpha it always exists
-    and is real, diverging like alpha^{-2} as the coupling vanishes.
-    Raises DomainError for a non-finite alpha and where alpha^2 or the
-    value over- or underflows.
+    It solves the squared eigenvalue condition, and is an eigenvalue
+    only where delta_eigenvalue_exists says so: for real alpha > 0 it
+    is one, real and diverging like alpha^{-2} as the coupling
+    vanishes; for real alpha < 0 it is not.  Raises DomainError for a
+    non-finite alpha and where alpha^2 or the value over- or underflows.
     """
     alpha = _finite(alpha)
     if alpha == 0.0:
@@ -444,9 +460,22 @@ def delta_eigenvalue(alpha: complex) -> complex:
 
 
 def delta_eigenvalue_exists(alpha: complex) -> bool:
-    """Whether the candidate value lies off the essential spectrum rays,
-    farther than DEFAULT_TOL_SPEC."""
-    return min(_rays(delta_eigenvalue(alpha))) > DEFAULT_TOL_SPEC
+    """Whether the candidate value lam is an eigenvalue of H - alpha delta.
+
+    Its eigenfunction would be e^{-k_plus x} on x > 0 and e^{k_minus x}
+    on x < 0 with k_plus + k_minus = alpha; the candidate wave numbers
+    alpha/2 +- i/alpha square to +-i - lam, and lam is an eigenvalue
+    exactly when both are the principal roots k_+-(lam), that is when
+    Re(alpha/2 +- i/alpha) > 0, or Re alpha |alpha|^2 > 2 |Im alpha|.
+    So the couplings with an eigenvalue form a window about the positive
+    real axis of half-angle arctan(|alpha|^2 / 2), whose edge is the
+    exceptional curve (gamma_point).  lam must also lie farther than
+    DEFAULT_TOL_SPEC from the rays.  Raises as delta_eigenvalue.
+    """
+    lam = delta_eigenvalue(alpha)
+    a, b = complex(alpha).real, complex(alpha).imag
+    return (min(_rays(lam)) > DEFAULT_TOL_SPEC
+            and a * (a * a + b * b) > 2.0 * abs(b))
 
 
 def gamma_point(r: float, sigma: tuple[int, int, int]) -> complex:

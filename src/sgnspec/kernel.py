@@ -19,7 +19,8 @@ from __future__ import annotations
 import cmath
 import math
 
-from .closed import _check_off_spectrum, _finite, _result, wave_numbers
+from .closed import (_check_off_spectrum, _coupling, _finite, _result,
+                     wave_numbers)
 from .closed import classify_region  # re-exported
 
 
@@ -33,12 +34,13 @@ def _kernel(z: complex, x: float, y: float, coupled: bool) -> complex:
     exact where the difference would cancel (|x| >> |y|).  The factor is
     -expm1(-kd) / (2k), which keeps its digits as kd -> 0 because
     Re k >= 0, and its limit d / 2 at k = 0 (z = +-i).  coupled=True
-    adds the terms that pass through the origin: the tail
-    e^{-k(|x|+|y|)} / (k_plus + k_minus) on the same side, and
-    e^{-k_plus|u| - k_minus|v|} / (k_plus + k_minus) across it, with u
-    the positive and v the negative one of x, y.  coupled=False drops
-    them, which gives the Dirichlet-decoupled kernel: zero across the
-    origin and on it.  The arithmetic is symmetric in x and y, so
+    adds the terms that pass through the origin, with the coupling
+    c = 1/(k_plus + k_minus) of closed._coupling: the tail
+    c e^{-k(|x|+|y|)} on the same side, and c e^{-k_plus|u| - k_minus|v|}
+    across it, with u the positive and v the negative one of x, y.
+    coupled=False sets c = 0, which gives the Dirichlet-decoupled
+    kernel: zero across the origin and on it, returned without
+    computing anything.  The arithmetic is symmetric in x and y, so
     swapping them returns the same bits.  Raises DomainError for a
     non-finite x or y (closed._finite) and where the value is not
     finite (closed._result), which happens only for |x| or |y| near the
@@ -49,12 +51,11 @@ def _kernel(z: complex, x: float, y: float, coupled: bool) -> complex:
     _finite(x)
     _finite(y)
     kp, km = wave_numbers(z)
-    if coupled:
-        pos = x >= 0.0 and y >= 0.0
-        same = pos or (x <= 0.0 and y <= 0.0)
-    else:  # a sign test: x * y underflows to 0 for tiny x and y
-        pos = x > 0.0
-        same = (pos and y > 0.0) or (x < 0.0 and y < 0.0)
+    c = _coupling(kp, km) if coupled else 0.0
+    pos = x >= 0.0 and y >= 0.0
+    same = pos or (x <= 0.0 and y <= 0.0)
+    if not (c or (same and x and y)):  # Dirichlet: across or on the origin
+        return 0j
     k = kp if pos else km
     try:
         if same:
@@ -70,14 +71,10 @@ def _kernel(z: complex, x: float, y: float, coupled: bool) -> complex:
                     math.expm1(w.real) * math.cos(w.imag) - 2.0 * h * h,
                     math.exp(w.real) * math.sin(w.imag))
                 core = -em1 / (2.0 * k)
-            out = cmath.exp(-k * a) * core
-            if coupled:
-                out += cmath.exp(-k * b) / (kp + km)
-        elif coupled:
-            u, v = (x, y) if x > 0.0 else (y, x)
-            out = cmath.exp(-kp * u + km * v) / (kp + km)
+            out = cmath.exp(-k * a) * core + cmath.exp(-k * b) * c
         else:
-            return 0j
+            u, v = (x, y) if x > 0.0 else (y, x)
+            out = cmath.exp(-kp * u + km * v) * c
     except (ArithmeticError, ValueError):
         # k|x| overflows, or turns into a NaN that reaches a division
         out = math.inf

@@ -124,8 +124,9 @@ def oscillation_panel_width(z: complex) -> float:
 def decay_half_length(z: complex) -> float:
     """Truncation L >= 10 with e^{-Re k * L} < 1e-8.
 
-    Uses the slow decay rate Re k ~ (1 - |Im z|) / (2 sqrt(Re z)) inside
-    the half-strip; elsewhere the exact rates, which are O(1).  z passes
+    Re k is the slower of the two exact decay rates, min(Re k_plus,
+    Re k_minus), everywhere; inside the half-strip it is small, about
+    (1 - |Im z|) / (2 sqrt(Re z)), so L grows like sqrt(Re z).  z passes
     closed._off_spectrum, so both rates are positive: raises DomainError
     for a non-finite z and SpectrumError on the rays, endpoints included.
     """

@@ -13,7 +13,10 @@ quadrature of the pseudomode and its image under the resolvent, so it
 shares no code with the closed form it checks.  power_norm is the
 power iteration of bounds.quadrature_operator_norm with its step count
 and tolerance as arguments, so a dense matrix can be run through the
-same iteration.  The Nystrom checks of the Dirichlet-decoupled model
+same iteration.  mp_coupling and mp_kernel are the coupling
+1/(k_plus + k_minus) and the kernel in mpmath at raised precision, so
+the tests can hold the float forms to rounding where the float sum
+cancels.  The Nystrom checks of the Dirichlet-decoupled model
 (its operator norm and its Birman-Schwinger HS norm) run the package's
 O(n) generators with the coupling through the origin set to 0; the
 tests hold them against the dense matrices here and the exact norm
@@ -106,6 +109,35 @@ def kernel_matrix(z, x, y, coupled=True):
     if not np.isfinite(out).all():
         raise DomainError(f"kernel at z={z} is not finite on these nodes")
     return out
+
+
+def mp_coupling(z, dps=60):
+    """c = 1/(k_plus + k_minus) at z in mpmath with dps digits, as a
+    complex: the sum cancels to ~1/sqrt(Re z) for Re z >> 1, so dps
+    covers the digits it loses up to Re z ~ 1e30."""
+    import mpmath
+    with mpmath.workdps(dps):
+        zm = mpmath.mpc(z)
+        return complex(1 / (mpmath.sqrt(1j - zm) + mpmath.sqrt(-1j - zm)))
+
+
+def mp_kernel(z, x, y, dps=60):
+    """The resolvent kernel at (x, y) in mpmath with dps digits: the
+    image-charge difference plus c e^{-k(|x|+|y|)} on one side of the
+    origin, c e^{-k_plus|u| - k_minus|v|} across it."""
+    import mpmath
+    with mpmath.workdps(dps):
+        zm = mpmath.mpc(z)
+        kp, km = mpmath.sqrt(1j - zm), mpmath.sqrt(-1j - zm)
+        c = 1 / (kp + km)
+        x, y = mpmath.mpf(x), mpmath.mpf(y)
+        if x * y < 0:
+            u, v = (x, y) if x > 0 else (y, x)
+            return complex(c * mpmath.exp(-kp * u + km * v))
+        k = kp if x + y >= 0 else km
+        far = mpmath.exp(-k * (abs(x) + abs(y)))
+        return complex((mpmath.exp(-k * abs(x - y)) - far) / (2 * k)
+                       + c * far)
 
 
 def power_norm(apply, weights, max_iter, tol):

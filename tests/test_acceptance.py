@@ -15,7 +15,7 @@ import scipy.linalg as sla
 
 from _reference import fd_banded
 from sgnspec import bounds, bs, field, models
-from sgnspec.closed import ray_distances, spectrum_distance
+from sgnspec.closed import ray_distances, spectrum_distance, wave_numbers
 from sgnspec.fdop import (_sigma_min_banded, build_fd, eigenvalue_near,
                           resolvent_norm_fd, step_potential)
 from sgnspec.quadrature import QuadratureGrid
@@ -86,7 +86,9 @@ def test_criterion_3_point_interaction_triangle():
 
 def test_criterion_4_exceptional_curve():
     """All curve points push the eigenvalue onto the rays; off-curve
-    couplings obey the existence criterion."""
+    couplings obey the existence criterion: lam off the rays and the
+    wave numbers at it summing to alpha, 2i / (k_plus - k_minus) =
+    alpha."""
     worst = 0.0
     ok = True
     for sigma in models.all_sigma():
@@ -104,7 +106,10 @@ def test_criterion_4_exceptional_curve():
         lam = models.delta_eigenvalue(alpha)
         on_ray = (abs(abs(lam.imag) - 1.0) < 1e-12
                   and lam.real > -1e-12)
-        agree += models.delta_eigenvalue_exists(alpha) == (not on_ray)
+        kp, km = wave_numbers(lam)
+        bound = abs(2j / (kp - km) - alpha) <= 1e-9 * abs(alpha)
+        agree += models.delta_eigenvalue_exists(alpha) == (
+            bound and not on_ray)
     ok &= agree == 1000
     report("criterion 4 (exceptional curve)", ok,
            f"1600 curve points worst |Im lam|-1 = {worst:.2e}; "

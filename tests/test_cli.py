@@ -148,6 +148,12 @@ class TestSubcommands:
         assert "eigenvalue -0.75 0.0" in out
         assert "exists True" in out
 
+    def test_delta_repulsive_coupling(self):
+        # the same candidate, but H + 2 delta has no eigenvalue
+        code, out = run_cli(["delta", "--alpha=-2"])
+        assert code == 0
+        assert out == "eigenvalue -0.75 0.0\nexists False\n"
+
     def test_gamma(self):
         code, out = run_cli(["gamma", "--sigma", "1,1,1", "--r", "0:1:3"])
         assert code == 0
@@ -335,7 +341,7 @@ class TestSubcommands:
                              "--potential", "box", "--amplitude=-3",
                              "--radius", "1"])
         assert code == 0
-        assert out.startswith("count 1\nroot 0.0745100597766705 ")
+        assert out.startswith("count 1\nroot 0.07451005977666814 ")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bs_roots_divergent_seed(self):

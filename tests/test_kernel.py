@@ -5,8 +5,8 @@ import cmath
 import numpy as np
 import pytest
 
-from _reference import kernel_matrix
-from sgnspec.closed import (Region, principal_sqrt, ray_distances,
+from _reference import kernel_matrix, mp_coupling, mp_kernel
+from sgnspec.closed import (Region, _coupling, principal_sqrt, ray_distances,
                             spectrum_distance, wave_numbers)
 from sgnspec.errors import DomainError, SpectrumError
 from sgnspec.kernel import classify_region, dirichlet_kernel, resolvent_kernel
@@ -69,6 +69,27 @@ class TestRegions:
         assert spectrum_distance(2 + 0.5j) == pytest.approx(0.5)
 
 
+class TestCoupling:
+    # Re z = +-10^k, k = 0..15, with |Im z| <= 3 off the rays: the sum
+    # k_plus + k_minus once cost up to 1.9e-8 at Re z ~ 1e7-1e8
+    @pytest.mark.parametrize("im", [0.0, 0.5, -0.999, 1.5, -3.0])
+    @pytest.mark.parametrize("k", range(16))
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_matches_mpmath(self, sign, k, im):
+        z = complex(sign * 10.0 ** k, im)
+        ref = mp_coupling(z)
+        assert abs(_coupling(*wave_numbers(z)) - ref) <= 1e-15 * abs(ref)
+
+    def test_both_forms_at_the_switch(self):
+        # |k_plus + k_minus| = sqrt(2) = |k_plus - k_minus| at z = 0; on
+        # either side c = 1/(k_plus + k_minus) = (k_plus - k_minus)/(2i)
+        for z in (0.0, 1e-9, -1e-9, 1e-9j, 0.5 + 0.2j, -0.5, 2 + 3j):
+            kp, km = wave_numbers(z)
+            c = _coupling(kp, km)
+            assert abs(c * (kp + km) - 1.0) < 1e-15
+            assert abs(c * 2j - (kp - km)) < 1e-15 * abs(kp - km)
+
+
 class TestResolventKernel:
     def test_symmetric_in_arguments(self):
         z = -1 + 0.5j
@@ -127,6 +148,14 @@ class TestResolventKernel:
             sgn = 1.0 if x0 > 0 else -1.0
             resid = -upp + (1j * sgn - z) * u[2]
             assert abs(resid) < 1e-6 * abs(z * u[2])
+
+    @pytest.mark.parametrize("x, y", [(1e-3, -2e-3), (1e-4, 3e-4)])
+    def test_matches_mpmath_far_up(self, x, y):
+        # Re z = 3e7 is on the eps^-2 escape scale of weak coupling; the
+        # plain sum k_plus + k_minus once cost 3.4e-9 at both points
+        z = 3e7 + 0.5j
+        ref = mp_kernel(z, x, y)
+        assert abs(resolvent_kernel(z, x, y) - ref) <= 1e-14 * abs(ref)
 
     def test_decay_at_infinity(self):
         z = 1 + 0.5j

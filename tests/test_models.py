@@ -1,21 +1,24 @@
 """Tests for the exactly solvable models."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from _reference import (dirichlet_bs_hs_norm, dirichlet_quadrature_norm,
                         gamma_branch, kernel_matrix)
-from sgnspec.closed import spectrum_distance, step_implicit_residual
+from sgnspec.closed import (DEFAULT_TOL_SPEC, spectrum_distance,
+                            step_implicit_residual, wave_numbers)
 from sgnspec.errors import ConfigError, DomainError, SpectrumError, \
     ZeroCouplingError
 from sgnspec.models import (all_sigma, delta_eigenvalue,
                             delta_eigenvalue_exists,
                             dirichlet_resolvent_norm, find_step_eigenvalues,
                             gamma_point)
+from sgnspec.fdop import eigenvalue_near
 from sgnspec.quadrature import gauss_legendre_grid, trapezoid_grid
 
 
@@ -23,10 +26,49 @@ class TestPointInteraction:
     def test_reference_value(self):
         assert delta_eigenvalue(2.0) == pytest.approx(-0.75)
 
-    def test_real_coupling_always_exists(self):
-        for a in (0.1, 0.5, 1.0, 2.0, 10.0, -3.0):
+    def test_real_coupling_exists_only_when_positive(self):
+        # the candidate solves the squared condition; at alpha < 0 its
+        # wave numbers sum to -alpha, so H - alpha delta has no eigenvalue
+        for a in (0.1, 0.5, 1.0, 2.0, 10.0):
             assert delta_eigenvalue_exists(a)
             assert abs(delta_eigenvalue(a).imag) < 1e-14
+        for a in (-0.1, -0.5, -2.0, -3.0, -10.0):
+            assert not delta_eigenvalue_exists(a)
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(st.floats(-1e100, -1e-100))
+    def test_negative_real_coupling_never_exists(self, a):
+        assert not delta_eigenvalue_exists(a)
+
+    @settings(max_examples=500, deadline=None, derandomize=True,
+              database=None)
+    @given(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
+    @example(1.0, -1.0).via("on the curve: lam = i lies on a ray")
+    @example(-2.0, 0.0).via("the sum is -alpha")
+    def test_exists_iff_wave_numbers_sum_to_alpha(self, re, im):
+        alpha = complex(re, im)
+        assume(abs(alpha) >= 1e-2)  # the plain sum keeps 1e-11 there
+        lam = delta_eigenvalue(alpha)
+        kp, km = wave_numbers(lam)
+        gap = abs(kp + km - alpha) / abs(alpha)
+        assume(not 1e-9 < gap < 1e-6)  # within rounding of the edge
+        assert delta_eigenvalue_exists(alpha) == (
+            gap <= 1e-9 and spectrum_distance(lam) > DEFAULT_TOL_SPEC)
+
+    @pytest.mark.parametrize("alpha, found", [
+        (2.0, -0.75),
+        (1 - 0.5j, 0.29250677 + 0.88998119j),
+        (-2.0, 0.0027 - 0.99999j),
+        (0.3 - 2j, 0.771 + 1.017j),
+    ])
+    def test_exists_agrees_with_fd(self, alpha, found):
+        # FD of H - alpha delta near the candidate: it lands on the
+        # candidate where it exists and on a point by a ray elsewhere
+        lam = delta_eigenvalue(alpha)
+        ev = eigenvalue_near(lam, 24001, 60.0, center_jump=alpha)[0]
+        assert abs(ev - found) < 1e-3
+        assert delta_eigenvalue_exists(alpha) == (abs(ev - lam) < 1e-3)
 
     def test_divergence_rate(self):
         # lambda ~ alpha^{-2} for small coupling
@@ -51,14 +93,34 @@ class TestGammaCurve:
         assert delta_eigenvalue(alpha) == pytest.approx(1j)
 
     def test_off_curve_exists(self):
+        # off the curve lam is an eigenvalue where the wave numbers at it
+        # sum to alpha, formed as 2i / (k_plus - k_minus), which does not
+        # cancel for small alpha
         rng = np.random.default_rng(11)
         for _ in range(100):
             alpha = complex(*rng.uniform(-3, 3, 2))
             if abs(alpha) < 1e-3:
                 continue
             lam = delta_eigenvalue(alpha)
+            kp, km = wave_numbers(lam)
             assert delta_eigenvalue_exists(alpha) == (
-                spectrum_distance(lam) > 1e-12)
+                spectrum_distance(lam) > 1e-12
+                and abs(2j / (kp - km) - alpha) <= 1e-9 * abs(alpha))
+
+    def test_window_edge_is_the_curve(self):
+        # a curve point with Re alpha > 0 turned towards the real axis
+        # has an eigenvalue, turned away has none, and its argument is
+        # the window's half-angle arctan(|alpha|^2 / 2)
+        for sigma in all_sigma():
+            for r in np.linspace(0.0, 10.0, 21):
+                alpha = gamma_point(float(r), sigma)
+                if alpha.real <= 0.0:
+                    continue
+                turn = cmath.exp(1j * math.copysign(1e-6, alpha.imag))
+                assert delta_eigenvalue_exists(alpha / turn)
+                assert not delta_eigenvalue_exists(alpha * turn)
+                half = math.atan(abs(alpha) ** 2 / 2.0)
+                assert abs(abs(cmath.phase(alpha)) - half) < 1e-12
 
     @settings(max_examples=200, deadline=None, derandomize=True,
               database=None)

@@ -10,8 +10,8 @@ scipy.sparse; the pure-Python
 linspace that the CLI and the field grids use in place of NumPy's is
 bitwise equal to it; every module imports on its own, so no import
 cycle hides behind the package's import order; no module but closed
-forms |z -+ i| (closed._to_i does), and kernel takes its wave numbers
-from closed; and the numbers of parameters with a default and of CLI
+forms |z -+ i| (closed._to_i does), no code but closed._coupling forms
+k_plus +- k_minus, and kernel takes its wave numbers from closed; and the numbers of parameters with a default and of CLI
 options are pinned, so a new knob is added on purpose."""
 
 import argparse
@@ -205,6 +205,32 @@ def test_only_closed_forms_the_distance_to_the_endpoints(module):
                 and node.func.id == "abs"):
             assert not any(isinstance(c, ast.Constant) and c.value == 1j
                            for arg in node.args for c in ast.walk(arg))
+
+
+_WAVE_NUMBERS = {"k", "kp", "km", "k_plus", "k_minus"}
+
+
+def _is_wave_number(node):
+    return ((isinstance(node, ast.Name) and node.id in _WAVE_NUMBERS)
+            or (isinstance(node, ast.Attribute)
+                and node.attr in ("k_plus", "k_minus")))
+
+
+@pytest.mark.parametrize("module", _MODULES)
+def test_only_the_coupling_forms_the_wave_number_sum(module):
+    # k_plus +- k_minus is closed._coupling's alone: the sum cancels for
+    # Re z >> 1 and the difference for Re z << -1, and it picks the one
+    # that keeps its digits
+    tree = _module_tree(module)
+    if module == "closed":
+        tree.body = [node for node in tree.body
+                     if getattr(node, "name", None) != "_coupling"]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op,
+                                                      (ast.Add, ast.Sub)):
+            assert not (_is_wave_number(node.left)
+                        and _is_wave_number(node.right)), (
+                f"{module}.py:{node.lineno} forms a wave-number sum")
 
 
 def test_kernel_takes_its_wave_numbers_from_closed():
