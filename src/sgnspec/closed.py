@@ -474,8 +474,10 @@ def delta_eigenvalue_exists(alpha: complex) -> bool:
     """
     lam = delta_eigenvalue(alpha)
     a, b = complex(alpha).real, complex(alpha).imag
+    # divided through by |alpha|^2, which stays a float where lam does;
+    # Re alpha |alpha|^2 itself underflows for real alpha below ~1e-108
     return (min(_rays(lam)) > DEFAULT_TOL_SPEC
-            and a * (a * a + b * b) > 2.0 * abs(b))
+            and a > 2.0 * abs(b) / (a * a + b * b))
 
 
 def gamma_point(r: float, sigma: tuple[int, int, int]) -> complex:

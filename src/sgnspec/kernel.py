@@ -40,7 +40,9 @@ def _kernel(z: complex, x: float, y: float, coupled: bool) -> complex:
     across it, with u the positive and v the negative one of x, y.
     coupled=False sets c = 0, which gives the Dirichlet-decoupled
     kernel: zero across the origin and on it, returned without
-    computing anything.  The arithmetic is symmetric in x and y, so
+    computing anything, and no tail on one side, where e^{-k(|x|+|y|)}
+    is not formed (it may overflow where the kernel does not).  The
+    arithmetic is symmetric in x and y, so
     swapping them returns the same bits.  Raises DomainError for a
     non-finite x or y (closed._finite) and where the value is not
     finite (closed._result), which happens only for |x| or |y| near the
@@ -60,7 +62,6 @@ def _kernel(z: complex, x: float, y: float, coupled: bool) -> complex:
     try:
         if same:
             a = abs(x - y)
-            b = abs(x) + abs(y)
             d = 2.0 * min(abs(x), abs(y))
             if k == 0.0:
                 core = 0.5 * d
@@ -71,7 +72,9 @@ def _kernel(z: complex, x: float, y: float, coupled: bool) -> complex:
                     math.expm1(w.real) * math.cos(w.imag) - 2.0 * h * h,
                     math.exp(w.real) * math.sin(w.imag))
                 core = -em1 / (2.0 * k)
-            out = cmath.exp(-k * a) * core + cmath.exp(-k * b) * c
+            out = cmath.exp(-k * a) * core
+            if c:  # Dirichlet: no tail, whose e^{-k(|x|+|y|)} may overflow
+                out += cmath.exp(-k * (abs(x) + abs(y))) * c
         else:
             u, v = (x, y) if x > 0.0 else (y, x)
             out = cmath.exp(-kp * u + km * v) * c

@@ -195,6 +195,15 @@ class TestDirichletKernel:
         assert dirichlet_kernel(z, x, y) == 0.0
         assert kernel_matrix(z, [x], [y], coupled=False)[0, 0] == 0.0
 
+    @pytest.mark.parametrize("z, x, y, want", [
+        (1j, 1.7e308, 1e307, 1e307),  # k = 0: -k (|x|+|y|) is NaN
+        (1e20 + 0.5j, 1.2e298, 0.8e298, 0j)])  # e^{-k (|x|+|y|)} raises
+    def test_no_tail_where_the_sum_of_distances_overflows(self, z, x, y,
+                                                          want):
+        # |x| + |y| overflows but |x - y| and 2 min(|x|, |y|) do not; the
+        # coupled tail that would need it is absent from this kernel
+        assert dirichlet_kernel(z, x, y) == want
+
     def test_same_side_matches_image_formula(self):
         z = 2 + 0.5j
         kp = wave_numbers(z).k_plus

@@ -37,6 +37,15 @@ class TestPointInteraction:
 
     @settings(max_examples=200, deadline=None, derandomize=True,
               database=None)
+    @given(st.floats(1e-150, 1e100))
+    @example(1e-110).via("Re alpha |alpha|^2 underflows to 0 here")
+    @example(1e-150)
+    @example(1e100)
+    def test_positive_real_coupling_always_exists(self, a):
+        assert delta_eigenvalue_exists(a)
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
     @given(st.floats(-1e100, -1e-100))
     def test_negative_real_coupling_never_exists(self, a):
         assert not delta_eigenvalue_exists(a)
