@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import operator
+from itertools import chain, repeat
 from typing import TYPE_CHECKING, NamedTuple
 
 from .closed import DEFAULT_TOL_SPEC, _linspace, norm_bounds
@@ -21,13 +22,17 @@ from .closed import STATUS_OK  # re-exported
 from .errors import ConfigError, SgnSpecError
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable, Iterator
+
     import numpy as np
 
 # most points a GridSpec may hold.  Scaled from 10^5 points (2-core x86,
-# Python 3.11), a grid at the ceiling takes ~3 s and ~0.15 GB in
-# compute_field, and ~3 s and ~0.45 GB to export as CSV or ~3 s and
-# ~0.7 GB as JSON (peak RSS above the interpreter's); with_oracle adds
-# one FD norm estimate per point, up to ~4 s each (fdop.MAX_ORACLE_NODES).
+# Python 3.11), a grid at the ceiling takes ~3 s and ~0.12 GB in
+# compute_field (peak RSS above the interpreter's), ~2 s to export as
+# CSV or JSON, which adds only the re axis and one point as text to
+# that peak, and ~3 s and ~65 MB to read back with load_field_csv;
+# with_oracle adds one FD norm estimate per point, up to ~4 s each
+# (fdop.MAX_ORACLE_NODES).
 MAX_GRID_POINTS = 1_000_000
 
 _CSV_COLUMNS = ("re", "im", "region", "status",
@@ -165,19 +170,18 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _columns(fld: PseudospectrumField) -> dict[str, list]:
-    """The field's columns in _CSV_COLUMNS order, each a row-major list:
-    re and im as text, formatted once per axis value, the others as the
-    field holds them; the two oracle columns only when the field has an
-    oracle."""
+def _columns(fld: PseudospectrumField) -> dict[str, Iterable]:
+    """The field's columns in _CSV_COLUMNS order, each a row-major
+    iterable: re and im as text, formatted once per axis value and
+    repeated as the rows come, the others as the field holds them; the
+    two oracle columns only when the field has an oracle."""
     re_parts, rows = fld.grid._rows()
     re_text = [[_fmt(r) for r in part] for part in re_parts]
-    re_cells, im_cells = [], []
-    for k, i in rows:
-        re_cells += re_text[k]
-        im_cells += [_fmt(i)] * fld.grid.re_count
-    cols = {"re": re_cells, "im": im_cells, "region": fld.region,
-            "status": fld.status, "lower": fld.lower, "upper": fld.upper}
+    n = fld.grid.re_count
+    cols = {"re": chain.from_iterable(re_text[k] for k, _ in rows),
+            "im": chain.from_iterable(repeat(_fmt(i), n) for _, i in rows),
+            "region": fld.region, "status": fld.status,
+            "lower": fld.lower, "upper": fld.upper}
     if fld.oracle is not None:
         cols.update(oracle=fld.oracle, oracle_err=fld.oracle_err)
     return cols
@@ -190,27 +194,20 @@ def _cell(name: str) -> str:
     return "%s" if name in ("re", "im") + _TEXT_COLUMNS else "%r"
 
 
-def field_to_csv(fld: PseudospectrumField) -> str:
-    """Render the field as CSV text with repr-formatted floats; without an
-    oracle the two oracle cells are empty."""
+def _csv_parts(fld: PseudospectrumField) -> Iterator[str]:
+    """The CSV text of the field, the header line first and then one
+    line per point as it is formatted."""
     cols = _columns(fld)
     row = ",".join(_cell(name) if name in cols else ""
-                   for name in _CSV_COLUMNS)
-    lines = [",".join(_CSV_COLUMNS)]
-    lines += [row % cells for cells in zip(*cols.values())]
-    lines.append("")
-    return "\n".join(lines)
+                   for name in _CSV_COLUMNS) + "\n"
+    return chain([",".join(_CSV_COLUMNS) + "\n"],
+                 map(row.__mod__, zip(*cols.values())))
 
 
-def field_to_json(fld: PseudospectrumField) -> str:
-    """Render the field as a JSON document with repr-formatted floats.
-
-    Floats are stored as strings to keep the byte stream independent of
-    the JSON encoder's float formatting.  The layout is that of
-    json.dumps(indent=2, sort_keys=True): the grid and meta objects are
-    rendered by it, and every point from one template with its keys in
-    sorted order.
-    """
+def _json_parts(fld: PseudospectrumField) -> Iterator[str]:
+    """The JSON text of the field: the grid and meta objects, rendered
+    when this is called, with the first point; then one point per part,
+    as it is formatted; then the closing brackets."""
     import json
 
     g = fld.grid
@@ -225,58 +222,99 @@ def field_to_json(fld: PseudospectrumField) -> str:
     point = ("    {\n"
              + ",\n".join(f'      "{k}": "{_cell(k)}"' for k in keys)
              + "\n    }")
-    points = [point % cells for cells in zip(*(cols[k] for k in keys))]
-    # head ends in "\n}", and "points" sorts after "grid" and "meta";
-    # one join, so the text is not copied again
-    points[0] = head[:-2] + ',\n  "points": [\n' + points[0]
-    points[-1] += "\n  ]\n}\n"
-    return ",\n".join(points)
+    points = zip(*(cols[k] for k in keys))
+    # head ends in "\n}", and "points" sorts after "grid" and "meta"
+    first = head[:-2] + ',\n  "points": [\n' + point % next(points)
+    return chain([first], map((",\n" + point).__mod__, points),
+                 ["\n  ]\n}\n"])
+
+
+def field_to_csv(fld: PseudospectrumField) -> str:
+    """Render the field as CSV text with repr-formatted floats; without an
+    oracle the two oracle cells are empty."""
+    return "".join(_csv_parts(fld))
+
+
+def field_to_json(fld: PseudospectrumField) -> str:
+    """Render the field as a JSON document with repr-formatted floats.
+
+    Floats are stored as strings to keep the byte stream independent of
+    the JSON encoder's float formatting.  The layout is that of
+    json.dumps(indent=2, sort_keys=True): the grid and meta objects are
+    rendered by it, and every point from one template with its keys in
+    sorted order.
+    """
+    return "".join(_json_parts(fld))
 
 
 def export_field(fld: PseudospectrumField, path: str) -> None:
-    """Write the field to path: JSON if path ends in .json, else CSV."""
-    if path.endswith(".json"):
-        text = field_to_json(fld)
-    else:
-        text = field_to_csv(fld)
+    """Write the field to path: JSON if path ends in .json, else CSV.
+
+    The bytes are those of field_to_json or field_to_csv, written one
+    point at a time as each is formatted: besides the field, the export
+    holds one point's text and the re axis as text, not the whole text.
+    The JSON head is rendered before the file is opened, so an error
+    there leaves no file.
+    """
+    parts = (_json_parts(fld) if path.endswith(".json")
+             else _csv_parts(fld))
     with open(path, "w", newline="") as fh:
-        fh.write(text)
+        fh.writelines(parts)
 
 
 def load_field_csv(path: str) -> dict[str, np.ndarray]:
     """Parse an exported CSV back into column arrays (round-trip check).
 
-    Empty numeric cells read as NaN.  Raises ConfigError, naming the file,
-    where a column is missing, a row has another number of cells than
-    the header, or a numeric cell does not parse.
+    Empty numeric cells read as NaN.  The file is read row by row: a
+    numeric cell goes into its column's typed buffer, which NumPy takes
+    over without a copy, and a text cell is kept as one reference to a
+    string shared by every equal cell: about 8 bytes a cell (~85 B a row
+    at the peak, while the text columns become arrays), and no parsed
+    row is kept.  Of a
+    repeated header name the last column counts.  Raises ConfigError,
+    naming the file, at the first row that has another number of cells
+    than the header; else, column by column in export order, where a
+    column is missing or where its first numeric cell that does not
+    parse is.
     """
     import csv
+    from array import array
 
     import numpy as np
 
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
-        rows = [row for row in reader if row]
-    for i, row in enumerate(rows, 1):
-        if len(row) != len(header):
-            raise ConfigError(f"{path}: data row {i} has {len(row)} "
-                              f"cells, the header {len(header)}")
-    cols = (dict(zip(header, zip(*rows))) if rows
-            else dict.fromkeys(header, ()))
+        where = {name: j for j, name in enumerate(header)}
+        cols = {name: [] if name in _TEXT_COLUMNS else array("d")
+                for name in _CSV_COLUMNS if name in where}
+        floats = [(name, where[name], vals) for name, vals in cols.items()
+                  if name not in _TEXT_COLUMNS]
+        texts = [(where[name], cols[name]) for name in _TEXT_COLUMNS
+                 if name in cols]
+        shared: dict[str, str] = {}
+        bad: dict[str, tuple[int, str]] = {}  # first bad cell per column
+        for i, row in enumerate(filter(None, reader), 1):
+            if len(row) != len(header):
+                raise ConfigError(f"{path}: data row {i} has {len(row)} "
+                                  f"cells, the header {len(header)}")
+            for name, j, vals in floats:
+                cell = row[j]
+                try:
+                    vals.append(float(cell) if cell else math.nan)
+                except ValueError:
+                    vals.append(math.nan)
+                    bad.setdefault(name, (i, cell))
+            for j, vals in texts:
+                vals.append(shared.setdefault(row[j], row[j]))
     out: dict[str, np.ndarray] = {}
     for name in _CSV_COLUMNS:
         if name not in cols:
             raise ConfigError(f"{path}: no column {name!r}")
-        if name in _TEXT_COLUMNS:
-            out[name] = np.array(cols[name], dtype=object)
-            continue
-        vals = []
-        for i, cell in enumerate(cols[name], 1):
-            try:
-                vals.append(float(cell) if cell else math.nan)
-            except ValueError:
-                raise ConfigError(f"{path}: column {name!r}, data row {i}: "
-                                  f"{cell!r} is not a number") from None
-        out[name] = np.array(vals)
+        if name in bad:
+            i, cell = bad[name]
+            raise ConfigError(f"{path}: column {name!r}, data row {i}: "
+                              f"{cell!r} is not a number")
+        out[name] = (np.array(cols[name], dtype=object)
+                     if name in _TEXT_COLUMNS else np.frombuffer(cols[name]))
     return out

@@ -33,17 +33,19 @@ def _kernel(z: complex, x: float, y: float, coupled: bool) -> complex:
     / (2k), d = |x|+|y|-|x-y|.  On one side d = 2 min(|x|, |y|), which is
     exact where the difference would cancel (|x| >> |y|).  The factor is
     -expm1(-kd) / (2k), which keeps its digits as kd -> 0 because
-    Re k >= 0, and its limit d / 2 at k = 0 (z = +-i).  coupled=True
-    adds the terms that pass through the origin, with the coupling
-    c = 1/(k_plus + k_minus) of closed._coupling: the tail
-    c e^{-k(|x|+|y|)} on the same side, and c e^{-k_plus|u| - k_minus|v|}
-    across it, with u the positive and v the negative one of x, y.
+    Re k >= 0.  coupled=True adds the terms that pass through the origin,
+    with the coupling c = 1/(k_plus + k_minus) of closed._coupling: the
+    tail c e^{-k(|x|+|y|)} on the same side, and
+    c e^{-k_plus|u| - k_minus|v|} across it, with u the positive and v the
+    negative one of x, y.  At k = 0 (z = +-i) the factor is its limit
+    min(|x|, |y|) and the tail is c, so neither 2 min(|x|, |y|) nor
+    |x|+|y| is formed there: both may overflow where the kernel does not.
     coupled=False sets c = 0, which gives the Dirichlet-decoupled
     kernel: zero across the origin and on it, returned without
     computing anything, and no tail on one side, where e^{-k(|x|+|y|)}
     is not formed (it may overflow where the kernel does not).  The
-    arithmetic is symmetric in x and y, so
-    swapping them returns the same bits.  Raises DomainError for a
+    arithmetic is symmetric in x and y, so swapping them returns the
+    same bits.  Raises DomainError for a
     non-finite x or y (closed._finite) and where the value is not
     finite (closed._result), which happens only for |x| or |y| near the
     float range.
@@ -61,20 +63,19 @@ def _kernel(z: complex, x: float, y: float, coupled: bool) -> complex:
     k = kp if pos else km
     try:
         if same:
-            a = abs(x - y)
-            d = 2.0 * min(abs(x), abs(y))
+            m = min(abs(x), abs(y))
             if k == 0.0:
-                core = 0.5 * d
+                core = m
             else:  # -expm1(w) / (2k), expm1 taken apart as NumPy does
-                w = -k * d
+                w = -k * (2.0 * m)
                 h = math.sin(0.5 * w.imag)
                 em1 = complex(
                     math.expm1(w.real) * math.cos(w.imag) - 2.0 * h * h,
                     math.exp(w.real) * math.sin(w.imag))
                 core = -em1 / (2.0 * k)
-            out = cmath.exp(-k * a) * core
+            out = cmath.exp(-k * abs(x - y)) * core
             if c:  # Dirichlet: no tail, whose e^{-k(|x|+|y|)} may overflow
-                out += cmath.exp(-k * (abs(x) + abs(y))) * c
+                out += cmath.exp(-k * (abs(x) + abs(y))) * c if k else c
         else:
             u, v = (x, y) if x > 0.0 else (y, x)
             out = cmath.exp(-kp * u + km * v) * c

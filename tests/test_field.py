@@ -23,6 +23,12 @@ def small_field():
     return compute_field(grid)
 
 
+@pytest.fixture(scope="module")
+def big_field():
+    # the size of each field cli_batch exports
+    return compute_field(GridSpec(-5.0, 80.0, 200, -2.0, 2.0, 100))
+
+
 class TestGridSpec:
     def test_points_shape(self):
         g = GridSpec(0.0, 1.0, 3, -1.0, 1.0, 4)
@@ -133,11 +139,14 @@ def _same_columns(got, want):
 
 
 def _check_against_reference(fld, tmp_dir):
-    text = field_to_csv(fld)
-    assert text == ref.field_to_csv(fld)
-    assert field_to_json(fld) == ref.field_to_json(fld)
+    want = {"csv": ref.field_to_csv(fld), "json": ref.field_to_json(fld)}
+    assert field_to_csv(fld) == want["csv"]
+    assert field_to_json(fld) == want["json"]
+    for fmt, text in want.items():  # the streamed writer, byte for byte
+        path = tmp_dir / f"field.{fmt}"
+        export_field(fld, str(path))
+        assert path.read_bytes() == text.encode()
     path = tmp_dir / "field.csv"
-    path.write_text(text)
     cols = load_field_csv(str(path))
     _same_columns(cols, ref.load_field_csv(str(path)))
     np.testing.assert_array_equal(cols["lower"], np.array(fld.lower))
@@ -251,12 +260,31 @@ class TestExport:
              "reason": "no convergence at z=(8+0.3j)"}]
         assert json.loads(field_to_json(fld))["meta"] == fld.meta
 
+    def test_json_render_error_leaves_no_file(self, small_field, tmp_path):
+        # the head is rendered before the file is opened
+        fld = small_field._replace(meta={**small_field.meta, "x": object()})
+        path = tmp_path / "field.json"
+        with pytest.raises(TypeError):
+            export_field(fld, str(path))
+        assert not path.exists()
+
 
 class TestLoadErrors:
     def _write(self, tmp_path, text):
         path = tmp_path / "field.csv"
         path.write_text(text)
         return str(path)
+
+    def _cells(self, small_field, edits, header=None):
+        """The field's CSV text with edits {(data row, column): cell}."""
+        lines = field_to_csv(small_field).splitlines()
+        for (i, name), cell in edits.items():
+            cells = lines[i].split(",")
+            cells[lines[0].split(",").index(name)] = cell
+            lines[i] = ",".join(cells)
+        if header is not None:
+            lines[0] = header
+        return "\n".join(lines) + "\n"
 
     def test_missing_column(self, tmp_path, small_field):
         text = field_to_csv(small_field).replace("region,", "zone,", 1)
@@ -270,11 +298,8 @@ class TestLoadErrors:
             load_field_csv(self._write(tmp_path, ""))
 
     def test_unparsable_cell(self, tmp_path, small_field):
-        lines = field_to_csv(small_field).splitlines()
-        cells = lines[3].split(",")
-        cells[4] = "1.0.0"  # lower
-        lines[3] = ",".join(cells)
-        path = self._write(tmp_path, "\n".join(lines) + "\n")
+        text = self._cells(small_field, {(3, "lower"): "1.0.0"})
+        path = self._write(tmp_path, text)
         with pytest.raises(ConfigError,
                            match="'lower', data row 3: '1.0.0'") as err:
             load_field_csv(path)
@@ -286,14 +311,80 @@ class TestLoadErrors:
         with pytest.raises(ConfigError, match="data row 2 has 7 cells"):
             load_field_csv(self._write(tmp_path, "\n".join(lines)))
 
+    def test_short_row_before_a_bad_cell(self, tmp_path, small_field):
+        text = self._cells(small_field, {(1, "re"): "x"})
+        lines = text.splitlines()
+        lines[9] = lines[9].rsplit(",", 1)[0]
+        with pytest.raises(ConfigError, match="data row 9 has 7 cells"):
+            load_field_csv(self._write(tmp_path, "\n".join(lines)))
 
-def test_json_export_memory():
+    @pytest.mark.parametrize("edits, header, message", [
+        # per column in export order, the first bad cell of each
+        ({(6, "lower"): "x", (2, "upper"): "y", (1, "lower"): ""}, None,
+         "'lower', data row 6: 'x'"),
+        ({(4, "upper"): "y"}, "re,im,region,status,lower,upper,zone,",
+         "'upper', data row 4: 'y'"),
+        # a missing column before the bad cells of later columns
+        ({(4, "upper"): "y"}, "re,im,region,status,zone,upper,,",
+         "no column 'lower'"),
+    ])
+    def test_error_order(self, tmp_path, small_field, edits, header,
+                         message):
+        text = self._cells(small_field, edits, header)
+        with pytest.raises(ConfigError, match=message):
+            load_field_csv(self._write(tmp_path, text))
+
+    def test_repeated_header_keeps_the_last_column(self, tmp_path,
+                                                   small_field):
+        lines = field_to_csv(small_field).splitlines()
+        lines = [lines[0] + ",lower"] + [line + ",5.5" for line in lines[1:]]
+        cols = load_field_csv(self._write(tmp_path, "\n".join(lines)))
+        assert cols["lower"].tolist() == [5.5] * len(small_field.lower)
+        assert cols["upper"].tolist() == small_field.upper
+
+    def test_header_only(self, tmp_path, small_field):
+        header = field_to_csv(small_field).splitlines()[0]
+        cols = load_field_csv(self._write(tmp_path, header + "\n"))
+        assert list(cols) == header.split(",")
+        for name, col in cols.items():
+            text = name in ("region", "status")
+            assert col.dtype == (object if text else np.float64)
+            assert col.shape == (0,)
+
+
+def test_json_export_memory(big_field):
     # ~3x the text: the columns, one string per point and the text; one
     # dict per point and the indenting encoder's chunk list took ~9x
-    fld = compute_field(GridSpec(-5.0, 80.0, 200, -2.0, 2.0, 100))
     tracemalloc.start()
-    text = field_to_json(fld)
+    text = field_to_json(big_field)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert len(fld.lower) == 20_000
+    assert len(big_field.lower) == 20_000
     assert peak < 4 * len(text)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_export_writes_point_by_point(big_field, tmp_path, fmt):
+    # ~0.1 MB: the re axis as text and one point's; rendering the whole
+    # text before writing it took 4.8 MB (CSV) and 9.5 MB (JSON)
+    path = str(tmp_path / f"field.{fmt}")
+    export_field(big_field, path)  # imports json outside the trace
+    tracemalloc.start()
+    export_field(big_field, path)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 1_000_000
+
+
+def test_load_reads_row_by_row(big_field, tmp_path):
+    # 8 B a cell and a row, ~85 B in all: the arrays and the text lists
+    # they are made from; a list per row and a float per cell took 600 B
+    path = str(tmp_path / "field.csv")
+    export_field(big_field, path)
+    load_field_csv(path)  # imports csv outside the trace
+    tracemalloc.start()
+    cols = load_field_csv(path)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert len(cols["re"]) == 20_000
+    assert peak <= 150 * 20_000

@@ -117,6 +117,17 @@ class TestResolventKernel:
         w = resolvent_kernel(-1j, -0.3, -0.5)
         assert np.isfinite(w.real) and np.isfinite(w.imag)
 
+    @pytest.mark.parametrize("kern, z, x, y, want", [
+        (resolvent_kernel, 1j, 9e307, 9e307, 9e307 + 0.5j),
+        (resolvent_kernel, -1j, -9e307, -9e307, 9e307 - 0.5j),
+        (resolvent_kernel, 1j, 8e307, 1.7e308, 8e307 + 0.5j),
+        (dirichlet_kernel, 1j, 9e307, 9e307, 9e307 + 0j)])
+    def test_ray_endpoint_near_the_float_range(self, kern, z, x, y, want):
+        # at k = 0 the kernel is min(|x|, |y|) + c with c = (1 +- i) / 2
+        # (Dirichlet: c = 0); 2 min(|x|, |y|) and |x| + |y| overflow here,
+        # and once made inf * 0 = NaN and a DomainError
+        assert kern(z, x, y) == want
+
     def test_series_matches_direct_near_endpoint(self):
         # k_plus = t at z = i - t^2; the two t put |k (b - a)| below and
         # above 1e-6, where 1 - e^{-kd} formed directly would cancel: the
