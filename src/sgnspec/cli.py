@@ -212,7 +212,10 @@ def _run(args, out) -> None:
         im_lo, im_hi, im_n = args.im
         grid = field.GridSpec(re_lo, re_hi, re_n, im_lo, im_hi, im_n)
         fld = field.compute_field(grid, with_oracle=args.oracle)
-        field.export_field(fld, args.out)
+        try:
+            field.export_field(fld, args.out)
+        except OSError as exc:  # a missing directory, a directory, ...
+            raise ConfigError(f"cannot write the field: {exc}") from None
         out.write(f"wrote {args.out}\n")
         failed = fld.meta.get("oracle_failed", [])
         for f in failed:

@@ -52,6 +52,7 @@ import cmath
 import enum
 import math
 import operator
+from itertools import count
 from typing import NamedTuple
 
 from .errors import (ConfigError, DomainError, SgnSpecError, SpectrumError,
@@ -531,7 +532,16 @@ def step_implicit_residual(lam: complex, a: float, b: complex) -> complex:
     if abs(lam.imag) >= 1.0:
         raise DomainError("the residual form is valid only for |Im lam| < 1")
     _positive(a, "half-width a")
-    s = cmath.sqrt(lam + _setting(b, "well depth b"))
+    return _result(_step_residual(lam, a, _setting(b, "well depth b")),
+                   "residual at lam={}", lam)
+
+
+def _step_residual(lam: complex, a: float, b: complex) -> complex:
+    """step_implicit_residual without its gates: inf where sin or cos of
+    a huge argument fails, and whatever the arithmetic gives otherwise.
+    For real lam > -b and real b the value is real (its imaginary part
+    is zero or a rounding error)."""
+    s = cmath.sqrt(lam + b)
     w = 2.0 * a * s
     try:
         if abs(w) < 1e-8:
@@ -539,40 +549,31 @@ def step_implicit_residual(lam: complex, a: float, b: complex) -> complex:
         else:
             sinc = cmath.sin(w) / s
         jump = cmath.sqrt(lam + 1j) - cmath.sqrt(lam - 1j)
-        res = ((cmath.sqrt(lam * lam + 1.0) - lam - b) * sinc
-               - 1j * jump * cmath.cos(w))
+        return ((cmath.sqrt(lam * lam + 1.0) - lam - b) * sinc
+                - 1j * jump * cmath.cos(w))
     except (ArithmeticError, ValueError):  # sin, cos of a huge argument
-        res = math.inf
-    return _result(res, "residual at lam={}", lam)
-
-
-def _cot_gap(lam: float, a: float, b: float) -> float:
-    """cot(2a sqrt(lam+b)) minus its value forced by the eigenvalue equation.
-
-    Real-eigenvalue rewrite of the implicit equation for lam > -b:
-    cot(2a s) = -(sqrt(lam^2+1) - (lam+b)) / (2 s Im sqrt(lam+i)).
-    Monotone decreasing from +inf to -inf between consecutive branch
-    points of the cotangent, so each interval holds exactly one root.
-    """
-    s = math.sqrt(lam + b)
-    rhs = -(math.sqrt(lam * lam + 1.0) - (lam + b)) / (
-        2.0 * s * cmath.sqrt(lam + 1j).imag)
-    return 1.0 / math.tan(2.0 * a * s) - rhs
+        return math.inf
 
 
 def find_step_eigenvalues(a: float, b: float,
                           lam_max: float) -> list[float]:
     """All real eigenvalues of the step model in (-b, lam_max].
 
-    Brackets one root between consecutive zeros of sin(2a sqrt(lam+b))
-    at lam_k = (k pi / (2a))^2 - b and bisects the cotangent gap, to
-    width _STEP_TOL or down to adjacent floats.  Raises DomainError where a
-    bracket overflows or is too narrow to step inside its ends in float
-    arithmetic (a tiny a, or a b or lam_max huge against (pi / (2a))^2),
-    and ConfigError unless 0 < a < inf and b is finite, and where the
-    brackets below lam_max, about 2a sqrt(lam_max + b) / pi of them,
-    exceed MAX_STEP_BRACKETS (a NaN or +inf lam_max too; at -inf there
-    are none).
+    Bracket k runs between consecutive zeros of sin(2a sqrt(lam+b)),
+    from (k pi / (2a))^2 - b to ((k+1) pi / (2a))^2 - b.  At its ends the
+    real residual of step_implicit_residual is cos(k pi) and
+    cos((k+1) pi) times 2 Im sqrt(lam+i) > 0, so its sign there is
+    (-1)^k and (-1)^(k+1), known without evaluating it: every bracket
+    holds a root, however close to an end it lies.  Bisects
+    the sign of that residual inside each bracket, to width _STEP_TOL
+    or down to adjacent floats, and returns one root per bracket.
+    Raises DomainError where a bracket overflows or holds no float
+    strictly inside its ends (a tiny a, or a b or lam_max huge against
+    (pi / (2a))^2), or where the residual leaves the float range (lam
+    above ~1e154, where lam^2 overflows), and ConfigError unless
+    0 < a < inf and b is finite, and where the brackets below lam_max,
+    about 2a sqrt(lam_max + b) / pi of them, exceed MAX_STEP_BRACKETS
+    (a NaN or +inf lam_max too; at -inf there are none).
     """
     _positive(a, "half-width a")
     b = _setting(float(b), "well depth b")
@@ -580,8 +581,7 @@ def find_step_eigenvalues(a: float, b: float,
         return []
     brackets = 2.0 * a * math.sqrt(lam_max + b) / math.pi
     roots = []
-    k = 0
-    while True:
+    for k in count():
         try:
             lo = (k * math.pi / (2.0 * a)) ** 2 - b
             hi = ((k + 1) * math.pi / (2.0 * a)) ** 2 - b
@@ -590,28 +590,23 @@ def find_step_eigenvalues(a: float, b: float,
                 f"eigenvalue bracket {k} overflows at a={a!r}") from None
         if lo > lam_max:
             break
-        k += 1
-        # nudge off the cotangent poles
-        pad = 1e-9 * max(1.0, hi - lo)
-        lo_n, hi_n = lo + pad, hi - pad
-        if not lo < lo_n < hi_n < hi:
+        if not lo < 0.5 * (lo + hi) < hi:
             raise DomainError(
                 f"eigenvalue bracket [{lo!r}, {hi!r}] is below float "
                 f"resolution at a={a!r}, b={b!r}")
         if not brackets <= MAX_STEP_BRACKETS:  # or NaN; once bracket 0 fits
             raise ConfigError(f"more than {MAX_STEP_BRACKETS} eigenvalue "
                               f"brackets below lam_max={lam_max!r}")
-        if _cot_gap(lo_n, a, b) < 0.0 or _cot_gap(hi_n, a, b) > 0.0:
-            continue  # root squeezed into the pad; negligible interval
-        while hi_n - lo_n > _STEP_TOL:
-            mid = 0.5 * (lo_n + hi_n)
-            if not lo_n < mid < hi_n:
-                break  # lo_n and hi_n are adjacent floats
-            if _cot_gap(mid, a, b) > 0.0:
-                lo_n = mid
+        while hi - lo > _STEP_TOL:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break  # lo and hi are adjacent floats
+            res = _result(_step_residual(mid, a, b), "residual at lam={}", mid)
+            if (-1) ** k * res.real > 0.0:  # the sign at lo
+                lo = mid
             else:
-                hi_n = mid
-        lam = 0.5 * (lo_n + hi_n)
+                hi = mid
+        lam = 0.5 * (lo + hi)
         if lam <= lam_max:
             roots.append(lam)
     return roots

@@ -27,7 +27,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 # most points a GridSpec may hold.  Scaled from 10^5 points (2-core x86,
-# Python 3.11), a grid at the ceiling takes ~3 s and ~0.12 GB in
+# Python 3.11), a grid at the ceiling takes ~3 s and ~76 MB in
 # compute_field (peak RSS above the interpreter's), ~2 s to export as
 # CSV or JSON, which adds only the re axis and one point as text to
 # that peak, and ~3 s and ~65 MB to read back with load_field_csv;
@@ -97,8 +97,12 @@ class GridSpec(_Grid):
 
     def points(self) -> list[complex]:
         """The im_count * re_count grid points, row-major in im."""
+        return list(self._points())
+
+    def _points(self) -> Iterator[complex]:
+        """The points of points(), made one at a time as they are taken."""
         re_parts, rows = self._rows()
-        return [complex(r, i) for k, i in rows for r in re_parts[k]]
+        return (complex(r, i) for k, i in rows for r in re_parts[k])
 
 
 class PseudospectrumField(NamedTuple):
@@ -135,15 +139,15 @@ def compute_field(grid: GridSpec,
     each such point in order as re and im (repr text), the error's
     class name and its message.
     """
-    pts = grid.points()
     lower, upper, status, region = [], [], [], []
     oracle = oracle_err = None
     failed = []
     if with_oracle:
         from .fdop import resolvent_norm_fd
 
-        oracle, oracle_err = [math.nan] * len(pts), [math.nan] * len(pts)
-    for i, z in enumerate(pts):
+        n = grid.re_count * grid.im_count
+        oracle, oracle_err = [math.nan] * n, [math.nan] * n
+    for i, z in enumerate(grid._points()):
         nb = norm_bounds(z)
         region.append(nb.region.name)
         status.append(nb.status)

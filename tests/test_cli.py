@@ -121,6 +121,32 @@ class TestSubcommands:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    @pytest.mark.parametrize("out", ["missing/f.csv", "missing/f.json", ""],
+                             ids=["no-dir-csv", "no-dir-json", "a-dir"])
+    def test_unwritable_field_path_exits_two(self, tmp_path, capsys, out):
+        # a missing directory and a directory once ended in a traceback
+        code, stdout = run_cli(["field", "--re=0:1:2", "--im=0:1:2",
+                                "--out", str(tmp_path / out)])
+        assert code == 2 and stdout == ""
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, count, first", [
+        (["--a=20", "--b=-1e4", "--lam-max=10500"], 284,
+         "eigenvalue 10000.00616850"),
+        (["--a=3", "--b=-1e7", "--lam-max=10002000"], 85,
+         "eigenvalue 10000000.27415"),
+    ], ids=["a=20,b=-1e4", "a=3,b=-1e7"])
+    def test_step_barrier_well_keeps_every_root(self, argv, count, first):
+        # the roots lie within 1e-9 of a bracket's end, where the bisection
+        # once kept off the cotangent's poles: 283 and 0 roots came back
+        code, out = run_cli(["step"] + argv)
+        lines = out.splitlines()
+        assert code == 0
+        assert lines[0] == f"count {count}" and len(lines) == count + 1
+        assert lines[1].startswith(first)
+
     def test_gamma_far_along_the_curve(self):
         # the s3 = +1 branch tends to 0 like 1/sqrt(r); it once gave nan
         code, out = run_cli(["gamma", "--sigma=1,1,1", "--r=0:1e300:3"])

@@ -251,6 +251,9 @@ _RESULTS = [
     # a bare OverflowError from cmath.sin
     ("closed.step_implicit_residual-sinh",
      lambda: step_implicit_residual(-1e300, 1.0, 3.0)),
+    # no roots came back, though each of the 201 brackets holds one
+    ("closed.find_step_eigenvalues-lam_squared",
+     lambda: find_step_eigenvalues(1e-80, 1.0, 1e165)),
     ("kernel.resolvent_kernel",
      lambda: resolvent_kernel(5 + 0.5j, 1e308, -1e308)),
     ("kernel.dirichlet_kernel",

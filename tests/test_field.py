@@ -388,3 +388,16 @@ def test_load_reads_row_by_row(big_field, tmp_path):
     tracemalloc.stop()
     assert len(cols["re"]) == 20_000
     assert peak <= 150 * 20_000
+
+
+def test_compute_field_makes_points_one_at_a_time():
+    # ~0.06 MB above what the field keeps: building the list of all 10^5
+    # points before evaluating them took 4 MB more
+    grid = GridSpec(-5.0, 80.0, 1000, -2.0, 2.0, 100)
+    compute_field(GridSpec(-5.0, 80.0, 3, -2.0, 2.0, 2))  # warm-up
+    tracemalloc.start()
+    fld = compute_field(grid)
+    retained, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert len(fld.lower) == 100_000
+    assert peak - retained <= 1_000_000

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from _reference import (dirichlet_bs_hs_norm, dirichlet_quadrature_norm,
                         gamma_branch, kernel_matrix)
+from sgnspec import closed
 from sgnspec.closed import (DEFAULT_TOL_SPEC, spectrum_distance,
                             step_implicit_residual, wave_numbers)
 from sgnspec.errors import ConfigError, DomainError, SpectrumError, \
@@ -195,6 +196,41 @@ class TestStepModel:
     def test_imag_domain_guard(self):
         with pytest.raises(DomainError):
             step_implicit_residual(1 + 2j, self.A, self.B)
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(st.floats(0.05, 20.0), st.floats(-1e6, 100.0),
+           st.integers(1, 40))
+    @example(20.0, -1e4, 284).via("a root 3e-10 below its bracket's end")
+    @example(3.0, -1e7, 85).via("every root within an ulp of its end")
+    def test_one_root_per_bracket(self, a, b, m):
+        # lam_max at the upper end of bracket m - 1 takes brackets 0 to
+        # m - 1 whole; bracket m starts there, and its root lies above
+        def end(k):
+            return (k * math.pi / (2.0 * a)) ** 2 - b
+
+        roots = find_step_eigenvalues(a, b, end(m))
+        assert len(roots) == m
+        assert roots[0] > -b
+        assert all(end(k) <= lam <= end(k + 1) for k, lam in enumerate(roots))
+        assert all(x < y for x, y in zip(roots, roots[1:]))
+
+    def test_roots_come_from_the_shared_residual(self, monkeypatch):
+        # a stand-in with the residual's end signs, (-1)^k and (-1)^(k+1),
+        # and its root at the middle of each bracket in 2a sqrt(lam + b):
+        # the finder must land there, so no other spelling decides it
+        calls = []
+
+        def residual(lam, a, b):
+            calls.append(lam)
+            return complex(math.cos(2.0 * a * math.sqrt(lam + b)))
+
+        monkeypatch.setattr(closed, "_step_residual", residual)
+        roots = find_step_eigenvalues(self.A, self.B, 60.0)
+        want = [((k + 0.5) * math.pi / (2.0 * self.A)) ** 2 - self.B
+                for k in range(len(roots))]
+        assert len(roots) == 5 and len(calls) >= 5 * 40
+        assert roots == pytest.approx(want, abs=1e-11)
 
 
 class TestDirichlet:
