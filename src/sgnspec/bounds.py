@@ -48,6 +48,7 @@ from .closed import _check_off_spectrum, _coupling, _result, wave_numbers
 from .closed import (numrange_bound, pseudomode_lower_bound,  # re-exported
                      regularized_pseudomode_ratio, schur_upper_bound)
 from .errors import ConfigError, ConvergenceError, DomainError
+from .krylov import _start_vector
 from .pair import _both
 from .quadrature import (
     QuadratureGrid,
@@ -355,19 +356,18 @@ def quadrature_operator_norm(z: complex, grid: QuadratureGrid) -> float:
     norm comes back positive; every other operator keeps its steps
     unscaled.  Raises ConvergenceError if the estimate has not
     settled to 1e-8 relative within 200 steps, and DomainError as soon
-    as an iterate leaves the float range.  The start vector is fixed, so
-    repeated calls return the same bits.
+    as an iterate leaves the float range.  The start vector is fixed
+    (krylov._start_vector's 2n entries, the first n as real parts and
+    the next n as imaginary parts), so repeated calls return the same
+    bits.
     """
     gen = _weigh(_sides(z, grid.nodes), grid.weights)
     n = grid.size
     v = np.empty(n, dtype=complex)
     u = np.empty(n, dtype=complex)
-    # the draws of default_rng(0).standard_normal(n) + 1j * (the next n),
-    # made in u's memory
-    rng = np.random.default_rng(0)
+    # the start vector, made in u's memory
     draws = u.view(float)
-    rng.standard_normal(out=draws[:n])
-    rng.standard_normal(out=draws[n:])
+    _start_vector(draws)
     v.real = draws[:n]
     v.imag = draws[n:]
     v *= 1.0 / np.linalg.norm(v)

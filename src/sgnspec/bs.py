@@ -255,8 +255,9 @@ def spectral_radius(z: complex, eps: float, pot: PotentialSpec) -> float:
     largest modulus of K_z, applied matrix-free in O(n) per product
     (k_matvec), and stops when the Ritz residual falls to machine
     epsilon relative to the Ritz value (krylov._EPS_TOL), as ARPACK's
-    eigs did at its default tol=0.  The start vector is fixed, so
-    repeated calls return the same bits.  The last digits carry no error
+    eigs did at its default tol=0.  The start vector is fixed
+    (krylov._start_vector, no random draw), so repeated calls return
+    the same bits.  The last digits carry no error
     estimate and follow the rounding of the products where the
     eigenvalue is ill-conditioned: at gaussian(-1, 5), 100 + 0.5i its
     condition number is 1331, and relative noise of 2e-16 in each
@@ -340,29 +341,32 @@ def find_eigenvalue(eps: float, pot: PotentialSpec, z0: complex) -> complex:
     _normalized_det), so a secant step costs O(n) whatever the well:
     milliseconds for a Gaussian seeded at Re z ~ 10^3 (n ~ 3000).  The
     determinant is renormalized by its magnitude at z0 so the secant
-    updates work with O(1) numbers.  Raises ConvergenceError if no step
-    is below 1e-10 max(1, |z|) within 60 steps, or as soon as a
-    determinant value or a secant iterate is not finite (before the
-    kernel is evaluated there), ConfigError for a non-finite eps,
-    DomainError for a non-finite z0 and SpectrumError where z0 or an
-    iterate lies on a spectral ray.
+    updates work with O(1) numbers; that value at z0 is the first
+    secant value too, so z0 costs one determinant.  Raises
+    ConvergenceError if no step is below 1e-10 max(1, |z|) within 60
+    steps, or as soon as a determinant value or a secant iterate is not
+    finite (before the kernel is evaluated there), ConfigError for a
+    non-finite eps, DomainError for a non-finite z0 and SpectrumError
+    where z0 or an iterate lies on a spectral ray.
     """
     if _setting(eps, "coupling eps") == 0.0:
         raise ZeroCouplingError("coupling eps must be nonzero")
     grid = potential_grid(4.0 * abs(complex(z0).real) + 1.0, pot)
     det_at = _normalized_det(eps, pot, grid)
-    _, ref_log = det_at(z0)
+    sign, ref_log = det_at(z0)
 
-    def g(z: complex) -> complex:
-        sign, logabs = det_at(z)
+    def scaled(sign: complex, logabs: float, z: complex) -> complex:
         val = sign * cmath.exp(min(logabs - ref_log, 300.0))
         if not cmath.isfinite(val):
             raise ConvergenceError(f"non-finite determinant at z={z}")
         return val
 
+    def g(z: complex) -> complex:
+        return scaled(*det_at(z), z)
+
     za = complex(z0)
     zb = za + (abs(za) + 1.0) * 1e-4 * (1.0 + 0.3j)
-    ga, gb = g(za), g(zb)
+    ga, gb = scaled(sign, ref_log, za), g(zb)
     for _ in range(60):
         denom = gb - ga
         if denom == 0.0:

@@ -524,8 +524,8 @@ def step_implicit_residual(lam: complex, a: float, b: complex) -> complex:
     the formula analytically through lam + b < 0, where sin/cos become
     sinh/cosh automatically.  Raises DomainError for a non-finite lam,
     outside |Im lam| < 1 and where the residual leaves the float range
-    (at a = 1, b = 3: lam below ~-1.3e5, where cosh(2a |s|) overflows,
-    and above ~1e154, where lam^2 does), and ConfigError unless
+    (at a = 1, b = 3: lam below ~-1.3e5, where cosh(2a |s|) overflows;
+    lam^2 is never formed where it would), and ConfigError unless
     0 < a < inf and b is finite.
     """
     lam = _finite(lam)
@@ -540,7 +540,11 @@ def _step_residual(lam: complex, a: float, b: complex) -> complex:
     """step_implicit_residual without its gates: inf where sin or cos of
     a huge argument fails, and whatever the arithmetic gives otherwise.
     For real lam > -b and real b the value is real (its imaginary part
-    is zero or a rounding error)."""
+    is zero or a rounding error).  The principal sqrt(lam^2 + 1) is
+    formed as +-lam sqrt(1 + lam^-2) at |lam| > 1, so lam^2 never
+    overflows, and sqrt(lam^2 + 1) - lam as 1 / (sqrt(lam^2 + 1) + lam)
+    where Re lam >= 0, so it does not cancel: the residual stays finite
+    for lam up to the float range."""
     s = cmath.sqrt(lam + b)
     w = 2.0 * a * s
     try:
@@ -549,8 +553,14 @@ def _step_residual(lam: complex, a: float, b: complex) -> complex:
         else:
             sinc = cmath.sin(w) / s
         jump = cmath.sqrt(lam + 1j) - cmath.sqrt(lam - 1j)
-        return ((cmath.sqrt(lam * lam + 1.0) - lam - b) * sinc
-                - 1j * jump * cmath.cos(w))
+        right = lam.real >= 0.0
+        if abs(lam) > 1.0:
+            far = lam if right else -lam
+            root = far * cmath.sqrt(1.0 + (1.0 / far) ** 2)
+        else:
+            root = cmath.sqrt(lam * lam + 1.0)
+        gap = 1.0 / (root + lam) if right else root - lam
+        return (gap - b) * sinc - 1j * jump * cmath.cos(w)
     except (ArithmeticError, ValueError):  # sin, cos of a huge argument
         return math.inf
 
@@ -569,11 +579,11 @@ def find_step_eigenvalues(a: float, b: float,
     or down to adjacent floats, and returns one root per bracket.
     Raises DomainError where a bracket overflows or holds no float
     strictly inside its ends (a tiny a, or a b or lam_max huge against
-    (pi / (2a))^2), or where the residual leaves the float range (lam
-    above ~1e154, where lam^2 overflows), and ConfigError unless
-    0 < a < inf and b is finite, and where the brackets below lam_max,
-    about 2a sqrt(lam_max + b) / pi of them, exceed MAX_STEP_BRACKETS
-    (a NaN or +inf lam_max too; at -inf there are none).
+    (pi / (2a))^2), or where the residual leaves the float range, and
+    ConfigError unless 0 < a < inf and b is finite, and where the
+    brackets below lam_max, about 2a sqrt(lam_max + b) / pi of them,
+    exceed MAX_STEP_BRACKETS (a NaN or +inf lam_max too; at -inf there
+    are none).
     """
     _positive(a, "half-width a")
     b = _setting(float(b), "well depth b")

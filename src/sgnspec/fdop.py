@@ -11,7 +11,8 @@ eigenvalue of the inverted operator with the package's NumPy Arnoldi
 (krylov._dominant_eigenvalue), as bs.spectral_radius does, which tests
 for convergence after its first few products and whenever its basis is
 full, and restarts Krylov-Schur style from its leading Ritz vectors.
-The oracle's coarse and fine grids are independent: from
+Its start vector (krylov._start_vector) depends on nothing but the
+grid's size.  The oracle's coarse and fine grids are independent: from
 pair._MIN_NODES nodes on the two grids together they run side by side
 on two threads (pair._both), with the same bits as one after the
 other.  SciPy's LAPACK wrappers are imported inside _tridiag_lu, and by
@@ -184,10 +185,10 @@ def _sigma_min_banded(op: FDOperator, z: complex) -> float:
     -0.5, -1 + 0.5i); on a grid with h * kappa >= 2 (see _resolved_n)
     they cluster to ~1e-6 relative, and the Krylov-Schur restarts carry
     the iteration.  op is dropped once factored: a caller that passes
-    its only reference frees it.  The start vector is fixed (krylov's),
-    so repeated calls return the same bits.  Raises ConvergenceError if
-    Arnoldi does not converge within krylov._RESTARTS restarts and
-    SingularError if A - z is singular.
+    its only reference frees it.  The start vector is fixed
+    (krylov._start_vector), so repeated calls return the same bits.
+    Raises ConvergenceError if Arnoldi does not converge within
+    krylov._RESTARTS restarts and SingularError if A - z is singular.
     """
     size = op.size
     solve = _tridiag_lu(op, z)
@@ -306,10 +307,10 @@ def eigenvalue_near(target: complex, n: int, half_length: float,
     (krylov._EPS_TOL).
     Works on fine grids (n ~ 10^5 - 10^6) where the dense solve is out
     of reach; accuracy is then limited only by the discretization.  The
-    Arnoldi start vector is fixed (krylov's), so repeated calls return
-    the same bits.  Raises DomainError for a non-finite target and
-    where the eigenvalue leaves the float range, ConfigError for the
-    grid as build_fd does, SingularError if A - target is exactly
+    Arnoldi start vector is fixed (krylov._start_vector), so repeated
+    calls return the same bits.  Raises DomainError for a non-finite
+    target and where the eigenvalue leaves the float range, ConfigError
+    for the grid as build_fd does, SingularError if A - target is exactly
     singular and ConvergenceError if Arnoldi does not converge within
     krylov._RESTARTS restarts.
     """

@@ -7,13 +7,15 @@ code on the Nystrom matrix of K_z (bs.spectral_radius), each through
 the same Arnoldi: a Hermitian operator gets no path of its own.  The
 callers pass the operator, its size and a tolerance, fdop._SIGMA_TOL
 for the FD sigma_min and _EPS_TOL for the other two; the start vector
+(_start_vector, which bounds.quadrature_operator_norm starts from too)
 and the restart budget (_RESTARTS) are this module's.  NumPy only: no
-SciPy is loaded here.
+SciPy and none of NumPy's random generators is loaded here.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from typing import Callable
 
 import numpy as np
@@ -36,6 +38,34 @@ _RESTARTS = 5000
 # fdop.eigenvalue_near and bs.spectral_radius, as in the eigs calls the
 # Arnoldi replaced (tol=0, which ARPACK reads as machine epsilon)
 _EPS_TOL = float(np.finfo(float).eps)
+# the entries of a start vector drawn at a time
+_START_BLOCK = 1 << 16
+
+
+def _start_vector(out: np.ndarray) -> None:
+    """Write the package's fixed start vector into the float64 array
+    out, which may be strided: the signed bytes of
+    random.Random(0).randbytes (the Mersenne Twister of a local
+    generator, seeded alike on every call), each scaled by 1/128 into
+    [-1, 1).
+
+    Generic enough for an iteration's start (like the random test
+    vectors of Halko, Martinsson and Tropp, SIAM Rev. 53 (2011)): no
+    smooth, periodic or parity pattern for an operator to be blind to.
+    It depends on nothing but the length of out, so every call and
+    either thread of a pair writes the same bits.  It is drawn
+    _START_BLOCK bytes at a time, so nothing of out's size is allocated,
+    and each block is one C call and one NumPy product, so a thread of a
+    pair hands the GIL over a few times at most (a splitmix64 hash of
+    the index in NumPy took a dozen calls a block, and the paired FD
+    sigma_min ~1 ms longer).  The standard library's random module is
+    loaded by NumPy's own import; NumPy's generators are not.
+    """
+    rng = random.Random(0)
+    for lo in range(0, out.size, _START_BLOCK):
+        part = out[lo:lo + _START_BLOCK]
+        signed = np.frombuffer(rng.randbytes(part.size), dtype=np.int8)
+        np.multiply(signed, 1.0 / 128.0, out=part)
 
 
 @np.errstate(all="ignore")  # each product's norm is tested
@@ -66,17 +96,18 @@ def _dominant_eigenvalue(matvec: Callable[[np.ndarray], np.ndarray],
     SIAM J. Matrix Anal. Appl. 23 (2001); Wu-Simon, SIAM J. Matrix Anal.
     Appl. 22 (2000)): unlike a restart from one Ritz vector, that keeps
     the convergence of clustered eigenvalues.  The start vector is the
-    fixed standard normal draw of np.random.default_rng(0), so the
-    result depends only on the operator and repeated calls return the
-    same bits.  A product whose squared norm overflows is measured
-    scaled by its largest part, so the radius of a large but finite
-    operator comes back.  Raises ConvergenceError after _RESTARTS
-    restarts and SingularError if a product or its norm is not finite.
+    real vector of _start_vector, so the result depends only on the
+    operator and repeated calls return the same bits.  A product whose
+    squared norm overflows is measured scaled by its largest part, so
+    the radius of a large but finite operator comes back.  Raises
+    ConvergenceError after _RESTARTS restarts and SingularError if a
+    product or its norm is not finite.
     """
-    v0 = np.random.default_rng(0).standard_normal(n)
     basis = np.empty((_BASIS + 1, n), dtype=complex)
     proj = np.zeros((_BASIS + 1, _BASIS), dtype=complex)
-    basis[0] = v0 / np.linalg.norm(v0)
+    _start_vector(basis[0].real)
+    basis[0].imag = 0.0
+    basis[0] *= 1.0 / np.linalg.norm(basis[0])
     start = 0  # vectors carried over from the last restart
     early = _EARLY_TESTS
     last = math.inf  # relative residual of the last early test

@@ -16,7 +16,8 @@ and tolerance as arguments, so a dense matrix can be run through the
 same iteration.  mp_coupling and mp_kernel are the coupling
 1/(k_plus + k_minus) and the kernel in mpmath at raised precision, so
 the tests can hold the float forms to rounding where the float sum
-cancels.  The Nystrom checks of the Dirichlet-decoupled model
+cancels, and mp_step_residual does the same for the step model's
+residual.  The Nystrom checks of the Dirichlet-decoupled model
 (its operator norm and its Birman-Schwinger HS norm) run the package's
 O(n) generators with the coupling through the origin set to 0; the
 tests hold them against the dense matrices here and the exact norm
@@ -28,9 +29,9 @@ grid points from NumPy's linspace and broadcasting, not from
 GridSpec.points().  arpack_sigma_min, arpack_eigenvalue_near and
 arpack_spectral_radius are the ARPACK calls (eigsh, eigs) that the FD
 oracle and the Birman-Schwinger spectral radius ran before the
-package's own Arnoldi, with the same start vector, tolerance and
-iteration budget, so the tests can hold the package's Krylov iteration
-against them.
+package's own Arnoldi, with the same start vector (krylov._start_vector),
+tolerance and iteration budget, so the tests can hold the package's
+Krylov iteration against them.
 """
 
 import csv
@@ -47,6 +48,7 @@ from sgnspec.closed import (DEFAULT_TOL_SPEC, _check_off_spectrum,
                             wave_numbers)
 from sgnspec.errors import ConvergenceError, DomainError, SpectrumError
 from sgnspec.fdop import _tridiag_lu
+from sgnspec.krylov import _start_vector
 from sgnspec.quadrature import (QuadratureGrid, decay_half_length,
                                 oscillation_panel_width)
 
@@ -140,6 +142,21 @@ def mp_kernel(z, x, y, dps=60):
                        + c * far)
 
 
+def mp_step_residual(lam, a, b, dps=60):
+    """The step model's residual of closed.step_implicit_residual in
+    mpmath with dps digits, from its formula: sqrt(lam^2 + 1) - lam
+    as it stands, so it holds the float forms to rounding where that
+    difference cancels and lam^2 overflows a float."""
+    import mpmath
+    with mpmath.workdps(dps):
+        lam, a, b = mpmath.mpc(lam), mpmath.mpf(a), mpmath.mpc(b)
+        s = mpmath.sqrt(lam + b)
+        jump = mpmath.sqrt(lam + 1j) - mpmath.sqrt(lam - 1j)
+        return complex((mpmath.sqrt(lam * lam + 1) - lam - b)
+                       * mpmath.sin(2 * a * s) / s
+                       - 1j * jump * mpmath.cos(2 * a * s))
+
+
 def power_norm(apply, weights, max_iter, tol):
     """Norm of a discretized integral operator by power iteration.
 
@@ -149,13 +166,14 @@ def power_norm(apply, weights, max_iter, tol):
     quadrature_operator_norm.  Raises ConvergenceError if the estimate
     has not settled to tol within max_iter steps.
     """
-    rng = np.random.default_rng(0)
     sw = np.sqrt(weights)
 
     def m_apply(v):
         return sw * apply(sw * v)
 
-    v = rng.standard_normal(sw.size) + 1j * rng.standard_normal(sw.size)
+    draws = np.empty(2 * sw.size)
+    _start_vector(draws)
+    v = draws[:sw.size] + 1j * draws[sw.size:]
     v /= np.linalg.norm(v)
     val = 0.0
     for _ in range(max_iter):
@@ -228,7 +246,8 @@ def arpack_sigma_min(op, z):
     solve = _tridiag_lu(op, z)
     lin = spla.LinearOperator((op.size, op.size), dtype=complex,
                               matvec=lambda v: solve(solve(v, "N"), "C"))
-    v0 = np.random.default_rng(0).standard_normal(op.size)
+    v0 = np.empty(op.size)
+    _start_vector(v0)
     mu = spla.eigsh(lin, k=1, which="LM", tol=1e-9, maxiter=5000, v0=v0,
                     return_eigenvectors=False)[0]
     return 1.0 / math.sqrt(mu)
@@ -241,7 +260,8 @@ def arpack_eigenvalue_near(op, target):
 
     inv = spla.LinearOperator((op.size, op.size), dtype=complex,
                               matvec=_tridiag_lu(op, target))
-    v0 = np.random.default_rng(0).standard_normal(op.size)
+    v0 = np.empty(op.size)
+    _start_vector(v0)
     mu = spla.eigs(inv, k=1, which="LM", return_eigenvectors=False,
                    maxiter=2000, v0=v0)
     return target + 1.0 / mu
@@ -255,7 +275,8 @@ def arpack_spectral_radius(z, eps, pot):
     grid = potential_grid(z, pot)
     op = spla.LinearOperator((grid.size, grid.size), dtype=complex,
                              matvec=k_matvec(z, pot, grid))
-    v0 = np.random.default_rng(0).standard_normal(grid.size)
+    v0 = np.empty(grid.size)
+    _start_vector(v0)
     lam = spla.eigs(op, k=1, which="LM", v0=v0, return_eigenvectors=False,
                     maxiter=3000)
     return float(eps * abs(lam[0]))

@@ -193,6 +193,34 @@ class TestEigenvalues:
         assert distance(z) < 1e-6
         assert distance(z + 0.5) > 1e-2
 
+    def test_the_seeds_determinant_is_the_first_secant_value(self,
+                                                              monkeypatch):
+        # criterion 3's search: the determinant at z0 sets the scale and
+        # serves as the first secant value, so no z is evaluated twice
+        calls = []
+        factory = bs._normalized_det
+
+        def counted(*args):
+            det_at = factory(*args)
+
+            def det(z):
+                calls.append(complex(z))
+                return det_at(z)
+            return det
+
+        monkeypatch.setattr(bs, "_normalized_det", counted)
+        z = find_eigenvalue(1.0, delta_bump(2.0), -0.7)
+        assert abs(z - (-0.75)) < 1e-3
+        assert calls[0] == -0.7
+        assert len(calls) == len(set(calls)) == 6
+
+    def test_non_finite_determinant_at_the_seed_raises(self, monkeypatch):
+        monkeypatch.setattr(bs, "_normalized_det",
+                            lambda *args: lambda z: (0j, -math.inf))
+        with pytest.raises(ConvergenceError,
+                           match=r"non-finite determinant at z=\(-0.7\+0j\)"):
+            find_eigenvalue(1.0, delta_bump(2.0), -0.7)
+
     def test_find_eigenvalues_dedupes(self):
         pot = delta_bump(2.0)
         roots = search_eigenvalues(1.0, pot, [-0.7, -0.72, -0.8]).roots

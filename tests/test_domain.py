@@ -21,7 +21,9 @@ finite arguments raises a DomainError there, from the one result gate
 (closed._result), whose message says "not finite" and "float range":
 never inf or NaN, never a bare Python error, and no NumPy warning ahead
 of it.  A spectral parameter far beyond +-i in both parts, where
-|z -+ i| overflows, is no bare OverflowError either.
+|z -+ i| overflows, is no bare OverflowError either.  Where only an
+intermediate overflowed (lam^2 in the step model's residual), the
+result comes back finite.
 """
 
 import math
@@ -245,15 +247,9 @@ _RESULTS = [
     ("closed.ray_distances", lambda: ray_distances(-1.7e308 + 1.7e308j)),
     ("closed.spectrum_distance",
      lambda: spectrum_distance(-1.7e308 - 1.7e308j)),
-    # (-inf+nanj) came back
-    ("closed.step_implicit_residual-lam_squared",
-     lambda: step_implicit_residual(1e200, 1.0, 3.0)),
     # a bare OverflowError from cmath.sin
     ("closed.step_implicit_residual-sinh",
      lambda: step_implicit_residual(-1e300, 1.0, 3.0)),
-    # no roots came back, though each of the 201 brackets holds one
-    ("closed.find_step_eigenvalues-lam_squared",
-     lambda: find_step_eigenvalues(1e-80, 1.0, 1e165)),
     ("kernel.resolvent_kernel",
      lambda: resolvent_kernel(5 + 0.5j, 1e308, -1e308)),
     ("kernel.dirichlet_kernel",
@@ -292,6 +288,28 @@ def test_result_out_of_the_float_range_raises(call):
         call()
     assert type(info.value) is DomainError
     assert "not finite" in str(info.value)
+
+
+# (module.function-what once overflowed, call of finite arguments whose
+# result is finite: lam^2 passes the float range, but the step residual
+# forms sqrt(lam^2 + 1) without it)
+_FINITE = [
+    # (-inf+nanj) came back, then a DomainError
+    ("closed.step_implicit_residual-lam_squared",
+     lambda: [step_implicit_residual(1e200, 1.0, 3.0)]),
+    # no roots came back, though each of the 202 brackets holds one, then
+    # a DomainError
+    ("closed.find_step_eigenvalues-lam_squared",
+     lambda: find_step_eigenvalues(1e-80, 1.0, 1e165)),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("call", [pytest.param(call, id=name)
+                                  for name, call in _FINITE])
+def test_finite_past_lam_squared(call):
+    values = call()
+    assert values and all(np.isfinite(values))
 
 
 # far from both rays, where |z -+ i| leaves the float range

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from _reference import (dirichlet_bs_hs_norm, dirichlet_quadrature_norm,
-                        gamma_branch, kernel_matrix)
+                        gamma_branch, kernel_matrix, mp_step_residual)
 from sgnspec import closed
 from sgnspec.closed import (DEFAULT_TOL_SPEC, spectrum_distance,
                             step_implicit_residual, wave_numbers)
@@ -192,6 +192,30 @@ class TestStepModel:
                   * math.cosh(2 * self.A * s))
         got = step_implicit_residual(lam, self.A, self.B)
         assert got.real == pytest.approx(expect, rel=1e-10)
+
+    @pytest.mark.parametrize("lam, a", [
+        (0.3, 1.0), (30.0, 1.0), (-0.5 + 0.2j, 1.0), (7.5 - 0.9j, 1.0),
+        (1e10, 1e-5), (1e159, 1e-80), (1e200, 1e-100), (-2.5, 1.0),
+    ])
+    def test_residual_matches_mpmath(self, lam, a):
+        # sqrt(lam^2 + 1) - lam cancels for Re lam >> 1, and lam^2 passes
+        # the float range above ~1.3e154, where the residual once was inf
+        got = step_implicit_residual(lam, a, self.B)
+        assert got == pytest.approx(mp_step_residual(lam, a, self.B),
+                                    rel=1e-12)
+
+    def test_root_past_the_square_of_lam(self):
+        # bracket 0 of a = 1e-80 reaches 2.5e159: its root lies where lam^2
+        # overflows, and the 60-digit residual changes sign across it
+        roots = find_step_eigenvalues(1e-80, 1.0, 1e165)
+        lam = roots[0]
+        assert lam == pytest.approx(1.542e159, rel=1e-3)
+        below, above = lam, lam
+        for _ in range(8):
+            below = math.nextafter(below, -math.inf)
+            above = math.nextafter(above, math.inf)
+        assert (mp_step_residual(below, 1e-80, 1.0).real
+                * mp_step_residual(above, 1e-80, 1.0).real) < 0.0
 
     def test_imag_domain_guard(self):
         with pytest.raises(DomainError):

@@ -4,7 +4,9 @@ the smoothed pseudomode ratio and the models module load neither NumPy
 nor SciPy nor dataclasses, so they start in about the time of the
 interpreter; bs loads NumPy but not SciPy, its Arnoldi spectral radius
 and escape scan included; neither bs nor the closed-form commands load
-concurrent.futures, which the package does not use; only the finite-difference oracle
+concurrent.futures, which the package does not use; the Arnoldi and
+power iterations start without numpy.random, which no module names;
+only the finite-difference oracle
 (field --oracle) loads SciPy, and of SciPy only LAPACK, not
 scipy.sparse; the pure-Python
 linspace that the CLI and the field grids use in place of NumPy's is
@@ -110,6 +112,17 @@ assert bs.escape_scan(pot, 0.125, [3.0, 30.0, 300.0])["escaped"]
 assert bs.spectral_radius(-50 + 0.2j, 0.125, pot) < 1.0
 assert "concurrent.futures" not in sys.modules
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+_NO_RANDOM = """
+import sys
+from sgnspec import bounds, bs
+pot = bs.gaussian()
+assert bs.spectral_radius(-50 + 0.2j, 0.125, pot) < 1.0
+assert bs.escape_scan(pot, 0.125, [3.0, 30.0, 300.0])["escaped"]
+z = 25 + 0.3j
+assert bounds.quadrature_operator_norm(z, bounds.default_strip_grid(z)) > 1.0
+print("numpy.random" in sys.modules)
 """
 
 
@@ -296,6 +309,20 @@ def test_spectral_radius_does_not_load_scipy():
     # iteration, a restart included (-50 + 0.2i takes two bases), and
     # concurrent.futures stays unloaded too
     assert _fresh(_BS_NO_SCIPY) == "[]"
+
+
+def test_iterations_do_not_load_numpy_random():
+    # the Arnoldi (spectral radius, escape scan) and the Nystrom power
+    # iteration start from krylov._start_vector, not from a draw
+    assert _fresh(_NO_RANDOM) == "False"
+
+
+@pytest.mark.parametrize("module", _MODULES + ["__init__"])
+def test_no_module_names_numpy_random(module):
+    with open(os.path.join(sgnspec.__path__[0], module + ".py")) as f:
+        text = f.read()
+    for name in ("np.random", "numpy.random", "default_rng"):
+        assert name not in text, f"{module}.py names {name}"
 
 
 @pytest.mark.parametrize("module", _MODULES)
