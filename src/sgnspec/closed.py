@@ -525,7 +525,7 @@ def step_implicit_residual(lam: complex, a: float, b: complex) -> complex:
     sinh/cosh automatically.  Raises DomainError for a non-finite lam,
     outside |Im lam| < 1 and where the residual leaves the float range
     (at a = 1, b = 3: lam below ~-1.3e5, where cosh(2a |s|) overflows;
-    lam^2 is never formed where it would), and ConfigError unless
+    lam^2 is never formed, see _step_residual), and ConfigError unless
     0 < a < inf and b is finite.
     """
     lam = _finite(lam)
@@ -540,11 +540,13 @@ def _step_residual(lam: complex, a: float, b: complex) -> complex:
     """step_implicit_residual without its gates: inf where sin or cos of
     a huge argument fails, and whatever the arithmetic gives otherwise.
     For real lam > -b and real b the value is real (its imaginary part
-    is zero or a rounding error).  The principal sqrt(lam^2 + 1) is
-    formed as +-lam sqrt(1 + lam^-2) at |lam| > 1, so lam^2 never
-    overflows, and sqrt(lam^2 + 1) - lam as 1 / (sqrt(lam^2 + 1) + lam)
-    where Re lam >= 0, so it does not cancel: the residual stays finite
-    for lam up to the float range."""
+    is zero or a rounding error).  With k_+- = sqrt(lam +- i), the
+    wave numbers at -lam, and c = _coupling(k_plus, k_minus), the jump
+    k_plus - k_minus is 2ic and, as k_plus k_minus is the principal
+    sqrt(lam^2 + 1) for |Im lam| < 1, sqrt(lam^2 + 1) - lam is 2c^2: the
+    residual is (2c^2 - b) sin(w)/s + 2c cos(w), w = 2a s.  Neither part
+    cancels and lam^2 is never formed, so it stays finite for lam up to
+    the float range."""
     s = cmath.sqrt(lam + b)
     w = 2.0 * a * s
     try:
@@ -552,15 +554,8 @@ def _step_residual(lam: complex, a: float, b: complex) -> complex:
             sinc = 2.0 * a * (1.0 - w * w / 6.0)
         else:
             sinc = cmath.sin(w) / s
-        jump = cmath.sqrt(lam + 1j) - cmath.sqrt(lam - 1j)
-        right = lam.real >= 0.0
-        if abs(lam) > 1.0:
-            far = lam if right else -lam
-            root = far * cmath.sqrt(1.0 + (1.0 / far) ** 2)
-        else:
-            root = cmath.sqrt(lam * lam + 1.0)
-        gap = 1.0 / (root + lam) if right else root - lam
-        return (gap - b) * sinc - 1j * jump * cmath.cos(w)
+        c = _coupling(*wave_numbers(-lam))
+        return (2.0 * c * c - b) * sinc + 2.0 * c * cmath.cos(w)
     except (ArithmeticError, ValueError):  # sin, cos of a huge argument
         return math.inf
 

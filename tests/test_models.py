@@ -196,13 +196,16 @@ class TestStepModel:
     @pytest.mark.parametrize("lam, a", [
         (0.3, 1.0), (30.0, 1.0), (-0.5 + 0.2j, 1.0), (7.5 - 0.9j, 1.0),
         (1e10, 1e-5), (1e159, 1e-80), (1e200, 1e-100), (-2.5, 1.0),
+        (3e4 + 0.3j, 0.01), (1e10 + 0.5j, 1e-5), (1e6 - 0.9j, 1e-3),
     ])
     def test_residual_matches_mpmath(self, lam, a):
         # sqrt(lam^2 + 1) - lam cancels for Re lam >> 1, and lam^2 passes
-        # the float range above ~1.3e154, where the residual once was inf
+        # the float range above ~1.3e154, where the residual once was inf;
+        # off the real axis the real part of sqrt(lam + i) - sqrt(lam - i)
+        # cancels too (1.1e-9 off at 3e4 + 0.3i when it was formed so)
         got = step_implicit_residual(lam, a, self.B)
-        assert got == pytest.approx(mp_step_residual(lam, a, self.B),
-                                    rel=1e-12)
+        want = mp_step_residual(lam, a, self.B)
+        assert abs(got - want) <= 1e-12 * abs(want)  # no absolute floor
 
     def test_root_past_the_square_of_lam(self):
         # bracket 0 of a = 1e-80 reaches 2.5e159: its root lies where lam^2
